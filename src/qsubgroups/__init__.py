@@ -69,6 +69,7 @@ from .torus import (
     SigmaGenerator,
     TorusSubgroup,
     Triple,
+    analyze_triple,
     annihilator,
     enumerate_subgroups,
     n_phi_from_sigma,

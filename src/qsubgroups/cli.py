@@ -50,9 +50,9 @@ from .torus import (
     SigmaGenerator,
     TorusSubgroup,
     Triple,
+    analyze_triple,
     canonical_row_form,
     n_phi_from_sigma,
-    omega_order,
     s_phi_matrix,
     sigma_order_identity,
     t_hat_I_complement,
@@ -67,10 +67,6 @@ EXIT_PARSE = 3
 
 
 class ParseFailure(Exception):
-    pass
-
-
-class GuardFailure(Exception):
     pass
 
 
@@ -246,26 +242,29 @@ def _load_spec(args) -> ProblemSpec:
     )
 
 
+def _phi_record(spec: ProblemSpec, result) -> dict:
+    """The validate-phi report of a twist build."""
+    return {
+        "command": "validate-phi",
+        "inputs": spec.inputs,
+        "results": {
+            "valid": result.ok,
+            "violations": [
+                {
+                    "condition": v.condition,
+                    "indices": list(v.indices) if v.indices else None,
+                    "detail": v.detail,
+                }
+                for v in result.violations
+            ],
+        },
+    }
+
+
 def _require_twist(spec: ProblemSpec):
     result = build_twist(spec.cd, spec.Y)
     if result.twist is None:
-        _emit(
-            {
-                "command": "validate-phi",
-                "inputs": spec.inputs,
-                "results": {
-                    "valid": False,
-                    "violations": [
-                        {
-                            "condition": v.condition,
-                            "indices": list(v.indices) if v.indices else None,
-                            "detail": v.detail,
-                        }
-                        for v in result.violations
-                    ],
-                },
-            }
-        )
+        _emit(_phi_record(spec, result))
         raise SystemExit(EXIT_INVALID)
     return result.twist
 
@@ -287,26 +286,12 @@ def _build_triple(tw, spec: ProblemSpec) -> Triple:
 def cmd_validate_phi(args) -> int:
     spec = _load_spec(args)
     result = build_twist(spec.cd, spec.Y)
-    record = {
-        "command": "validate-phi",
-        "inputs": spec.inputs,
-        "results": {
-            "valid": result.ok,
-            "violations": [
-                {
-                    "condition": v.condition,
-                    "indices": list(v.indices) if v.indices else None,
-                    "detail": v.detail,
-                }
-                for v in result.violations
-            ],
-        },
-        "citations": [
-            "D X antisymmetric",
-            "(phi(omega_i), omega_j)/2 integral",
-            "A + 2X invertible",
-        ],
-    }
+    record = _phi_record(spec, result)
+    record["citations"] = [
+        "D X antisymmetric",
+        "(phi(omega_i), omega_j)/2 integral",
+        "A + 2X invertible",
+    ]
     if result.ok:
         record["results"]["x"] = result.twist.X.to_lists()
     _emit(record)
@@ -347,18 +332,17 @@ def cmd_kernel(args) -> int:
                 }
             )
             return EXIT_INVALID
-        nsub = n_phi_from_sigma(tw, spec.ell, triple)
-        sigma_order, n_order, ok = sigma_order_identity(tw, spec.ell, triple)
+        analysis = analyze_triple(tw, spec.ell, triple)
         _emit(
             {
                 "command": "kernel",
                 "results": {
                     "triple_valid": True,
-                    "sigma_order": sigma_order,
-                    "omega_order": omega_order(tw, spec.ell, triple),
-                    "n_generators": [list(g) for g in nsub.generators],
-                    "n_order": n_order,
-                    "order_identity": ok,
+                    "sigma_order": analysis.sigma_order,
+                    "omega_order": analysis.omega_order,
+                    "n_generators": [list(g) for g in analysis.N.generators],
+                    "n_order": analysis.n_order,
+                    "order_identity": analysis.order_identity,
                 },
                 "citations": ["|Sigma| * |N| = ell^n", "|Omega| = |Sigma| / |T_I|"],
             }
@@ -425,19 +409,13 @@ def cmd_datum(args) -> int:
     h = dim_H(tw, spec.ell, d.iplus, d.iminus, d.N)
     a = dim_A(tw, spec.ell, d)
     preds = predicates(tw, spec.ell, d)
-    cofactor, exponent = h.factored()
-    simple_cof, simple_exp = factor_out(h.value_simple_convention, spec.ell)
     record["results"].update(
         {
             "n_generators": [list(g) for g in d.N.generators],
             "n_order": d.N.order,
             "sigma_order": h.sigma_order,
-            "dim_h": {"cofactor": cofactor, "base": spec.ell, "exponent": exponent},
-            "dim_h_simple_convention": {
-                "cofactor": simple_cof,
-                "base": spec.ell,
-                "exponent": simple_exp,
-            },
+            "dim_h": _factored(h.value, spec.ell),
+            "dim_h_simple_convention": _factored(h.value_simple_convention, spec.ell),
             "gamma_order": (
                 d.gamma_order if isinstance(d.gamma_order, int) else "INFINITE"
             ),
@@ -483,7 +461,6 @@ def cmd_enumerate(args) -> int:
         _emit({"command": "enumerate", "error": str(exc)})
         return EXIT_GUARD
     for rec in records:
-        cofactor, exponent = rec.dims.factored()
         _emit(
             {
                 "command": "enumerate",
@@ -493,11 +470,7 @@ def cmd_enumerate(args) -> int:
                     "n_generators": [list(g) for g in rec.N.generators],
                     "n_order": rec.N.order,
                     "sigma_order": rec.dims.sigma_order,
-                    "dim_h": {
-                        "cofactor": cofactor,
-                        "base": spec.ell,
-                        "exponent": exponent,
-                    },
+                    "dim_h": _factored(rec.dims.value, spec.ell),
                 },
             }
         )
@@ -774,7 +747,7 @@ def main(argv=None) -> int:
     except ParseFailure as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except (EnumerationGuard, TableCapExceeded, GuardFailure) as exc:
+    except (EnumerationGuard, TableCapExceeded) as exc:
         sys.stderr.write(f"guard: {exc}\n")
         return EXIT_GUARD
     except SystemExit as exc:

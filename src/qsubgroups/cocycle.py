@@ -263,9 +263,7 @@ class TorusPairElement:
             want = one if key == zero else CyclotomicNumber.zero(self.ell)
             if self._reduce(vec) != want:
                 return False
-        return self.vectors.get(zero) is not None and self._reduce(
-            self.vectors[zero]
-        ) == one
+        return zero in self.vectors
 
     def counit_side(self, side: str) -> dict:
         """Apply the counit on one tensor factor; returns the collapsed

@@ -163,21 +163,14 @@ class TorusEmbedding:
         """The image of a group element as a vector of root-of-unity
         exponents modulo the given common modulus (a multiple of the
         group exponent)."""
-        factors = self.group.invariant_factors
-        out = [0] * self.n
-        for i, (gi, m) in enumerate(zip(g, factors)):
-            if modulus % m:
-                raise ValueError("modulus must be a multiple of every factor")
-            step = modulus // m
-            col = self.column(i)
-            for r in range(self.n):
-                out[r] = (out[r] + gi * step * col[r]) % modulus
-        return tuple(out)
+        return tuple(x % modulus for x in self._exponent_matrix(modulus).apply(g))
 
     def _exponent_matrix(self, modulus: int) -> IntMatrix:
         factors = self.group.invariant_factors
         cols = []
         for i, m in enumerate(factors):
+            if modulus % m:
+                raise ValueError("modulus must be a multiple of every factor")
             step = modulus // m
             cols.append([step * x for x in self.column(i)])
         rows = [[cols[i][r] for i in range(len(factors))] for r in range(self.n)]
@@ -191,9 +184,7 @@ class TorusEmbedding:
             return True
         modulus = lcm(*factors)
         emat = self._exponent_matrix(modulus)
-        solutions = TorusSubgroup.from_generators(
-            modulus, len(factors), [g for g, _ in kernel_mod(emat, modulus)]
-        )
+        solutions = TorusSubgroup.kernel(modulus, len(factors), emat.data)
         relations = TorusSubgroup.from_generators(
             modulus,
             len(factors),
@@ -240,17 +231,16 @@ class DualHom:
                 out[j] += x * image[j]
         return self.target.reduce(out)
 
+    def _generator_matrix(self) -> IntMatrix:
+        """The (nonempty) source generators as columns."""
+        return IntMatrix(self.source_generators).transpose()
+
     def well_defined(self, ell: int) -> bool:
         """Every relation among the source generators must map to zero."""
         r = len(self.source_generators)
         if r == 0:
             return True
-        n = len(self.source_generators[0])
-        gmat = IntMatrix(
-            [[self.source_generators[i][j] for i in range(r)] for j in range(n)],
-            ncols=r,
-        )
-        relations = [g for g, _ in kernel_mod(gmat, ell)]
+        relations = [g for g, _ in kernel_mod(self._generator_matrix(), ell)]
         relations += [
             tuple(ell * int(i == j) for j in range(r)) for i in range(r)
         ]
@@ -260,17 +250,11 @@ class DualHom:
     def evaluate(self, source: TorusSubgroup, vec) -> tuple[int, ...]:
         """Image of an arbitrary element of N (well-definedness makes the
         choice of expression immaterial)."""
-        r = len(self.source_generators)
-        if r == 0:
+        if not self.source_generators:
             if not source.contains(vec):
                 raise ValueError("element not in the source subgroup")
             return tuple(0 for _ in self.target.invariant_factors)
-        n = len(self.source_generators[0])
-        gmat = IntMatrix(
-            [[self.source_generators[i][j] for i in range(r)] for j in range(n)],
-            ncols=r,
-        )
-        solved = solve_linear_mod(gmat, tuple(vec), source.ell)
+        solved = solve_linear_mod(self._generator_matrix(), tuple(vec), source.ell)
         if solved is None:
             raise ValueError("element not in the source subgroup")
         coeffs, _ = solved
@@ -339,16 +323,12 @@ def validate_datum(tw: TwistMap, ell: int, d: TwistedSubgroupDatum) -> DatumRepo
             DatumViolation("n_shape", "N lives in the wrong torus")
         )
     elif not bad:
-        kernel = t_hat_I_complement(tw, ell, d.iplus, d.iminus)
+        rows = s_phi_matrix(tw, ell, d.iplus, d.iminus).data
         for g in d.N.generators:
-            if not kernel.contains(g):
-                s = s_phi_matrix(tw, ell, d.iplus, d.iminus)
-                rows = [
-                    (row, sum(a * b for a, b in zip(row, g)) % ell)
-                    for row in s.data
-                ]
-                witness = next((f"{row} . {g} = {val} != 0 (mod {ell})"
-                                for row, val in rows if val), "")
+            values = [(row, sum(a * b for a, b in zip(row, g)) % ell) for row in rows]
+            witness = next((f"{row} . {g} = {val} != 0 (mod {ell})"
+                            for row, val in values if val), None)
+            if witness is not None:
                 violations.append(
                     DatumViolation(
                         "n_in_kernel",
@@ -435,8 +415,10 @@ def dim_H(tw: TwistMap, ell: int, iplus, iminus, N: TorusSubgroup) -> DimH:
     ell^n / |N|.  N must lie in the character kernel of (I+, I-)."""
     iplus = frozenset(int(i) for i in iplus)
     iminus = frozenset(int(i) for i in iminus)
-    kernel = t_hat_I_complement(tw, ell, iplus, iminus)
-    if not N.is_subgroup_of(kernel):
+    rows = s_phi_matrix(tw, ell, iplus, iminus).data
+    if (N.ell, N.n) != (ell, tw.rank):
+        raise ValueError("N lives in a different torus")
+    if not N.killed_by(rows):
         raise ValueError("N is not inside the character kernel for (I+, I-)")
     total = ell**tw.rank
     sigma_order, rem = divmod(total, N.order)
@@ -667,11 +649,9 @@ def obstruction_check(
     iplus = frozenset(int(i) for i in iplus)
     iminus = frozenset(int(i) for i in iminus)
     total = ell**tw.rank
-    sigma_tw = evaluate_recipe(tw, ell, recipe)
-    zero = zero_twist(tw.cd)
-    sigma_zero = evaluate_recipe(zero, ell, recipe)
-    for side, some_tw, sigma in (("twisted", tw, sigma_tw),
-                                 ("untwisted", zero, sigma_zero)):
+    sides = []
+    for side, some_tw in (("twisted", tw), ("untwisted", zero_twist(tw.cd))):
+        sigma = evaluate_recipe(some_tw, ell, recipe)
         report = validate_triple(
             some_tw, ell, Triple(iplus, iminus, sigma, None)
         )
@@ -680,10 +660,9 @@ def obstruction_check(
                 f"recipe does not produce a valid {side} triple; "
                 f"missing generators: {report.missing}"
             )
-    n_tw = annihilator(sigma_tw)
-    n_zero = annihilator(sigma_zero)
-    dim_tw = dim_H(tw, ell, iplus, iminus, n_tw)
-    dim_zero = dim_H(zero, ell, iplus, iminus, n_zero)
+        nsub = annihilator(sigma)
+        sides.append((sigma, nsub, dim_H(some_tw, ell, iplus, iminus, nsub)))
+    (sigma_tw, n_tw, dim_tw), (sigma_zero, n_zero, dim_zero) = sides
     return ObstructionReport(
         sigma_order_twisted=sigma_tw.order,
         n_order_twisted=n_tw.order,

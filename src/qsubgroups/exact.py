@@ -37,13 +37,20 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials (ascending coefficient tuples)
+# polynomials (ascending coefficient tuples, int or Fraction entries)
 
 def _poly_trim(coeffs):
     end = len(coeffs)
     while end > 0 and coeffs[end - 1] == 0:
         end -= 1
     return tuple(coeffs[:end])
+
+
+def _poly_sub(p, q):
+    out = list(p) + [0] * max(len(q) - len(p), 0)
+    for i, b in enumerate(q):
+        out[i] -= b
+    return _poly_trim(out)
 
 
 def _poly_mul(p, q):
@@ -57,22 +64,23 @@ def _poly_mul(p, q):
     return _poly_trim(out)
 
 
-def _poly_divmod_exact(num, den):
-    """Divide integer polynomials, requiring an exact integer quotient."""
+def _poly_divmod(num, den):
+    """(quotient, remainder) of num by a nonzero den.
+
+    A monic den keeps integer coefficients integral; any other leading
+    coefficient is inverted as a Fraction.
+    """
     num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
     lead = den[-1]
+    inv = 1 if lead == 1 else Fraction(1) / lead
+    q = [0] * max(len(num) - len(den) + 1, 0)
     for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % lead != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q[k] = c // lead
-        if q[k]:
+        c = num[k + len(den) - 1] * inv
+        q[k] = c
+        if c:
             for j, b in enumerate(den):
-                num[k + j] -= q[k] * b
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return _poly_trim(q)
+                num[k + j] -= c * b
+    return _poly_trim(q), _poly_trim(num)
 
 
 def euler_phi(n: int) -> int:
@@ -112,8 +120,8 @@ def cyclotomic_polynomial(ell: int) -> tuple[int, ...]:
     for d in range(1, ell):
         if ell % d == 0:
             den = _poly_mul(den, cyclotomic_polynomial(d))
-    result = _poly_divmod_exact(num, den)
-    assert len(result) - 1 == euler_phi(ell)
+    result, rem = _poly_divmod(num, den)  # den is monic: integral quotient
+    assert not rem and len(result) - 1 == euler_phi(ell)
     _CYCLOTOMIC_CACHE[ell] = result
     return result
 
@@ -256,14 +264,14 @@ class CyclotomicNumber:
         against the minimal polynomial of eps."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(eps)")
-        minpoly = [Fraction(c) for c in cyclotomic_polynomial(self.level)]
-        r0, r1 = minpoly, _frac_trim(self.coeffs)
-        s0, s1 = [], [Fraction(1)]
+        minpoly = tuple(Fraction(c) for c in cyclotomic_polynomial(self.level))
+        r0, r1 = minpoly, _poly_trim(self.coeffs)
+        s0, s1 = (), (Fraction(1),)
         while True:
-            q, r = _frac_divmod(r0, r1)
+            q, r = _poly_divmod(r0, r1)
             if not r:
                 break
-            s0, s1 = s1, _frac_sub(s0, _frac_mul(q, s1))
+            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
             r0, r1 = r1, r
         # r1 is a nonzero constant gcd since the minimal polynomial is
         # irreducible; s1 * self == r1 (mod minpoly).
@@ -307,48 +315,6 @@ class CyclotomicNumber:
 
     def __repr__(self):
         return f"CyclotomicNumber({self.level}, {list(self.coeffs)!r})"
-
-
-def _frac_trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _frac_sub(p, q):
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, a in enumerate(p):
-        out[i] += a
-    for i, b in enumerate(q):
-        out[i] -= b
-    return _frac_trim(out)
-
-
-def _frac_mul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return _frac_trim(out)
-
-
-def _frac_divmod(num, den):
-    num = list(num)
-    if len(num) < len(den):
-        return [], _frac_trim(num)
-    q = [Fraction(0)] * (len(num) - len(den) + 1)
-    lead = den[-1]
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1] / lead
-        q[k] = c
-        if c:
-            for j, b in enumerate(den):
-                num[k + j] -= c * b
-    return _frac_trim(q), _frac_trim(num)
 
 
 def root_of_unity_power(ell: int, k: int) -> CyclotomicNumber:

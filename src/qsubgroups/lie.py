@@ -21,6 +21,7 @@ import enum
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .exact import IntMatrix, invert_rational_matrix
 
@@ -88,25 +89,15 @@ def symmetrizers(A: IntMatrix) -> tuple[int, ...]:
                     stack.append(j)
                 elif ratio[j] != want:
                     raise InvalidCartanMatrix("matrix is not symmetrizable")
-    lcm_den = 1
-    for r in ratio:
-        lcm_den = lcm_den * r.denominator // _gcd(lcm_den, r.denominator)
+    lcm_den = lcm(*(r.denominator for r in ratio))
     ints = [int(r * lcm_den) for r in ratio]
-    g = 0
-    for x in ints:
-        g = _gcd(g, x)
+    g = gcd(*ints)
     d = tuple(x // g for x in ints)
     for i in range(n):
         for j in range(n):
             if d[i] * A[i, j] != d[j] * A[j, i]:
                 raise InvalidCartanMatrix("matrix is not symmetrizable")
     return d
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 @dataclass(frozen=True)
@@ -250,17 +241,19 @@ def _inverse_cartan(cd: CartanDatum) -> tuple[tuple[Fraction, ...], ...]:
     return invert_rational_matrix(cd.A)
 
 
+def _matvec(rows, coords) -> tuple[Fraction, ...]:
+    """Exact product of a matrix (int or rational rows) with a vector."""
+    return tuple(
+        sum((a * x for a, x in zip(row, coords)), Fraction(0)) for row in rows
+    )
+
+
 def alpha_to_omega(lam: LatticeElement, cd: CartanDatum) -> LatticeElement:
     """Coordinates in the fundamental-weight basis: omega = A alpha."""
     _rank_check(lam, cd)
     if lam.basis == Basis.OMEGA:
         return lam
-    coords = tuple(
-        sum((Fraction(cd.A[i, j]) * lam.coords[j] for j in range(cd.rank)),
-            Fraction(0))
-        for i in range(cd.rank)
-    )
-    return LatticeElement(Basis.OMEGA, coords)
+    return LatticeElement(Basis.OMEGA, _matvec(cd.A.data, lam.coords))
 
 
 def omega_to_alpha(lam: LatticeElement, cd: CartanDatum) -> LatticeElement:
@@ -268,12 +261,7 @@ def omega_to_alpha(lam: LatticeElement, cd: CartanDatum) -> LatticeElement:
     _rank_check(lam, cd)
     if lam.basis == Basis.ALPHA:
         return lam
-    ainv = _inverse_cartan(cd)
-    coords = tuple(
-        sum((ainv[i][j] * lam.coords[j] for j in range(cd.rank)), Fraction(0))
-        for i in range(cd.rank)
-    )
-    return LatticeElement(Basis.ALPHA, coords)
+    return LatticeElement(Basis.ALPHA, _matvec(_inverse_cartan(cd), lam.coords))
 
 
 def bilinear_form(lam: LatticeElement, mu: LatticeElement, cd: CartanDatum) -> Fraction:

@@ -11,13 +11,18 @@ handled through integer lattices:
 
 The Hermite normal form of that lattice is the canonical form of the
 subgroup; equality of subgroups is syntactic equality of the forms, and
-membership is integer back-substitution.  Annihilators (characters
-vanishing on a subgroup) reduce to kernel computations mod ell.
+membership is integer back-substitution.  There is one way in for each
+kind of description: TorusSubgroup.from_generators for a span and
+TorusSubgroup.kernel for the solutions of a row system mod ell (the
+character kernel, annihilators, kernels of torus embeddings).
 
 A Hopf-subalgebra triple (I+, I-, Sigma) requires Sigma to contain the
 exponent vectors (1 -+ phi)(alpha_i) for i in I+-; the coefficient
 matrix S built from exactly those vectors has the character kernel as
-its kernel mod ell.
+its kernel mod ell, so a character lies in that kernel iff every row of
+S pairs to zero with it.  analyze_triple derives everything a triple
+determines (T_I, N, |Sigma|, |N|, |Omega|, the order identity) in one
+pass; n_phi_from_sigma, sigma_order_identity and omega_order read it.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ __all__ = [
     "SigmaGenerator",
     "Triple",
     "TripleReport",
+    "TripleAnalysis",
     "t_phi_I",
     "validate_triple",
     "s_phi_matrix",
@@ -43,6 +49,7 @@ __all__ = [
     "n_phi_from_sigma",
     "sigma_order_identity",
     "omega_order",
+    "analyze_triple",
     "enumerate_subgroups",
     "EnumerationGuard",
 ]
@@ -102,6 +109,12 @@ class TorusSubgroup:
         return cls(ell, n, hermite_normal_form(stacked))
 
     @classmethod
+    def kernel(cls, ell: int, n: int, rows) -> "TorusSubgroup":
+        """{z : <row, z> = 0 mod ell for every row}, solved by Smith form."""
+        gens = [g for g, _ in kernel_mod(IntMatrix(rows, ncols=n), ell)]
+        return cls.from_generators(ell, n, gens)
+
+    @classmethod
     def trivial(cls, ell: int, n: int) -> "TorusSubgroup":
         return cls.from_generators(ell, n, [])
 
@@ -128,6 +141,15 @@ class TorusSubgroup:
                     v[j] -= q * self.lattice[i, j]
         return True
 
+    def killed_by(self, rows) -> bool:
+        """Whether every row pairs to zero mod ell with every element,
+        i.e. whether the subgroup lies in the kernel of the rows."""
+        return not any(
+            sum(a * b for a, b in zip(row, g)) % self.ell
+            for row in rows
+            for g in self.generators
+        )
+
     def is_subgroup_of(self, other: "TorusSubgroup") -> bool:
         self._compat(other)
         return all(other.contains(g) for g in self.generators)
@@ -136,11 +158,6 @@ class TorusSubgroup:
         self._compat(other)
         return TorusSubgroup.from_generators(
             self.ell, self.n, self.generators + other.generators
-        )
-
-    def extended_by(self, vec) -> "TorusSubgroup":
-        return TorusSubgroup.from_generators(
-            self.ell, self.n, self.generators + (tuple(vec),)
         )
 
     def elements(self, cap: int | None = None):
@@ -268,18 +285,14 @@ class Triple:
         iplus = frozenset(int(i) for i in iplus)
         iminus = frozenset(int(i) for i in iminus)
         _check_indices(tw, iplus | iminus)
+        gens = [tuple(int(x) % ell for x in g) for g in sigma_gens]
         if recipe is not None:
             # raw extras join the recipe as fixed vectors, so the whole
             # Sigma stays re-evaluable at a different twist
-            recipe = tuple(recipe) + tuple(
-                SigmaGenerator.fixed(tuple(int(x) % ell for x in g))
-                for g in sigma_gens
-            )
-            sigma = evaluate_recipe(tw, ell, recipe)
-        else:
-            gens = [tuple(int(x) % ell for x in g) for g in sigma_gens]
-            sigma = TorusSubgroup.from_generators(ell, tw.rank, gens)
-        return cls(iplus, iminus, sigma, recipe)
+            recipe = tuple(recipe) + tuple(SigmaGenerator.fixed(g) for g in gens)
+            gens = [g.evaluate(tw, ell) for g in recipe]
+        return cls(iplus, iminus, TorusSubgroup.from_generators(ell, tw.rank, gens),
+                   recipe)
 
 
 @dataclass(frozen=True)
@@ -288,20 +301,52 @@ class TripleReport:
     missing: tuple[tuple[str, int], ...]  # e.g. ("kbar", 2) not in Sigma
 
 
+@dataclass(frozen=True)
+class TripleAnalysis:
+    """Everything a valid triple determines, derived in one pass."""
+
+    t_I: TorusSubgroup  # the required subgroup T_I
+    N: TorusSubgroup  # the annihilator of Sigma
+    sigma_order: int
+    n_order: int
+    omega_order: int  # |Sigma / T_I|
+    order_identity: bool  # |Sigma| * |N| == ell^n
+
+
 def _check_indices(tw: TwistMap, indices) -> None:
     bad = set(indices) - set(range(1, tw.rank + 1))
     if bad:
         raise ValueError(f"simple indices out of range: {sorted(bad)}")
 
 
+def _required_rows(tw: TwistMap, iplus, iminus):
+    """The required generators of a triple, labelled: ("kbar", i) with
+    (1-phi)(alpha_i) for i in I+, then ("ktilde", j) with (1+phi)(alpha_j)
+    for j in I-, each ascending."""
+    iplus, iminus = frozenset(iplus), frozenset(iminus)
+    _check_indices(tw, iplus | iminus)
+    rows = [(("kbar", i), kbar_exponent(tw, i)) for i in sorted(iplus)]
+    rows += [(("ktilde", j), ktilde_exponent(tw, j)) for j in sorted(iminus)]
+    return rows
+
+
 def t_phi_I(tw: TwistMap, ell: int, iplus, iminus) -> TorusSubgroup:
     """The subgroup generated by the required elements of a triple:
     (1-phi)(alpha_i) for i in I+ and (1+phi)(alpha_j) for j in I-."""
-    iplus, iminus = frozenset(iplus), frozenset(iminus)
-    _check_indices(tw, iplus | iminus)
-    gens = [kbar_exponent(tw, i) for i in sorted(iplus)]
-    gens += [ktilde_exponent(tw, j) for j in sorted(iminus)]
-    return TorusSubgroup.from_generators(ell, tw.rank, gens)
+    rows = [row for _, row in _required_rows(tw, iplus, iminus)]
+    return TorusSubgroup.from_generators(ell, tw.rank, rows)
+
+
+def _check_triple(tw: TwistMap, ell: int, triple: Triple):
+    """(report, T_I) for a triple; see validate_triple."""
+    required = _required_rows(tw, triple.iplus, triple.iminus)
+    missing = [label for label, row in required if not triple.sigma.contains(row)]
+    t_I = TorusSubgroup.from_generators(ell, tw.rank, [row for _, row in required])
+    for i in sorted(triple.iplus & triple.iminus):
+        basis = tuple(int(r == i - 1) for r in range(tw.rank))
+        if not t_I.contains(basis):
+            missing.append(("kalpha", i))
+    return TripleReport(ok=not missing, missing=tuple(missing)), t_I
 
 
 def validate_triple(tw: TwistMap, ell: int, triple: Triple) -> TripleReport:
@@ -313,19 +358,7 @@ def validate_triple(tw: TwistMap, ell: int, triple: Triple) -> TripleReport:
     is twice the basis vector, but confirmed here so the report is
     self-contained).
     """
-    missing = []
-    for i in sorted(triple.iplus):
-        if not triple.sigma.contains(kbar_exponent(tw, i)):
-            missing.append(("kbar", i))
-    for j in sorted(triple.iminus):
-        if not triple.sigma.contains(ktilde_exponent(tw, j)):
-            missing.append(("ktilde", j))
-    required = t_phi_I(tw, ell, triple.iplus, triple.iminus)
-    for i in sorted(triple.iplus & triple.iminus):
-        basis = tuple(int(r == i - 1) for r in range(tw.rank))
-        if not required.contains(basis):
-            missing.append(("kalpha", i))
-    return TripleReport(ok=not missing, missing=tuple(missing))
+    return _check_triple(tw, ell, triple)[0]
 
 
 def s_phi_matrix(tw: TwistMap, ell: int, iplus, iminus) -> IntMatrix:
@@ -336,27 +369,15 @@ def s_phi_matrix(tw: TwistMap, ell: int, iplus, iminus) -> IntMatrix:
     exponent vectors of the required Sigma generators.  Rows are ordered
     I+ ascending, then I- ascending.
     """
-    iplus, iminus = frozenset(iplus), frozenset(iminus)
-    _check_indices(tw, iplus | iminus)
-    rows = [kbar_exponent(tw, i) for i in sorted(iplus)]
-    rows += [ktilde_exponent(tw, j) for j in sorted(iminus)]
-    return IntMatrix([[x % ell for x in row] for row in rows], ncols=tw.rank)
+    rows = [[x % ell for x in row] for _, row in _required_rows(tw, iplus, iminus)]
+    return IntMatrix(rows, ncols=tw.rank)
 
 
 def canonical_row_form(M: IntMatrix, ell: int) -> IntMatrix:
-    """Canonical row form of a matrix over Z/ell: the nonzero rows of the
-    Hermite form of its row lattice together with ell Z^n."""
-    stacked = IntMatrix(
-        list(M.data) + IntMatrix.identity(M.ncols).scaled(ell).to_lists(),
-        ncols=M.ncols,
-    )
-    h = hermite_normal_form(stacked)
-    rows = [
-        reduced
-        for row in h.data
-        if any(reduced := tuple(x % ell for x in row))
-    ]
-    return IntMatrix(rows, ncols=M.ncols)
+    """Canonical row form of a matrix over Z/ell: the canonical generators
+    of the subgroup its rows span."""
+    span = TorusSubgroup.from_generators(ell, M.ncols, M.data)
+    return IntMatrix(span.generators, ncols=M.ncols)
 
 
 def t_hat_I_complement(tw: TwistMap, ell: int, iplus, iminus) -> TorusSubgroup:
@@ -364,50 +385,54 @@ def t_hat_I_complement(tw: TwistMap, ell: int, iplus, iminus) -> TorusSubgroup:
     coefficient matrix mod ell.  For prime ell its order is
     ell^(n - rank)."""
     s = s_phi_matrix(tw, ell, iplus, iminus)
-    gens = [g for g, _ in kernel_mod(s, ell)]
-    return TorusSubgroup.from_generators(ell, tw.rank, gens)
+    return TorusSubgroup.kernel(ell, tw.rank, s.data)
 
 
 def annihilator(sub: TorusSubgroup) -> TorusSubgroup:
     """{z : <z, g> = 0 mod ell for every g in sub}."""
-    mat = IntMatrix(list(sub.generators), ncols=sub.n)
-    gens = [g for g, _ in kernel_mod(mat, sub.ell)]
-    return TorusSubgroup.from_generators(sub.ell, sub.n, gens)
+    return TorusSubgroup.kernel(sub.ell, sub.n, sub.generators)
+
+
+def analyze_triple(tw: TwistMap, ell: int, triple: Triple) -> TripleAnalysis:
+    """Validate a triple and derive T_I, N and the orders from it.
+
+    Because Sigma contains every required generator, the annihilator N of
+    Sigma automatically lands inside the character kernel, so no
+    intersection is needed; the inclusion is asserted row by row.  The
+    quotient Sigma / T_I is never materialized, only its order.
+    """
+    report, t_I = _check_triple(tw, ell, triple)
+    if not report.ok:
+        raise ValueError(f"invalid triple, missing generators: {report.missing}")
+    sigma = triple.sigma
+    nsub = annihilator(sigma)
+    assert nsub.killed_by(s_phi_matrix(tw, ell, triple.iplus, triple.iminus).data)
+    omega, rem = divmod(sigma.order, t_I.order)
+    assert rem == 0
+    return TripleAnalysis(
+        t_I=t_I,
+        N=nsub,
+        sigma_order=sigma.order,
+        n_order=nsub.order,
+        omega_order=omega,
+        order_identity=sigma.order * nsub.order == ell**tw.rank,
+    )
 
 
 def n_phi_from_sigma(tw: TwistMap, ell: int, triple: Triple) -> TorusSubgroup:
-    """The character subgroup killing Sigma.
-
-    Because Sigma contains every required generator, the annihilator of
-    Sigma automatically lands inside the kernel of the coefficient
-    matrix, so no intersection is needed.
-    """
-    report = validate_triple(tw, ell, triple)
-    if not report.ok:
-        raise ValueError(f"invalid triple, missing generators: {report.missing}")
-    result = annihilator(triple.sigma)
-    assert result.is_subgroup_of(t_hat_I_complement(tw, ell, triple.iplus,
-                                                    triple.iminus))
-    return result
+    """The character subgroup killing Sigma (analyze_triple's N)."""
+    return analyze_triple(tw, ell, triple).N
 
 
 def sigma_order_identity(tw: TwistMap, ell: int, triple: Triple):
     """(|Sigma|, |N|, |Sigma| * |N| == ell^n)."""
-    nsub = n_phi_from_sigma(tw, ell, triple)
-    sigma_order = triple.sigma.order
-    return sigma_order, nsub.order, sigma_order * nsub.order == ell**tw.rank
+    a = analyze_triple(tw, ell, triple)
+    return a.sigma_order, a.n_order, a.order_identity
 
 
 def omega_order(tw: TwistMap, ell: int, triple: Triple) -> int:
-    """Order of Sigma modulo the required subgroup, |Sigma| / |T_I|;
-    the quotient itself is never materialized."""
-    report = validate_triple(tw, ell, triple)
-    if not report.ok:
-        raise ValueError(f"invalid triple, missing generators: {report.missing}")
-    required = t_phi_I(tw, ell, triple.iplus, triple.iminus)
-    order, rem = divmod(triple.sigma.order, required.order)
-    assert rem == 0
-    return order
+    """Order of Sigma modulo the required subgroup, |Sigma| / |T_I|."""
+    return analyze_triple(tw, ell, triple).omega_order
 
 
 def enumerate_subgroups(ambient: TorusSubgroup, cap: int | None = None):

@@ -25,7 +25,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import IntMatrix, invert_rational_matrix
-from .lie import Basis, CartanDatum, LatticeElement, alpha_to_omega, omega_to_alpha
+from .lie import (
+    Basis,
+    CartanDatum,
+    LatticeElement,
+    _inverse_cartan,
+    _matvec,
+    alpha_to_omega,
+    omega_to_alpha,
+)
 
 __all__ = [
     "TwistMap",
@@ -134,7 +142,7 @@ def build_twist(cd: CartanDatum, Y) -> TwistBuildResult:
                 )
 
     # (phi(omega_i), omega_j)/2 = d_j (Y A^(-1))_ji; check every pair
-    ainv = invert_rational_matrix(cd.A)
+    ainv = _inverse_cartan(cd)
     for i in range(n):
         for j in range(n):
             value = sum(
@@ -180,12 +188,7 @@ def apply_phi(tw: TwistMap, lam: LatticeElement) -> LatticeElement:
     if lam.rank != tw.rank:
         raise ValueError("rank mismatch")
     alpha = omega_to_alpha(lam, tw.cd)
-    coords = tuple(
-        sum((2 * Fraction(tw.Y[i, j]) * alpha.coords[j] for j in range(tw.rank)),
-            Fraction(0))
-        for i in range(tw.rank)
-    )
-    out = LatticeElement(Basis.ALPHA, coords)
+    out = LatticeElement(Basis.ALPHA, _matvec(tw.Y.scaled(2).data, alpha.coords))
     if lam.basis == Basis.ALPHA:
         return out
     return alpha_to_omega(out, tw.cd)
@@ -200,26 +203,7 @@ class RationalOperator:
 
     def apply(self, lam: LatticeElement, cd: CartanDatum) -> LatticeElement:
         alpha = omega_to_alpha(lam, cd)
-        n = len(self.matrix)
-        coords = tuple(
-            sum((self.matrix[i][j] * alpha.coords[j] for j in range(n)), Fraction(0))
-            for i in range(n)
-        )
-        return LatticeElement(Basis.ALPHA, coords)
-
-    def compose(self, other: "RationalOperator") -> "RationalOperator":
-        n = len(self.matrix)
-        rows = tuple(
-            tuple(
-                sum(
-                    (self.matrix[i][k] * other.matrix[k][j] for k in range(n)),
-                    Fraction(0),
-                )
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        return RationalOperator(rows)
+        return LatticeElement(Basis.ALPHA, _matvec(self.matrix, alpha.coords))
 
 
 def r_operator(tw: TwistMap, sign: int = 1, inverse: bool = False) -> RationalOperator:
@@ -282,7 +266,7 @@ def enumerate_valid_twists(cd: CartanDatum, bound: int, limit: int | None = None
     integral.  Deterministic order.  The zero twist always comes first.
     """
     n = cd.rank
-    ainv = invert_rational_matrix(cd.A)
+    ainv = _inverse_cartan(cd)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     axis = [0]
     for v in range(1, bound + 1):

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: reports, determinism, exit codes."""
 
 import json
+from pathlib import Path
 
 from qsubgroups.cli import (
     EXIT_GUARD,
@@ -111,6 +112,16 @@ class TestKernel:
         )
         assert code == EXIT_INVALID
         assert json_lines(out)[-1]["results"]["triple_valid"] is False
+
+
+class TestGoldenTranscripts:
+    def test_worked_c3_transcripts(self, capsys):
+        """The worked C3 kernel and datum commands keep their exit codes
+        and their stdout byte for byte."""
+        path = Path(__file__).parent / "fixtures" / "cli_golden.json"
+        for case in json.loads(path.read_text(encoding="utf-8")):
+            code, out = run_cli(capsys, *case["argv"])
+            assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
 
 
 class TestDatum:

@@ -214,6 +214,16 @@ class TestDimensions:
         with pytest.raises(ValueError):
             dim_H(tw, 11, {2}, (), n_from_gens(11, 3, [(1, 0, 0)]))
 
+    def test_n_from_another_torus_rejected(self):
+        # both would pass a row-by-row kernel test that ignores the shape:
+        # the trivial subgroup has no generators, and (3, 1, 1, 0) truncated
+        # to rank 3 lies in the kernel for I+ = {2}
+        tw = worked_twist()
+        with pytest.raises(ValueError):
+            dim_H(tw, 11, {2}, (), TorusSubgroup.trivial(13, 3))
+        with pytest.raises(ValueError):
+            dim_H(tw, 11, {2}, (), n_from_gens(11, 4, [(3, 1, 1, 0)]))
+
     def test_dim_a_multiplies(self):
         tw = worked_twist()
         nsub = n_from_gens(11, 3, [(3, 1, 1)])

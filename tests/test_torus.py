@@ -10,10 +10,12 @@ from qsubgroups.torus import (
     SigmaGenerator,
     TorusSubgroup,
     Triple,
+    analyze_triple,
     annihilator,
     canonical_row_form,
     enumerate_subgroups,
     n_phi_from_sigma,
+    omega_order,
     s_phi_matrix,
     sigma_order_identity,
     t_hat_I_complement,
@@ -250,8 +252,10 @@ class TestNPhiAndOrderIdentity:
     def test_invalid_triple_rejected(self):
         tw = worked_twist()
         triple = Triple.make(tw, 11, {2}, {1}, sigma_gens=[(2, 3, 2)])
-        with pytest.raises(ValueError):
-            n_phi_from_sigma(tw, 11, triple)
+        for derived in (n_phi_from_sigma, sigma_order_identity, omega_order,
+                        analyze_triple):
+            with pytest.raises(ValueError):
+                derived(tw, 11, triple)
 
     def test_order_identity_on_random_valid_triples(self):
         rng = random.Random(67)
