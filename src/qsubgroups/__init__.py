@@ -3,8 +3,8 @@ quantum groups at odd roots of unity.
 
 The package is organized bottom-up:
 
-    exact    rationals, the cyclotomic field Q(eps), Smith and Hermite
-             normal forms, linear systems over Z/ell
+    exact    rationals, the cyclotomic field Q(eps), the Hermite normal
+             form mod ell, kernels and linear systems over Z/ell
     lie      Cartan matrices, weight/root lattices, the invariant form,
              positive roots
     twist    the twisting map phi, its validation and derived operators
@@ -28,7 +28,6 @@ from .exact import (
     hermite_normal_form,
     kernel_mod,
     root_of_unity_power,
-    smith_normal_form,
 )
 from .lie import (
     Basis,

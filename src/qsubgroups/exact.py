@@ -6,9 +6,11 @@ Everything downstream is built on three ingredients:
   ``Rational``),
 * the cyclotomic field Q(eps) for a primitive ell-th root of unity eps,
   with ell odd, represented modulo the ell-th cyclotomic polynomial,
-* integer matrices with Smith and Hermite normal forms, which drive all
-  linear algebra over Z/ellZ.  ell may be composite, so ranks are never
-  trusted; elementary divisors are.
+* integer matrices and one normal form, the Hermite form of a lattice
+  rowspan(M) + ell Z^n computed mod ell, which drives all linear algebra
+  over Z/ellZ: subgroups, kernels and solutions of congruence systems.
+  ell may be composite, so ranks are never trusted; pivots dividing ell
+  are.
 
 All values are immutable after construction and all functions are pure,
 so everything here can be shared freely between workers.
@@ -28,8 +30,8 @@ __all__ = [
     "CyclotomicNumber",
     "root_of_unity_power",
     "IntMatrix",
-    "smith_normal_form",
     "hermite_normal_form",
+    "kernel_lattice",
     "kernel_mod",
     "solve_linear_mod",
     "invert_rational_matrix",
@@ -471,203 +473,118 @@ class IntMatrix:
 
 
 # ---------------------------------------------------------------------------
-# normal forms
+# the Hermite normal form mod ell
 
-def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with transforms: U @ M @ V == S.
-
-    U and V are unimodular; S is diagonal with nonnegative entries
-    satisfying the divisibility chain s1 | s2 | ...  Works for any shape,
-    including empty matrices.
-    """
-    m, n = M.nrows, M.ncols
-    a = [list(row) for row in M.data]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def row_addmul(i, j, c):
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def col_addmul(i, j, c):
-        for row in a:
-            row[i] += c * row[j]
-        for row in v:
-            row[i] += c * row[j]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(m, n):
-        # pivot: smallest nonzero magnitude in the trailing submatrix
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x and (best is None or abs(x) < best):
-                    best = abs(x)
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        if pivot != (t, t):
-            if pivot[0] != t:
-                row_swap(t, pivot[0])
-            if pivot[1] != t:
-                col_swap(t, pivot[1])
-        if a[t][t] < 0:
-            row_negate(t)
-
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    row_addmul(i, t, -q)
-                    if a[i][t]:
-                        row_swap(t, i)  # smaller remainder becomes pivot
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    col_addmul(j, t, -q)
-                    if a[t][j]:
-                        col_swap(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            break
-
-        # make the pivot divide everything that remains
-        d = a[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % d:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_addmul(t, offender, 1)
-            continue  # re-clear with the same t
-        if a[t][t] < 0:
-            row_negate(t)
-        t += 1
-
-    return IntMatrix(u, ncols=m), IntMatrix(a, ncols=n), IntMatrix(v, ncols=n)
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b == g == gcd(a, b), for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
 
-def hermite_normal_form(M: IntMatrix) -> IntMatrix:
-    """Row-style Hermite normal form, zero rows dropped.
+def hermite_normal_form(M: IntMatrix, ell: int) -> IntMatrix:
+    """Row-style Hermite normal form of the lattice rowspan(M) + ell Z^n.
 
-    Unique representative of the row lattice: row echelon with positive
-    pivots and the entries above each pivot reduced into [0, pivot).
-    """
-    m, n = M.nrows, M.ncols
-    a = [list(row) for row in M.data]
-    r = 0
-    for j in range(n):
-        while True:
-            nz = [i for i in range(r, m) if a[i][j]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(a[i][j]))
-            if i0 != r:
-                a[r], a[i0] = a[i0], a[r]
-            if a[r][j] < 0:
-                a[r] = [-x for x in a[r]]
-            done = True
-            for i in range(r + 1, m):
-                if a[i][j]:
-                    q = a[i][j] // a[r][j]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-                    if a[i][j]:
-                        done = False
-            if done:
-                break
-        if r < m and a[r][j]:
-            for i in range(r):
-                q = a[i][j] // a[r][j]
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[r])]
-            r += 1
-    return IntMatrix(a[:r], ncols=n)
-
-
-def kernel_mod(M: IntMatrix, ell: int) -> list[tuple[tuple[int, ...], int]]:
-    """Generators (with orders) of {z in (Z/ell)^n : M z == 0 mod ell}.
-
-    Found from the Smith normal form of M stacked on top of ell times the
-    identity: with U (M ; ell I) V = diag(s_i), every s_i divides ell and
-    the kernel is generated by (ell/s_i) times the i-th column of V, an
-    element of order s_i.  The kernel order is the product of the s_i.
-    Correct for composite ell.
+    The unique basis of that full-rank lattice that is upper triangular
+    with positive pivots, each dividing ell, and every entry above a pivot
+    reduced into [0, pivot).  Computed with every entry reduced mod ell
+    (Domich, Kannan & Trotter 1987): column j starts from the implicit row
+    ell e_j, and each row with a nonzero entry there takes one unimodular
+    extended-gcd step against the pivot row, which leaves the gcd g in the
+    pivot and a partner row cleared in column j.  The partner stays for
+    the later columns: when g properly divides ell it carries (ell / g)
+    times the row, which keeps composite ell exact.
     """
     if ell < 1:
         raise ValueError("modulus must be >= 1")
     n = M.ncols
-    stacked = IntMatrix(
-        list(M.data) + IntMatrix.identity(n).scaled(ell).to_lists(), ncols=n
+    rows = [[x % ell for x in row] for row in M.data]
+    basis = []
+    for j in range(n):
+        a = ell  # the pivot; the pivot row stores it reduced mod ell
+        pivot = [0] * n
+        rest = []
+        for row in rows:
+            b = row[j]
+            if b:
+                # [[s, t], [b/g, -a/g]] has determinant -1 and clears row[j]
+                g, s, t = _xgcd(a, b)
+                u, v = b // g, a // g
+                pivot, row = (
+                    [(s * x + t * y) % ell for x, y in zip(pivot, row)],
+                    [(u * x - v * y) % ell for x, y in zip(pivot, row)],
+                )
+                a = g
+            if any(row):
+                rest.append(row)
+        pivot[j] = a
+        basis.append(pivot)
+        rows = rest
+    for j, pivot in enumerate(basis):
+        for i in range(j):
+            q = basis[i][j] // pivot[j]
+            if q:
+                basis[i] = [x - q * y for x, y in zip(basis[i], pivot)]
+    return IntMatrix(basis, ncols=n)
+
+
+def _with_identity(A: IntMatrix) -> IntMatrix:
+    """[A^T | I_k] for a p x k matrix A: row y is (A e_y, e_y)."""
+    k = A.ncols
+    return IntMatrix(
+        [col + tuple(int(i == y) for i in range(k))
+         for y, col in enumerate(A.transpose().data)],
+        ncols=A.nrows + k,
     )
-    _, s, v = smith_normal_form(stacked)
+
+
+def kernel_lattice(M: IntMatrix, ell: int) -> IntMatrix:
+    """Hermite normal form of the lattice {z in Z^n : M z == 0 (mod ell)}.
+
+    Every vector (l, z) of rowspan[M^T | I_n] + ell Z^(p+n) has
+    l == M z (mod ell), so the rows of its Hermite form whose left block
+    vanishes are a basis of the kernel lattice, already in Hermite form.
+    """
+    p = M.nrows
+    h = hermite_normal_form(_with_identity(M), ell)
+    return IntMatrix([row[p:] for row in h.data[p:]], ncols=M.ncols)
+
+
+def kernel_mod(M: IntMatrix, ell: int) -> list[tuple[tuple[int, ...], int]]:
+    """Generators, each with its exact order, of the subgroup
+    {z in (Z/ell)^n : M z == 0 mod ell}: the rows of kernel_lattice that
+    stay nonzero mod ell.  Correct for composite ell."""
     gens = []
-    for i in range(n):
-        si = s[i, i]
-        assert si > 0 and ell % si == 0
-        if si == 1:
-            continue
-        step = ell // si
-        gen = tuple((step * v[r, i]) % ell for r in range(n))
-        gens.append((gen, si))
+    for row in kernel_lattice(M, ell).data:
+        gen = tuple(x % ell for x in row)
+        if any(gen):
+            gens.append((gen, ell // gcd(ell, *gen)))
     return gens
 
 
-def solve_linear_mod(
-    A: IntMatrix, b, mod: int
-) -> tuple[tuple[int, ...], list[tuple[tuple[int, ...], int]]] | None:
-    """One solution of A y == b (mod m) plus kernel generators, or None.
+def solve_linear_mod(A: IntMatrix, b, mod: int) -> tuple[int, ...] | None:
+    """One solution y of A y == b (mod m), or None.
 
-    Uses the Smith normal form: with U A V = S the system becomes
-    s_i w_i == (U b)_i (mod m), solvable coordinate by coordinate.
+    The top rows (l, y) of the Hermite form of [A^T | I_k] mod m have
+    their pivots in the left block and l == A y (mod m); (b, 0) is reduced
+    against them, and the system is solvable exactly when that clears b.
     """
-    if mod < 1:
-        raise ValueError("modulus must be >= 1")
     p, k = A.nrows, A.ncols
     b = tuple(int(x) for x in b)
     if len(b) != p:
         raise ValueError("right-hand side length mismatch")
-    u, s, v = smith_normal_form(A)
-    c = u.apply(b)
-    w = [0] * k
-    for i in range(p):
-        si = s[i, i] if i < min(p, k) else 0
-        ci = c[i] % mod
-        if si == 0:
-            if ci != 0:
-                return None
-            continue
-        g = gcd(si, mod)
-        if ci % g:
+    h = hermite_normal_form(_with_identity(A), mod)
+    v = list(b) + [0] * k
+    for i, row in enumerate(h.data[:p]):
+        q, r = divmod(v[i], row[i])
+        if r:
             return None
-        sub = mod // g
-        w[i] = (ci // g) * pow(si // g, -1, sub) % sub
-    y0 = tuple(x % mod for x in v.apply(w))
-    return y0, kernel_mod(A, mod)
+        v = [x - q * y for x, y in zip(v, row)]
+    return tuple(-x % mod for x in v[p:])
 
 
 def invert_rational_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:

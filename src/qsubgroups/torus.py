@@ -9,12 +9,13 @@ handled through integer lattices:
   subgroup generated by g_1, ..., g_k
       <->  lattice  Z g_1 + ... + Z g_k + ell Z^n.
 
-The Hermite normal form of that lattice is the canonical form of the
-subgroup; equality of subgroups is syntactic equality of the forms, and
-membership is integer back-substitution.  There is one way in for each
-kind of description: TorusSubgroup.from_generators for a span and
-TorusSubgroup.kernel for the solutions of a row system mod ell (the
-character kernel, annihilators, kernels of torus embeddings).
+The Hermite normal form of that lattice, computed mod ell, is the
+canonical form of the subgroup; equality of subgroups is syntactic
+equality of the forms, and membership is integer back-substitution.
+There is one way in for each kind of description, each one Hermite form:
+TorusSubgroup.from_generators for a span and TorusSubgroup.kernel for the
+solutions of a row system mod ell (the character kernel, annihilators,
+kernels of torus embeddings).
 
 A Hopf-subalgebra triple (I+, I-, Sigma) requires Sigma to contain the
 exponent vectors (1 -+ phi)(alpha_i) for i in I+-; the coefficient
@@ -30,7 +31,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .exact import IntMatrix, hermite_normal_form, kernel_mod, root_of_unity_power
+from .exact import IntMatrix, hermite_normal_form, kernel_lattice, root_of_unity_power
 from .twist import TwistMap, kbar_exponent, ktilde_exponent
 
 __all__ = [
@@ -104,15 +105,16 @@ class TorusSubgroup:
         rows = [tuple(int(x) for x in g) for g in gens]
         if any(len(r) != n for r in rows):
             raise ValueError("generator length mismatch")
-        stacked = IntMatrix(rows + IntMatrix.identity(n).scaled(ell).to_lists(),
-                            ncols=n)
-        return cls(ell, n, hermite_normal_form(stacked))
+        return cls(ell, n, hermite_normal_form(IntMatrix(rows, ncols=n), ell))
 
     @classmethod
     def kernel(cls, ell: int, n: int, rows) -> "TorusSubgroup":
-        """{z : <row, z> = 0 mod ell for every row}, solved by Smith form."""
-        gens = [g for g, _ in kernel_mod(IntMatrix(rows, ncols=n), ell)]
-        return cls.from_generators(ell, n, gens)
+        """{z : <row, z> = 0 mod ell for every row}, read off one Hermite
+        form (see exact.kernel_lattice)."""
+        system = IntMatrix(rows, ncols=n)
+        if system.ncols != n:
+            raise ValueError("row length mismatch")
+        return cls(ell, n, kernel_lattice(system, ell))
 
     @classmethod
     def trivial(cls, ell: int, n: int) -> "TorusSubgroup":

@@ -436,6 +436,33 @@ class TestHardening:
             for v in record["results"]["violations"]
         )
 
+    def test_spec_file_delta_length_mismatch_rejected(self, capsys, tmp_path):
+        # a delta image shorter or longer than Gamma's rank is invalid input
+        for factors, embedding, delta in (
+            ([3, 3], [[1, 0], [0, 1], [0, 0]], [[1]]),
+            ([3], [[1], [0], [0]], [[0, 5]]),
+        ):
+            doc = {
+                "type": "C",
+                "rank": 3,
+                "ell": 11,
+                "family_c3": [1, 2, 0],
+                "iplus": [2],
+                "datum": {
+                    "n_generators": [[3, 1, 1]],
+                    "gamma": {"factors": factors, "embedding": embedding},
+                    "delta": delta,
+                },
+            }
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(doc))
+            code = main(["datum", "--spec", str(path)])
+            captured = capsys.readouterr()
+            assert code == EXIT_INVALID, delta
+            json_lines(captured.out)  # every stdout line is JSON
+            assert "Traceback" not in captured.err
+            assert "invalid input" in captured.err
+
     def test_malformed_payloads_are_parse_failures(self, capsys):
         cases = [
             ["validate-phi", "--type", "C", "--rank", "3", "--ell", "11",

@@ -6,6 +6,7 @@ Cartan matrices and root-system sizes.
 """
 
 import random
+from math import gcd
 
 import sympy
 from sympy import Matrix
@@ -15,7 +16,7 @@ from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sympy.polys.specialpolys import cyclotomic_poly
 
-from qsubgroups.exact import IntMatrix, cyclotomic_polynomial, smith_normal_form
+from qsubgroups.exact import IntMatrix, cyclotomic_polynomial, hermite_normal_form
 from qsubgroups.lie import cartan_matrix, positive_roots
 from qsubgroups.torus import TorusSubgroup
 
@@ -28,25 +29,33 @@ class TestAgainstSympy:
             theirs = sympy.Poly(cyclotomic_poly(ell, q), q).all_coeffs()
             assert list(mine) == list(reversed(theirs))
 
-    def test_smith_normal_form_diagonals(self):
+    def test_hermite_form_index_matches_smith_divisors(self):
+        # Z^n / (rowspan(M) + ell Z^n) is the sum of Z/gcd(s_i, ell) over
+        # the Smith divisors s_i of M (0 past its rank), so the product of
+        # the Hermite pivots mod ell must equal the product of those gcds
         rng = random.Random(111)
         for _ in range(120):
+            ell = rng.choice([1, 2, 4, 6, 9, 12, 45])
             rows = rng.randrange(1, 5)
             cols = rng.randrange(1, 5)
             data = [
                 [rng.randrange(-20, 21) for _ in range(cols)]
                 for _ in range(rows)
             ]
-            _, s, _ = smith_normal_form(IntMatrix(data))
-            mine = [s[i, i] for i in range(min(rows, cols))]
+            h = hermite_normal_form(IntMatrix(data), ell)
+            mine = 1
+            for i in range(cols):
+                mine *= h[i, i]
             theirs = sympy_snf(Matrix(data), domain=sympy.ZZ)
             diag = [
                 abs(theirs[i, i])
                 for i in range(min(theirs.rows, theirs.cols))
             ]
-            # sympy drops trailing zero rows/columns in some shapes; pad
-            diag += [0] * (len(mine) - len(diag))
-            assert mine == sorted(diag, key=lambda d: (d == 0, d))
+            diag += [0] * (cols - len(diag))
+            expected = 1
+            for d in diag[:cols]:
+                expected *= gcd(d, ell)
+            assert mine == expected
 
     def test_subgroup_lattices(self):
         # my row Hermite form of span(gens) + ell Z^n must present the

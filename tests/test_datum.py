@@ -129,6 +129,15 @@ class TestDualHom:
         with pytest.raises(ValueError):
             delta.evaluate(nsub, (1, 0, 0))
 
+    def test_image_length_must_match_target(self):
+        # an image with fewer or more coordinates than Gamma has invariant
+        # factors is rejected, never padded or truncated
+        nsub = n_from_gens(11, 3, [(3, 1, 1)])
+        with pytest.raises(ValueError):
+            DualHom.make(nsub, FiniteAbelianGroup((3, 3)), [(1,)])
+        with pytest.raises(ValueError):
+            DualHom.make(nsub, FiniteAbelianGroup((3,)), [(0, 5)])
+
 
 class TestValidateDatum:
     def test_trivial_datum_valid(self):

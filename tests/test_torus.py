@@ -51,7 +51,7 @@ class TestTorusSubgroup:
 
     def test_membership_matches_enumeration(self):
         rng = random.Random(19)
-        for ell in (3, 5, 9, 11):
+        for ell in (3, 4, 5, 9, 11, 12):
             for _ in range(15):
                 n = rng.randrange(1, 4)
                 sub, gens = random_subgroup(rng, ell, n)
@@ -63,7 +63,7 @@ class TestTorusSubgroup:
 
     def test_canonical_form_unique_per_subgroup(self):
         rng = random.Random(37)
-        for ell in (3, 9, 11):
+        for ell in (3, 4, 9, 11, 12):
             for _ in range(20):
                 n = rng.randrange(1, 4)
                 sub, gens = random_subgroup(rng, ell, n)
@@ -80,6 +80,12 @@ class TestTorusSubgroup:
                         assert candidate.lattice == sub.lattice
                     else:
                         assert candidate != sub or candidate.order == sub.order
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            TorusSubgroup.from_generators(5, 3, [(1, 2)])
+        with pytest.raises(ValueError):
+            TorusSubgroup.kernel(5, 3, [(1, 2)])
 
     def test_join_and_elements(self):
         a = TorusSubgroup.from_generators(5, 2, [(1, 0)])
