@@ -41,6 +41,7 @@ from .datum import (
     obstruction_check,
     predicates,
     validate_datum,
+    _predicates,
 )
 from .exact import IntMatrix
 from .lie import CartanDatum, InvalidCartanMatrix, bilinear_form, cartan_matrix
@@ -407,7 +408,7 @@ def cmd_datum(args) -> int:
         _emit(record)
         return EXIT_INVALID
     h = dim_H(tw, spec.ell, d.iplus, d.iminus, d.N)
-    preds = predicates(tw, spec.ell, d)
+    preds = _predicates(tw, spec.ell, d)  # d is validated above
     record["results"].update(
         {
             "n_generators": [list(g) for g in d.N.generators],

@@ -28,9 +28,9 @@ tau.  Mutual <= forces equal (I+, I-, N) and |Gamma| = |Gamma'|.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .exact import IntMatrix, solve_linear_mod
 from .lie import roots_supported
@@ -106,10 +106,7 @@ class FiniteAbelianGroup:
 
     @property
     def order(self) -> int:
-        total = 1
-        for m in self.invariant_factors:
-            total *= m
-        return total
+        return prod(self.invariant_factors)
 
     @property
     def ngens(self) -> int:
@@ -574,32 +571,28 @@ def enumerate_triples(
     Pairs (I+, I-) run over subsets of the simple roots in binary-mask
     order; for each pair, N runs over every subgroup of the character
     kernel in canonical order.  max_results truncates the stream;
-    fixed_pair restricts to one (I+, I-).
+    fixed_pair restricts to one (I+, I-).  dim_H runs once per pair, on
+    the kernel; each record then only sets |Sigma| = ell^n / |N|.
     """
     n = tw.rank
-    emitted = 0
-
-    def subsets():
-        for mask in range(1 << n):
-            yield tuple(i + 1 for i in range(n) if mask >> i & 1)
-
     if fixed_pair is not None:
         pairs = [(tuple(sorted(fixed_pair[0])), tuple(sorted(fixed_pair[1])))]
     else:
-        pairs = [(p, m) for p in subsets() for m in subsets()]
+        subsets = [tuple(i + 1 for i in range(n) if mask >> i & 1)
+                   for mask in range(1 << n)]
+        pairs = [(p, m) for p in subsets for m in subsets]
     results = []
     for iplus, iminus in pairs:
-        if max_results is not None and emitted >= max_results:
+        if max_results is not None and len(results) >= max_results:
             break
         kernel = t_hat_I_complement(tw, ell, iplus, iminus)
-        for sub in enumerate_subgroups(kernel, cap=cap):
-            if max_results is not None and emitted >= max_results:
-                return results
-            results.append(
-                TripleRecord(iplus, iminus, sub, dim_H(tw, ell, iplus, iminus, sub))
-            )
-            emitted += 1
-    return results
+        base = dim_H(tw, ell, iplus, iminus, kernel)
+        results += (
+            TripleRecord(iplus, iminus, sub,
+                         replace(base, sigma_order=ell**n // sub.order))
+            for sub in enumerate_subgroups(kernel, cap=cap)
+        )
+    return results[:max_results]
 
 
 # ---------------------------------------------------------------------------
@@ -689,6 +682,11 @@ def predicates(
     report = validate_datum(tw, ell, d)
     if not report.ok:
         raise ValueError(f"invalid datum: {[v.detail for v in report.violations]}")
+    return _predicates(tw, ell, d, recipe)
+
+
+def _predicates(tw: TwistMap, ell: int, d: TwistedSubgroupDatum, recipe=None) -> Predicates:
+    """predicates for a datum the caller has already validated."""
     recipe = recipe if recipe is not None else d.sigma_recipe
     if recipe is None:
         recipe = default_sigma_recipe(tw, ell, d)

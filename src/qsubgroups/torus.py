@@ -15,7 +15,8 @@ equality of the forms, and membership is integer back-substitution.
 There is one way in for each kind of description, each one Hermite form:
 TorusSubgroup.from_generators for a span and TorusSubgroup.kernel for the
 solutions of a row system mod ell (the character kernel, annihilators,
-kernels of torus embeddings).
+kernels of torus embeddings).  enumerate_subgroups walks only the Hermite
+lattices between ell Z^n and the ambient subgroup's own lattice.
 
 A Hopf-subalgebra triple (I+, I-, Sigma) requires Sigma to contain the
 exponent vectors (1 -+ phi)(alpha_i) for i in I+-; the coefficient
@@ -30,6 +31,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 
 from .exact import IntMatrix, hermite_normal_form, kernel_lattice, root_of_unity_power
 from .twist import TwistMap, kbar_exponent, ktilde_exponent
@@ -73,6 +76,17 @@ def _enum_cap() -> int:
         raise ValueError(f"{ENUM_CAP_ENV} must be an integer") from exc
 
 
+def _reduce(v: list, rows) -> list:
+    """Reduces v in place against Hermite rows whose pivots fill the last
+    len(rows) columns (v vanishing before them); zero iff v is in their span."""
+    for j, row in enumerate(rows, len(v) - len(rows)):
+        q = v[j] // row[j]
+        if q:
+            for k in range(j, len(v)):
+                v[k] -= q * row[k]
+    return v
+
+
 class TorusSubgroup:
     """A subgroup of (Z/ell)^n in canonical (Hermite) form."""
 
@@ -84,10 +98,7 @@ class TorusSubgroup:
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "lattice", lattice)
-        diag = 1
-        for i in range(n):
-            diag *= lattice[i, i]
-        order, rem = divmod(ell**n, diag)
+        order, rem = divmod(ell**n, prod(lattice[i, i] for i in range(n)))
         assert rem == 0
         gens = tuple(
             row_mod
@@ -129,19 +140,11 @@ class TorusSubgroup:
             raise ValueError("subgroups live in different tori")
 
     def contains(self, vec) -> bool:
-        """Membership by forward substitution against the lattice basis."""
+        """Membership: vec reduces to zero against the lattice basis."""
         v = [int(x) for x in vec]
         if len(v) != self.n:
             raise ValueError("vector length mismatch")
-        for i in range(self.n):
-            pivot = self.lattice[i, i]
-            q, r = divmod(v[i], pivot)
-            if r:
-                return False
-            if q:
-                for j in range(i, self.n):
-                    v[j] -= q * self.lattice[i, j]
-        return True
+        return not any(_reduce(v, self.lattice.data))
 
     def killed_by(self, rows) -> bool:
         """Whether every row pairs to zero mod ell with every element,
@@ -438,40 +441,37 @@ def omega_order(tw: TwistMap, ell: int, triple: Triple) -> int:
 
 
 def enumerate_subgroups(ambient: TorusSubgroup, cap: int | None = None):
-    """Every subgroup of a subgroup of (Z/ell)^n, deterministically.
+    """Every subgroup of a subgroup A of (Z/ell)^n, sorted by (order, lattice).
 
-    Subgroups correspond one-to-one to Hermite-form lattices between
-    ell Z^n and Z^n: upper triangular, pivots dividing ell, entries above
-    each pivot reduced modulo it.  Those matrices are enumerated
-    directly (no closure search), filtered by containment of ell Z^n and
-    by inclusion in the ambient subgroup.  Output sorted by
-    (order, lattice).  Guarded by the enumeration cap.
+    The subgroups of A are the Hermite-form lattices L with ell Z^n inside
+    L inside A, and only those are walked, bottom row first: row i of L is
+    (d/a_i) A_i (a_i | d | ell) plus a representative sum c_j A_j
+    (0 <= c_j < d_j/a_j) of A_{>i} / L_{>i}, reduced against L's lower
+    rows, and kept iff L still contains ell e_i.  Raises EnumerationGuard
+    when there are more than cap subgroups.
     """
-    import itertools as _it
-
     ell, n = ambient.ell, ambient.n
     limit = cap if cap is not None else _enum_cap()
-    divisors = [d for d in range(1, ell + 1) if ell % d == 0]
+    amb = ambient.lattice.data
     found = []
-    above = [(i, j) for j in range(n) for i in range(j)]
-    for diag in _it.product(divisors, repeat=n):
-        ranges = [range(diag[j]) for _, j in above]
-        for combo in _it.product(*ranges):
-            rows = [[0] * n for _ in range(n)]
-            for k in range(n):
-                rows[k][k] = diag[k]
-            for (i, j), value in zip(above, combo):
-                rows[i][j] = value
-            candidate = TorusSubgroup(ell, n, IntMatrix(rows))
-            # the lattice must reach ell Z^n and stay inside the ambient
-            if not all(
-                candidate.contains(tuple(ell * int(r == k) for r in range(n)))
-                for k in range(n)
-            ):
-                continue
-            if not candidate.is_subgroup_of(ambient):
-                continue
-            found.append(candidate)
+
+    def extend(i, lower):  # lower: L's rows i+1 .. n-1
+        if i < 0:
+            found.append(TorusSubgroup(ell, n, IntMatrix(lower)))
             if len(found) > limit:
                 raise EnumerationGuard(f"subgroup count exceeds cap {limit}")
+            return
+        a = amb[i][i]
+        reps = [range(row[j] // amb[j][j]) for j, row in enumerate(lower, i + 1)]
+        for d in (d for d in range(a, ell + 1, a) if ell % d == 0):
+            for extra in product(*reps):
+                coef = (d // a,) + extra  # of A_i, A_{i+1}, ..., A_{n-1}
+                v = [sum(c * r[k] for c, r in zip(coef, amb[i:])) for k in range(n)]
+                row = _reduce(v, lower)
+                w = [ell // d * x for x in row]
+                w[i] = 0  # (ell/d) row - ell e_i
+                if not any(_reduce(w, lower)):
+                    extend(i - 1, [row] + lower)
+
+    extend(n - 1, [])
     return sorted(found, key=lambda s: (s.order, s.lattice.data))

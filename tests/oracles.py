@@ -201,3 +201,42 @@ def rref_mod_p(rows, p, n):
                 a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
         r += 1
     return [row for row in a[:r]]
+
+
+# ---------------------------------------------------------------------------
+# frozen reference: the library's former whole-torus subgroup walk
+
+def hermite_walk_subgroups(ambient):
+    """Every subgroup of a TorusSubgroup, by the walk the library used
+    before it enumerated the ambient's own sublattices: build every
+    Hermite-form lattice of the whole torus (Z/ell)^n, keep those that
+    contain ell Z^n and lie inside the ambient, sort by (order, lattice).
+    Kept verbatim (minus the cap) as a frozen reference; unlike the
+    oracles above it uses the library's TorusSubgroup for its candidates.
+    """
+    from qsubgroups.exact import IntMatrix
+    from qsubgroups.torus import TorusSubgroup
+
+    ell, n = ambient.ell, ambient.n
+    divisors = [d for d in range(1, ell + 1) if ell % d == 0]
+    found = []
+    above = [(i, j) for j in range(n) for i in range(j)]
+    for diag in itertools.product(divisors, repeat=n):
+        ranges = [range(diag[j]) for _, j in above]
+        for combo in itertools.product(*ranges):
+            rows = [[0] * n for _ in range(n)]
+            for k in range(n):
+                rows[k][k] = diag[k]
+            for (i, j), value in zip(above, combo):
+                rows[i][j] = value
+            candidate = TorusSubgroup(ell, n, IntMatrix(rows))
+            # the lattice must reach ell Z^n and stay inside the ambient
+            if not all(
+                candidate.contains(tuple(ell * int(r == k) for r in range(n)))
+                for k in range(n)
+            ):
+                continue
+            if not candidate.is_subgroup_of(ambient):
+                continue
+            found.append(candidate)
+    return sorted(found, key=lambda s: (s.order, s.lattice.data))

@@ -116,8 +116,8 @@ class TestKernel:
 
 class TestGoldenTranscripts:
     def test_worked_c3_transcripts(self, capsys):
-        """The worked C3 kernel and datum commands keep their exit codes
-        and their stdout byte for byte."""
+        """The worked C3 kernel and datum commands and the enumerate
+        commands keep their exit codes and their stdout byte for byte."""
         path = Path(__file__).parent / "fixtures" / "cli_golden.json"
         for case in json.loads(path.read_text(encoding="utf-8")):
             code, out = run_cli(capsys, *case["argv"])
@@ -144,6 +144,27 @@ class TestDatum:
         assert results["n_order"] == 11
         assert results["sigma_order"] == 121
         assert results["dim_h"] == {"base": 11, "cofactor": 1, "exponent": 3}
+
+    def test_worked_datum_validates_once(self, capsys, monkeypatch):
+        """One datum report runs validate_datum exactly once."""
+        import qsubgroups.cli as cli_module
+        import qsubgroups.datum as datum_module
+
+        calls = []
+        original = datum_module.validate_datum
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(datum_module, "validate_datum", counting)
+        monkeypatch.setattr(cli_module, "validate_datum", counting)
+        code, _ = run_cli(
+            capsys, "datum", *C3_FLAGS,
+            "--iplus", "2", "--sigma-sym", "ktilde:1", "--sigma-sym", "kbar:2",
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
     def test_trivial_datum(self, capsys):
         code, out = run_cli(capsys, "datum", *C3_FLAGS)

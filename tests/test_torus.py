@@ -24,7 +24,12 @@ from qsubgroups.torus import (
 )
 from qsubgroups.twist import c3_parameter_matrix, require_twist, zero_twist
 
-from oracles import brute_annihilator, brute_subgroups, span_elements
+from oracles import (
+    brute_annihilator,
+    brute_subgroups,
+    hermite_walk_subgroups,
+    span_elements,
+)
 
 C3 = cartan_matrix("C", 3)
 
@@ -294,6 +299,53 @@ class TestEnumerateSubgroups:
         ambient = TorusSubgroup.from_generators(11, 3, [(3, 1, 1)])
         subs = enumerate_subgroups(ambient)
         assert [s.order for s in subs] == [1, 11]
+
+    @pytest.mark.parametrize("ell", [1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 25, 27])
+    def test_matches_frozen_whole_torus_walk(self, ell):
+        """Same lattices in the same order as the former walk over the
+        whole torus, on the full, the trivial and seeded random ambients."""
+        rng = random.Random(ell)
+        for n in range(4):
+            if ell**n > 2000:
+                continue
+            ambients = [TorusSubgroup.full(ell, n), TorusSubgroup.trivial(ell, n)]
+            ambients += [
+                random_subgroup(rng, ell, n)[0]
+                for _ in range(3 if ell**n <= 300 else 1)
+            ]
+            for ambient in ambients:
+                assert enumerate_subgroups(ambient) == hermite_walk_subgroups(ambient)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_full_torus_counts_are_gaussian_binomial_sums(self, p):
+        def gaussian_binomial(k, j):
+            num = den = 1
+            for i in range(j):
+                num *= p ** (k - i) - 1
+                den *= p ** (i + 1) - 1
+            return num // den
+
+        for k in range(5):
+            expected = sum(gaussian_binomial(k, j) for j in range(k + 1))
+            assert len(enumerate_subgroups(TorusSubgroup.full(p, k))) == expected
+
+    def test_builds_only_returned_subgroups(self, monkeypatch):
+        original = TorusSubgroup.__init__
+        for ambient, count in (
+            (TorusSubgroup.trivial(7, 4), 1),
+            (TorusSubgroup.full(5, 2), 8),
+        ):
+            built = []
+
+            def counting(self, *args):
+                built.append(args)
+                original(self, *args)
+
+            monkeypatch.setattr(TorusSubgroup, "__init__", counting)
+            subs = enumerate_subgroups(ambient)
+            monkeypatch.undo()
+            assert len(subs) == count
+            assert len(built) == count
 
 
 class TestOmegaOrder:
