@@ -19,6 +19,17 @@ The group-algebra realization of J materializes cyclotomic numbers: the
 coefficient of the basis element (g, h) is recovered from the character
 values eps^(J(z1, z2)) by an exact inverse Fourier transform over
 (Z/ell)^n x (Z/ell)^n with rational 1/ell^(2n) scaling.
+
+The product in that group algebra is an exact Kronecker substitution
+(Schoenhage 1982; Harvey, J. Symb. Comp. 2009) that stays independent of
+the transform, so J * J^-1 = 1 remains a real check.  Each factor's
+support is grouped by its h-part; the fiber over h, a polynomial in
+g_1..g_n and eps with nonnegative integer counts, is packed into one
+Python int with every axis padded to 2 ell - 1 slots, so that products
+of fibers do not overlap.  The limbs are as many bytes as the largest
+possible coefficient of the product needs.  Every pair of fibers is
+multiplied once into the bucket h1 + h2 mod ell, and each bucket is
+unpacked once, folding every axis mod ell (eps^ell = 1).
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exact import CyclotomicNumber, IntMatrix
+from .exact import CyclotomicNumber, IntMatrix, reduce_power_basis
 from .lie import Basis, LatticeElement, bilinear_form
 from .twist import TwistMap, apply_phi
 
@@ -128,8 +139,12 @@ class GroupTwoCocycle:
                 f"table would have {size * size} entries, cap is {limit}"
             )
         vectors = list(itertools.product(range(self.ell), repeat=self.n))
+        columns = [self.bilinear.column(j) for j in range(self.n)]
         for z1 in vectors:
-            yield " ".join(str(self.value(z1, z2)) for z2 in vectors)
+            u = [sum(a * b for a, b in zip(z1, col)) for col in columns]  # z1^T B
+            yield " ".join(
+                str(sum(a * b for a, b in zip(u, z2)) % self.ell) for z2 in vectors
+            )
 
 
 def twist_J(tw: TwistMap, ell: int) -> GroupTwoCocycle:
@@ -169,15 +184,11 @@ class TorusPairElement:
     Internally every coefficient is an integer vector of length ell in
     the power basis 1, eps, ..., eps^(ell-1) together with one global
     rational scale; reduction modulo the cyclotomic polynomial happens
-    only when a canonical coefficient is requested.  Convolution then
-    stays in integer arithmetic, with each power-basis product performed
-    as a single big-integer multiplication (coefficients packed into
-    64-bit limbs, safe because all counts are nonnegative and small).
+    only when a coefficient is compared or requested.  The counts are
+    nonnegative, which the packed convolution relies on.
     """
 
     __slots__ = ("ell", "n", "scale", "vectors")
-
-    _LIMB = 64
 
     def __init__(self, ell: int, n: int, scale: Fraction, vectors: dict):
         self.ell = ell
@@ -198,76 +209,96 @@ class TorusPairElement:
         return self._reduce(vec)
 
     def _reduce(self, vec) -> CyclotomicNumber:
-        return CyclotomicNumber.from_polynomial(
-            self.ell, [self.scale * c for c in vec]
+        return CyclotomicNumber(
+            self.ell, [self.scale * c for c in reduce_power_basis(self.ell, vec)]
         )
+
+    def _equals_rational(self, vec, value: int) -> bool:
+        """Whether scale * vec is the integer value in Q(eps), compared in
+        integers after clearing the scale's denominator."""
+        reduced = reduce_power_basis(self.ell, vec)
+        num, den = self.scale.numerator, self.scale.denominator
+        return num * reduced[0] == value * den and not (num and any(reduced[1:]))
 
     def support(self):
         return sorted(self.vectors.keys())
 
-    def _pack(self, vec) -> int:
-        out = 0
-        for k in range(self.ell - 1, -1, -1):
-            out = (out << self._LIMB) | vec[k]
-        return out
+    def _packed_fibers(self, width: int) -> dict:
+        """h -> the fiber {g: vec} over h packed into one integer: limbs of
+        width bytes, the n g-axes (g_1 most significant) and the eps axis
+        each padded to 2 ell - 1 slots."""
+        ell = self.ell
+        slots = 2 * ell - 1
+        size = slots ** (self.n + 1) * width
+        buffers: dict = {}
+        for (g, h), vec in self.vectors.items():
+            buf = buffers.get(h)
+            if buf is None:
+                buf = buffers[h] = bytearray(size)
+            slot = 0
+            for a in g:
+                slot = slot * slots + a
+            at = slot * slots * width
+            buf[at:at + ell * width] = b"".join(c.to_bytes(width, "little") for c in vec)
+        return {h: int.from_bytes(buf, "little") for h, buf in buffers.items()}
 
-    def _unpack_wrap(self, packed: int) -> tuple[int, ...]:
-        # decode 2*ell - 1 limbs and wrap exponents cyclically (eps^ell = 1)
-        mask = (1 << self._LIMB) - 1
-        out = [0] * self.ell
-        k = 0
-        while packed:
-            out[k % self.ell] += packed & mask
-            packed >>= self._LIMB
-            k += 1
-        return tuple(out)
+    def _unpacked(self, packed: int, width: int):
+        """Yield (g, vec) for every nonzero cell of a product of packed
+        fibers, each axis folded mod ell (eps^ell = 1, g_i + ell = g_i)."""
+        ell = self.ell
+        slots = 2 * ell - 1
+
+        def folded_parts(x, step):  # step: bits per slot of the top axis of x
+            x = (x & ((1 << ell * step) - 1)) + (x >> ell * step)
+            mask = (1 << step) - 1
+            return [(x >> k * step) & mask for k in range(ell)]
+
+        step = slots**self.n * width * 8
+        cells = {(): packed}
+        for _ in range(self.n):
+            cells = {
+                g + (k,): part
+                for g, x in cells.items()
+                for k, part in enumerate(folded_parts(x, step))
+                if part
+            }
+            step //= slots
+        for g, x in cells.items():
+            if x:
+                yield g, tuple(folded_parts(x, step))
 
     def convolve(self, other: "TorusPairElement") -> "TorusPairElement":
         """Group-algebra product (convolution over the pair group)."""
         if (self.ell, self.n) != (other.ell, other.n):
             raise ValueError("mismatched group algebras")
-        ell, n = self.ell, self.n
-        # every accumulated power-basis coefficient is bounded by
-        # (#terms) * ell * (max count)^2; it must fit in one limb
+        ell = self.ell
+        # every power-basis coefficient of the product, folded or not, is
+        # at most (#terms) * ell * m1 * m2 (m = max count); limbs hold it
+        # and each factor's own counts (which the bound misses if m1 * m2 = 0)
         m1 = max((max(v) for v in self.vectors.values()), default=0)
         m2 = max((max(v) for v in other.vectors.values()), default=0)
-        terms = min(len(self.vectors), len(other.vectors))
-        if terms * ell * m1 * m2 >= 1 << self._LIMB - 1:
-            raise TableCapExceeded("convolution exceeds the packed-limb bound")
-        packed_other = {
-            key: self._pack(vec) for key, vec in other.vectors.items()
-        }
-        acc: dict = {}
-        for (g1, h1), vec1 in self.vectors.items():
-            p1 = self._pack(vec1)
-            if p1 == 0:
-                continue
-            for (g2, h2), p2 in packed_other.items():
-                if p2 == 0:
-                    continue
-                g = tuple((a + b) % ell for a, b in zip(g1, g2))
+        bound = min(len(self.vectors), len(other.vectors)) * ell * m1 * m2
+        width = max(bound, m1, m2).bit_length() // 8 + 1
+        fibers = other._packed_fibers(width)
+        buckets: dict = {}
+        for h1, p1 in self._packed_fibers(width).items():
+            for h2, p2 in fibers.items():
                 h = tuple((a + b) % ell for a, b in zip(h1, h2))
-                key = (g, h)
-                acc[key] = acc.get(key, 0) + p1 * p2
+                buckets[h] = buckets.get(h, 0) + p1 * p2
         vectors = {}
-        for key, packed in acc.items():
-            vec = self._unpack_wrap(packed)
-            if any(vec):
-                vectors[key] = vec
-        return TorusPairElement(ell, n, self.scale * other.scale, vectors)
+        for h, packed in buckets.items():
+            for g, vec in self._unpacked(packed, width):
+                vectors[(g, h)] = vec
+        return TorusPairElement(ell, self.n, self.scale * other.scale, vectors)
 
     def is_identity(self) -> bool:
         zero = ((0,) * self.n, (0,) * self.n)
-        one = CyclotomicNumber.one(self.ell)
-        for key, vec in self.vectors.items():
-            want = one if key == zero else CyclotomicNumber.zero(self.ell)
-            if self._reduce(vec) != want:
-                return False
-        return zero in self.vectors
+        return zero in self.vectors and all(
+            self._equals_rational(vec, 1 if key == zero else 0)
+            for key, vec in self.vectors.items()
+        )
 
-    def counit_side(self, side: str) -> dict:
-        """Apply the counit on one tensor factor; returns the collapsed
-        table mapping group elements to canonical coefficients."""
+    def _collapsed(self, side: str) -> dict:
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         collapsed: dict = {}
@@ -277,16 +308,20 @@ class TorusPairElement:
             collapsed[key] = (
                 tuple(a + b for a, b in zip(cur, vec)) if cur else vec
             )
-        return {key: self._reduce(vec) for key, vec in collapsed.items()}
+        return collapsed
+
+    def counit_side(self, side: str) -> dict:
+        """Apply the counit on one tensor factor; returns the collapsed
+        table mapping group elements to canonical coefficients."""
+        return {key: self._reduce(vec) for key, vec in self._collapsed(side).items()}
 
     def counit_is_one(self, side: str) -> bool:
         zero = (0,) * self.n
-        one = CyclotomicNumber.one(self.ell)
-        zero_c = CyclotomicNumber.zero(self.ell)
-        table = self.counit_side(side)
-        if table.get(zero) != one:
-            return False
-        return all(v == zero_c for k, v in table.items() if k != zero)
+        table = self._collapsed(side)
+        return zero in table and all(
+            self._equals_rational(vec, 1 if key == zero else 0)
+            for key, vec in table.items()
+        )
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ __all__ = [
     "euler_phi",
     "cyclotomic_polynomial",
     "CyclotomicNumber",
+    "reduce_power_basis",
     "root_of_unity_power",
     "IntMatrix",
     "hermite_normal_form",
@@ -131,14 +132,15 @@ def cyclotomic_polynomial(ell: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # the cyclotomic field Q(eps)
 
-_REDUCTION_CACHE: dict[int, list[tuple[Fraction, ...]]] = {}
+_REDUCTION_CACHE: dict[int, list[tuple[int, ...]]] = {}
 
 
-def _power_reduction_table(ell: int) -> list[tuple[Fraction, ...]]:
+def _power_reduction_table(ell: int) -> list[tuple[int, ...]]:
     """Table of q^k reduced modulo the ell-th cyclotomic polynomial.
 
     Covers every exponent k that can appear while multiplying two reduced
-    elements or raising eps to a power below ell.
+    elements or raising eps to a power below ell.  The cyclotomic
+    polynomial is monic, so every entry is an integer.
     """
     table = _REDUCTION_CACHE.get(ell)
     if table is not None:
@@ -148,14 +150,14 @@ def _power_reduction_table(ell: int) -> list[tuple[Fraction, ...]]:
     minpoly = cyclotomic_polynomial(ell)
     table = []
     for k in range(phi):
-        row = [Fraction(0)] * phi
-        row[k] = Fraction(1)
+        row = [0] * phi
+        row[k] = 1
         table.append(tuple(row))
     for k in range(phi, top):
         # q^k = q * q^(k-1), then fold the overflow coefficient back in
         # using q^phi = -(lower terms of the minimal polynomial).
         prev = table[k - 1]
-        row = [Fraction(0)] + list(prev[:-1])
+        row = [0] + list(prev[:-1])
         carry = prev[-1]
         if carry:
             for j in range(phi):
@@ -163,6 +165,23 @@ def _power_reduction_table(ell: int) -> list[tuple[Fraction, ...]]:
         table.append(tuple(row))
     _REDUCTION_CACHE[ell] = table
     return table
+
+
+def reduce_power_basis(ell: int, coeffs) -> list:
+    """Coefficients of sum_k coeffs[k] eps^k in the power basis
+    1, eps, ..., eps^(phi(ell)-1), for exponents k < max(2 phi(ell) - 1,
+    ell).  Integer input gives integer output."""
+    table = _power_reduction_table(ell)
+    out = [0] * len(table[0])
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        if k >= len(table):
+            raise ValueError("exponent outside the reduction table")
+        for j, r in enumerate(table[k]):
+            if r:
+                out[j] += c * r
+    return out
 
 
 def _validate_level(ell: int) -> None:
@@ -210,20 +229,7 @@ class CyclotomicNumber:
     def from_polynomial(cls, level: int, coeffs) -> "CyclotomicNumber":
         """Reduce an arbitrary polynomial in eps into canonical form."""
         _validate_level(level)
-        phi = euler_phi(level)
-        table = _power_reduction_table(level)
-        out = [Fraction(0)] * phi
-        for k, c in enumerate(coeffs):
-            if not c:
-                continue
-            c = Fraction(c)
-            if k >= len(table):
-                raise ValueError("exponent outside the reduction table")
-            row = table[k]
-            for j in range(phi):
-                if row[j]:
-                    out[j] += c * row[j]
-        return cls(level, out)
+        return cls(level, reduce_power_basis(level, [Fraction(c) for c in coeffs]))
 
     def _check_partner(self, other):
         if not isinstance(other, CyclotomicNumber):

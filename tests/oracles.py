@@ -240,3 +240,32 @@ def hermite_walk_subgroups(ambient):
                 continue
             found.append(candidate)
     return sorted(found, key=lambda s: (s.order, s.lattice.data))
+
+
+# ---------------------------------------------------------------------------
+# frozen reference: the library's former pairwise group-algebra product
+
+def pairwise_convolve(a, b):
+    """The product of two TorusPairElements as (vectors, scale), by the
+    loop the library used before it packed whole h-fibers: one update per
+    pair of support points.  Kept as a frozen reference without the
+    64-bit limb packing and its bound; each pair's eps-vectors are
+    multiplied schoolbook, cyclically (eps^ell = 1).
+    """
+    assert (a.ell, a.n) == (b.ell, b.n)
+    ell = a.ell
+    acc = {}
+    for (g1, h1), vec1 in a.vectors.items():
+        if not any(vec1):
+            continue
+        for (g2, h2), vec2 in b.vectors.items():
+            if not any(vec2):
+                continue
+            g = tuple((x + y) % ell for x, y in zip(g1, g2))
+            h = tuple((x + y) % ell for x, y in zip(h1, h2))
+            out = acc.setdefault((g, h), [0] * ell)
+            for i, x in enumerate(vec1):
+                for j, y in enumerate(vec2):
+                    out[(i + j) % ell] += x * y
+    vectors = {key: tuple(vec) for key, vec in acc.items() if any(vec)}
+    return vectors, a.scale * b.scale

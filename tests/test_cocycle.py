@@ -1,5 +1,6 @@
 """Tests for exponent-level deformation data and the dual twist."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from qsubgroups.cocycle import (
     Bidegree,
     TableCapExceeded,
+    TorusPairElement,
     chi_exponent,
     deformation_exponent,
     sigma_inverse_exponent,
@@ -22,6 +24,8 @@ from qsubgroups.twist import (
     require_twist,
     zero_twist,
 )
+
+from oracles import pairwise_convolve
 
 C3 = cartan_matrix("C", 3)
 
@@ -290,10 +294,61 @@ class TestGroupAlgebraTwist:
             assert ga.element.counit_is_one("left")
             assert ga.element.counit_is_one("right")
 
+    def test_inverse_and_counits_level_seven(self):
+        ga = twist_J_group_algebra(b2_twist(), 7)  # 7^4 entries, default cap
+        assert not ga.element.is_identity()
+        assert ga.element.convolve(ga.inverse).is_identity()
+        assert ga.inverse.convolve(ga.element).is_identity()
+        assert ga.element.counit_is_one("left")
+        assert ga.element.counit_is_one("right")
+
     def test_table_cap(self):
         tw = worked_twist()
         with pytest.raises(TableCapExceeded):
             twist_J_group_algebra(tw, 11)  # 11^6 entries is far past the cap
+
+    def test_integer_checks_match_canonical_coefficients(self):
+        # is_identity and counit_is_one compare in integers; the canonical
+        # coefficients through Q(eps) must give the same verdicts, also
+        # where the counts reduce nontrivially and the scale is not 1
+        one = CyclotomicNumber.one
+
+        def canonical_identity(el):
+            zero = ((0,) * el.n, (0,) * el.n)
+            return zero in el.vectors and all(
+                el.coefficient(*key) == (one(el.ell) if key == zero else 0)
+                for key in el.vectors
+            )
+
+        def canonical_counit(el, side):
+            table = el.counit_side(side)
+            zero = (0,) * el.n
+            return table.get(zero) == one(el.ell) and all(
+                v == 0 for k, v in table.items() if k != zero
+            )
+
+        elements = [
+            # 3 + eps + eps^2 = 2 and 1 + eps + eps^2 = 0 at ell = 3
+            (3, Fraction(1, 2), {((0,), (0,)): (3, 1, 1), ((1,), (2,)): (1, 1, 1)}),
+            (3, Fraction(1, 2), {((0,), (0,)): (2, 1, 1), ((1,), (2,)): (1, 1, 1)}),
+            (3, Fraction(-1), {((0,), (0,)): (0, 1, 1)}),
+            (3, Fraction(0), {((0,), (0,)): (1, 0, 0)}),
+            # eps^3 + eps^6 = -1 and 1 + eps^3 + eps^6 = 0 at ell = 9
+            (9, Fraction(-1, 2), {
+                ((0,), (0,)): (0, 0, 0, 2, 0, 0, 2, 0, 0),
+                ((0,), (4,)): (1, 0, 0, 1, 0, 0, 1, 0, 0),
+                ((3,), (0,)): (0, 2, 0, 0, 2, 0, 0, 2, 0),
+            }),
+            (9, Fraction(1), {((0,), (4,)): (1,) + (0,) * 8}),
+        ]
+        verdicts = []
+        for ell, scale, vectors in elements:
+            el = TorusPairElement(ell, 1, scale, vectors)
+            assert el.is_identity() == canonical_identity(el)
+            for side in ("left", "right"):
+                assert el.counit_is_one(side) == canonical_counit(el, side)
+            verdicts.append(el.is_identity())
+        assert verdicts == [True, False, True, False, True, False]
 
 
 class TestTwistJBilinearRule:
@@ -355,3 +410,82 @@ class TestGroupAlgebraRankThree:
                 ) % ell
                 total = total + coeff * root_of_unity_power(ell, expo)
             assert total == root_of_unity_power(ell, cocycle.value(z1, z2))
+
+
+def random_pair_element(rng, ell, n, size, top, dense=False):
+    """A TorusPairElement with nonnegative counts below top on size
+    random support points over at most three h-fibers (every point if
+    dense); a third of the vectors are all-zero."""
+    if dense:
+        points = [
+            (g, h)
+            for g in itertools.product(range(ell), repeat=n)
+            for h in itertools.product(range(ell), repeat=n)
+        ]
+    else:
+        hs = [tuple(rng.randrange(ell) for _ in range(n)) for _ in range(3)]
+        points = {
+            (tuple(rng.randrange(ell) for _ in range(n)), rng.choice(hs))
+            for _ in range(size)
+        }
+    vectors = {}
+    for key in sorted(points):
+        if rng.randrange(3):
+            vectors[key] = tuple(rng.randrange(top) for _ in range(ell))
+        else:
+            vectors[key] = (0,) * ell
+    scale = Fraction(rng.randrange(-9, 10), rng.randrange(1, 50))
+    return TorusPairElement(ell, n, scale, vectors)
+
+
+class TestConvolutionAgainstPairwiseLoop:
+    """convolve against the frozen pairwise loop: exact vectors and scale."""
+
+    @staticmethod
+    def assert_matches(a, b):
+        got = a.convolve(b)
+        vectors, scale = pairwise_convolve(a, b)
+        assert (got.ell, got.n) == (a.ell, a.n)
+        assert got.vectors == vectors
+        assert got.scale == scale
+
+    @pytest.mark.parametrize("ell", [3, 5, 7, 9, 15])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_random_elements(self, ell, n):
+        rng = random.Random(1000 * ell + n)
+        dense = ell ** (2 * n) <= 81
+        small, mid, huge = (
+            random_pair_element(rng, ell, n, rng.randrange(1, 13), top)
+            for top in (2, 4, 1 << 70)
+        )
+        empty = TorusPairElement(ell, n, Fraction(1, 3), {})
+        zeros = random_pair_element(rng, ell, n, 5, 1)  # every count 0
+        for a, b in ((small, mid), (mid, small), (mid, huge), (huge, huge),
+                     (empty, small), (small, empty), (zeros, mid), (huge, zeros)):
+            self.assert_matches(a, b)
+        if dense:
+            full = random_pair_element(rng, ell, n, 0, 3, dense=True)
+            big = random_pair_element(rng, ell, n, 0, 1 << 45, dense=True)
+            for a, b in ((full, full), (full, big), (big, small), (huge, full)):
+                self.assert_matches(a, b)
+
+    def test_counts_past_the_former_limb_bound(self):
+        # the former 64-bit packing refused (#terms) * ell * m1 * m2 >= 2^63
+        rng = random.Random(7)
+        for ell, n, top in ((3, 2, 1 << 40), (5, 1, 1 << 64), (15, 1, 1 << 200)):
+            a = random_pair_element(rng, ell, n, 20, top)
+            b = random_pair_element(rng, ell, n, 20, top)
+            a.vectors[((0,) * n, (0,) * n)] = (top - 1,) * ell
+            b.vectors[((1,) * n, (0,) * n)] = (top - 1,) * ell
+            self.assert_matches(a, b)
+            self.assert_matches(b, a)
+
+    def test_twist_products(self):
+        # products that are not the identity: J*J, J^-1*J^-1, and the
+        # sparse untwisted element squared
+        for tw, ell in ((b2_twist(), 3), (worked_twist(), 3),
+                        (zero_twist(cartan_matrix("A", 2)), 9)):
+            ga = twist_J_group_algebra(tw, ell)
+            self.assert_matches(ga.element, ga.element)
+            self.assert_matches(ga.inverse, ga.inverse)
+            self.assert_matches(ga.element, ga.inverse)
