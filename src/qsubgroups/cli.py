@@ -200,9 +200,14 @@ def _load_spec(args) -> ProblemSpec:
         kind, value = sym[0], sym[1]
         if kind in ("kbar", "ktilde", "tau"):
             try:
-                sigma_symbols.append(SigmaGenerator(kind, index=int(value)))
+                index = int(value)
             except (ValueError, TypeError) as exc:
                 raise ParseFailure(f"bad sigma symbol index: {value!r}") from exc
+            if not 1 <= index <= cd.rank:
+                raise ParseFailure(
+                    f"sigma symbol index {index} out of range 1..{cd.rank}"
+                )
+            sigma_symbols.append(SigmaGenerator(kind, index=index))
         elif kind == "vector":
             vec = value if isinstance(value, (list, tuple)) else _parse_int_list(value)
             sigma_symbols.append(SigmaGenerator.fixed(vec))
@@ -408,7 +413,7 @@ def cmd_datum(args) -> int:
         _emit(record)
         return EXIT_INVALID
     h = dim_H(tw, spec.ell, d.iplus, d.iminus, d.N)
-    preds = _predicates(tw, spec.ell, d)  # d is validated above
+    preds = _predicates(tw, spec.ell, d, known=(d.N, h))  # d is validated above
     record["results"].update(
         {
             "n_generators": [list(g) for g in d.N.generators],

@@ -624,6 +624,14 @@ def obstruction_check(
     counterpart when Sigma fills the torus at phi but the re-evaluated
     Sigma does not at 0 (the dimensions then differ).
     """
+    return _obstruction_check(tw, ell, iplus, iminus, recipe)
+
+
+def _obstruction_check(
+    tw: TwistMap, ell: int, iplus, iminus, recipe, known=None
+) -> ObstructionReport:
+    """obstruction_check; `known` is an (N, dim_H) pair the caller already
+    has for the twisted side, reused when the recipe gives that N."""
     iplus = frozenset(int(i) for i in iplus)
     iminus = frozenset(int(i) for i in iminus)
     total = ell**tw.rank
@@ -639,7 +647,11 @@ def obstruction_check(
                 f"missing generators: {report.missing}"
             )
         nsub = annihilator(sigma)
-        sides.append((sigma, nsub, dim_H(some_tw, ell, iplus, iminus, nsub)))
+        if some_tw is tw and known is not None and known[0] == nsub:
+            h = known[1]
+        else:
+            h = dim_H(some_tw, ell, iplus, iminus, nsub)
+        sides.append((sigma, nsub, h))
     (sigma_tw, n_tw, dim_tw), (sigma_zero, n_zero, dim_zero) = sides
     return ObstructionReport(
         sigma_order_twisted=sigma_tw.order,
@@ -685,8 +697,11 @@ def predicates(
     return _predicates(tw, ell, d, recipe)
 
 
-def _predicates(tw: TwistMap, ell: int, d: TwistedSubgroupDatum, recipe=None) -> Predicates:
-    """predicates for a datum the caller has already validated."""
+def _predicates(
+    tw: TwistMap, ell: int, d: TwistedSubgroupDatum, recipe=None, known=None
+) -> Predicates:
+    """predicates for a datum the caller has already validated; `known`
+    as in _obstruction_check."""
     recipe = recipe if recipe is not None else d.sigma_recipe
     if recipe is None:
         recipe = default_sigma_recipe(tw, ell, d)
@@ -694,7 +709,7 @@ def _predicates(tw: TwistMap, ell: int, d: TwistedSubgroupDatum, recipe=None) ->
         sigma = evaluate_recipe(tw, ell, recipe)
         if annihilator(sigma) != d.N:
             raise ValueError("sigma recipe does not reproduce the datum's N")
-    ob = obstruction_check(tw, ell, d.iplus, d.iminus, recipe)
+    ob = _obstruction_check(tw, ell, d.iplus, d.iminus, recipe, known)
     finite = not (d.is_opaque and d.embedding.order is None)
     return Predicates(
         pointed_necessary=not (d.iplus & d.iminus),

@@ -241,6 +241,13 @@ def _inverse_cartan(cd: CartanDatum) -> tuple[tuple[Fraction, ...], ...]:
     return invert_rational_matrix(cd.A)
 
 
+@functools.lru_cache(maxsize=None)
+def _adjugate_cartan(cd: CartanDatum) -> tuple[int, IntMatrix]:
+    """(delta, adj A) with delta = det A > 0 and adj A = delta A^(-1)."""
+    delta = cd.A.det()
+    return delta, IntMatrix([[delta * x for x in row] for row in _inverse_cartan(cd)])
+
+
 def _matvec(rows, coords) -> tuple[Fraction, ...]:
     """Exact product of a matrix (int or rational rows) with a vector."""
     return tuple(

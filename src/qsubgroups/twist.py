@@ -13,6 +13,13 @@ the OMEGA coordinates of tau_i), validity means
   * A + 2 X is invertible over the rationals, so 1 +/- phi are
     isomorphisms.
 
+With delta = det A and adj A = delta A^(-1), every condition but the
+last is an integer congruence: (phi(omega_i), omega_j) / 2 =
+d_j (Y adj A)_ji / delta, and Y = adj A X / delta is integral iff
+adj A X == 0 (mod delta).  So the parameters that pass them form a
+lattice, and enumerate_valid_twists walks its points in the box instead
+of testing every candidate.
+
 Validation reports every violated condition with a witnessing index pair
 instead of stopping at the first failure; parameter families are meant
 to be explored interactively.
@@ -20,16 +27,19 @@ to be explored interactively.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .exact import IntMatrix, invert_rational_matrix
+from .exact import IntMatrix, invert_rational_matrix, kernel_lattice
 from .lie import (
     Basis,
     CartanDatum,
     LatticeElement,
-    _inverse_cartan,
+    _adjugate_cartan,
     _matvec,
     alpha_to_omega,
     omega_to_alpha,
@@ -112,6 +122,8 @@ def build_twist(cd: CartanDatum, Y) -> TwistBuildResult:
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"parameter matrix must be {n}x{n}")
     for i, j in itertools.product(range(n), range(n)):
+        if isinstance(rows[i][j], int):
+            continue
         value = Fraction(rows[i][j])
         if value.denominator != 1:
             violations.append(
@@ -141,14 +153,13 @@ def build_twist(cd: CartanDatum, Y) -> TwistBuildResult:
                     )
                 )
 
-    # (phi(omega_i), omega_j)/2 = d_j (Y A^(-1))_ji; check every pair
-    ainv = _inverse_cartan(cd)
+    # (phi(omega_i), omega_j)/2 = d_j (Y adj A)_ji / delta; check every pair
+    delta, adj = _adjugate_cartan(cd)
+    yadj = ymat @ adj
     for i in range(n):
         for j in range(n):
-            value = sum(
-                (Fraction(ymat[j, k]) * ainv[k][i] for k in range(n)), Fraction(0)
-            ) * cd.d[j]
-            if value.denominator != 1:
+            if cd.d[j] * yadj[j, i] % delta:
+                value = Fraction(cd.d[j] * yadj[j, i], delta)
                 violations.append(
                     TwistViolation(
                         "half_integrality",
@@ -258,45 +269,101 @@ def c3_parameter_matrix(a, b, c):
     return rows
 
 
+@functools.lru_cache(maxsize=None)
+def _parameter_lattice(cd: CartanDatum) -> IntMatrix:
+    """Hermite basis of the lattice of valid parameter vectors (x_ij)_(i<j).
+
+    With L = lcm(d), X' = L X has integer entries linear in the
+    parameters (x_ji = -d_i x_ij / d_j), and every condition but
+    invertibility is a congruence mod m = L delta^2 on them:
+      * delta (adj A X')_rc == 0: Y = adj A X / delta is integral, and
+        with it X = A Y;
+      * d_j (adj A X' adj A)_ji == 0 for i < j: half-integrality (the
+        pairing is antisymmetric once D X is, so i < j covers it).
+    Column k of the condition matrix is the image of the k-th unit vector.
+    """
+    n = cd.rank
+    delta, adj = _adjugate_cartan(cd)
+    scale = lcm(*cd.d)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    columns = []
+    for i, j in pairs:
+        x = [[0] * n for _ in range(n)]
+        x[i][j] = scale
+        x[j][i] = -(scale // cd.d[j]) * cd.d[i]
+        ax = adj @ IntMatrix(x)
+        axa = ax @ adj
+        columns.append(
+            [delta * v for row in ax.data for v in row]
+            + [cd.d[b] * axa[b, a] for a, b in pairs]
+        )
+    return kernel_lattice(IntMatrix(columns).transpose(), scale * delta * delta)
+
+
+def _lattice_points(basis: IntMatrix, axis):
+    """The points of a full-rank lattice, given by its upper-triangular
+    Hermite basis, whose coordinates all lie in axis, in the order of
+    itertools.product(axis, repeat=p).
+
+    Depth first, first coordinate outermost (the zig-zag order of
+    Schnorr & Euchner when axis is 0, 1, -1, 2, -2, ...).  Once the first
+    k coordinates fix the multipliers of the first k basis rows, the next
+    coordinate must be congruent to the running offset modulo its pivot,
+    so only values of that one residue class are tried.
+    """
+    rows = basis.data
+    p = len(rows)
+    classes = []
+    for k in range(p):
+        by_residue: dict[int, list[int]] = {}
+        for v in axis:
+            by_residue.setdefault(v % rows[k][k], []).append(v)
+        classes.append(by_residue)
+    point = [0] * p
+
+    def descend(k, offset):
+        if k == p:
+            yield tuple(point)
+            return
+        pivot, row = rows[k][k], rows[k]
+        for v in classes[k].get(offset[k] % pivot, ()):
+            point[k] = v
+            a = (v - offset[k]) // pivot
+            yield from descend(k + 1, [o + a * h for o, h in zip(offset, row)])
+
+    yield from descend(0, [0] * p)
+
+
 def enumerate_valid_twists(cd: CartanDatum, bound: int, limit: int | None = None):
     """All valid twisting maps with strictly-upper X entries in [-bound, bound].
 
-    Iterates over the n(n-1)/2 free parameters x_ij (i < j); the lower
-    triangle is forced by antisymmetry of D X and Y = A^(-1) X must be
-    integral.  Deterministic order.  The zero twist always comes first.
+    The n(n-1)/2 free parameters are x_ij (i < j); the lower triangle is
+    forced by antisymmetry of D X.  The parameters passing every other
+    condition but invertibility form a lattice (_parameter_lattice), whose
+    points in the box are walked in the order of itertools.product over
+    0, 1, -1, ..., bound, -bound, first parameter outermost; A + 2X is
+    checked point by point.  The zero twist always comes first; `limit`
+    stops after that many twists, but never before the first.
     """
     n = cd.rank
-    ainv = _inverse_cartan(cd)
+    delta, adj = _adjugate_cartan(cd)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     axis = [0]
     for v in range(1, bound + 1):
         axis += [v, -v]
     count = 0
-    for values in itertools.product(axis, repeat=len(pairs)):
+    for values in _lattice_points(_parameter_lattice(cd), axis):
         x = [[0] * n for _ in range(n)]
-        ok = True
         for (i, j), v in zip(pairs, values):
             x[i][j] = v
-            lower = Fraction(-cd.d[i] * v, cd.d[j])
-            if lower.denominator != 1:
-                ok = False
-                break
-            x[j][i] = int(lower)
-        if not ok:
+            x[j][i] = -cd.d[i] * v // cd.d[j]
+        a2x = [[a + 2 * v for a, v in zip(ra, rx)] for ra, rx in zip(cd.A.data, x)]
+        if IntMatrix(a2x).det() == 0:
             continue
-        y = [
-            [
-                sum((ainv[i][k] * x[k][j] for k in range(n)), Fraction(0))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        if any(v.denominator != 1 for row in y for v in row):
-            continue
-        result = build_twist(cd, [[int(v) for v in row] for row in y])
-        if result.twist is None:
-            continue
-        yield result.twist
+        cols = list(zip(*x))
+        y = [[sum(map(operator.mul, row, col)) // delta for col in cols]
+             for row in adj.data]
+        yield TwistMap(cd, IntMatrix(y), IntMatrix(x))
         count += 1
         if limit is not None and count >= limit:
             return

@@ -269,3 +269,132 @@ def pairwise_convolve(a, b):
                     out[(i + j) % ell] += x * y
     vectors = {key: tuple(vec) for key, vec in acc.items() if any(vec)}
     return vectors, a.scale * b.scale
+
+
+# ---------------------------------------------------------------------------
+# frozen reference: the library's former Fraction twist validation and search
+
+def frac_det(rows):
+    """Determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if a[i][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for i in range(col + 1, n):
+            f = a[i][col] / a[col][col]
+            a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return det
+
+
+def fraction_build_twist(cd, Y):
+    """The library's former build_twist, checking in Fractions against
+    A^(-1).  Returns ((Y, X) as int lists or None, violations), each
+    violation a (condition, indices, detail) tuple."""
+    n = cd.rank
+    violations = []
+
+    rows = Y.data if hasattr(Y, "data") else tuple(tuple(r) for r in Y)
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise ValueError(f"parameter matrix must be {n}x{n}")
+    for i, j in itertools.product(range(n), range(n)):
+        value = Fraction(rows[i][j])
+        if value.denominator != 1:
+            violations.append(
+                (
+                    "integral_parameters",
+                    (i + 1, j + 1),
+                    f"y[{i + 1}][{j + 1}] = {value} is not an integer",
+                )
+            )
+    if violations:
+        return None, violations
+
+    ymat = [[int(x) for x in row] for row in rows]
+    xmat = [[int(x) for x in row] for row in frac_matmul(cd.A.data, ymat)]
+
+    for i in range(n):
+        for j in range(i, n):
+            lhs = cd.d[i] * xmat[i][j]
+            rhs = -cd.d[j] * xmat[j][i]
+            if lhs != rhs:
+                violations.append(
+                    (
+                        "dx_antisymmetric",
+                        (i + 1, j + 1),
+                        f"d_{i + 1} x[{i + 1}][{j + 1}] = {lhs} "
+                        f"!= -d_{j + 1} x[{j + 1}][{i + 1}] = {rhs}",
+                    )
+                )
+
+    # (phi(omega_i), omega_j)/2 = d_j (Y A^(-1))_ji; check every pair
+    ainv = frac_inverse(cd.A.data)
+    for i in range(n):
+        for j in range(n):
+            value = sum(
+                (Fraction(ymat[j][k]) * ainv[k][i] for k in range(n)), Fraction(0)
+            ) * cd.d[j]
+            if value.denominator != 1:
+                violations.append(
+                    (
+                        "half_integrality",
+                        (i + 1, j + 1),
+                        f"(phi(omega_{i + 1}), omega_{j + 1})/2 = {value} "
+                        "is not an integer",
+                    )
+                )
+
+    a2x = [[a + 2 * x for a, x in zip(ra, rx)] for ra, rx in zip(cd.A.data, xmat)]
+    if frac_det(a2x) == 0:
+        violations.append(("a_plus_2x_invertible", None, "A + 2X is singular"))
+
+    if violations:
+        return None, violations
+    return (ymat, xmat), []
+
+
+def fraction_twist_search(cd, bound, limit=None):
+    """The library's former enumerate_valid_twists: every candidate in the
+    box, Y = A^(-1) X in Fractions, then the frozen build_twist.  Yields
+    (Y, X) as int lists."""
+    n = cd.rank
+    ainv = frac_inverse(cd.A.data)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    axis = [0]
+    for v in range(1, bound + 1):
+        axis += [v, -v]
+    count = 0
+    for values in itertools.product(axis, repeat=len(pairs)):
+        x = [[0] * n for _ in range(n)]
+        ok = True
+        for (i, j), v in zip(pairs, values):
+            x[i][j] = v
+            lower = Fraction(-cd.d[i] * v, cd.d[j])
+            if lower.denominator != 1:
+                ok = False
+                break
+            x[j][i] = int(lower)
+        if not ok:
+            continue
+        y = [
+            [
+                sum((ainv[i][k] * x[k][j] for k in range(n)), Fraction(0))
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+        if any(v.denominator != 1 for row in y for v in row):
+            continue
+        twist, _ = fraction_build_twist(cd, [[int(v) for v in row] for row in y])
+        if twist is None:
+            continue
+        yield twist
+        count += 1
+        if limit is not None and count >= limit:
+            return

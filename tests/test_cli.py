@@ -166,6 +166,29 @@ class TestDatum:
         assert code == EXIT_OK
         assert len(calls) == 1
 
+    def test_worked_datum_computes_dim_h_once_per_side(self, capsys, monkeypatch):
+        """One datum report runs dim_H twice: the twisted side that
+        cmd_datum computes is reused by the obstruction check."""
+        import qsubgroups.cli as cli_module
+        import qsubgroups.datum as datum_module
+
+        calls = []
+        original = datum_module.dim_H
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(datum_module, "dim_H", counting)
+        monkeypatch.setattr(cli_module, "dim_H", counting)
+        code, _ = run_cli(
+            capsys, "datum", *C3_FLAGS,
+            "--iplus", "2", "--sigma-sym", "ktilde:1", "--sigma-sym", "kbar:2",
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 2
+        assert [args[0].is_zero() for args in calls] == [False, True]
+
     def test_trivial_datum(self, capsys):
         code, out = run_cli(capsys, "datum", *C3_FLAGS)
         assert code == EXIT_OK
@@ -498,3 +521,16 @@ class TestHardening:
         ]
         for argv in cases:
             assert run_cli(capsys, *argv)[0] == EXIT_PARSE, argv
+
+    def test_sigma_symbol_index_out_of_range(self, capsys):
+        """kbar:9 at rank 2 is a one-line parse error, not an IndexError."""
+        for sym in ("kbar:9", "ktilde:0", "tau:3"):
+            code = main(["datum", "--type", "A", "--rank", "2", "--ell", "5",
+                         "--sigma-sym", sym])
+            captured = capsys.readouterr()
+            assert code == EXIT_PARSE, sym
+            assert captured.out == ""
+            assert captured.err == (
+                f"parse error: sigma symbol index {sym.split(':')[1]} "
+                "out of range 1..2\n"
+            )

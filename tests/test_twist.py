@@ -1,6 +1,7 @@
 """Tests for twisting-map construction, validation and derived operators."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,12 @@ from qsubgroups.twist import (
     zero_twist,
 )
 
-from oracles import frac_matmul
+from oracles import (
+    frac_inverse,
+    frac_matmul,
+    fraction_build_twist,
+    fraction_twist_search,
+)
 
 C3 = cartan_matrix("C", 3)
 
@@ -221,3 +227,111 @@ class TestModifiedGrouplikeExponents:
                 )
                 assert kbar_exponent(tw, i) == minus
                 assert ktilde_exponent(tw, i) == plus
+
+
+def build_corpus(seed=2024, draws=100):
+    """(cd, Y) inputs for build_twist.  Parameter vectors x_ij are drawn
+    in [-3, 3], or all even in [-6, 6] (where D4 fails half-integrality
+    with Y integral).  Y = A^(-1) X is passed as Fractions when it is not
+    integral and as ints (valid, or failing half-integrality) when it is;
+    each integral Y also comes with one entry raised by 1 (D X no longer
+    antisymmetric), as Fractions of denominator 1, and as an IntMatrix."""
+    rng = random.Random(seed)
+    corpus = []
+    for lie_type, n in [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3),
+                        ("C", 3), ("A", 4), ("D", 4)]:
+        cd = cartan_matrix(lie_type, n)
+        ainv = frac_inverse(cd.A.data)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for _ in range(draws):
+            step = rng.choice((1, 2))
+            x = [[Fraction(0)] * n for _ in range(n)]
+            for i, j in pairs:
+                v = step * rng.randint(-3, 3)
+                x[i][j], x[j][i] = Fraction(v), Fraction(-cd.d[i] * v, cd.d[j])
+            y = frac_matmul(ainv, x)
+            if any(v.denominator != 1 for row in y for v in row):
+                corpus.append((cd, y))
+                continue
+            ints = [[int(v) for v in row] for row in y]
+            bumped = [row[:] for row in ints]
+            bumped[rng.randrange(n)][rng.randrange(n)] += 1
+            halves = [[Fraction(2 * v, 2) for v in row] for row in bumped]
+            corpus += [(cd, ints), (cd, bumped), (cd, halves), (cd, IntMatrix(ints))]
+    corpus.append((C3, c3_parameter_matrix(1, 1, 0)))
+    corpus.append((C3, [[1, 1, 1]] * 3))
+    return corpus
+
+
+class TestAgainstFractionReference:
+    """The integer congruence checks give what the former Fraction code
+    gave (tests/oracles.py keeps it frozen)."""
+
+    SEARCHES = (
+        [(t, n, b) for t, n in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                                ("C", 2), ("C", 3), ("G", 2)] for b in (0, 1, 2)]
+        + [(t, 4, 1) for t in "ABCDF"]
+        + [("B", 2, 3), ("G", 2, 3)]
+    )
+
+    @pytest.mark.parametrize("lie_type,n,bound", SEARCHES)
+    def test_search_lists_match(self, lie_type, n, bound):
+        cd = cartan_matrix(lie_type, n)
+        for limit in (None, 0, 1, 3, -1):
+            twists = list(enumerate_valid_twists(cd, bound, limit))
+            got = [(tw.Y.to_lists(), tw.X.to_lists()) for tw in twists]
+            assert got == list(fraction_twist_search(cd, bound, limit)), limit
+            assert all(tw.cd is cd for tw in twists)
+
+    def test_build_twist_reports_match(self):
+        seen = set()
+        for cd, y in build_corpus():
+            result = build_twist(cd, y)
+            expected, violations = fraction_build_twist(cd, y)
+            got = [(v.condition, v.indices, v.detail) for v in result.violations]
+            assert got == violations, y
+            if expected is None:
+                assert result.twist is None
+            else:
+                assert (result.twist.Y.to_lists(), result.twist.X.to_lists()) == expected
+            seen |= {v[0] for v in violations} or {"valid"}
+        assert seen == {"valid", "integral_parameters", "dx_antisymmetric",
+                        "half_integrality"}
+
+    def test_a_plus_2x_never_singular_for_integral_y(self):
+        # det(A + 2X) = det A det(1 + 2Y) and det(1 + 2Y) is odd, so the
+        # invertibility check cannot fail once Y is integral.
+        for cd, y in build_corpus(seed=7, draws=20):
+            result = build_twist(cd, y)
+            assert "a_plus_2x_invertible" not in {v.condition for v in result.violations}
+            if result.twist is not None:
+                n = cd.rank
+                one_2y = IntMatrix([[int(i == j) + 2 * result.twist.Y[i, j]
+                                     for j in range(n)] for i in range(n)])
+                assert one_2y.det() % 2 == 1
+
+
+class TestSearchScale:
+    """Counts measured with the former candidate-by-candidate search, which
+    took about 30 s for each of A5 and D5.  D4 at bound 2 has points with
+    Y integral that fail half-integrality; at bound 1 it has none."""
+
+    @pytest.mark.parametrize("lie_type,n,bound,limit,count", [
+        ("A", 5, 1, None, 65),
+        ("D", 5, 1, None, 299),
+        ("D", 4, 2, None, 455),
+        ("A", 12, 2, 40, 40),
+    ])
+    def test_counts(self, lie_type, n, bound, limit, count):
+        cd = cartan_matrix(lie_type, n)
+        start = time.perf_counter()
+        found = list(enumerate_valid_twists(cd, bound, limit))
+        elapsed = time.perf_counter() - start
+        assert len(found) == count
+        assert not any(map(any, found[0].Y.data))
+        assert len({tw.Y for tw in found}) == count
+        assert elapsed < 10, f"{elapsed:.1f} s"
+        for tw in found:
+            assert fraction_build_twist(cd, tw.Y) == (
+                (tw.Y.to_lists(), tw.X.to_lists()), []
+            )
