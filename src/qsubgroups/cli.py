@@ -26,9 +26,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .cocycle import TableCapExceeded, twist_J
 from .datum import (
     DualHom,
@@ -94,7 +94,15 @@ def _parse_int_list(text: str) -> list[int]:
         raise ParseFailure(f"expected integers, got {text!r}") from exc
 
 
-@dataclass
+def _strict_int(key: str, value) -> int:
+    """A flag or spec value that must be an int: JSON true, 5.0 and "5"
+    are refused, not coerced."""
+    if type(value) is not int:
+        raise ParseFailure(f"--{key} must be an integer, got {value!r}")
+    return value
+
+
+@record
 class ProblemSpec:
     """Normalized problem description shared by the subcommands."""
 
@@ -134,7 +142,7 @@ def _load_spec(args) -> ProblemSpec:
     ell = pick("ell", getattr(args, "ell", None))
     if ell is None:
         raise ParseFailure("--ell is required")
-    ell = int(ell)
+    ell = _strict_int("ell", ell)
     if ell < 3 or ell % 2 == 0:
         raise ParseFailure("--ell must be odd and >= 3")
 
@@ -146,8 +154,9 @@ def _load_spec(args) -> ProblemSpec:
     else:
         if lie_type is None or rank is None:
             raise ParseFailure("need --type and --rank (or an explicit Cartan matrix)")
+        rank = _strict_int("rank", rank)
         try:
-            cd = cartan_matrix(str(lie_type), int(rank))
+            cd = cartan_matrix(str(lie_type), rank)
         except (InvalidCartanMatrix, ValueError, TypeError) as exc:
             raise ParseFailure(str(exc)) from exc
     if cd.lie_type == "G" and ell % 3 == 0:
@@ -452,6 +461,8 @@ def cmd_datum(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.max_results is not None and args.max_results < 0:
+        raise ParseFailure(f"--max-results must be >= 0, got {args.max_results}")
     spec = _load_spec(args)
     tw = _require_twist(spec)
     fixed = None

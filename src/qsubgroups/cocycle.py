@@ -35,10 +35,10 @@ unpacked once, folding every axis mod ell (eps^ell = 1).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import record
 from .exact import CyclotomicNumber, IntMatrix, reduce_power_basis
 from .lie import Basis, LatticeElement, bilinear_form
 from .twist import TwistMap, apply_phi
@@ -62,7 +62,7 @@ class TableCapExceeded(RuntimeError):
     """Raised when a group-algebra tabulation would be too large."""
 
 
-@dataclass(frozen=True)
+@record
 class Bidegree:
     """The bidegree (-lam, mu) of a matrix coefficient; both weights are
     integral elements of the weight lattice, in OMEGA coordinates."""
@@ -109,7 +109,7 @@ def check_level(tw: TwistMap, ell: int) -> None:
         raise ValueError("level must be coprime to 3 in type G")
 
 
-@dataclass(frozen=True)
+@record
 class GroupTwoCocycle:
     """A normalized 2-cocycle on (Z/ell)^n x (Z/ell)^n, in additive
     exponent form, given by the bilinear rule z1 -> z1^T B z2 mod ell."""
@@ -324,7 +324,7 @@ class TorusPairElement:
         )
 
 
-@dataclass(frozen=True)
+@record
 class GroupAlgebraTwist:
     """The twist element and its convolution inverse, as tables over the
     group algebra of the doubled torus."""

@@ -28,10 +28,10 @@ tau.  Mutual <= forces equal (I+, I-, N) and |Gamma| = |Gamma'|.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm, prod
 
+from ._record import record, replace
 from .exact import IntMatrix, solve_linear_mod
 from .lie import roots_supported
 from .torus import (
@@ -87,7 +87,7 @@ class _Infinite:
 INFINITE = _Infinite()
 
 
-@dataclass(frozen=True)
+@record
 class FiniteAbelianGroup:
     """A finite abelian group by invariant factors m1 | m2 | ... (each >= 2);
     the empty tuple is the trivial group."""
@@ -129,7 +129,7 @@ class FiniteAbelianGroup:
         return tuple(int(v) % m for v, m in zip(vec, self.invariant_factors))
 
 
-@dataclass(frozen=True)
+@record
 class OpaqueGroup:
     """A group known only by its order (None means infinite)."""
 
@@ -137,7 +137,7 @@ class OpaqueGroup:
     label: str = "opaque"
 
 
-@dataclass(frozen=True)
+@record
 class TorusEmbedding:
     """An injective homomorphism of a finite abelian group into the
     maximal torus: generator i goes to the torus point whose coordinates
@@ -197,7 +197,7 @@ class TorusEmbedding:
         return solutions == relations
 
 
-@dataclass(frozen=True)
+@record
 class DualHom:
     """A homomorphism from a torus-character subgroup N into the character
     group of a finite abelian Gamma.
@@ -253,7 +253,7 @@ class DualHom:
         return self._combine(coeffs)
 
 
-@dataclass(frozen=True)
+@record
 class TwistedSubgroupDatum:
     """(I+, I-, N, Gamma, gamma, delta) with Gamma torus-embedded (or an
     opaque order-only record)."""
@@ -289,13 +289,13 @@ class TwistedSubgroupDatum:
         return isinstance(self.embedding, OpaqueGroup)
 
 
-@dataclass(frozen=True)
+@record
 class DatumViolation:
     condition: str
     detail: str
 
 
-@dataclass(frozen=True)
+@record
 class DatumReport:
     ok: bool
     violations: tuple[DatumViolation, ...]
@@ -365,7 +365,7 @@ def validate_datum(tw: TwistMap, ell: int, d: TwistedSubgroupDatum) -> DatumRepo
 # ---------------------------------------------------------------------------
 # dimensions
 
-@dataclass(frozen=True)
+@record
 class DimH:
     """The quotient dimension attached to (I+, I-, N), reported in both
     conventions (root-count exponent is the primary one)."""
@@ -441,7 +441,7 @@ def dim_A(tw: TwistMap, ell: int, d: TwistedSubgroupDatum):
 # ---------------------------------------------------------------------------
 # partial order
 
-@dataclass(frozen=True)
+@record
 class LeqResult:
     status: str  # "true", "false" or "unknown"
     reasons: tuple[str, ...] = ()
@@ -551,7 +551,7 @@ def datum_equiv(
 # ---------------------------------------------------------------------------
 # enumeration
 
-@dataclass(frozen=True)
+@record
 class TripleRecord:
     iplus: tuple[int, ...]
     iminus: tuple[int, ...]
@@ -598,7 +598,7 @@ def enumerate_triples(
 # ---------------------------------------------------------------------------
 # structural predicates
 
-@dataclass(frozen=True)
+@record
 class ObstructionReport:
     """Order data of the same generator recipe at phi and at phi = 0."""
 
@@ -664,7 +664,7 @@ def _obstruction_check(
     )
 
 
-@dataclass(frozen=True)
+@record
 class Predicates:
     pointed_necessary: bool
     semisimple: bool

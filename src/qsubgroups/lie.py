@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from ._record import record
 from .exact import IntMatrix, invert_rational_matrix
 
 __all__ = [
@@ -100,7 +100,7 @@ def symmetrizers(A: IntMatrix) -> tuple[int, ...]:
     return d
 
 
-@dataclass(frozen=True)
+@record
 class CartanDatum:
     """A finite-type Cartan matrix with its symmetrizers."""
 
@@ -192,7 +192,7 @@ def cartan_matrix(lie_type: str, n: int) -> CartanDatum:
     return CartanDatum.from_matrix(IntMatrix(a), lie_type)
 
 
-@dataclass(frozen=True)
+@record
 class LatticeElement:
     """A vector in the rational span of the weight lattice."""
 
@@ -288,7 +288,7 @@ def _rank_check(lam: LatticeElement, cd: CartanDatum) -> None:
         raise ValueError(f"rank mismatch: element has {lam.rank}, datum has {cd.rank}")
 
 
-@dataclass(frozen=True)
+@record
 class Root:
     """A positive root in integer ALPHA coordinates with its support."""
 

@@ -30,10 +30,10 @@ pass; n_phi_from_sigma, sigma_order_identity and omega_order read it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 
+from ._record import record
 from .exact import IntMatrix, hermite_normal_form, kernel_lattice, root_of_unity_power
 from .twist import TwistMap, kbar_exponent, ktilde_exponent
 
@@ -201,7 +201,7 @@ class TorusSubgroup:
         )
 
 
-@dataclass(frozen=True)
+@record
 class Character:
     """A character of the torus, acting on K_{alpha_t} by eps^{z_t}."""
 
@@ -221,7 +221,7 @@ class Character:
 # ---------------------------------------------------------------------------
 # symbolic Sigma generators
 
-@dataclass(frozen=True)
+@record
 class SigmaGenerator:
     """A generator of Sigma given symbolically, so it can be re-evaluated
     for a different twisting map (in particular for phi = 0).
@@ -270,7 +270,7 @@ def evaluate_recipe(tw: TwistMap, ell: int, recipe) -> TorusSubgroup:
     return TorusSubgroup.from_generators(ell, tw.rank, gens)
 
 
-@dataclass(frozen=True)
+@record
 class Triple:
     """(I+, I-, Sigma): the parametrization of Hopf subalgebras.
 
@@ -300,13 +300,13 @@ class Triple:
                    recipe)
 
 
-@dataclass(frozen=True)
+@record
 class TripleReport:
     ok: bool
     missing: tuple[tuple[str, int], ...]  # e.g. ("kbar", 2) not in Sigma
 
 
-@dataclass(frozen=True)
+@record
 class TripleAnalysis:
     """Everything a valid triple determines, derived in one pass."""
 

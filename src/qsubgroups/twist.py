@@ -11,14 +11,16 @@ the OMEGA coordinates of tau_i), validity means
     bilinearity makes (phi(l), m) / 2 integral on the whole weight
     lattice,
   * A + 2 X is invertible over the rationals, so 1 +/- phi are
-    isomorphisms.
+    isomorphisms.  This one needs no check: A + 2 X = A (1 + 2 Y), and
+    1 + 2 Y == 1 (mod 2) makes det(1 + 2 Y) odd, so for integral Y
+    det(A + 2 X) = det A det(1 + 2 Y) is never 0.
 
-With delta = det A and adj A = delta A^(-1), every condition but the
-last is an integer congruence: (phi(omega_i), omega_j) / 2 =
+With delta = det A and adj A = delta A^(-1), the other conditions are
+integer congruences: (phi(omega_i), omega_j) / 2 =
 d_j (Y adj A)_ji / delta, and Y = adj A X / delta is integral iff
-adj A X == 0 (mod delta).  So the parameters that pass them form a
-lattice, and enumerate_valid_twists walks its points in the box instead
-of testing every candidate.
+adj A X == 0 (mod delta).  So the valid parameters form a lattice, and
+enumerate_valid_twists walks its points in the box instead of testing
+every candidate.
 
 Validation reports every violated condition with a witnessing index pair
 instead of stopping at the first failure; parameter families are meant
@@ -30,10 +32,10 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from ._record import record
 from .exact import IntMatrix, invert_rational_matrix, kernel_lattice
 from .lie import (
     Basis,
@@ -63,7 +65,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class TwistMap:
     """A validated twisting map: phi acts as 2Y in ALPHA coordinates."""
 
@@ -84,14 +86,14 @@ class TwistMap:
         return self.Y.column(i - 1)
 
 
-@dataclass(frozen=True)
+@record
 class TwistViolation:
     condition: str
     indices: tuple[int, ...] | None
     detail: str
 
 
-@dataclass(frozen=True)
+@record
 class TwistBuildResult:
     twist: TwistMap | None
     violations: tuple[TwistViolation, ...]
@@ -112,8 +114,10 @@ def build_twist(cd: CartanDatum, Y) -> TwistBuildResult:
     """Validate a parameter matrix and assemble the twisting map.
 
     Checks, in order: integrality of the parameter matrix, antisymmetry
-    of D X, integrality of (phi(omega_i), omega_j) / 2 on all basis
-    pairs, and invertibility of A + 2X.  All failures are collected.
+    of D X, and integrality of (phi(omega_i), omega_j) / 2 on all basis
+    pairs.  All failures are collected.  Invertibility of A + 2X follows
+    from integrality: det(A + 2X) = det A det(1 + 2Y), and det(1 + 2Y)
+    is odd.
     """
     n = cd.rank
     violations: list[TwistViolation] = []
@@ -169,12 +173,6 @@ def build_twist(cd: CartanDatum, Y) -> TwistBuildResult:
                     )
                 )
 
-    a2x = cd.A + xmat.scaled(2)
-    if a2x.det() == 0:
-        violations.append(
-            TwistViolation("a_plus_2x_invertible", None, "A + 2X is singular")
-        )
-
     if violations:
         return TwistBuildResult(None, tuple(violations))
     return TwistBuildResult(TwistMap(cd, ymat, xmat), ())
@@ -205,7 +203,7 @@ def apply_phi(tw: TwistMap, lam: LatticeElement) -> LatticeElement:
     return alpha_to_omega(out, tw.cd)
 
 
-@dataclass(frozen=True)
+@record
 class RationalOperator:
     """An exact rational operator on the lattice, in the ALPHA basis."""
 
@@ -274,8 +272,8 @@ def _parameter_lattice(cd: CartanDatum) -> IntMatrix:
     """Hermite basis of the lattice of valid parameter vectors (x_ij)_(i<j).
 
     With L = lcm(d), X' = L X has integer entries linear in the
-    parameters (x_ji = -d_i x_ij / d_j), and every condition but
-    invertibility is a congruence mod m = L delta^2 on them:
+    parameters (x_ji = -d_i x_ij / d_j), and every condition that needs
+    a check is a congruence mod m = L delta^2 on them:
       * delta (adj A X')_rc == 0: Y = adj A X / delta is integral, and
         with it X = A Y;
       * d_j (adj A X' adj A)_ji == 0 for i < j: half-integrality (the
@@ -338,12 +336,12 @@ def enumerate_valid_twists(cd: CartanDatum, bound: int, limit: int | None = None
     """All valid twisting maps with strictly-upper X entries in [-bound, bound].
 
     The n(n-1)/2 free parameters are x_ij (i < j); the lower triangle is
-    forced by antisymmetry of D X.  The parameters passing every other
-    condition but invertibility form a lattice (_parameter_lattice), whose
-    points in the box are walked in the order of itertools.product over
-    0, 1, -1, ..., bound, -bound, first parameter outermost; A + 2X is
-    checked point by point.  The zero twist always comes first; `limit`
-    stops after that many twists, but never before the first.
+    forced by antisymmetry of D X.  The valid parameters form a lattice
+    (_parameter_lattice; A + 2X is invertible at every point, see
+    build_twist), whose points in the box are walked in the order of
+    itertools.product over 0, 1, -1, ..., bound, -bound, first parameter
+    outermost.  The zero twist always comes first; `limit` stops after
+    that many twists, but never before the first.
     """
     n = cd.rank
     delta, adj = _adjugate_cartan(cd)
@@ -357,9 +355,6 @@ def enumerate_valid_twists(cd: CartanDatum, bound: int, limit: int | None = None
         for (i, j), v in zip(pairs, values):
             x[i][j] = v
             x[j][i] = -cd.d[i] * v // cd.d[j]
-        a2x = [[a + 2 * v for a, v in zip(ra, rx)] for ra, rx in zip(cd.A.data, x)]
-        if IntMatrix(a2x).det() == 0:
-            continue
         cols = list(zip(*x))
         y = [[sum(map(operator.mul, row, col)) // delta for col in cols]
              for row in adj.data]

@@ -280,6 +280,14 @@ class TestEnumerate:
         assert code == EXIT_OK
         assert json_lines(out)[-1]["total"] == 0
 
+    def test_max_results_negative(self, capsys):
+        """A negative cap is a one-line parse error, not an empty listing."""
+        code = main(["enumerate", "--type", "A", "--rank", "2", "--ell", "3",
+                     "--max-results", "-1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_PARSE, "")
+        assert captured.err == "parse error: --max-results must be >= 0, got -1\n"
+
     def test_guard_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("QSUBGROUPS_ENUM_CAP", "3")
         code, out = run_cli(capsys, "enumerate", *C3_FLAGS)
@@ -521,6 +529,20 @@ class TestHardening:
         ]
         for argv in cases:
             assert run_cli(capsys, *argv)[0] == EXIT_PARSE, argv
+
+    def test_spec_ell_and_rank_must_be_integers(self, capsys, tmp_path):
+        """A spec file's ell and rank are read strictly: a string, a bool
+        or a float is a one-line parse error, never coerced."""
+        for key, value in (("ell", "abc"), ("ell", True), ("ell", 5.0),
+                           ("rank", "2"), ("rank", True)):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"type": "A", "rank": 2, "ell": 5, key: value}))
+            code = main(["validate-phi", "--spec", str(path)])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (EXIT_PARSE, ""), (key, value)
+            assert captured.err == (
+                f"parse error: --{key} must be an integer, got {value!r}\n"
+            )
 
     def test_sigma_symbol_index_out_of_range(self, capsys):
         """kbar:9 at rank 2 is a one-line parse error, not an IndexError."""

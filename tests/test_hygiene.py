@@ -1,17 +1,21 @@
-"""Source rules of the library: a stdlib-only runtime and no floats.
+"""Source rules of the library: a stdlib-only runtime, no floats, and a
+light import.
 
 Every module under src/qsubgroups is parsed, not imported, so a rule
 breach is reported with its file and line even if the module would fail
-to import.
+to import.  The import check runs the CLI's import in a child process.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "qsubgroups").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+SOURCES = sorted((SRC / "qsubgroups").glob("*.py"))
 
 
 def _tree(path):
@@ -22,9 +26,8 @@ def test_sources_found():
     assert any(p.name == "exact.py" for p in SOURCES)
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_absolute_imports_are_stdlib(path):
-    bad = []
+def _absolute_imports(path):
+    """(line, top-level package) of every absolute import in the file."""
     for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -32,11 +35,13 @@ def test_absolute_imports_are_stdlib(path):
             names = [node.module]
         else:
             continue
-        bad += [
-            f"{path.name}:{node.lineno} {name}"
-            for name in names
-            if name.split(".")[0] not in sys.stdlib_module_names
-        ]
+        yield from ((node.lineno, name.split(".")[0]) for name in names)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_absolute_imports_are_stdlib(path):
+    bad = [f"{path.name}:{line} {name}" for line, name in _absolute_imports(path)
+           if name not in sys.stdlib_module_names]
     assert not bad
 
 
@@ -53,3 +58,21 @@ def test_no_floats(path):
         ):
             bad.append(f"{path.name}:{node.lineno} float(...) call")
     assert not bad
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    """Records come from qsubgroups._record: importing dataclasses costs
+    the CLI more start-up time than the library's own modules."""
+    bad = [f"{path.name}:{line}" for line, name in _absolute_imports(path)
+           if name == "dataclasses"]
+    assert not bad
+
+
+def test_cli_import_loads_no_introspection_modules():
+    code = ("import sys, qsubgroups.cli; print(sorted(set(sys.modules) & "
+            "{'dataclasses', 'inspect', 'ast', 'dis', 'typing'}))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

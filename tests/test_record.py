@@ -1,0 +1,200 @@
+"""The library's records against frozen dataclasses built from the same
+class bodies: same fields, defaults, repr, equality, hash, immutability,
+__post_init__ and replace.  The tests import dataclasses; the library
+does not (test_hygiene checks that)."""
+
+import dataclasses
+import inspect
+
+import pytest
+
+from qsubgroups import cli, cocycle, datum, exact, lie, torus, twist
+from qsubgroups._record import record, replace
+from qsubgroups.lie import Basis, LatticeElement
+
+MODULES = (cli, cocycle, datum, exact, lie, torus, twist)
+RECORDS = sorted(
+    (value for mod in MODULES for value in vars(mod).values()
+     if isinstance(value, type) and value.__module__ == mod.__name__
+     and "_fields" in vars(value)),
+    key=lambda cls: (cls.__module__, cls.__qualname__),
+)
+
+# field values that pass a __post_init__; every other record takes any value
+VALID = {
+    "Bidegree": (LatticeElement.make(Basis.OMEGA, (1, 0)),
+                 LatticeElement.make(Basis.OMEGA, (0, -2))),
+    "FiniteAbelianGroup": ([3, 9],),
+}
+
+
+def twin(cls):
+    """A frozen dataclass made by dataclasses from cls's own annotations,
+    defaults and __post_init__, under the same qualname."""
+    own = vars(cls)
+    body = {name: own[name] for name in own["__annotations__"] if name in own}
+    if "__post_init__" in own:
+        body["__post_init__"] = own["__post_init__"]
+    body.update(__annotations__=dict(own["__annotations__"]),
+                __qualname__=cls.__qualname__, __module__=cls.__module__)
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), body))
+
+
+def sample(cls):
+    return VALID.get(cls.__name__) or tuple(
+        (cls.__name__, name, k) for k, name in enumerate(cls._fields)
+    )
+
+
+def test_every_record_found():
+    assert len(RECORDS) == 28
+    for mod in MODULES:
+        assert not any(dataclasses.is_dataclass(v) for v in vars(mod).values())
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__qualname__)
+class TestAgainstDataclass:
+    def test_fields_and_defaults(self, cls):
+        def params(c):
+            return [(p.name, p.default, p.kind)
+                    for p in inspect.signature(c).parameters.values()]
+
+        assert params(cls) == params(twin(cls))
+        assert cls._fields == tuple(f.name for f in dataclasses.fields(twin(cls)))
+
+    def test_repr_eq_hash(self, cls):
+        dc = twin(cls)
+        values = sample(cls)
+        rec, mirror = cls(*values), dc(*values)
+        assert repr(rec) == repr(mirror)
+        assert rec == cls(*values) and not rec != cls(*values)
+        assert (rec == cls(**dict(zip(cls._fields, values)))) is True
+        if cls.__name__ not in VALID:
+            assert rec != cls(*values[:-1], ("changed",))
+        assert hash(rec) == hash(mirror)
+
+    def test_defaults_fill_in(self, cls):
+        required = [p.name for p in inspect.signature(cls).parameters.values()
+                    if p.default is inspect.Parameter.empty]
+        if len(required) == len(cls._fields) or cls.__name__ in VALID:
+            return
+        kwargs = dict(zip(required, sample(cls)))
+        assert repr(cls(**kwargs)) == repr(twin(cls)(**kwargs))
+
+    def test_equality_is_class_strict(self, cls):
+        values = sample(cls)
+        other = record(type(cls.__name__, (), {
+            "__annotations__": dict(vars(cls)["__annotations__"]),
+            "__qualname__": cls.__qualname__,
+        }))
+        rec = cls(*values)
+        assert rec != other(*values)
+        assert rec != twin(cls)(*values)
+        assert rec != tuple(getattr(rec, name) for name in cls._fields)
+
+    def test_frozen(self, cls):
+        rec, mirror = cls(*sample(cls)), twin(cls)(*sample(cls))
+        for name in (cls._fields[0], "not_a_field"):
+            with pytest.raises(AttributeError) as got:
+                setattr(rec, name, 1)
+            with pytest.raises(AttributeError) as want:
+                setattr(mirror, name, 1)
+            assert str(got.value) == str(want.value)
+            with pytest.raises(AttributeError) as got:
+                delattr(rec, name)
+            with pytest.raises(AttributeError) as want:
+                delattr(mirror, name)
+            assert str(got.value) == str(want.value)
+
+    def test_replace(self, cls):
+        values = sample(cls)
+        name = cls._fields[-1]
+        new = values[-1] if cls.__name__ in VALID else ("replaced",)
+        got = replace(cls(*values), **{name: new})
+        assert type(got) is cls
+        assert repr(got) == repr(dataclasses.replace(twin(cls)(*values), **{name: new}))
+        with pytest.raises(TypeError):
+            replace(cls(*values), not_a_field=1)
+
+
+def test_post_init_runs():
+    group = datum.FiniteAbelianGroup([3, 9])
+    assert group.invariant_factors == (3, 9)
+    assert type(group.invariant_factors) is tuple
+    assert group == datum.FiniteAbelianGroup((3, 9))
+    assert hash(group) == hash(((3, 9),))
+    assert datum.FiniteAbelianGroup() == datum.FiniteAbelianGroup(())
+    for cls in (datum.FiniteAbelianGroup, twin(datum.FiniteAbelianGroup)):
+        with pytest.raises(ValueError, match="divisibility"):
+            cls((3, 4))
+    alpha = LatticeElement.make(Basis.ALPHA, (1, 0))
+    for cls in (cocycle.Bidegree, twin(cocycle.Bidegree)):
+        with pytest.raises(ValueError, match="OMEGA"):
+            cls(alpha, alpha)
+
+
+def test_triple_record_sigma_order_matches_dataclasses_replace():
+    tw = twist.zero_twist(lie.cartan_matrix("A", 2))
+    dims = twin(datum.DimH)
+    records = datum.enumerate_triples(tw, 3)
+    assert len(records) > 2
+    for rec in records:
+        kernel = torus.t_hat_I_complement(tw, 3, rec.iplus, rec.iminus)
+        base = datum.dim_H(tw, 3, rec.iplus, rec.iminus, kernel)
+        mirror = dataclasses.replace(
+            dims(*(getattr(base, name) for name in datum.DimH._fields)),
+            sigma_order=9 // rec.N.order,
+        )
+        assert repr(rec.dims) == repr(mirror)
+        assert hash(rec.dims) == hash(mirror)
+        assert replace(base, sigma_order=9 // rec.N.order) == rec.dims
+
+
+def test_own_methods_are_kept():
+    def point(decorate):
+        @decorate
+        class Point:
+            x: int
+            y: int = 0
+
+            def __repr__(self):
+                return "point"
+
+            def __eq__(self, other):
+                return self.x == other.x
+
+        return Point
+
+    rec, mirror = point(record), point(dataclasses.dataclass(frozen=True))
+    for cls in (rec, mirror):
+        assert repr(cls(1, 2)) == "point"
+        assert cls(1, 2) == cls(1, 3)
+        # an own __eq__ without an own __hash__ still gets the field hash
+        assert hash(cls(1, 2)) == hash((1, 2))
+
+
+def test_fields_follow_the_mro():
+    def child(decorate):
+        @decorate
+        class Base:
+            a: int
+            b: int = 1
+
+        @decorate
+        class Child(Base):
+            c: int = 2
+            b: int = 5
+
+        return Child
+
+    rec, mirror = child(record), child(dataclasses.dataclass(frozen=True))
+    assert rec._fields == ("a", "b", "c")
+    assert str(inspect.signature(rec)) == "(a, b=5, c=2)"
+    # both classes are nested, so the repr shows the full qualname
+    assert repr(rec(0)) == repr(mirror(0))
+    assert repr(rec(0)).endswith("<locals>.Child(a=0, b=5, c=2)")
+
+
+def test_field_less_class_is_refused():
+    with pytest.raises(TypeError, match="no fields"):
+        record(type("Empty", (), {}))
