@@ -94,11 +94,36 @@ def _parse_int_list(text: str) -> list[int]:
         raise ParseFailure(f"expected integers, got {text!r}") from exc
 
 
-def _strict_int(key: str, value) -> int:
+def _strict_int(name: str, value) -> int:
     """A flag or spec value that must be an int: JSON true, 5.0 and "5"
     are refused, not coerced."""
     if type(value) is not int:
-        raise ParseFailure(f"--{key} must be an integer, got {value!r}")
+        raise ParseFailure(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _strict_ints(name: str, values) -> list[int]:
+    """A spec list of ints, or comma-separated text of them."""
+    if isinstance(values, str):
+        return _parse_int_list(values)
+    if not isinstance(values, list):
+        raise ParseFailure(f"{name} must be a list of integers, got {values!r}")
+    return [_strict_int(name, x) for x in values]
+
+
+def _strict_rows(name: str, rows) -> list[list[int]]:
+    """A spec list of integer lists."""
+    if not isinstance(rows, list):
+        raise ParseFailure(f"{name} must be a list of integer lists, got {rows!r}")
+    return [_strict_ints(name, row) for row in rows]
+
+
+def _strict_object(name: str, value) -> dict:
+    """A spec object; absent is empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ParseFailure(f"{name} must be a JSON object, got {value!r}")
     return value
 
 
@@ -142,7 +167,7 @@ def _load_spec(args) -> ProblemSpec:
     ell = pick("ell", getattr(args, "ell", None))
     if ell is None:
         raise ParseFailure("--ell is required")
-    ell = _strict_int("ell", ell)
+    ell = _strict_int("--ell", ell)
     if ell < 3 or ell % 2 == 0:
         raise ParseFailure("--ell must be odd and >= 3")
 
@@ -154,9 +179,11 @@ def _load_spec(args) -> ProblemSpec:
     else:
         if lie_type is None or rank is None:
             raise ParseFailure("need --type and --rank (or an explicit Cartan matrix)")
-        rank = _strict_int("rank", rank)
+        rank = _strict_int("--rank", rank)
+        if not isinstance(lie_type, str):
+            raise ParseFailure(f"--type must be a string, got {lie_type!r}")
         try:
-            cd = cartan_matrix(str(lie_type), rank)
+            cd = cartan_matrix(lie_type, rank)
         except (InvalidCartanMatrix, ValueError, TypeError) as exc:
             raise ParseFailure(str(exc)) from exc
     if cd.lie_type == "G" and ell % 3 == 0:
@@ -165,8 +192,7 @@ def _load_spec(args) -> ProblemSpec:
     family = pick("family_c3", getattr(args, "family_c3", None))
     y_rows = pick("y", getattr(args, "y", None))
     if family is not None:
-        if isinstance(family, str):
-            family = _parse_int_list(family)
+        family = _strict_ints("--family-c3", family)
         if len(family) != 3:
             raise ParseFailure("--family-c3 needs exactly a,b,c")
         if (cd.lie_type, cd.rank) != ("C", 3):
@@ -188,29 +214,30 @@ def _load_spec(args) -> ProblemSpec:
     else:
         ymat = IntMatrix.zeros(cd.rank, cd.rank)
 
-    iplus = pick("iplus", getattr(args, "iplus", None)) or []
-    iminus = pick("iminus", getattr(args, "iminus", None)) or []
-    if isinstance(iplus, str):
-        iplus = _parse_int_list(iplus)
-    if isinstance(iminus, str):
-        iminus = _parse_int_list(iminus)
+    def index_list(key):
+        value = pick(key, getattr(args, key, None))
+        return [] if value is None else _strict_ints(f"--{key}", value)
 
-    sigma_gens: list[tuple[int, ...]] = []
-    sigma_symbols: list[SigmaGenerator] = []
-    raw_gens = list(doc.get("sigma", {}).get("generators", []))
+    iplus, iminus = index_list("iplus"), index_list("iminus")
+
+    sigma = _strict_object("sigma", doc.get("sigma"))
+    raw_gens = _strict_rows("sigma generators", sigma.get("generators", []))
     raw_gens += [_parse_int_list(g) for g in (getattr(args, "sigma_gen", None) or [])]
-    for g in raw_gens:
-        sigma_gens.append(tuple(int(x) for x in g))
-    raw_syms = list(doc.get("sigma", {}).get("symbols", []))
-    raw_syms += [s.split(":") for s in (getattr(args, "sigma_sym", None) or [])]
+    sigma_gens = [tuple(g) for g in raw_gens]
+    sigma_symbols: list[SigmaGenerator] = []
+    raw_syms = sigma.get("symbols", [])
+    if not isinstance(raw_syms, list):
+        raise ParseFailure(f"sigma symbols must be a list, got {raw_syms!r}")
+    raw_syms = raw_syms + [s.split(":") for s in (getattr(args, "sigma_sym", None) or [])]
     for sym in raw_syms:
-        if len(sym) != 2:
+        if not isinstance(sym, list) or len(sym) != 2:
             raise ParseFailure(f"sigma symbol needs kind:value, got {sym!r}")
         kind, value = sym[0], sym[1]
         if kind in ("kbar", "ktilde", "tau"):
             try:
-                index = int(value)
-            except (ValueError, TypeError) as exc:
+                index = _strict_int("sigma symbol index",
+                                    int(value) if isinstance(value, str) else value)
+            except ValueError as exc:
                 raise ParseFailure(f"bad sigma symbol index: {value!r}") from exc
             if not 1 <= index <= cd.rank:
                 raise ParseFailure(
@@ -218,8 +245,7 @@ def _load_spec(args) -> ProblemSpec:
                 )
             sigma_symbols.append(SigmaGenerator(kind, index=index))
         elif kind == "vector":
-            vec = value if isinstance(value, (list, tuple)) else _parse_int_list(value)
-            sigma_symbols.append(SigmaGenerator.fixed(vec))
+            sigma_symbols.append(SigmaGenerator.fixed(_strict_ints("sigma vector", value)))
         else:
             raise ParseFailure(f"unknown sigma symbol kind {kind!r}")
 
@@ -230,8 +256,8 @@ def _load_spec(args) -> ProblemSpec:
         "ell": ell,
         "y": ymat.to_lists() if isinstance(ymat, IntMatrix)
         else [[str(x) for x in row] for row in ymat],
-        "iplus": sorted(int(i) for i in iplus),
-        "iminus": sorted(int(i) for i in iminus),
+        "iplus": sorted(iplus),
+        "iminus": sorted(iminus),
     }
     if sigma_gens or sigma_symbols:
         # echoed in the same shape a spec file uses, so reports re-parse
@@ -247,8 +273,8 @@ def _load_spec(args) -> ProblemSpec:
         cd=cd,
         ell=ell,
         Y=ymat,
-        iplus=tuple(sorted(int(i) for i in iplus)),
-        iminus=tuple(sorted(int(i) for i in iminus)),
+        iplus=tuple(sorted(iplus)),
+        iminus=tuple(sorted(iminus)),
         sigma_gens=tuple(sigma_gens),
         sigma_symbols=tuple(sigma_symbols),
         datum=doc.get("datum"),
@@ -366,7 +392,7 @@ def cmd_kernel(args) -> int:
 
 
 def _parse_datum(tw, spec: ProblemSpec) -> TwistedSubgroupDatum:
-    payload = spec.datum or {}
+    payload = _strict_object("datum", spec.datum)
     n = tw.rank
     n_gens = payload.get("n_generators")
     recipe = None
@@ -379,19 +405,23 @@ def _parse_datum(tw, spec: ProblemSpec) -> TwistedSubgroupDatum:
             nsub = TorusSubgroup.trivial(spec.ell, n)
     else:
         nsub = TorusSubgroup.from_generators(
-            spec.ell, n, [tuple(int(x) for x in g) for g in n_gens]
+            spec.ell, n, _strict_rows("datum n_generators", n_gens)
         )
-    gamma = payload.get("gamma")
+    gamma = _strict_object("datum gamma", payload.get("gamma"))
     if gamma:
-        group = FiniteAbelianGroup(tuple(gamma.get("factors", ())))
-        embedding = TorusEmbedding.make(group, gamma["embedding"], n)
+        group = FiniteAbelianGroup(
+            tuple(_strict_ints("gamma factors", gamma.get("factors", [])))
+        )
+        embedding = TorusEmbedding.make(
+            group, _strict_rows("gamma embedding", gamma.get("embedding")), n
+        )
     else:
         embedding = TorusEmbedding.trivial(n)
     delta_rows = payload.get("delta")
     if delta_rows is None:
         delta = DualHom.trivial(nsub, embedding.group)
     else:
-        delta = DualHom.make(nsub, embedding.group, delta_rows)
+        delta = DualHom.make(nsub, embedding.group, _strict_rows("datum delta", delta_rows))
     return TwistedSubgroupDatum.make(
         spec.iplus,
         spec.iminus,

@@ -19,6 +19,7 @@ so everything here can be shared freely between workers.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 Rational = Fraction
@@ -335,13 +336,27 @@ def root_of_unity_power(ell: int, k: int) -> CyclotomicNumber:
 # ---------------------------------------------------------------------------
 # integer matrices
 
+_INT_ONLY = frozenset({int})
+
+
 class IntMatrix:
-    """Immutable dense integer matrix (row-major tuples)."""
+    """Immutable dense integer matrix (row-major tuples).
+
+    Entries must be of type int: bool, float, Fraction and str are
+    refused with TypeError rather than coerced, so 0.5 never becomes 0
+    and true never becomes 1.  Callers holding integral rationals convert
+    them explicitly.
+    """
 
     __slots__ = ("data", "nrows", "ncols")
 
     def __init__(self, rows, ncols: int | None = None):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(map(tuple, rows))
+        if not _INT_ONLY.issuperset(map(type, chain.from_iterable(data))):
+            bad = next(x for x in chain.from_iterable(data) if type(x) is not int)
+            raise TypeError(
+                f"matrix entries must be int, got {type(bad).__name__} {bad!r}"
+            )
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):

@@ -245,7 +245,8 @@ def _inverse_cartan(cd: CartanDatum) -> tuple[tuple[Fraction, ...], ...]:
 def _adjugate_cartan(cd: CartanDatum) -> tuple[int, IntMatrix]:
     """(delta, adj A) with delta = det A > 0 and adj A = delta A^(-1)."""
     delta = cd.A.det()
-    return delta, IntMatrix([[delta * x for x in row] for row in _inverse_cartan(cd)])
+    adj = [[(delta * x).numerator for x in row] for row in _inverse_cartan(cd)]
+    return delta, IntMatrix(adj)  # integral: delta A^(-1) is the adjugate
 
 
 def _matvec(rows, coords) -> tuple[Fraction, ...]:

@@ -15,8 +15,12 @@ equality of the forms, and membership is integer back-substitution.
 There is one way in for each kind of description, each one Hermite form:
 TorusSubgroup.from_generators for a span and TorusSubgroup.kernel for the
 solutions of a row system mod ell (the character kernel, annihilators,
-kernels of torus embeddings).  enumerate_subgroups walks only the Hermite
-lattices between ell Z^n and the ambient subgroup's own lattice.
+kernels of torus embeddings).  Both look their input (ell, n, rows) up in
+a bounded memo first, so a subgroup that several checks of one request
+derive (T_I, N, a kernel) is built once; sharing the cached object is
+safe because TorusSubgroup is immutable.  enumerate_subgroups walks only
+the Hermite lattices between ell Z^n and the ambient subgroup's own
+lattice.
 
 A Hopf-subalgebra triple (I+, I-, Sigma) requires Sigma to contain the
 exponent vectors (1 -+ phi)(alpha_i) for i in I+-; the coefficient
@@ -29,6 +33,7 @@ pass; n_phi_from_sigma, sigma_order_identity and omega_order read it.
 
 from __future__ import annotations
 
+import functools
 import os
 from itertools import product
 from math import prod
@@ -60,6 +65,7 @@ __all__ = [
 
 ENUM_CAP_ENV = "QSUBGROUPS_ENUM_CAP"
 DEFAULT_ENUM_CAP = 200_000
+SUBGROUP_MEMO_SIZE = 4096  # entries per constructor
 
 
 class EnumerationGuard(RuntimeError):
@@ -113,10 +119,10 @@ class TorusSubgroup:
 
     @classmethod
     def from_generators(cls, ell: int, n: int, gens) -> "TorusSubgroup":
-        rows = [tuple(int(x) for x in g) for g in gens]
-        if any(len(r) != n for r in rows):
+        span = IntMatrix(gens, ncols=n)
+        if span.ncols != n:
             raise ValueError("generator length mismatch")
-        return cls(ell, n, hermite_normal_form(IntMatrix(rows, ncols=n), ell))
+        return _span(ell, n, span.data)
 
     @classmethod
     def kernel(cls, ell: int, n: int, rows) -> "TorusSubgroup":
@@ -125,7 +131,7 @@ class TorusSubgroup:
         system = IntMatrix(rows, ncols=n)
         if system.ncols != n:
             raise ValueError("row length mismatch")
-        return cls(ell, n, kernel_lattice(system, ell))
+        return _kernel(ell, n, system.data)
 
     @classmethod
     def trivial(cls, ell: int, n: int) -> "TorusSubgroup":
@@ -199,6 +205,19 @@ class TorusSubgroup:
             f"TorusSubgroup(ell={self.ell}, n={self.n}, order={self.order}, "
             f"generators={list(self.generators)!r})"
         )
+
+
+# The memo behind the two constructors: rows are int tuples already checked
+# by IntMatrix, and errors (ell < 1) propagate without being cached.
+
+@functools.lru_cache(maxsize=SUBGROUP_MEMO_SIZE)
+def _span(ell: int, n: int, rows) -> TorusSubgroup:
+    return TorusSubgroup(ell, n, hermite_normal_form(IntMatrix(rows, ncols=n), ell))
+
+
+@functools.lru_cache(maxsize=SUBGROUP_MEMO_SIZE)
+def _kernel(ell: int, n: int, rows) -> TorusSubgroup:
+    return TorusSubgroup(ell, n, kernel_lattice(IntMatrix(rows, ncols=n), ell))
 
 
 @record

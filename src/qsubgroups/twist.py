@@ -83,7 +83,18 @@ class TwistMap:
     def tau_exponent(self, i: int) -> tuple[int, ...]:
         """ALPHA coordinates of tau_i = phi(alpha_i)/2 (column i of Y)."""
         _index_check(self, i)
-        return self.Y.column(i - 1)
+        return self._exponents[0][i - 1]
+
+    @functools.cached_property
+    def _exponents(self):
+        """(columns of Y, e_i - 2 Y[:, i], e_i + 2 Y[:, i]) for i = 1..n,
+        computed once per twist and read by every exponent query."""
+        cols = tuple(zip(*self.Y.data))
+        kbar = tuple(tuple(int(r == i) - 2 * c for r, c in enumerate(col))
+                     for i, col in enumerate(cols))
+        ktilde = tuple(tuple(int(r == i) + 2 * c for r, c in enumerate(col))
+                       for i, col in enumerate(cols))
+        return cols, kbar, ktilde
 
 
 @record
@@ -140,7 +151,10 @@ def build_twist(cd: CartanDatum, Y) -> TwistBuildResult:
     if violations:
         return TwistBuildResult(None, tuple(violations))
 
-    ymat = Y if isinstance(Y, IntMatrix) else IntMatrix(rows)
+    # integral Fractions become ints; IntMatrix refuses bool and float
+    ymat = Y if isinstance(Y, IntMatrix) else IntMatrix(
+        [[x.numerator if type(x) is Fraction else x for x in r] for r in rows]
+    )
     xmat = cd.A @ ymat
 
     for i in range(n):
@@ -238,15 +252,13 @@ def _index_check(tw: TwistMap, i: int) -> None:
 def kbar_exponent(tw: TwistMap, i: int) -> tuple[int, ...]:
     """Integer ALPHA exponents of (1 - phi)(alpha_i): e_i - 2 Y[:, i]."""
     _index_check(tw, i)
-    col = tw.Y.column(i - 1)
-    return tuple(int(r == i - 1) - 2 * col[r] for r in range(tw.rank))
+    return tw._exponents[1][i - 1]
 
 
 def ktilde_exponent(tw: TwistMap, j: int) -> tuple[int, ...]:
     """Integer ALPHA exponents of (1 + phi)(alpha_j): e_j + 2 Y[:, j]."""
     _index_check(tw, j)
-    col = tw.Y.column(j - 1)
-    return tuple(int(r == j - 1) + 2 * col[r] for r in range(tw.rank))
+    return tw._exponents[2][j - 1]
 
 
 def c3_parameter_matrix(a, b, c):

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+from qsubgroups import torus
 from qsubgroups.cli import (
     EXIT_GUARD,
     EXIT_INVALID,
@@ -22,6 +23,13 @@ def run_cli(capsys, *argv):
 
 def json_lines(text):
     return [json.loads(line) for line in text.splitlines() if line.strip()]
+
+
+def clear_subgroup_memo():
+    """Empty the subgroup constructors' memo, so a test that counts calls
+    does not depend on which subgroups earlier tests built."""
+    torus._span.cache_clear()
+    torus._kernel.cache_clear()
 
 
 class TestValidatePhi:
@@ -150,6 +158,7 @@ class TestDatum:
         import qsubgroups.cli as cli_module
         import qsubgroups.datum as datum_module
 
+        clear_subgroup_memo()
         calls = []
         original = datum_module.validate_datum
 
@@ -172,6 +181,7 @@ class TestDatum:
         import qsubgroups.cli as cli_module
         import qsubgroups.datum as datum_module
 
+        clear_subgroup_memo()
         calls = []
         original = datum_module.dim_H
 
@@ -555,4 +565,41 @@ class TestHardening:
             assert captured.err == (
                 f"parse error: sigma symbol index {sym.split(':')[1]} "
                 "out of range 1..2\n"
+            )
+
+    def test_spec_index_and_generator_entries_must_be_integers(self, capsys, tmp_path):
+        """A spec file's iplus, iminus and sigma generator entries are read
+        strictly: true, 1.7 and 0.5 are one-line parse errors, never
+        coerced to 1, 1 and 0."""
+        for extra, message in (
+            ({"iplus": [True]}, "--iplus must be an integer, got True"),
+            ({"iplus": [1.7]}, "--iplus must be an integer, got 1.7"),
+            ({"iminus": [True]}, "--iminus must be an integer, got True"),
+            ({"sigma": {"generators": [[0.5, 1]]}},
+             "sigma generators must be an integer, got 0.5"),
+        ):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps({"type": "A", "rank": 2, "ell": 5} | extra))
+            code = main(["kernel", "--spec", str(path)])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (EXIT_PARSE, ""), extra
+            assert captured.err == f"parse error: {message}\n"
+
+    def test_non_integral_parameter_matrix_is_a_parse_failure(self, capsys, tmp_path):
+        """0.5 in --y and JSON true in a spec's y are refused with exit 3,
+        not truncated to the zero twist or read as 1."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"type": "B", "rank": 2, "ell": 5,
+                                    "y": [[True, 0], [0, 0]]}))
+        for argv, shown in (
+            (["validate-phi", "--type", "B", "--rank", "2", "--ell", "5",
+              "--y", "[[0.5,0],[0,0]]"], "float 0.5"),
+            (["validate-phi", "--spec", str(path)], "bool True"),
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (EXIT_PARSE, ""), argv
+            assert captured.err == (
+                f"parse error: bad parameter matrix: matrix entries must be int, "
+                f"got {shown}\n"
             )

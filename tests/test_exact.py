@@ -136,6 +136,23 @@ def _assert_hermite_form(h, m, ell):
             v = [x - q * y for x, y in zip(v, h.row(i))]
 
 
+class TestIntMatrix:
+    @pytest.mark.parametrize("bad", [True, False, 0.5, 2.0, Fraction(3), Fraction(1, 2),
+                                     "1"], ids=repr)
+    def test_refuses_non_int_entries(self, bad):
+        with pytest.raises(TypeError, match="matrix entries must be int"):
+            IntMatrix([[1, 0], [0, bad]])
+
+    def test_ragged_rows_still_value_error(self):
+        with pytest.raises(ValueError, match="ragged"):
+            IntMatrix([[1, 2], [3]])
+
+    def test_int_rows_kept_as_tuples(self):
+        m = IntMatrix([[1, -2], (3, 4)])
+        assert m.data == ((1, -2), (3, 4)) and (m.nrows, m.ncols) == (2, 2)
+        assert IntMatrix([], ncols=3).ncols == 3
+
+
 class TestHermiteNormalForm:
     @settings(max_examples=100, deadline=None)
     @given(small_matrices, st.sampled_from(MODULI))

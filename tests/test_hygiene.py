@@ -76,3 +76,78 @@ def test_cli_import_loads_no_introspection_modules():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def _int_constants(tree):
+    """Module-level NAME = <int literal> assignments."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant) \
+                and type(node.value.value) is int:
+            out.update((t.id, node.value.value) for t in node.targets
+                       if isinstance(t, ast.Name))
+    return out
+
+
+def _cache_decorators(func):
+    """The functools.lru_cache / functools.cache decorators of a function."""
+    for dec in func.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else \
+            getattr(target, "id", None)
+        if name in ("lru_cache", "cache"):
+            yield dec
+
+
+def _bounded(dec, constants) -> bool:
+    """Whether a cache decorator sets an integer maxsize."""
+    if not isinstance(dec, ast.Call):
+        return False
+    size = [kw.value for kw in dec.keywords if kw.arg == "maxsize"] + dec.args[:1]
+    if not size:
+        return False  # lru_cache() defaults to 128, but say it
+    node = size[0]
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int
+    return isinstance(node, ast.Name) and node.id in constants
+
+
+def _keyed_by_cartan_datum(func) -> bool:
+    params = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+    return (len(params) == 1 and not func.args.vararg and not func.args.kwarg
+            and isinstance(params[0].annotation, ast.Name)
+            and params[0].annotation.id == "CartanDatum")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_caches_are_bounded_or_keyed_by_cartan_datum(path):
+    """No cache over user input grows without bound: an lru_cache either
+    has one CartanDatum parameter (there are a handful of root systems in
+    any run) or an integer maxsize."""
+    tree = _tree(path)
+    constants = _int_constants(tree)
+    bad = [f"{path.name}:{func.lineno} {func.name}"
+           for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+           for dec in _cache_decorators(func)
+           if not (_bounded(dec, constants) or _keyed_by_cartan_datum(func))]
+    assert not bad
+
+
+def test_cache_rule_sees_every_cache():
+    """The rule above finds the four CartanDatum caches and the two
+    bounded subgroup memos, so it is not vacuous."""
+    found = {}
+    for path in SOURCES:
+        tree = _tree(path)
+        constants = _int_constants(tree)
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for dec in _cache_decorators(func):
+                    found[func.name] = ("bounded" if _bounded(dec, constants)
+                                        else "datum" if _keyed_by_cartan_datum(func)
+                                        else "unbounded")
+    assert found == {
+        "_inverse_cartan": "datum", "_adjugate_cartan": "datum",
+        "positive_roots": "datum", "_parameter_lattice": "datum",
+        "_span": "bounded", "_kernel": "bounded",
+    }

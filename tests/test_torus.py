@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from qsubgroups.exact import IntMatrix
+from qsubgroups import torus
+from qsubgroups.exact import IntMatrix, hermite_normal_form, kernel_lattice
 from qsubgroups.lie import cartan_matrix
 from qsubgroups.torus import (
     SigmaGenerator,
@@ -97,6 +98,59 @@ class TestTorusSubgroup:
         b = TorusSubgroup.from_generators(5, 2, [(0, 1)])
         assert a.join(b) == TorusSubgroup.full(5, 2)
         assert a.elements() == [(i, 0) for i in range(5)]
+
+
+class TestSubgroupMemo:
+    """from_generators and kernel answer from a bounded memo: checked
+    against a fresh build through the normal form they wrap."""
+
+    def test_cached_constructors_match_a_fresh_build(self):
+        rng = random.Random(23)
+        for ell in (3, 5, 9, 15, 45):
+            for _ in range(40):
+                n = rng.randrange(1, 4)
+                rows = [tuple(rng.randrange(-2 * ell, 2 * ell) for _ in range(n))
+                        for _ in range(rng.randrange(0, 4))]
+                m = IntMatrix(rows, ncols=n)
+                for build, fresh in (
+                    (TorusSubgroup.from_generators, hermite_normal_form(m, ell)),
+                    (TorusSubgroup.kernel, kernel_lattice(m, ell)),
+                ):
+                    got = build(ell, n, rows)
+                    want = TorusSubgroup(ell, n, fresh)
+                    assert got == want, (ell, rows)
+                    assert (got.order, got.generators) == (want.order, want.generators)
+                    again = build(ell, n, [list(r) for r in rows])
+                    assert again == want and again is got
+
+    def test_memo_is_bounded_and_counts_hits(self):
+        for memo in (torus._span, torus._kernel):
+            assert memo.cache_info().maxsize == torus.SUBGROUP_MEMO_SIZE
+        torus._span.cache_clear()
+        TorusSubgroup.from_generators(15, 2, [(3, 5)])
+        TorusSubgroup.from_generators(15, 2, [(3, 5)])
+        info = torus._span.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_errors_raise_every_time_and_are_not_cached(self):
+        torus._span.cache_clear()
+        torus._kernel.cache_clear()
+        for _ in range(2):
+            for build in (TorusSubgroup.from_generators, TorusSubgroup.kernel):
+                with pytest.raises(ValueError):
+                    build(0, 2, [(1, 0)])
+                with pytest.raises(ValueError):
+                    build(5, 2, [(1, 0, 0)])
+        assert torus._span.cache_info().currsize == 0
+        assert torus._kernel.cache_info().currsize == 0
+
+    def test_cached_entry_never_answers_a_non_integer(self):
+        TorusSubgroup.from_generators(5, 2, [(1, 0)])
+        for bad in ((True, 0), (1.0, 0)):
+            with pytest.raises(TypeError):
+                TorusSubgroup.from_generators(5, 2, [bad])
+            with pytest.raises(TypeError):
+                TorusSubgroup.kernel(5, 2, [bad])
 
 
 class TestTPhiI:

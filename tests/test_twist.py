@@ -67,6 +67,23 @@ class TestBuildTwist:
         assert not result.ok
         assert {v.condition for v in result.violations} == {"integral_parameters"}
 
+    def test_integral_fraction_rows_build(self):
+        """Integral Fractions are converted to ints after the integrality
+        check: the twist holds an all-int Y equal to the input."""
+        rows = [[Fraction(x) for x in row] for row in c3_parameter_matrix(1, 2, 0).data]
+        result = build_twist(C3, rows)
+        assert result.ok
+        assert result.twist.Y == c3_parameter_matrix(1, 2, 0)
+        assert {type(x) for row in result.twist.Y.data for x in row} == {int}
+
+    def test_half_reports_integral_parameters(self):
+        rows = [[0, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 0]]
+        result = build_twist(C3, rows)
+        assert not result.ok
+        (violation,) = result.violations
+        assert (violation.condition, violation.indices) == ("integral_parameters", (2, 2))
+        assert violation.detail == "y[2][2] = 1/2 is not an integer"
+
     def test_all_ones_reports_antisymmetry(self):
         result = build_twist(C3, [[1, 1, 1]] * 3)
         assert not result.ok
