@@ -12,7 +12,9 @@ Problems are described either with inline flags (--type C --rank 3
 --ell 11 --family-c3 1,2,0 --iplus 2 --iminus 1 --sigma-gen 2,3,2 ...)
 or with --spec FILE pointing at a JSON document carrying the same keys.
 Reports are line-delimited JSON with sorted keys, so identical inputs
-produce byte-identical output.  Dimensions are rendered in factored form
+produce byte-identical output.  The one exception is twist-table: after
+its JSON header line, each row of the table is plain text, the exponents
+over z2 as space-separated residues.  Dimensions are rendered in factored form
 {"cofactor": c, "base": ell, "exponent": e} because plain integers like
 ell^21 overflow naive consumers.
 

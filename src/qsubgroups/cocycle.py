@@ -16,9 +16,14 @@ matrix terms that exponent is z1^T (Y^T D A) z2, an integer matrix, so
 the cocycle is bilinear and all its identities are checked exactly.
 
 The group-algebra realization of J materializes cyclotomic numbers: the
-coefficient of the basis element (g, h) is recovered from the character
-values eps^(J(z1, z2)) by an exact inverse Fourier transform over
-(Z/ell)^n x (Z/ell)^n with rational 1/ell^(2n) scaling.
+coefficient of the basis element (g, h) is the exact inverse Fourier
+transform ell^(-2n) sum_(z1, z2) eps^(J(z1, z2) - z1.g - z2.h).  The sum
+over z2 leaves the fiber of z1 -> B^T z1 over h, a coset z0 + K of
+K = ker(z -> B^T z mod ell), so it is known in closed form: with m(g) the
+gcd of ell and k.g over the generators k of K, the count of eps^e is
+|K| m / ell when e == -z0.g (mod m) and 0 otherwise.  Every value k.g and
+z0.g over all g comes from one "sweep" (_sweep) through the torus in
+lexicographic order, so no entry needs its own dot product or gcd.
 
 The product in that group algebra is an exact Kronecker substitution
 (Schoenhage 1982; Harvey, J. Symb. Comp. 2009) that stays independent of
@@ -35,11 +40,12 @@ unpacked once, folding every axis mod ell (eps^ell = 1).
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from math import gcd
 
 from ._record import record
-from .exact import CyclotomicNumber, IntMatrix, reduce_power_basis
+from .exact import CyclotomicNumber, IntMatrix, kernel_lattice, reduce_power_basis
 from .lie import Basis, LatticeElement, bilinear_form
 from .twist import TwistMap, apply_phi
 
@@ -138,13 +144,23 @@ class GroupTwoCocycle:
             raise TableCapExceeded(
                 f"table would have {size * size} entries, cap is {limit}"
             )
-        vectors = list(itertools.product(range(self.ell), repeat=self.n))
-        columns = [self.bilinear.column(j) for j in range(self.n)]
-        for z1 in vectors:
-            u = [sum(a * b for a, b in zip(z1, col)) for col in columns]  # z1^T B
-            yield " ".join(
-                str(sum(a * b for a, b in zip(u, z2)) % self.ell) for z2 in vectors
-            )
+        ell = self.ell
+        # row z1 is the sweep of u = z1^T B, whose column j is itself a sweep
+        columns = [_sweep(self.bilinear.column(j), ell) for j in range(self.n)]
+        residues = [str(v % ell) for v in range(self.n * (ell - 1) + 1)]
+        for u in zip(*columns):
+            yield " ".join(map(residues.__getitem__, _sweep(u, ell)))
+
+
+def _sweep(w, ell: int) -> list[int]:
+    """[w.g for g in itertools.product(range(ell), repeat=len(w))], one
+    list comprehension per coordinate.  The entries of w are read mod
+    ell; the values are left unreduced, in 0 .. len(w) (ell - 1)."""
+    values = [0]
+    for c in w:
+        steps = [c * a % ell for a in range(ell)]
+        values = [v + s for v in values for s in steps]
+    return values
 
 
 def twist_J(tw: TwistMap, ell: int) -> GroupTwoCocycle:
@@ -152,30 +168,12 @@ def twist_J(tw: TwistMap, ell: int) -> GroupTwoCocycle:
 
     The rule (z1, z2) -> (phi(l_{z1}), l_{z2}) / 2 mod ell with
     l_z = sum z_i alpha_i; bilinearity gives the matrix form B = Y^T D A,
-    integral for every valid twisting map (checked), so the rule is
-    well defined mod ell.
+    integral for every valid twisting map (checked once per twist, see
+    TwistMap._pairing), so the rule is well defined mod ell.
     """
     check_level(tw, ell)
-    n = tw.rank
-    d = tw.cd.d
-    rows = []
-    for s in range(n):
-        row = []
-        for t in range(n):
-            entry = sum(tw.Y[j, s] * d[j] * tw.cd.A[j, t] for j in range(n))
-            row.append(entry % ell)
-        rows.append(row)
-    bil = IntMatrix(rows, ncols=n)
-    # cross-check one basis pair against the exact bilinear form
-    for s in range(n):
-        for t in range(n):
-            lam_s = tw.cd.simple_root(s + 1)
-            lam_t = tw.cd.simple_root(t + 1)
-            half = bilinear_form(apply_phi(tw, lam_s), lam_t, tw.cd) / 2
-            assert half.denominator == 1 and (int(half) - sum(
-                tw.Y[j, s] * d[j] * tw.cd.A[j, t] for j in range(n)
-            )) == 0
-    return GroupTwoCocycle(ell, n, bil)
+    rows = [[x % ell for x in row] for row in tw._pairing]
+    return GroupTwoCocycle(ell, tw.rank, IntMatrix(rows, ncols=tw.rank))
 
 
 class TorusPairElement:
@@ -342,9 +340,14 @@ def twist_J_group_algebra(
         ell^(-2n) * sum over characters (z1, z2) of
                     eps^(J(z1, z2) - z1.g - z2.h),
     computed exactly.  The sum over z2 collapses to a point mass on the
-    fiber h = B^T z1 mod ell, which cuts the work to ell^(3n).  Returns
-    the element together with its convolution inverse (same transform
-    applied to the inverse character values).
+    fiber h = B^T z1 mod ell, a coset z0 + K of K = ker(z -> B^T z mod
+    ell).  On it z1.g runs through z0.g + m Z/ell, each value |K| m / ell
+    times, where m = m(g) is the gcd of ell and k.g over the generators k
+    of K.  So the count vector at (g, h) is |K| m / ell at the exponents
+    e == -z0.g (mod m), looked up from one prebuilt tuple per (m, e).
+    The inverse uses the character values eps^(-J): the same fibers,
+    over -h.  Fibers come in the order of their first z1, and within a
+    fiber g runs lexicographically.
     """
     check_level(tw, ell)
     n = tw.rank
@@ -354,26 +357,35 @@ def twist_J_group_algebra(
         raise TableCapExceeded(
             f"table would have {size * size} entries, cap is {limit}"
         )
-    cocycle = twist_J(tw, ell)
+    bil = twist_J(tw, ell).bilinear
     vectors = list(itertools.product(range(ell), repeat=n))
-
-    def transform(sign: int) -> TorusPairElement:
-        # fibers of z1 -> sign * B^T z1 mod ell: J(z1, z2) = <B^T z1, z2>
-        fibers: dict = {}
-        for z1 in vectors:
-            image = tuple(
-                sign * sum(cocycle.bilinear[i, j] * z1[i] for i in range(n)) % ell
-                for j in range(n)
-            )
-            fibers.setdefault(image, []).append(z1)
-        table: dict = {}
-        for h, fiber in fibers.items():
-            for g in vectors:
-                vec = [0] * ell
-                for z1 in fiber:
-                    expo = (-sum(a * b for a, b in zip(z1, g))) % ell
-                    vec[expo] += 1
-                table[(g, h)] = tuple(vec)
-        return TorusPairElement(ell, n, Fraction(1, size), table)
-
-    return GroupAlgebraTwist(element=transform(1), inverse=transform(-1))
+    # h = B^T z1 for every z1; the dict keeps each fiber's first position
+    # and some representative z0 of it
+    images = zip(*[[v % ell for v in _sweep(bil.column(j), ell)] for j in range(n)])
+    fibers = dict(zip(images, vectors))
+    count = size // len(fibers)  # |K|
+    kernel = [row for row in kernel_lattice(bil.transpose(), ell).data
+              if any(x % ell for x in row)]
+    if kernel:
+        orders = list(map(gcd, itertools.repeat(ell), *(_sweep(k, ell) for k in kernel)))
+    else:
+        orders = [ell] * size
+    top = n * (ell - 1) + 1  # sweep values are unreduced
+    by_order = {}
+    for m in set(orders):
+        c = count * m // ell
+        base = [tuple(c if (k - e) % m == 0 else 0 for k in range(ell)) for e in range(m)]
+        by_order[m] = [base[e % m] for e in range(top)]
+    lookup = list(map(by_order.__getitem__, orders))
+    element: dict = {}
+    inverse: dict = {}
+    for h, z0 in fibers.items():
+        vecs = list(map(operator.getitem, lookup, _sweep([-x for x in z0], ell)))
+        element.update(zip(zip(vectors, itertools.repeat(h)), vecs))
+        minus_h = tuple(-x % ell for x in h)
+        inverse.update(zip(zip(vectors, itertools.repeat(minus_h)), vecs))
+    scale = Fraction(1, size)
+    return GroupAlgebraTwist(
+        element=TorusPairElement(ell, n, scale, element),
+        inverse=TorusPairElement(ell, n, scale, inverse),
+    )

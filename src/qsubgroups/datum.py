@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from ._record import record, replace
-from .exact import IntMatrix, solve_linear_mod
+from .exact import IntMatrix, _int_tuple, solve_linear_mod
 from .lie import roots_supported
 from .torus import (
     SigmaGenerator,
@@ -95,7 +95,7 @@ class FiniteAbelianGroup:
     invariant_factors: tuple[int, ...] = ()
 
     def __post_init__(self):
-        factors = tuple(int(m) for m in self.invariant_factors)
+        factors = _int_tuple(self.invariant_factors, "invariant factors")
         object.__setattr__(self, "invariant_factors", factors)
         for m in factors:
             if m < 2:
@@ -120,13 +120,13 @@ class FiniteAbelianGroup:
         return itertools.product(*(range(m) for m in self.invariant_factors))
 
     def reduce(self, vec) -> tuple[int, ...]:
-        vec = tuple(vec)
+        vec = _int_tuple(vec, "coordinates")
         if len(vec) != self.ngens:
             raise ValueError(
                 f"need {self.ngens} coordinates for invariant factors "
                 f"{list(self.invariant_factors)}, got {len(vec)}"
             )
-        return tuple(int(v) % m for v, m in zip(vec, self.invariant_factors))
+        return tuple(v % m for v, m in zip(vec, self.invariant_factors))
 
 
 @record
@@ -150,7 +150,7 @@ class TorusEmbedding:
 
     @classmethod
     def make(cls, group: FiniteAbelianGroup, matrix, n: int) -> "TorusEmbedding":
-        rows = tuple(tuple(int(x) for x in row) for row in matrix)
+        rows = tuple(_int_tuple(row, "embedding matrix entries") for row in matrix)
         if len(rows) != n or any(len(r) != group.ngens for r in rows):
             raise ValueError(f"embedding matrix must be {n} x {group.ngens}")
         return cls(group, rows, n)
@@ -268,8 +268,8 @@ class TwistedSubgroupDatum:
     @classmethod
     def make(cls, iplus, iminus, N, embedding=None, delta=None,
              sigma_recipe=None) -> "TwistedSubgroupDatum":
-        iplus = frozenset(int(i) for i in iplus)
-        iminus = frozenset(int(i) for i in iminus)
+        iplus = frozenset(_int_tuple(iplus, "simple indices"))
+        iminus = frozenset(_int_tuple(iminus, "simple indices"))
         if embedding is None:
             embedding = TorusEmbedding.trivial(N.n)
         if delta is None and isinstance(embedding, TorusEmbedding):
@@ -405,8 +405,8 @@ def factor_out(value: int, base: int) -> tuple[int, int]:
 def dim_H(tw: TwistMap, ell: int, iplus, iminus, N: TorusSubgroup) -> DimH:
     """|Sigma| * ell^(#roots supported in I+ and I-), with |Sigma| =
     ell^n / |N|.  N must lie in the character kernel of (I+, I-)."""
-    iplus = frozenset(int(i) for i in iplus)
-    iminus = frozenset(int(i) for i in iminus)
+    iplus = frozenset(_int_tuple(iplus, "simple indices"))
+    iminus = frozenset(_int_tuple(iminus, "simple indices"))
     rows = s_phi_matrix(tw, ell, iplus, iminus).data
     if (N.ell, N.n) != (ell, tw.rank):
         raise ValueError("N lives in a different torus")
@@ -632,8 +632,8 @@ def _obstruction_check(
 ) -> ObstructionReport:
     """obstruction_check; `known` is an (N, dim_H) pair the caller already
     has for the twisted side, reused when the recipe gives that N."""
-    iplus = frozenset(int(i) for i in iplus)
-    iminus = frozenset(int(i) for i in iminus)
+    iplus = frozenset(_int_tuple(iplus, "simple indices"))
+    iminus = frozenset(_int_tuple(iminus, "simple indices"))
     total = ell**tw.rank
     sides = []
     for side, some_tw in (("twisted", tw), ("untwisted", zero_twist(tw.cd))):

@@ -339,6 +339,21 @@ def root_of_unity_power(ell: int, k: int) -> CyclotomicNumber:
 _INT_ONLY = frozenset({int})
 
 
+def _refuse_non_int(values, what: str):
+    bad = next(x for x in values if type(x) is not int)
+    raise TypeError(f"{what} must be int, got {type(bad).__name__} {bad!r}")
+
+
+def _int_tuple(values, what: str) -> tuple[int, ...]:
+    """values as a tuple, every item of type int: bool, float, Fraction
+    and str raise TypeError instead of being coerced.  One C-level type
+    test, the one IntMatrix makes of its entries."""
+    values = tuple(values)
+    if not _INT_ONLY.issuperset(map(type, values)):
+        _refuse_non_int(values, what)
+    return values
+
+
 class IntMatrix:
     """Immutable dense integer matrix (row-major tuples).
 
@@ -353,10 +368,7 @@ class IntMatrix:
     def __init__(self, rows, ncols: int | None = None):
         data = tuple(map(tuple, rows))
         if not _INT_ONLY.issuperset(map(type, chain.from_iterable(data))):
-            bad = next(x for x in chain.from_iterable(data) if type(x) is not int)
-            raise TypeError(
-                f"matrix entries must be int, got {type(bad).__name__} {bad!r}"
-            )
+            _refuse_non_int(chain.from_iterable(data), "matrix entries")
         if data:
             width = len(data[0])
             if any(len(row) != width for row in data):

@@ -39,7 +39,13 @@ from itertools import product
 from math import prod
 
 from ._record import record
-from .exact import IntMatrix, hermite_normal_form, kernel_lattice, root_of_unity_power
+from .exact import (
+    IntMatrix,
+    _int_tuple,
+    hermite_normal_form,
+    kernel_lattice,
+    root_of_unity_power,
+)
 from .twist import TwistMap, kbar_exponent, ktilde_exponent
 
 __all__ = [
@@ -147,7 +153,7 @@ class TorusSubgroup:
 
     def contains(self, vec) -> bool:
         """Membership: vec reduces to zero against the lattice basis."""
-        v = [int(x) for x in vec]
+        v = list(_int_tuple(vec, "vector entries"))
         if len(v) != self.n:
             raise ValueError("vector length mismatch")
         return not any(_reduce(v, self.lattice.data))
@@ -281,7 +287,7 @@ class SigmaGenerator:
 
     @classmethod
     def fixed(cls, vec) -> "SigmaGenerator":
-        return cls("vector", vector=tuple(int(x) for x in vec))
+        return cls("vector", vector=_int_tuple(vec, "sigma vector entries"))
 
 
 def evaluate_recipe(tw: TwistMap, ell: int, recipe) -> TorusSubgroup:
@@ -306,10 +312,11 @@ class Triple:
     @classmethod
     def make(cls, tw: TwistMap, ell: int, iplus, iminus,
              sigma_gens=(), recipe=None) -> "Triple":
-        iplus = frozenset(int(i) for i in iplus)
-        iminus = frozenset(int(i) for i in iminus)
+        iplus = frozenset(_int_tuple(iplus, "simple indices"))
+        iminus = frozenset(_int_tuple(iminus, "simple indices"))
         _check_indices(tw, iplus | iminus)
-        gens = [tuple(int(x) % ell for x in g) for g in sigma_gens]
+        gens = [tuple(x % ell for x in _int_tuple(g, "sigma generator entries"))
+                for g in sigma_gens]
         if recipe is not None:
             # raw extras join the recipe as fixed vectors, so the whole
             # Sigma stays re-evaluable at a different twist

@@ -44,6 +44,7 @@ from .lie import (
     _adjugate_cartan,
     _matvec,
     alpha_to_omega,
+    bilinear_form,
     omega_to_alpha,
 )
 
@@ -95,6 +96,23 @@ class TwistMap:
         ktilde = tuple(tuple(int(r == i) + 2 * c for r, c in enumerate(col))
                        for i, col in enumerate(cols))
         return cols, kbar, ktilde
+
+    @functools.cached_property
+    def _pairing(self) -> tuple[tuple[int, ...], ...]:
+        """The integer matrix Y^T D A, entry (s, t) = (phi(alpha_s),
+        alpha_t) / 2, built once per twist (it does not depend on a level)
+        and checked entry by entry against the exact bilinear form."""
+        n, d, A = self.rank, self.cd.d, self.cd.A
+        rows = tuple(
+            tuple(sum(self.Y[j, s] * d[j] * A[j, t] for j in range(n)) for t in range(n))
+            for s in range(n)
+        )
+        for s in range(n):
+            phi_s = apply_phi(self, self.cd.simple_root(s + 1))
+            for t in range(n):
+                half = bilinear_form(phi_s, self.cd.simple_root(t + 1), self.cd) / 2
+                assert half == rows[s][t]
+        return rows
 
 
 @record

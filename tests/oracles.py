@@ -272,6 +272,66 @@ def pairwise_convolve(a, b):
 
 
 # ---------------------------------------------------------------------------
+# frozen reference: the library's former group-algebra twist and table
+
+def former_twist_bilinear(tw, ell):
+    """B = Y^T D A mod ell as rows, entry by entry, as twist_J built it."""
+    n = tw.rank
+    d = tw.cd.d
+    return [
+        [sum(tw.Y[j, s] * d[j] * tw.cd.A[j, t] for j in range(n)) % ell
+         for t in range(n)]
+        for s in range(n)
+    ]
+
+
+def fiber_scan_group_algebra(tw, ell):
+    """(vectors of J, vectors of J^-1, scale) by the transform the library
+    used before the coset closed form: the fibers of z1 -> +/- B^T z1 in
+    order of their first z1, and for every g a histogram of -z1.g over
+    the fiber, one dot product per point of the fiber.
+    """
+    n = tw.rank
+    bilinear = former_twist_bilinear(tw, ell)
+    size = ell**n
+    vectors = list(itertools.product(range(ell), repeat=n))
+
+    def transform(sign):
+        fibers = {}
+        for z1 in vectors:
+            image = tuple(
+                sign * sum(bilinear[i][j] * z1[i] for i in range(n)) % ell
+                for j in range(n)
+            )
+            fibers.setdefault(image, []).append(z1)
+        table = {}
+        for h, fiber in fibers.items():
+            for g in vectors:
+                vec = [0] * ell
+                for z1 in fiber:
+                    expo = (-sum(a * b for a, b in zip(z1, g))) % ell
+                    vec[expo] += 1
+                table[(g, h)] = tuple(vec)
+        return table
+
+    return transform(1), transform(-1), Fraction(1, size)
+
+
+def pairwise_table_lines(bilinear, ell, n):
+    """The exponent table of z1^T B z2 mod ell as text lines, as the
+    library wrote it before its row sweep: one dot product per entry."""
+    vectors = list(itertools.product(range(ell), repeat=n))
+    columns = [tuple(row[j] for row in bilinear) for j in range(n)]
+    lines = []
+    for z1 in vectors:
+        u = [sum(a * b for a, b in zip(z1, col)) for col in columns]  # z1^T B
+        lines.append(" ".join(
+            str(sum(a * b for a, b in zip(u, z2)) % ell) for z2 in vectors
+        ))
+    return lines
+
+
+# ---------------------------------------------------------------------------
 # frozen reference: the library's former Fraction twist validation and search
 
 def frac_det(rows):

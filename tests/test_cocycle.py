@@ -25,7 +25,12 @@ from qsubgroups.twist import (
     zero_twist,
 )
 
-from oracles import pairwise_convolve
+from oracles import (
+    fiber_scan_group_algebra,
+    former_twist_bilinear,
+    pairwise_convolve,
+    pairwise_table_lines,
+)
 
 C3 = cartan_matrix("C", 3)
 
@@ -489,3 +494,108 @@ class TestConvolutionAgainstPairwiseLoop:
             self.assert_matches(ga.element, ga.element)
             self.assert_matches(ga.inverse, ga.inverse)
             self.assert_matches(ga.element, ga.inverse)
+
+
+# the twisted parameter matrices the bench's twist_algebra round draws from
+B2_CRIT7 = [[-1, 2], [-1, 1]]  # the B2 bound-2 twist of acceptance criterion 7
+A2_BOUND4 = [[-1, 2], [-2, 1]]
+G2_TWISTS = ([[-3, 2], [-6, 3]], [[3, -2], [6, -3]], [[-6, 4], [-12, 6]],
+             [[6, -4], [12, -6]])
+LEVELS = (3, 5, 7, 9, 15, 25, 27)
+
+
+def frozen_oracle_cases():
+    """(label, twist, ell): the zero twists A1-D4, both signs of the B2
+    twist, the A2 bound-4 twist, C3 (1, 2, 0) and the G2 twists, at every
+    valid level of LEVELS whose table has at most 15^4 entries, plus the
+    A2 twist at 27, where B is degenerate (|K| = 9) and m(g) varies."""
+    twists = [(f"{t}{r}:0", zero_twist(cartan_matrix(t, r)))
+              for t, r in (("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2),
+                           ("B", 3), ("C", 3), ("D", 4))]
+    b2, a2, g2 = (cartan_matrix(t, 2) for t in "BAG")
+    twists += [("B2:+crit7", require_twist(b2, B2_CRIT7)),
+               ("B2:-crit7", require_twist(b2, [[-x for x in r] for r in B2_CRIT7])),
+               ("A2:b4", require_twist(a2, A2_BOUND4)),
+               ("C3:(1,2,0)", worked_twist())]
+    twists += [(f"G2:{i}", require_twist(g2, y)) for i, y in enumerate(G2_TWISTS)]
+    cases = [
+        pytest.param(tw, ell, id=f"{label}@{ell}")
+        for label, tw in twists
+        for ell in LEVELS
+        if ell ** (2 * tw.rank) <= 15**4 and not (tw.cd.lie_type == "G" and ell % 3 == 0)
+    ]
+    cases.append(pytest.param(require_twist(a2, A2_BOUND4), 27, id="A2:b4@27"))
+    return cases
+
+
+class TestClosedFormAgainstFiberScan:
+    """twist_J_group_algebra and table_lines against the frozen per-point
+    transform and the per-entry table: identical dicts, key order included,
+    and byte-identical table text."""
+
+    @pytest.mark.parametrize("tw, ell", frozen_oracle_cases())
+    def test_group_algebra_twist(self, tw, ell):
+        ga = twist_J_group_algebra(tw, ell, cap=ell ** (4 * tw.rank))
+        element, inverse, scale = fiber_scan_group_algebra(tw, ell)
+        assert list(ga.element.vectors.items()) == list(element.items())
+        assert list(ga.inverse.vectors.items()) == list(inverse.items())
+        assert ga.element.scale == ga.inverse.scale == scale
+        assert (ga.element.ell, ga.element.n) == (ell, tw.rank)
+
+    @pytest.mark.parametrize("tw, ell", frozen_oracle_cases())
+    def test_table_lines(self, tw, ell):
+        cocycle = twist_J(tw, ell)
+        assert cocycle.bilinear.data == tuple(map(tuple, former_twist_bilinear(tw, ell)))
+        got = "\n".join(cocycle.table_lines(cap=ell ** (4 * tw.rank)))
+        expected = pairwise_table_lines(former_twist_bilinear(tw, ell), ell, tw.rank)
+        assert got.encode() == "\n".join(expected).encode()
+
+
+class TestWorkOncePerTwist:
+    def test_cross_check_runs_once_per_twist(self, monkeypatch):
+        import qsubgroups.cocycle as cocycle_mod
+        import qsubgroups.twist as twist_mod
+
+        calls = []
+        original = twist_mod.apply_phi
+
+        def counting(tw, lam):
+            calls.append(lam)
+            return original(tw, lam)
+
+        for module in (twist_mod, cocycle_mod):
+            monkeypatch.setattr(module, "apply_phi", counting)
+        tw = require_twist(C3, c3_parameter_matrix(1, 2, 0))  # a fresh TwistMap
+        first = twist_J(tw, 3)
+        second = twist_J(tw, 5)
+        assert len(calls) == tw.rank  # one phi(alpha_s) per row, not 2 n^2
+        assert first.bilinear.data == tuple(
+            tuple(x % 3 for x in row) for row in second_level_rows(tw))
+        assert second.bilinear.data == tuple(
+            tuple(x % 5 for x in row) for row in second_level_rows(tw))
+
+    def test_table_cap_before_any_kernel_or_sweep_work(self, monkeypatch):
+        import qsubgroups.cocycle as cocycle_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work done before the table cap check")
+
+        for name in ("kernel_lattice", "_sweep", "twist_J"):
+            monkeypatch.setattr(cocycle_mod, name, forbidden)
+        with pytest.raises(TableCapExceeded):
+            twist_J_group_algebra(worked_twist(), 11)
+        with pytest.raises(TableCapExceeded):
+            twist_J_group_algebra(b2_twist(), 5, cap=5**4 - 1)
+
+
+def second_level_rows(tw):
+    """(phi(alpha_s), alpha_t) / 2 expanded entrywise, with phi(alpha_s)
+    = 2 Y[:, s] in ALPHA coordinates."""
+    n = tw.rank
+    rows = []
+    for s in range(n):
+        phi_s = [2 * tw.Y[j, s] for j in range(n)]
+        rows.append([pairing_oracle(tw.cd, phi_s, [int(j == t) for j in range(n)]) / 2
+                     for t in range(n)])
+    assert all(x.denominator == 1 for row in rows for x in row)
+    return [[int(x) for x in row] for row in rows]

@@ -583,3 +583,52 @@ class TestTauCertificate:
         )
         with pytest.raises(ValueError):
             datum_equiv(tw, 11, d, d)
+
+
+NON_INTS = [True, 0.5, 3.0, Fraction(1, 2), Fraction(3), "3"]
+
+
+class TestStrictIntegers:
+    """The datum constructors refuse bool, float, Fraction and str entries
+    with TypeError instead of coercing them through int()."""
+
+    @pytest.mark.parametrize("bad", NON_INTS, ids=repr)
+    def test_finite_abelian_group(self, bad):
+        assert FiniteAbelianGroup([3, 9]).invariant_factors == (3, 9)
+        with pytest.raises(TypeError, match="invariant factors must be int"):
+            FiniteAbelianGroup((bad, 9))
+
+    @pytest.mark.parametrize("bad", NON_INTS, ids=repr)
+    def test_torus_embedding_make(self, bad):
+        group = FiniteAbelianGroup((3,))
+        assert TorusEmbedding.make(group, [[1], [0]], 2).matrix == ((1,), (0,))
+        with pytest.raises(TypeError, match="embedding matrix entries must be int"):
+            TorusEmbedding.make(group, [[bad], [0]], 2)
+
+    @pytest.mark.parametrize("bad", NON_INTS, ids=repr)
+    def test_twisted_subgroup_datum_make(self, bad):
+        N = TorusSubgroup.trivial(5, 2)
+        assert TwistedSubgroupDatum.make([1], [2], N).iminus == frozenset({2})
+        with pytest.raises(TypeError, match="simple indices must be int"):
+            TwistedSubgroupDatum.make([bad], [2], N)
+        with pytest.raises(TypeError, match="simple indices must be int"):
+            TwistedSubgroupDatum.make([1], [bad], N)
+
+    @pytest.mark.parametrize("bad", NON_INTS, ids=repr)
+    def test_reduce_and_dual_hom_images(self, bad):
+        group = FiniteAbelianGroup((5,))
+        assert group.reduce([7]) == (2,)
+        with pytest.raises(TypeError, match="coordinates must be int"):
+            group.reduce([bad])
+        source = TorusSubgroup.full(5, 1)
+        with pytest.raises(TypeError, match="coordinates must be int"):
+            DualHom.make(source, group, [[bad]])
+
+    @pytest.mark.parametrize("bad", NON_INTS, ids=repr)
+    def test_dim_h_and_obstruction_indices(self, bad):
+        tw = zero_twist(cartan_matrix("A", 2))
+        N = TorusSubgroup.trivial(5, 2)
+        with pytest.raises(TypeError, match="simple indices must be int"):
+            dim_H(tw, 5, [bad], (), N)
+        with pytest.raises(TypeError, match="simple indices must be int"):
+            obstruction_check(tw, 5, (), [bad], ())

@@ -1,6 +1,7 @@
 """Tests for torus subgroups, kernels, annihilators and triples."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -478,3 +479,36 @@ class TestCanonicalRowForm:
                 ]
                 got = canonical_row_form(IntMatrix(rows, ncols=n), p)
                 assert got.to_lists() == rref_mod_p(rows, p, n)
+
+
+NON_INTS = [True, 0.5, 2.0, Fraction(1, 2), Fraction(2), "1"]
+
+
+class TestStrictIntegers:
+    """The torus constructors refuse bool, float, Fraction and str entries
+    with TypeError instead of coercing them through int()."""
+
+    @pytest.mark.parametrize("bad", NON_INTS, ids=repr)
+    def test_sigma_generator_fixed(self, bad):
+        assert SigmaGenerator.fixed([1, 0, 2]).vector == (1, 0, 2)
+        with pytest.raises(TypeError, match="sigma vector entries must be int"):
+            SigmaGenerator.fixed([bad, 0, 0])
+
+    @pytest.mark.parametrize("bad", NON_INTS, ids=repr)
+    def test_triple_make_indices_and_generators(self, bad):
+        tw = worked_twist()
+        triple = Triple.make(tw, 11, [2], (), sigma_gens=[(5, 8, 10), (2, 3, 2)])
+        assert triple.iplus == frozenset({2})
+        with pytest.raises(TypeError, match="simple indices must be int"):
+            Triple.make(tw, 11, [bad], (), sigma_gens=[(5, 8, 10)])
+        with pytest.raises(TypeError, match="simple indices must be int"):
+            Triple.make(tw, 11, (), [bad], sigma_gens=[(5, 8, 10)])
+        with pytest.raises(TypeError, match="sigma generator entries must be int"):
+            Triple.make(tw, 11, [2], (), sigma_gens=[(5, bad, 10)])
+
+    @pytest.mark.parametrize("bad", NON_INTS, ids=repr)
+    def test_contains(self, bad):
+        full = TorusSubgroup.full(5, 2)
+        assert full.contains((1, 2))
+        with pytest.raises(TypeError, match="vector entries must be int"):
+            full.contains((bad, 0))
