@@ -31,10 +31,13 @@ the transform, so J * J^-1 = 1 remains a real check.  Each factor's
 support is grouped by its h-part; the fiber over h, a polynomial in
 g_1..g_n and eps with nonnegative integer counts, is packed into one
 Python int with every axis padded to 2 ell - 1 slots, so that products
-of fibers do not overlap.  The limbs are as many bytes as the largest
-possible coefficient of the product needs.  Every pair of fibers is
-multiplied once into the bucket h1 + h2 mod ell, and each bucket is
-unpacked once, folding every axis mod ell (eps^ell = 1).
+of fibers do not overlap.  Each unit of one factor's count mass meets at
+most one count of the other in any cell of the product, so every
+coefficient, folded or not, is at most min(t1 m2, m1 t2), with t the sum
+and m the largest of a factor's counts; the limbs are exactly as many
+bits as that bound needs.  Every pair of fibers is multiplied once into
+the bucket h1 + h2 mod ell, and each bucket is unpacked once, folding
+every axis mod ell (eps^ell = 1).
 """
 
 from __future__ import annotations
@@ -45,7 +48,13 @@ from fractions import Fraction
 from math import gcd
 
 from ._record import record
-from .exact import CyclotomicNumber, IntMatrix, kernel_lattice, reduce_power_basis
+from .exact import (
+    CyclotomicNumber,
+    IntMatrix,
+    _int_tuple,
+    kernel_lattice,
+    reduce_power_basis,
+)
 from .lie import Basis, LatticeElement, bilinear_form
 from .twist import TwistMap, apply_phi
 
@@ -125,7 +134,7 @@ class GroupTwoCocycle:
     bilinear: IntMatrix  # B = Y^T D A reduced mod ell
 
     def value(self, z1, z2) -> int:
-        z1, z2 = tuple(z1), tuple(z2)
+        z1, z2 = _int_tuple(z1, "characters"), _int_tuple(z2, "characters")
         if len(z1) != self.n or len(z2) != self.n:
             raise ValueError("vector length mismatch")
         total = 0
@@ -182,8 +191,9 @@ class TorusPairElement:
     Internally every coefficient is an integer vector of length ell in
     the power basis 1, eps, ..., eps^(ell-1) together with one global
     rational scale; reduction modulo the cyclotomic polynomial happens
-    only when a coefficient is compared or requested.  The counts are
-    nonnegative, which the packed convolution relies on.
+    only when a coefficient is compared or requested.  The counts must be
+    nonnegative, which the packed convolution relies on: convolve checks
+    them and raises ValueError on a negative count.
     """
 
     __slots__ = ("ell", "n", "scale", "vectors")
@@ -201,7 +211,10 @@ class TorusPairElement:
         return cls(ell, n, Fraction(1), {(zero, zero): vec})
 
     def coefficient(self, g, h) -> CyclotomicNumber:
-        vec = self.vectors.get((tuple(g), tuple(h)))
+        g, h = _int_tuple(g, "group elements"), _int_tuple(h, "group elements")
+        if len(g) != self.n or len(h) != self.n:
+            raise ValueError("vector length mismatch")
+        vec = self.vectors.get((g, h))
         if vec is None:
             return CyclotomicNumber.zero(self.ell)
         return self._reduce(vec)
@@ -221,24 +234,29 @@ class TorusPairElement:
     def support(self):
         return sorted(self.vectors.keys())
 
+    def _mass(self) -> tuple[int, int]:
+        """(sum, largest) of all counts; a negative count, which the packed
+        product cannot hold, raises ValueError."""
+        counts = list(itertools.chain.from_iterable(self.vectors.values()))
+        if counts and min(counts) < 0:
+            raise ValueError("group-algebra counts must be nonnegative")
+        return sum(counts), max(counts, default=0)
+
     def _packed_fibers(self, width: int) -> dict:
         """h -> the fiber {g: vec} over h packed into one integer: limbs of
-        width bytes, the n g-axes (g_1 most significant) and the eps axis
+        width bits, the n g-axes (g_1 most significant) and the eps axis
         each padded to 2 ell - 1 slots."""
-        ell = self.ell
-        slots = 2 * ell - 1
-        size = slots ** (self.n + 1) * width
-        buffers: dict = {}
+        slots = 2 * self.ell - 1
+        fibers: dict = {}
         for (g, h), vec in self.vectors.items():
-            buf = buffers.get(h)
-            if buf is None:
-                buf = buffers[h] = bytearray(size)
+            x = 0
+            for c in reversed(vec):
+                x = x << width | c
             slot = 0
             for a in g:
                 slot = slot * slots + a
-            at = slot * slots * width
-            buf[at:at + ell * width] = b"".join(c.to_bytes(width, "little") for c in vec)
-        return {h: int.from_bytes(buf, "little") for h, buf in buffers.items()}
+            fibers[h] = fibers.get(h, 0) | x << slot * slots * width
+        return fibers
 
     def _unpacked(self, packed: int, width: int):
         """Yield (g, vec) for every nonzero cell of a product of packed
@@ -251,7 +269,7 @@ class TorusPairElement:
             mask = (1 << step) - 1
             return [(x >> k * step) & mask for k in range(ell)]
 
-        step = slots**self.n * width * 8
+        step = slots**self.n * width
         cells = {(): packed}
         for _ in range(self.n):
             cells = {
@@ -270,13 +288,14 @@ class TorusPairElement:
         if (self.ell, self.n) != (other.ell, other.n):
             raise ValueError("mismatched group algebras")
         ell = self.ell
-        # every power-basis coefficient of the product, folded or not, is
-        # at most (#terms) * ell * m1 * m2 (m = max count); limbs hold it
-        # and each factor's own counts (which the bound misses if m1 * m2 = 0)
-        m1 = max((max(v) for v in self.vectors.values()), default=0)
-        m2 = max((max(v) for v in other.vectors.values()), default=0)
-        bound = min(len(self.vectors), len(other.vectors)) * ell * m1 * m2
-        width = max(bound, m1, m2).bit_length() // 8 + 1
+        # a folded coefficient of the product at (g, h, e) sums
+        # a[g1, h1][i] * b[g2, h2][j] over the support of a, each with its
+        # one partner in b, so it is at most t1 * m2, and likewise m1 * t2
+        # (t = sum, m = largest of a factor's counts); every unfolded or
+        # partly folded limb is a part of such a sum.  The limbs are as many
+        # bits as that bound needs, and hold each factor's own counts too.
+        (t1, m1), (t2, m2) = self._mass(), other._mass()
+        width = max(min(t1 * m2, m1 * t2), m1, m2, 1).bit_length()
         fibers = other._packed_fibers(width)
         buckets: dict = {}
         for h1, p1 in self._packed_fibers(width).items():

@@ -242,6 +242,20 @@ class TestTwistJ:
             rhs = (cocycle.value(z2, z3) + cocycle.value(z1, z23)) % 11
             assert lhs == rhs
 
+    @pytest.mark.parametrize("bad", [0.5, 0.0, True, Fraction(1), "1"])
+    def test_value_refuses_non_int_coordinates(self, bad):
+        cocycle = twist_J(require_twist(cartan_matrix("B", 2), B2_CRIT7), 5)
+        assert cocycle.value([1, 0], [0, 1]) == 3
+        with pytest.raises(TypeError):
+            cocycle.value([bad, 0], [0, 1])
+        with pytest.raises(TypeError):
+            cocycle.value([1, 0], [0, bad])
+
+    def test_value_length_mismatch(self):
+        cocycle = twist_J(worked_twist(), 11)
+        with pytest.raises(ValueError):
+            cocycle.value((1, 0), (0, 1, 0))
+
     def test_level_guards(self):
         tw = worked_twist()
         for ell in (1, 2, 4):
@@ -306,6 +320,21 @@ class TestGroupAlgebraTwist:
         assert ga.inverse.convolve(ga.element).is_identity()
         assert ga.element.counit_is_one("left")
         assert ga.element.counit_is_one("right")
+
+    @pytest.mark.parametrize("bad", [0.0, 0.5, True, False, Fraction(0), "0"])
+    def test_coefficient_refuses_non_int_coordinates(self, bad):
+        element = twist_J_group_algebra(b2_twist(), 3).element
+        assert element.coefficient((0, 0), (0, 0)) != 0
+        with pytest.raises(TypeError):
+            element.coefficient((bad, 0), (0, 0))
+        with pytest.raises(TypeError):
+            element.coefficient((0, 0), (0, bad))
+
+    def test_coefficient_length_mismatch(self):
+        element = twist_J_group_algebra(b2_twist(), 3).element
+        for g, h in (((0,), (0, 0)), ((0, 0), (0, 0, 0)), ((), ())):
+            with pytest.raises(ValueError):
+                element.coefficient(g, h)
 
     def test_table_cap(self):
         tw = worked_twist()
@@ -494,6 +523,81 @@ class TestConvolutionAgainstPairwiseLoop:
             self.assert_matches(ga.element, ga.element)
             self.assert_matches(ga.inverse, ga.inverse)
             self.assert_matches(ga.element, ga.inverse)
+
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_negative_counts_are_refused(self, side):
+        good = TorusPairElement(3, 1, Fraction(1), {((0,), (0,)): (1, 0, 0)})
+        bad = TorusPairElement(3, 1, Fraction(1), {((0,), (0,)): (1, 0, 0),
+                                                   ((1,), (2,)): (2, -1, 0)})
+        a, b = (bad, good) if side == "left" else (good, bad)
+        with pytest.raises(ValueError, match="nonnegative"):
+            a.convolve(b)
+
+
+def all_ones_element(ell, n, hs):
+    """Coefficient 1 (count vector (1, 0, ..., 0)) at every g over each h
+    in hs."""
+    one = (1,) + (0,) * (ell - 1)
+    gs = list(itertools.product(range(ell), repeat=n))
+    return TorusPairElement(ell, n, Fraction(1), {(g, h): one for h in hs for g in gs})
+
+
+LIMB_EDGE_CASES = [(n, ell) for n in (0, 1, 2) for ell in (3, 9, 15)]
+
+
+class TestLimbEdges:
+    """Products whose largest folded cell equals the mass bound
+    min(t1 m2, m1 t2) exactly (t the sum, m the largest of a factor's
+    counts), so a limb one bit narrower than the bound's bit length would
+    overflow.  Checked against the frozen pairwise loop where it is cheap,
+    against the closed form otherwise, and for commutativity."""
+
+    @staticmethod
+    def assert_product(a, b, largest):
+        got = a.convolve(b)
+        assert got.vectors == b.convolve(a).vectors
+        assert max(max(vec) for vec in got.vectors.values()) == largest
+        if len(a.vectors) * len(b.vectors) * a.ell**2 <= 10**6:
+            assert (got.vectors, got.scale) == pairwise_convolve(a, b)
+        return got
+
+    @pytest.mark.parametrize("n, ell", LIMB_EDGE_CASES)
+    def test_dense_all_ones_squared(self, n, ell):
+        # over every h each cell is ell^(2n) = t1 * m2; where that square
+        # would be slow (n = 2 at ell 9 and 15) the element fills the one
+        # fiber h = 0 and each cell is ell^n = t1 * m2
+        gs = list(itertools.product(range(ell), repeat=n))
+        hs = gs if ell ** (2 * n) <= 15**2 else [(0,) * n]
+        a = all_ones_element(ell, n, hs)
+        got = self.assert_product(a, a, len(a.vectors))
+        cell = (len(a.vectors),) + (0,) * (ell - 1)
+        expected = {(g, h): cell for h in hs for g in gs}
+        assert list(got.vectors.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("k", [2, 4, 32, 64, 130])
+    @pytest.mark.parametrize("n, ell", LIMB_EDGE_CASES)
+    def test_one_point_against_many(self, n, ell, k):
+        # a: one point of mass t1; b: random points with counts <= m2 and
+        # one point with every count m2, so the cell over it and a's point
+        # is t1 * m2, the bound: first 2^k - 1 (t1 = 3), then 2^k (t1 = 2)
+        rng = random.Random(100 * k + 10 * n + ell)
+
+        def point():
+            return tuple(tuple(rng.randrange(ell) for _ in range(n)) for _ in "gh")
+
+        for counts, target in (((1, 2), (1 << k) - 1), ((1, 1), 1 << k)):
+            t1 = sum(counts)
+            m2 = target // t1
+            assert t1 * m2 == target
+            a = TorusPairElement(ell, n, Fraction(1, 3),
+                                 {point(): counts + (0,) * (ell - 2)})
+            b = TorusPairElement(ell, n, Fraction(-2, 7), {
+                point(): tuple(rng.randrange(m2 + 1) for _ in range(ell))
+                for _ in range(12)
+            })
+            b.vectors[point()] = (m2,) * ell
+            self.assert_product(a, b, target)
 
 
 # the twisted parameter matrices the bench's twist_algebra round draws from
