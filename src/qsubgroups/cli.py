@@ -37,13 +37,13 @@ from .datum import (
     FiniteAbelianGroup,
     TorusEmbedding,
     TwistedSubgroupDatum,
+    analyze_datum,
     dim_H,
     enumerate_triples,
     factor_out,
     obstruction_check,
     predicates,
     validate_datum,
-    _predicates,
 )
 from .exact import IntMatrix
 from .lie import CartanDatum, InvalidCartanMatrix, bilinear_form, cartan_matrix
@@ -453,8 +453,9 @@ def cmd_datum(args) -> int:
     if not report.ok:
         _emit(record)
         return EXIT_INVALID
-    h = dim_H(tw, spec.ell, d.iplus, d.iminus, d.N)
-    preds = _predicates(tw, spec.ell, d, known=(d.N, h))  # d is validated above
+    analysis = analyze_datum(tw, spec.ell, d)  # memoised by validate_datum above
+    h, preds = analysis.dim_h, predicates(tw, spec.ell, d)
+    ob = preds.obstruction
     record["results"].update(
         {
             "n_generators": [list(g) for g in d.N.generators],
@@ -464,24 +465,15 @@ def cmd_datum(args) -> int:
             "dim_h_simple_convention": _factored(h.value_simple_convention, spec.ell),
             # _parse_datum always embeds Gamma, so its order is a finite int
             "gamma_order": d.gamma_order,
-            "dim_a": _factored(d.gamma_order * h.value, spec.ell),
-            "predicates": {
-                "pointed_necessary": preds.pointed_necessary,
-                "semisimple": preds.semisimple,
-                "dual_pointed_consistent": preds.dual_pointed_consistent,
-                "cocycle_deformation_obstructed": preds.cocycle_deformation_obstructed,
+            "dim_a": _factored(analysis.dim_a, spec.ell),
+            # the four flags (the last field is the obstruction); keys sort on output
+            "predicates": {k: getattr(preds, k) for k in preds._fields[:-1]},
+            "untwisted_comparison": {  # the four order fields and the ratio
+                **{k: getattr(ob, k) for k in ob._fields[:4]},
+                "dim_ratio": str(ob.dim_ratio),
             },
         }
     )
-    if preds.obstruction is not None:
-        ob = preds.obstruction
-        record["results"]["untwisted_comparison"] = {
-            "sigma_order_twisted": ob.sigma_order_twisted,
-            "n_order_twisted": ob.n_order_twisted,
-            "sigma_order_untwisted": ob.sigma_order_untwisted,
-            "n_order_untwisted": ob.n_order_untwisted,
-            "dim_ratio": str(ob.dim_ratio),
-        }
     record["citations"] = [
         "|Sigma| = ell^n / |N|",
         "dim H = |Sigma| * ell^(#supported positive roots)",

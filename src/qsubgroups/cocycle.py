@@ -193,12 +193,23 @@ class TorusPairElement:
     rational scale; reduction modulo the cyclotomic polynomial happens
     only when a coefficient is compared or requested.  The counts must be
     nonnegative, which the packed convolution relies on: convolve checks
-    them and raises ValueError on a negative count.
+    them and raises ValueError on a negative count.  Construction checks
+    the rest: an int or Fraction scale, count vectors of length ell, n
+    coordinates in g and h, those of g (a packed slot) ints in 0..ell-1.
     """
 
     __slots__ = ("ell", "n", "scale", "vectors")
 
-    def __init__(self, ell: int, n: int, scale: Fraction, vectors: dict):
+    def __init__(self, ell: int, n: int, scale: Fraction, vectors: dict, *, _built=False):
+        if not _built:  # the library's own products and twists are valid as built
+            if type(scale) is not int and not isinstance(scale, Fraction):
+                raise TypeError(f"scale must be int or Fraction, got {scale!r}")
+            coords = _int_tuple(itertools.chain.from_iterable(g for g, _ in vectors), "g")
+            if set(map(len, itertools.chain.from_iterable(vectors))) - {n} or \
+                    set(map(len, vectors.values())) - {ell} or \
+                    coords and not 0 <= min(coords) <= max(coords) < ell:
+                raise ValueError(f"need g in (0..{ell - 1})^{n}, h of length {n} "
+                                 f"and {ell} counts in every entry")
         self.ell = ell
         self.n = n
         self.scale = scale
@@ -306,7 +317,7 @@ class TorusPairElement:
         for h, packed in buckets.items():
             for g, vec in self._unpacked(packed, width):
                 vectors[(g, h)] = vec
-        return TorusPairElement(ell, self.n, self.scale * other.scale, vectors)
+        return TorusPairElement(ell, self.n, self.scale * other.scale, vectors, _built=True)
 
     def is_identity(self) -> bool:
         zero = ((0,) * self.n, (0,) * self.n)
@@ -405,6 +416,6 @@ def twist_J_group_algebra(
         inverse.update(zip(zip(vectors, itertools.repeat(minus_h)), vecs))
     scale = Fraction(1, size)
     return GroupAlgebraTwist(
-        element=TorusPairElement(ell, n, scale, element),
-        inverse=TorusPairElement(ell, n, scale, inverse),
+        element=TorusPairElement(ell, n, scale, element, _built=True),
+        inverse=TorusPairElement(ell, n, scale, inverse, _built=True),
     )

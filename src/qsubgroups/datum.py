@@ -23,16 +23,21 @@ The partial order on data:  D <= D' iff I'+ <= I+, I'- <= I-, N <= N'
 literal inclusion), some tau: Gamma' -> Gamma satisfies gamma tau =
 gamma', and delta' restricted to N equals the pullback of delta along
 tau.  Mutual <= forces equal (I+, I-, N) and |Gamma| = |Gamma'|.
+
+analyze_datum derives all a datum determines (report, dim H, dim A, the
+predicates and their obstruction) once, memoised on (tw, ell, d);
+validate_datum, dim_A, predicates and obstruction_check read its record.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import lcm, prod
 
 from ._record import record, replace
-from .exact import IntMatrix, _int_tuple, solve_linear_mod
+from .exact import IntMatrix, _int_tuple, kernel_lattice, solve_linear_mod
 from .lie import roots_supported
 from .torus import (
     SigmaGenerator,
@@ -56,6 +61,8 @@ __all__ = [
     "DualHom",
     "TwistedSubgroupDatum",
     "DatumReport",
+    "DatumAnalysis",
+    "analyze_datum",
     "validate_datum",
     "DimH",
     "dim_H",
@@ -70,6 +77,8 @@ __all__ = [
     "Predicates",
     "predicates",
 ]
+
+DATUM_MEMO_SIZE = 1024  # entries each for analyze_datum and dim_H
 
 
 class _Infinite:
@@ -159,9 +168,6 @@ class TorusEmbedding:
     def trivial(cls, n: int) -> "TorusEmbedding":
         return cls.make(FiniteAbelianGroup(()), [()] * n, n)
 
-    def column(self, i: int) -> tuple[int, ...]:
-        return tuple(row[i] for row in self.matrix)
-
     def point_exponents(self, g, modulus: int) -> tuple[int, ...]:
         """The image of a group element as a vector of root-of-unity
         exponents modulo the given common modulus (a multiple of the
@@ -170,14 +176,11 @@ class TorusEmbedding:
 
     def _exponent_matrix(self, modulus: int) -> IntMatrix:
         factors = self.group.invariant_factors
-        cols = []
-        for i, m in enumerate(factors):
-            if modulus % m:
-                raise ValueError("modulus must be a multiple of every factor")
-            step = modulus // m
-            cols.append([step * x for x in self.column(i)])
-        rows = [[cols[i][r] for i in range(len(factors))] for r in range(self.n)]
-        return IntMatrix(rows, ncols=len(factors))
+        if any(modulus % m for m in factors):
+            raise ValueError("modulus must be a multiple of every factor")
+        steps = [modulus // m for m in factors]
+        return IntMatrix([[s * x for s, x in zip(steps, row)] for row in self.matrix],
+                         ncols=len(factors))
 
     def is_injective(self) -> bool:
         """Trivial kernel: the solution subgroup of the congruence system
@@ -186,14 +189,8 @@ class TorusEmbedding:
         modulus = lcm(*factors)
         emat = self._exponent_matrix(modulus)
         solutions = TorusSubgroup.kernel(modulus, len(factors), emat.data)
-        relations = TorusSubgroup.from_generators(
-            modulus,
-            len(factors),
-            [
-                tuple(m * int(i == j) for j in range(len(factors)))
-                for i, m in enumerate(factors)
-            ],
-        )
+        relations = TorusSubgroup.from_generators(modulus, len(factors), [
+            [m * int(i == j) for j in range(len(factors))] for i, m in enumerate(factors)])
         return solutions == relations
 
 
@@ -237,17 +234,18 @@ class DualHom:
 
         The relations are the kernel lattice of the generators taken as
         columns, ell times each unit vector included, so checking its basis
-        rows suffices."""
-        cols = IntMatrix(self.source_generators).transpose()
-        relations = TorusSubgroup.kernel(ell, cols.ncols, cols.data).lattice.data
+        rows suffices.  evaluate solves against the same factored system."""
+        gens = self.source_generators
+        relations = kernel_lattice(IntMatrix(zip(*gens), ncols=len(gens)), ell).data
         zero = tuple(0 for _ in self.target.invariant_factors)
         return all(self._combine(rel) == zero for rel in relations)
 
     def evaluate(self, source: TorusSubgroup, vec) -> tuple[int, ...]:
         """Image of an arbitrary element of N (well-definedness makes the
         choice of expression immaterial)."""
-        cols = IntMatrix(self.source_generators, ncols=source.n).transpose()
-        coeffs = solve_linear_mod(cols, tuple(vec), source.ell)
+        gens = self.source_generators  # the columns of an n x k system
+        cols = IntMatrix(zip(*gens) if gens else [()] * source.n, ncols=len(gens))
+        coeffs = solve_linear_mod(cols, vec, source.ell)
         if coeffs is None:
             raise ValueError("element not in the source subgroup")
         return self._combine(coeffs)
@@ -303,17 +301,17 @@ class DatumReport:
 
 def validate_datum(tw: TwistMap, ell: int, d: TwistedSubgroupDatum) -> DatumReport:
     """Check every requirement of the datum, reporting all failures."""
-    violations: list[DatumViolation] = []
+    return analyze_datum(tw, ell, d).report
+
+
+def _datum_report(tw: TwistMap, ell: int, d: TwistedSubgroupDatum) -> DatumReport:
+    found = []  # (condition, detail) of every violation
     n = tw.rank
     bad = (d.iplus | d.iminus) - set(range(1, n + 1))
     if bad:
-        violations.append(
-            DatumViolation("index_range", f"simple indices out of range: {sorted(bad)}")
-        )
+        found.append(("index_range", f"simple indices out of range: {sorted(bad)}"))
     if (d.N.ell, d.N.n) != (ell, n):
-        violations.append(
-            DatumViolation("n_shape", "N lives in the wrong torus")
-        )
+        found.append(("n_shape", "N lives in the wrong torus"))
     elif not bad:
         rows = s_phi_matrix(tw, ell, d.iplus, d.iminus).data
         for g in d.N.generators:
@@ -321,45 +319,24 @@ def validate_datum(tw: TwistMap, ell: int, d: TwistedSubgroupDatum) -> DatumRepo
             witness = next((f"{row} . {g} = {val} != 0 (mod {ell})"
                             for row, val in values if val), None)
             if witness is not None:
-                violations.append(
-                    DatumViolation(
-                        "n_in_kernel",
-                        f"generator {g} is not killed by the required "
-                        f"relations: {witness}",
-                    )
-                )
+                found.append(("n_in_kernel", f"generator {g} is not killed by the "
+                              f"required relations: {witness}"))
     if isinstance(d.embedding, TorusEmbedding):
         if d.embedding.n != n:
-            violations.append(
-                DatumViolation("gamma_shape", "embedding has the wrong torus rank")
-            )
+            found.append(("gamma_shape", "embedding has the wrong torus rank"))
         elif not d.embedding.is_injective():
-            violations.append(
-                DatumViolation("gamma_injective", "gamma has a nontrivial kernel")
-            )
+            found.append(("gamma_injective", "gamma has a nontrivial kernel"))
         if d.delta is None:
-            violations.append(
-                DatumViolation("delta_missing", "no delta supplied")
-            )
-        else:
-            if d.delta.source_generators != d.N.generators:
-                violations.append(
-                    DatumViolation(
-                        "delta_source", "delta is not given on N's canonical generators"
-                    )
-                )
-            elif d.delta.target != d.embedding.group:
-                violations.append(
-                    DatumViolation("delta_target", "delta maps into the wrong group")
-                )
-            elif not d.delta.well_defined(ell):
-                violations.append(
-                    DatumViolation(
-                        "delta_well_defined",
-                        "delta does not kill the relations among N's generators",
-                    )
-                )
-    return DatumReport(ok=not violations, violations=tuple(violations))
+            found.append(("delta_missing", "no delta supplied"))
+        elif d.delta.source_generators != d.N.generators:
+            found.append(("delta_source", "delta is not given on N's canonical generators"))
+        elif d.delta.target != d.embedding.group:
+            found.append(("delta_target", "delta maps into the wrong group"))
+        elif not d.delta.well_defined(ell):
+            found.append(("delta_well_defined",
+                          "delta does not kill the relations among N's generators"))
+    violations = tuple(DatumViolation(*v) for v in found)
+    return DatumReport(ok=not violations, violations=violations)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +382,13 @@ def factor_out(value: int, base: int) -> tuple[int, int]:
 def dim_H(tw: TwistMap, ell: int, iplus, iminus, N: TorusSubgroup) -> DimH:
     """|Sigma| * ell^(#roots supported in I+ and I-), with |Sigma| =
     ell^n / |N|.  N must lie in the character kernel of (I+, I-)."""
-    iplus = frozenset(_int_tuple(iplus, "simple indices"))
-    iminus = frozenset(_int_tuple(iminus, "simple indices"))
+    return _dim_h(tw, ell, frozenset(_int_tuple(iplus, "simple indices")),
+                  frozenset(_int_tuple(iminus, "simple indices")), N)
+
+
+@functools.lru_cache(maxsize=DATUM_MEMO_SIZE, typed=True)
+def _dim_h(tw: TwistMap, ell: int, iplus: frozenset, iminus: frozenset,
+           N: TorusSubgroup) -> DimH:
     rows = s_phi_matrix(tw, ell, iplus, iminus).data
     if (N.ell, N.n) != (ell, tw.rank):
         raise ValueError("N lives in a different torus")
@@ -428,14 +410,7 @@ def dim_H(tw: TwistMap, ell: int, iplus, iminus, N: TorusSubgroup) -> DimH:
 
 def dim_A(tw: TwistMap, ell: int, d: TwistedSubgroupDatum):
     """|Gamma| * dim H; INFINITE for an opaque infinite Gamma."""
-    report = validate_datum(tw, ell, d)
-    if not report.ok:
-        raise ValueError(f"invalid datum: {[v.detail for v in report.violations]}")
-    h = dim_H(tw, ell, d.iplus, d.iminus, d.N)
-    order = d.gamma_order
-    if order is INFINITE:
-        return INFINITE
-    return order * h.value
+    return analyze_datum(tw, ell, d).valid().dim_a
 
 
 # ---------------------------------------------------------------------------
@@ -461,12 +436,11 @@ def _solve_tau(
     solution unique once reduced modulo the invariant factors.
     """
     modulus = lcm(*gamma.group.invariant_factors, *gamma_p.group.invariant_factors)
-    emat = gamma._exponent_matrix(modulus)
+    emat = gamma._exponent_matrix(modulus)  # factored once, by the first solve
+    emat_p = gamma_p._exponent_matrix(modulus)
     columns = []
     for j in range(gamma_p.group.ngens):
-        target = gamma_p.point_exponents(
-            tuple(int(i == j) for i in range(gamma_p.group.ngens)), modulus
-        )
+        target = [x % modulus for x in emat_p.column(j)]  # gamma' of generator j
         y0 = solve_linear_mod(emat, target, modulus)
         if y0 is None:
             return None
@@ -622,46 +596,25 @@ def obstruction_check(
 
     The quotient is not a 2-cocycle deformation of its untwisted
     counterpart when Sigma fills the torus at phi but the re-evaluated
-    Sigma does not at 0 (the dimensions then differ).
+    Sigma does not at 0 (the dimensions then differ).  Read from the
+    analysis of the datum (I+, I-, N), N the annihilator of Sigma.
     """
-    return _obstruction_check(tw, ell, iplus, iminus, recipe)
-
-
-def _obstruction_check(
-    tw: TwistMap, ell: int, iplus, iminus, recipe, known=None
-) -> ObstructionReport:
-    """obstruction_check; `known` is an (N, dim_H) pair the caller already
-    has for the twisted side, reused when the recipe gives that N."""
     iplus = frozenset(_int_tuple(iplus, "simple indices"))
     iminus = frozenset(_int_tuple(iminus, "simple indices"))
-    total = ell**tw.rank
-    sides = []
-    for side, some_tw in (("twisted", tw), ("untwisted", zero_twist(tw.cd))):
-        sigma = evaluate_recipe(some_tw, ell, recipe)
-        report = validate_triple(
-            some_tw, ell, Triple(iplus, iminus, sigma, None)
+    recipe = tuple(recipe)
+    sigma = evaluate_recipe(tw, ell, recipe)
+    _require_triple(tw, ell, iplus, iminus, sigma, "twisted")
+    d = TwistedSubgroupDatum.make(iplus, iminus, annihilator(sigma), sigma_recipe=recipe)
+    return predicates(tw, ell, d).obstruction
+
+
+def _require_triple(tw: TwistMap, ell: int, iplus, iminus, sigma, side: str) -> None:
+    report = validate_triple(tw, ell, Triple(iplus, iminus, sigma, None))
+    if not report.ok:
+        raise ValueError(
+            f"recipe does not produce a valid {side} triple; "
+            f"missing generators: {report.missing}"
         )
-        if not report.ok:
-            raise ValueError(
-                f"recipe does not produce a valid {side} triple; "
-                f"missing generators: {report.missing}"
-            )
-        nsub = annihilator(sigma)
-        if some_tw is tw and known is not None and known[0] == nsub:
-            h = known[1]
-        else:
-            h = dim_H(some_tw, ell, iplus, iminus, nsub)
-        sides.append((sigma, nsub, h))
-    (sigma_tw, n_tw, dim_tw), (sigma_zero, n_zero, dim_zero) = sides
-    return ObstructionReport(
-        sigma_order_twisted=sigma_tw.order,
-        n_order_twisted=n_tw.order,
-        sigma_order_untwisted=sigma_zero.order,
-        n_order_untwisted=n_zero.order,
-        dim_twisted=dim_tw.value,
-        dim_untwisted=dim_zero.value,
-        obstructed=sigma_tw.order == total and sigma_zero.order != total,
-    )
 
 
 @record
@@ -690,31 +643,73 @@ def default_sigma_recipe(tw: TwistMap, ell: int, d: TwistedSubgroupDatum):
 def predicates(
     tw: TwistMap, ell: int, d: TwistedSubgroupDatum, recipe=None
 ) -> Predicates:
-    """The structural predicates of a valid datum."""
-    report = validate_datum(tw, ell, d)
+    """The structural predicates of a valid datum; a recipe given here
+    replaces the datum's own."""
+    if recipe is not None:
+        d = replace(d, sigma_recipe=tuple(recipe))
+    a = analyze_datum(tw, ell, d).valid()
+    if a.failure is not None:
+        raise a.failure[0](a.failure[1])
+    return a.predicates
+
+
+# ---------------------------------------------------------------------------
+# the analysis of a datum
+
+@record
+class DatumAnalysis:
+    """Everything a datum determines (see analyze_datum); an invalid datum
+    sets only the report.  failure is the (exception type, message) of a
+    sigma recipe the predicates cannot use, raised by their every reader."""
+
+    report: DatumReport
+    dim_h: DimH | None = None
+    dim_a: int | _Infinite | None = None  # INFINITE for an opaque infinite Gamma
+    predicates: Predicates | None = None
+    failure: tuple[type, str] | None = None
+
+    def valid(self) -> "DatumAnalysis":
+        """self; ValueError for an invalid datum."""
+        if not self.report.ok:
+            raise ValueError(f"invalid datum: {[v.detail for v in self.report.violations]}")
+        return self
+
+
+@functools.lru_cache(maxsize=DATUM_MEMO_SIZE, typed=True)
+def analyze_datum(tw: TwistMap, ell: int, d: TwistedSubgroupDatum) -> DatumAnalysis:
+    """Validate a datum and derive dim H, dim A and the predicates from it.
+
+    Memoised on (tw, ell, d), all immutable records, so the checks of one
+    request share one analysis.  Sigma's recipe (the datum's own, else
+    default_sigma_recipe) must reproduce N; the twisted side of the
+    obstruction then reuses N and dim H, and only the untwisted side is
+    derived afresh.
+    """
+    report = _datum_report(tw, ell, d)
     if not report.ok:
-        raise ValueError(f"invalid datum: {[v.detail for v in report.violations]}")
-    return _predicates(tw, ell, d, recipe)
-
-
-def _predicates(
-    tw: TwistMap, ell: int, d: TwistedSubgroupDatum, recipe=None, known=None
-) -> Predicates:
-    """predicates for a datum the caller has already validated; `known`
-    as in _obstruction_check."""
-    recipe = recipe if recipe is not None else d.sigma_recipe
-    if recipe is None:
-        recipe = default_sigma_recipe(tw, ell, d)
-    else:
-        sigma = evaluate_recipe(tw, ell, recipe)
-        if annihilator(sigma) != d.N:
+        return DatumAnalysis(report)
+    h = dim_H(tw, ell, d.iplus, d.iminus, d.N)
+    order = d.gamma_order
+    dim_a = INFINITE if order is INFINITE else order * h.value
+    recipe = d.sigma_recipe
+    zero = zero_twist(tw.cd)
+    try:
+        if recipe is None:  # the default spans the annihilator of N, which gives N
+            recipe, sigma = default_sigma_recipe(tw, ell, d), annihilator(d.N)
+        elif annihilator(sigma := evaluate_recipe(tw, ell, recipe)) != d.N:
             raise ValueError("sigma recipe does not reproduce the datum's N")
-    ob = _obstruction_check(tw, ell, d.iplus, d.iminus, recipe, known)
+        _require_triple(tw, ell, d.iplus, d.iminus, sigma, "twisted")
+        sigma_zero = evaluate_recipe(zero, ell, recipe)
+        _require_triple(zero, ell, d.iplus, d.iminus, sigma_zero, "untwisted")
+    except (ValueError, IndexError) as exc:
+        return DatumAnalysis(report, h, dim_a, failure=(type(exc), str(exc)))
+    n_zero = annihilator(sigma_zero)
+    h_zero = dim_H(zero, ell, d.iplus, d.iminus, n_zero)
+    total = ell**tw.rank
+    ob = ObstructionReport(sigma.order, d.N.order, sigma_zero.order, n_zero.order,
+                           h.value, h_zero.value,
+                           sigma.order == total and sigma_zero.order != total)
     finite = not (d.is_opaque and d.embedding.order is None)
-    return Predicates(
-        pointed_necessary=not (d.iplus & d.iminus),
-        semisimple=not (d.iplus | d.iminus) and finite,
-        dual_pointed_consistent=True if not d.is_opaque else None,
-        cocycle_deformation_obstructed=ob.obstructed,
-        obstruction=ob,
-    )
+    preds = Predicates(not (d.iplus & d.iminus), not (d.iplus | d.iminus) and finite,
+                       True if not d.is_opaque else None, ob.obstructed, ob)
+    return DatumAnalysis(report, h, dim_a, preds)

@@ -18,11 +18,15 @@ so everything here can be shared freely between workers.
 
 from __future__ import annotations
 
+import functools
+import operator
 from fractions import Fraction
 from itertools import chain
 from math import gcd
 
 Rational = Fraction
+
+SOLVER_MEMO_SIZE = 1024  # factored systems [A^T | I] mod m
 
 __all__ = [
     "Rational",
@@ -401,29 +405,21 @@ class IntMatrix:
         return tuple(row[j] for row in self.data)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [self.column(j) for j in range(self.ncols)], ncols=self.nrows
-        )
+        return IntMatrix([self.column(j) for j in range(self.ncols)], ncols=self.nrows)
 
     def __add__(self, other):
-        self._shape_check(other)
-        return IntMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ],
-            ncols=self.ncols,
-        )
+        return self._entrywise(operator.add, other)
 
     def __sub__(self, other):
-        self._shape_check(other)
-        return IntMatrix(
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.data, other.data)
-            ],
-            ncols=self.ncols,
-        )
+        return self._entrywise(operator.sub, other)
+
+    def _entrywise(self, op, other) -> "IntMatrix":
+        if not isinstance(other, IntMatrix):
+            raise TypeError("expected an IntMatrix")
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("matrix shape mismatch")
+        return IntMatrix([list(map(op, r1, r2)) for r1, r2 in zip(self.data, other.data)],
+                         ncols=self.ncols)
 
     def __neg__(self):
         return IntMatrix([[-a for a in row] for row in self.data], ncols=self.ncols)
@@ -432,18 +428,13 @@ class IntMatrix:
         return IntMatrix([[c * a for a in row] for row in self.data], ncols=self.ncols)
 
     def __matmul__(self, other):
-        if isinstance(other, IntMatrix):
-            if self.ncols != other.nrows:
-                raise ValueError("matrix shape mismatch in product")
-            cols = [other.column(j) for j in range(other.ncols)]
-            return IntMatrix(
-                [
-                    [sum(a * b for a, b in zip(row, col)) for col in cols]
-                    for row in self.data
-                ],
-                ncols=other.ncols,
-            )
-        raise TypeError("expected an IntMatrix")
+        if not isinstance(other, IntMatrix):
+            raise TypeError("expected an IntMatrix")
+        if self.ncols != other.nrows:
+            raise ValueError("matrix shape mismatch in product")
+        cols = [other.column(j) for j in range(other.ncols)]
+        return IntMatrix([[sum(map(operator.mul, row, col)) for col in cols]
+                          for row in self.data], ncols=other.ncols)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -483,12 +474,6 @@ class IntMatrix:
                 a[i][k] = 0
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
-
-    def _shape_check(self, other):
-        if not isinstance(other, IntMatrix):
-            raise TypeError("expected an IntMatrix")
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("matrix shape mismatch")
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.data]
@@ -565,14 +550,24 @@ def hermite_normal_form(M: IntMatrix, ell: int) -> IntMatrix:
     return IntMatrix(basis, ncols=n)
 
 
-def _with_identity(A: IntMatrix) -> IntMatrix:
-    """[A^T | I_k] for a p x k matrix A: row y is (A e_y, e_y)."""
-    k = A.ncols
+def _with_identity(rows, k: int) -> IntMatrix:
+    """[A^T | I_k] for the p x k matrix A with these rows: row y is (A e_y, e_y)."""
+    cols = zip(*rows) if rows else [()] * k
     return IntMatrix(
-        [col + tuple(int(i == y) for i in range(k))
-         for y, col in enumerate(A.transpose().data)],
-        ncols=A.nrows + k,
+        [col + (0,) * y + (1,) + (0,) * (k - 1 - y) for y, col in enumerate(cols)],
+        ncols=len(rows) + k,
     )
+
+
+@functools.lru_cache(maxsize=SOLVER_MEMO_SIZE, typed=True)
+def _factored(rows, k: int, mod: int) -> tuple[tuple, IntMatrix]:
+    """(the p top rows, the kernel lattice) of the Hermite form of [A^T | I_k]
+    mod m for the p x k matrix A with these int rows: the one factorization
+    behind kernel_lattice, kernel_mod and solve_linear_mod, made once per
+    (A, m).  typed=True keeps a float or bool m out of an int m's entry."""
+    p = len(rows)
+    h = hermite_normal_form(_with_identity(rows, k), mod).data
+    return h[:p], IntMatrix([row[p:] for row in h[p:]], ncols=k)
 
 
 def kernel_lattice(M: IntMatrix, ell: int) -> IntMatrix:
@@ -582,9 +577,7 @@ def kernel_lattice(M: IntMatrix, ell: int) -> IntMatrix:
     l == M z (mod ell), so the rows of its Hermite form whose left block
     vanishes are a basis of the kernel lattice, already in Hermite form.
     """
-    p = M.nrows
-    h = hermite_normal_form(_with_identity(M), ell)
-    return IntMatrix([row[p:] for row in h.data[p:]], ncols=M.ncols)
+    return _factored(M.data, M.ncols, ell)[1]
 
 
 def kernel_mod(M: IntMatrix, ell: int) -> list[tuple[tuple[int, ...], int]]:
@@ -605,14 +598,14 @@ def solve_linear_mod(A: IntMatrix, b, mod: int) -> tuple[int, ...] | None:
     The top rows (l, y) of the Hermite form of [A^T | I_k] mod m have
     their pivots in the left block and l == A y (mod m); (b, 0) is reduced
     against them, and the system is solvable exactly when that clears b.
+    b's entries must be int: bool, float, Fraction and str raise TypeError.
     """
-    p, k = A.nrows, A.ncols
-    b = tuple(int(x) for x in b)
+    p = A.nrows
+    b = _int_tuple(b, "right-hand side entries")
     if len(b) != p:
         raise ValueError("right-hand side length mismatch")
-    h = hermite_normal_form(_with_identity(A), mod)
-    v = list(b) + [0] * k
-    for i, row in enumerate(h.data[:p]):
+    v = list(b) + [0] * A.ncols
+    for i, row in enumerate(_factored(A.data, A.ncols, mod)[0]):
         q, r = divmod(v[i], row[i])
         if r:
             return None

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ._record import record
-from .exact import IntMatrix, invert_rational_matrix
+from .exact import IntMatrix, _int_tuple, invert_rational_matrix
 
 __all__ = [
     "Basis",
@@ -38,6 +38,8 @@ __all__ = [
     "positive_roots",
     "roots_supported",
 ]
+
+ROOTS_MEMO_SIZE = 1024  # (Cartan datum, index set) pairs
 
 
 class Basis(enum.Enum):
@@ -298,7 +300,7 @@ class Root:
 
     @classmethod
     def from_coords(cls, coords) -> "Root":
-        coords = tuple(int(c) for c in coords)
+        coords = _int_tuple(coords, "root coordinates")
         return cls(coords, frozenset(i + 1 for i, c in enumerate(coords) if c))
 
     def element(self) -> LatticeElement:
@@ -311,7 +313,7 @@ class Root:
 
 def _reflect(coords: tuple[int, ...], i: int, cd: CartanDatum) -> tuple[int, ...]:
     # s_i(c) = c - (A c)_i e_i in ALPHA coordinates, i 0-based here
-    pairing = sum(cd.A[i, j] * coords[j] for j in range(cd.rank))
+    pairing = sum(a * c for a, c in zip(cd.A.data[i], coords))
     out = list(coords)
     out[i] -= pairing
     return tuple(out)
@@ -345,8 +347,12 @@ def positive_roots(cd: CartanDatum) -> tuple[Root, ...]:
 
 
 def roots_supported(cd: CartanDatum, indices) -> tuple[Root, ...]:
-    """Positive roots whose support lies inside the given simple indices."""
-    allowed = frozenset(int(i) for i in indices)
+    """Positive roots supported inside the given simple indices (ints)."""
+    return _roots_supported(cd, frozenset(_int_tuple(indices, "simple indices")))
+
+
+@functools.lru_cache(maxsize=ROOTS_MEMO_SIZE)
+def _roots_supported(cd: CartanDatum, allowed: frozenset) -> tuple[Root, ...]:
     bad = allowed - set(range(1, cd.rank + 1))
     if bad:
         raise ValueError(f"simple indices out of range: {sorted(bad)}")

@@ -284,8 +284,11 @@ def c3_parameter_matrix(a, b, c):
 
     Entries involve b/2 and c/2, so b and c must be even to land in an
     integer matrix; odd values are passed through so that build_twist
-    reports the integrality violation explicitly.
+    reports the integrality violation explicitly.  Each parameter must be
+    an int or a Fraction: bool, float and str raise TypeError.
     """
+    if not all(type(x) is int or isinstance(x, Fraction) for x in (a, b, c)):
+        raise TypeError(f"c3 parameters must be int or Fraction, got {(a, b, c)!r}")
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     rows = [
         [a + b / 2, -a + c / 2, -b / 2 - c / 2],

@@ -458,3 +458,163 @@ def fraction_twist_search(cd, bound, limit=None):
         count += 1
         if limit is not None and count >= limit:
             return
+
+
+# ---------------------------------------------------------------------------
+# frozen reference: the library's former linear solver over Z/m
+
+def _former_with_identity(A):
+    """[A^T | I_k] for a p x k IntMatrix A: row y is (A e_y, e_y)."""
+    from qsubgroups.exact import IntMatrix
+
+    k = A.ncols
+    return IntMatrix(
+        [col + tuple(int(i == y) for i in range(k))
+         for y, col in enumerate(A.transpose().data)],
+        ncols=A.nrows + k,
+    )
+
+
+def former_kernel_lattice(M, ell):
+    """The library's former kernel_lattice: a fresh Hermite form of
+    [M^T | I_n] mod ell on every call, its bottom rows' right block."""
+    from qsubgroups.exact import IntMatrix, hermite_normal_form
+
+    p = M.nrows
+    h = hermite_normal_form(_former_with_identity(M), ell)
+    return IntMatrix([row[p:] for row in h.data[p:]], ncols=M.ncols)
+
+
+def former_solve_linear_mod(A, b, mod):
+    """The library's former solve_linear_mod: (b, 0) reduced against the
+    top rows of a fresh Hermite form of [A^T | I_k] mod m."""
+    from qsubgroups.exact import hermite_normal_form
+
+    p, k = A.nrows, A.ncols
+    b = tuple(int(x) for x in b)
+    if len(b) != p:
+        raise ValueError("right-hand side length mismatch")
+    h = hermite_normal_form(_former_with_identity(A), mod)
+    v = list(b) + [0] * k
+    for i, row in enumerate(h.data[:p]):
+        q, r = divmod(v[i], row[i])
+        if r:
+            return None
+        v = [x - q * y for x, y in zip(v, row)]
+    return tuple(-x % mod for x in v[p:])
+
+
+# ---------------------------------------------------------------------------
+# frozen reference: the library's former datum checks, one derivation per
+# call (validate_datum, dim_H, dim_A and predicates before analyze_datum)
+
+def former_validate_datum(tw, ell, d):
+    """[(condition, detail)] of every violation, as validate_datum found
+    them; delta's relations come from former_kernel_lattice."""
+    from qsubgroups.datum import TorusEmbedding
+    from qsubgroups.exact import IntMatrix
+    from qsubgroups.torus import s_phi_matrix
+
+    violations = []
+    n = tw.rank
+    bad = (d.iplus | d.iminus) - set(range(1, n + 1))
+    if bad:
+        violations.append(("index_range", f"simple indices out of range: {sorted(bad)}"))
+    if (d.N.ell, d.N.n) != (ell, n):
+        violations.append(("n_shape", "N lives in the wrong torus"))
+    elif not bad:
+        rows = s_phi_matrix(tw, ell, d.iplus, d.iminus).data
+        for g in d.N.generators:
+            values = [(row, sum(a * b for a, b in zip(row, g)) % ell) for row in rows]
+            witness = next((f"{row} . {g} = {val} != 0 (mod {ell})"
+                            for row, val in values if val), None)
+            if witness is not None:
+                violations.append(("n_in_kernel", f"generator {g} is not killed by the "
+                                   f"required relations: {witness}"))
+    if isinstance(d.embedding, TorusEmbedding):
+        if d.embedding.n != n:
+            violations.append(("gamma_shape", "embedding has the wrong torus rank"))
+        elif not d.embedding.is_injective():
+            violations.append(("gamma_injective", "gamma has a nontrivial kernel"))
+        if d.delta is None:
+            violations.append(("delta_missing", "no delta supplied"))
+        elif d.delta.source_generators != d.N.generators:
+            violations.append(("delta_source",
+                               "delta is not given on N's canonical generators"))
+        elif d.delta.target != d.embedding.group:
+            violations.append(("delta_target", "delta maps into the wrong group"))
+        else:
+            cols = IntMatrix(d.delta.source_generators).transpose()
+            zero = tuple(0 for _ in d.delta.target.invariant_factors)
+            if any(d.delta._combine(rel) != zero
+                   for rel in former_kernel_lattice(cols, ell).data):
+                violations.append(("delta_well_defined",
+                                   "delta does not kill the relations among N's generators"))
+    return violations
+
+
+def former_dim_h(tw, ell, iplus, iminus, N):
+    """(sigma_order, roots_plus, roots_minus, simple_plus, simple_minus),
+    counting supported positive roots against the brute-force closure."""
+    from qsubgroups.torus import s_phi_matrix
+
+    iplus, iminus = frozenset(iplus), frozenset(iminus)
+    rows = s_phi_matrix(tw, ell, iplus, iminus).data
+    if (N.ell, N.n) != (ell, tw.rank):
+        raise ValueError("N lives in a different torus")
+    if not N.killed_by(rows):
+        raise ValueError("N is not inside the character kernel for (I+, I-)")
+    sigma_order, rem = divmod(ell**tw.rank, N.order)
+    assert rem == 0
+    roots = positive_roots_by_closure(tw.cd.A.to_lists())
+
+    def supported(indices):
+        return sum(all(i + 1 in indices for i, c in enumerate(r) if c) for r in roots)
+
+    return (sigma_order, supported(iplus), supported(iminus), len(iplus), len(iminus))
+
+
+def _former_obstruction(tw, ell, iplus, iminus, recipe):
+    """The former _obstruction_check, with no reuse of a known side."""
+    from qsubgroups.torus import Triple, annihilator, evaluate_recipe, validate_triple
+    from qsubgroups.twist import zero_twist
+
+    sides = []
+    for side, some_tw in (("twisted", tw), ("untwisted", zero_twist(tw.cd))):
+        sigma = evaluate_recipe(some_tw, ell, recipe)
+        report = validate_triple(some_tw, ell, Triple(iplus, iminus, sigma, None))
+        if not report.ok:
+            raise ValueError(f"recipe does not produce a valid {side} triple; "
+                             f"missing generators: {report.missing}")
+        nsub = annihilator(sigma)
+        sigma_order, rp, rm, _, _ = former_dim_h(some_tw, ell, iplus, iminus, nsub)
+        sides.append((sigma.order, nsub.order, sigma_order * ell ** (rp + rm)))
+    (s_tw, n_tw, dim_tw), (s_zero, n_zero, dim_zero) = sides
+    total = ell**tw.rank
+    return (s_tw, n_tw, s_zero, n_zero, dim_tw, dim_zero,
+            s_tw == total and s_zero != total)
+
+
+def former_predicates(tw, ell, d):
+    """(pointed_necessary, semisimple, dual_pointed_consistent,
+    obstruction tuple) of a valid datum, as the former predicates found
+    them; raises the former errors for a recipe it cannot use."""
+    from qsubgroups.datum import default_sigma_recipe
+    from qsubgroups.torus import annihilator, evaluate_recipe
+
+    recipe = d.sigma_recipe
+    if recipe is None:
+        recipe = default_sigma_recipe(tw, ell, d)
+    elif annihilator(evaluate_recipe(tw, ell, recipe)) != d.N:
+        raise ValueError("sigma recipe does not reproduce the datum's N")
+    ob = _former_obstruction(tw, ell, d.iplus, d.iminus, recipe)
+    finite = not (d.is_opaque and d.embedding.order is None)
+    return (not (d.iplus & d.iminus), not (d.iplus | d.iminus) and finite,
+            True if not d.is_opaque else None, ob)
+
+
+def former_dim_a(tw, ell, d):
+    """|Gamma| * dim H of a valid datum, None for an opaque infinite Gamma."""
+    sigma_order, rp, rm, _, _ = former_dim_h(tw, ell, d.iplus, d.iminus, d.N)
+    order = d.embedding.group.order if not d.is_opaque else d.embedding.order
+    return order * sigma_order * ell ** (rp + rm) if order else None

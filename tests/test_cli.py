@@ -3,7 +3,7 @@
 import json
 from pathlib import Path
 
-from qsubgroups import torus
+from qsubgroups import datum, torus
 from qsubgroups.cli import (
     EXIT_GUARD,
     EXIT_INVALID,
@@ -26,10 +26,12 @@ def json_lines(text):
 
 
 def clear_subgroup_memo():
-    """Empty the subgroup constructors' memo, so a test that counts calls
-    does not depend on which subgroups earlier tests built."""
+    """Empty the subgroup constructors' memo and the datum memos, so a test
+    that counts calls does not depend on what earlier tests derived."""
     torus._span.cache_clear()
     torus._kernel.cache_clear()
+    datum.analyze_datum.cache_clear()
+    datum._dim_h.cache_clear()
 
 
 class TestValidatePhi:

@@ -134,8 +134,9 @@ def test_caches_are_bounded_or_keyed_by_cartan_datum(path):
 
 
 def test_cache_rule_sees_every_cache():
-    """The rule above finds the four CartanDatum caches and the two
-    bounded subgroup memos, so it is not vacuous."""
+    """The rule above finds the four CartanDatum caches and the six
+    bounded memos (subgroups, factored systems, supported roots, dim H and
+    datum analyses), so it is not vacuous."""
     found = {}
     for path in SOURCES:
         tree = _tree(path)
@@ -150,4 +151,6 @@ def test_cache_rule_sees_every_cache():
         "_inverse_cartan": "datum", "_adjugate_cartan": "datum",
         "positive_roots": "datum", "_parameter_lattice": "datum",
         "_span": "bounded", "_kernel": "bounded",
+        "_factored": "bounded", "_roots_supported": "bounded",
+        "_dim_h": "bounded", "analyze_datum": "bounded",
     }

@@ -1,0 +1,159 @@
+"""Fuzz test of the library's integer inputs: a bool, float, Fraction or
+str put in place of one int must raise TypeError and never give a result,
+where the input used to pass through int() or Fraction() and the call
+answered for a coerced value (0.5 read as 0, True as 1).  An lru_cache
+key treats True == 1 and 1.0 == 1 as the same, so a coercing front end of
+a memoised function would alias different inputs silently.
+
+Covers solve_linear_mod's right-hand side, roots_supported's indices,
+Root.from_coords, c3_parameter_matrix (which also takes a Fraction) and
+TorusPairElement's scale and g coordinates, whose g range and count
+vector length are checked too.  derandomize=True and a fixed
+max_examples keep the test deterministic.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qsubgroups.cocycle import TorusPairElement
+from qsubgroups.exact import IntMatrix, solve_linear_mod
+from qsubgroups.lie import Root, cartan_matrix, roots_supported
+from qsubgroups.twist import c3_parameter_matrix
+
+FUZZ = settings(derandomize=True, max_examples=200, deadline=None)
+
+BAD = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.fractions(max_denominator=7),
+    st.text(alphabet="0123456789.-x", max_size=3),
+)
+CARTAN = [cartan_matrix(t, n) for t, n in (("A", 2), ("B", 3), ("C", 3), ("D", 4))]
+
+
+def with_bad(draw, values):
+    """values with one entry replaced by a non-int."""
+    values = list(values)
+    values[draw(st.integers(0, len(values) - 1))] = draw(BAD)
+    return values
+
+
+def refused(call):
+    with pytest.raises(TypeError, match="must be int"):
+        result = call()
+        pytest.fail(f"returned {result!r}")
+
+
+@FUZZ
+@given(st.data())
+def test_solve_linear_mod_right_hand_side(data):
+    p, k = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 3))
+    A = IntMatrix([[data.draw(st.integers(-9, 9)) for _ in range(k)] for _ in range(p)],
+                  ncols=k)
+    mod = data.draw(st.sampled_from([3, 9, 15, 1001]))
+    b = [data.draw(st.integers(-20, 20)) for _ in range(p)]
+    solve_linear_mod(A, b, mod)  # ints answer
+    refused(lambda: solve_linear_mod(A, with_bad(data.draw, b), mod))
+
+
+@FUZZ
+@given(st.data())
+def test_roots_supported_indices(data):
+    cd = data.draw(st.sampled_from(CARTAN))
+    indices = data.draw(st.lists(st.integers(1, cd.rank), min_size=1, max_size=cd.rank))
+    roots_supported(cd, indices)
+    refused(lambda: roots_supported(cd, with_bad(data.draw, indices)))
+
+
+@FUZZ
+@given(st.data())
+def test_root_from_coords(data):
+    coords = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=8))
+    assert Root.from_coords(coords).coords == tuple(coords)
+    refused(lambda: Root.from_coords(with_bad(data.draw, coords)))
+
+
+@FUZZ
+@given(st.data())
+def test_c3_parameter_matrix(data):
+    params = [data.draw(st.integers(-4, 4)) for _ in range(3)]
+    assert c3_parameter_matrix(*params) is not None
+    spots = data.draw(st.integers(0, 2))
+    fraction = list(params)
+    fraction[spots] = data.draw(st.fractions(max_denominator=7))
+    assert c3_parameter_matrix(*fraction) is not None  # Fraction is allowed
+    bad = list(params)
+    bad[spots] = data.draw(st.one_of(st.booleans(), st.floats(allow_nan=False, width=32),
+                                     st.text(max_size=3)))
+    with pytest.raises(TypeError, match="int or Fraction"):
+        result = c3_parameter_matrix(*bad)
+        pytest.fail(f"returned {result!r}")
+
+
+@st.composite
+def elements(draw):
+    """(ell, n, vectors) of a valid TorusPairElement."""
+    ell, n = draw(st.sampled_from([3, 5, 9])), draw(st.integers(0, 2))
+    point = st.tuples(*[st.integers(0, ell - 1)] * n)
+    keys = draw(st.lists(st.tuples(point, point), min_size=1, max_size=4, unique=True))
+    return ell, n, {key: tuple(draw(st.integers(0, 3)) for _ in range(ell)) for key in keys}
+
+
+@FUZZ
+@given(elements(), st.data())
+def test_torus_pair_element(element, data):
+    ell, n, vectors = element
+    scale = data.draw(st.one_of(st.integers(-3, 3), st.fractions(max_denominator=7)))
+    assert TorusPairElement(ell, n, scale, vectors).vectors == vectors
+    bad_scale = data.draw(st.one_of(st.booleans(), st.floats(allow_nan=False, width=32),
+                                    st.text(max_size=3)))
+    with pytest.raises(TypeError, match="scale must be int or Fraction"):
+        TorusPairElement(ell, n, bad_scale, vectors)
+    (g, h), vec = next(iter(vectors.items()))
+    rest = {key: value for key, value in vectors.items() if key != (g, h)}
+    if n:  # the bad key goes first: a dict keeps the first of equal keys
+        refused(lambda: TorusPairElement(ell, n, scale,
+                                         {(tuple(with_bad(data.draw, g)), h): vec, **rest}))
+        out = list(g)
+        out[data.draw(st.integers(0, n - 1))] = data.draw(
+            st.one_of(st.integers(ell, 3 * ell), st.integers(-3 * ell, -1)))
+        with pytest.raises(ValueError, match=r"need g in \(0\.\."):
+            TorusPairElement(ell, n, scale, {**rest, (tuple(out), h): vec})
+    longer = vec + tuple(data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    with pytest.raises(ValueError, match="counts in every entry"):
+        TorusPairElement(ell, n, scale, {**rest, (g, h): longer})
+
+
+def test_elements_the_library_builds_pass_the_check():
+    """convolve and twist_J_group_algebra skip the check (_built=True);
+    what they build must pass it."""
+    from qsubgroups.cocycle import twist_J_group_algebra
+    from qsubgroups.twist import require_twist, zero_twist
+
+    for tw, ell in ((require_twist(cartan_matrix("B", 2), [[-1, 2], [-1, 1]]), 5),
+                    (zero_twist(cartan_matrix("A", 2)), 9),
+                    (require_twist(CARTAN[2], c3_parameter_matrix(1, 2, 0)), 3)):
+        ga = twist_J_group_algebra(tw, ell, cap=ell ** (2 * tw.rank))
+        for el in (ga.element, ga.inverse, ga.element.convolve(ga.inverse)):
+            assert TorusPairElement(ell, tw.rank, el.scale, el.vectors).vectors == el.vectors
+
+
+def test_probes():
+    """The inputs that used to be coerced or silently mis-read."""
+    A = IntMatrix([[1, 2], [3, 4]])
+    refused(lambda: solve_linear_mod(A, [0.5, True], 5))
+    refused(lambda: roots_supported(CARTAN[0], [1.9, True]))
+    with pytest.raises(TypeError):
+        c3_parameter_matrix(1.5, True, 0)
+    assert c3_parameter_matrix(Fraction(1), 2, 0) == c3_parameter_matrix(1, 2, 0)
+    with pytest.raises(ValueError):  # was squared to {}
+        TorusPairElement(3, 1, Fraction(1), {((4,), (0,)): (1, 0, 0)})
+    with pytest.raises(ValueError):  # was "negative shift count"
+        TorusPairElement(3, 1, Fraction(1), {((-1,), (0,)): (1, 0, 0)})
+    with pytest.raises(ValueError):  # spilled into the next g slot
+        TorusPairElement(3, 1, Fraction(1), {((0,), (0,)): (1, 0, 0, 5)})
+    with pytest.raises(TypeError):  # a float scale was kept
+        TorusPairElement(3, 1, 0.5, {((0,), (0,)): (1, 0, 0)})
