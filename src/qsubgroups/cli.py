@@ -4,7 +4,7 @@ Subcommands
     validate-phi    check a twisting-map parameter matrix
     kernel          coefficient matrix and character kernel for (I+, I-)
     datum           validate a datum, report orders and dimensions
-    enumerate       stream classification triples with dimensions
+    enumerate       list classification triples with dimensions
     paper-examples  run the built-in golden fixtures
     twist-table     export the dual 2-cocycle exponent table
 
@@ -129,6 +129,14 @@ def _strict_object(name: str, value) -> dict:
     return value
 
 
+def _json_payload(flag: str, value):
+    """A --cartan or --y value: text is decoded as JSON, a spec value kept."""
+    try:
+        return json.loads(value) if isinstance(value, str) else value
+    except json.JSONDecodeError as exc:
+        raise ParseFailure(f"bad {flag} payload: {exc}") from exc
+
+
 @record
 class ProblemSpec:
     """Normalized problem description shared by the subcommands."""
@@ -160,12 +168,7 @@ def _load_spec(args) -> ProblemSpec:
 
     lie_type = pick("type", getattr(args, "type", None))
     rank = pick("rank", getattr(args, "rank", None))
-    cartan_rows = pick("cartan", getattr(args, "cartan", None))
-    if isinstance(cartan_rows, str):
-        try:
-            cartan_rows = json.loads(cartan_rows)
-        except json.JSONDecodeError as exc:
-            raise ParseFailure(f"bad --cartan payload: {exc}") from exc
+    cartan_rows = _json_payload("--cartan", pick("cartan", getattr(args, "cartan", None)))
     ell = pick("ell", getattr(args, "ell", None))
     if ell is None:
         raise ParseFailure("--ell is required")
@@ -204,13 +207,8 @@ def _load_spec(args) -> ProblemSpec:
         except (ValueError, TypeError) as exc:
             raise ParseFailure(f"bad family parameters: {exc}") from exc
     elif y_rows is not None:
-        if isinstance(y_rows, str):
-            try:
-                y_rows = json.loads(y_rows)
-            except json.JSONDecodeError as exc:
-                raise ParseFailure(f"bad --y payload: {exc}") from exc
         try:
-            ymat = IntMatrix(y_rows)
+            ymat = IntMatrix(_json_payload("--y", y_rows))
         except (ValueError, TypeError) as exc:
             raise ParseFailure(f"bad parameter matrix: {exc}") from exc
     else:
@@ -740,6 +738,17 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+_PROBLEM_COMMANDS = (
+    ("validate-phi", "validate a twisting map", cmd_validate_phi, {}),
+    ("kernel", "character kernel for (I+, I-)", cmd_kernel, {}),
+    ("datum", "validate and measure a subgroup datum", cmd_datum, {}),
+    ("enumerate", "enumerate classification triples", cmd_enumerate,
+     {"--max-results": None}),
+    ("twist-table", "export the 2-cocycle exponent table", cmd_twist_table,
+     {"--cap": "table size guard"}),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qsubgroups",
@@ -747,28 +756,12 @@ def build_parser() -> argparse.ArgumentParser:
         "at odd roots of unity",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("validate-phi", help="validate a twisting map")
-    _add_problem_flags(p)
-    p.set_defaults(func=cmd_validate_phi)
-
-    p = sub.add_parser("kernel", help="character kernel for (I+, I-)")
-    _add_problem_flags(p)
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("datum", help="validate and measure a subgroup datum")
-    _add_problem_flags(p)
-    p.set_defaults(func=cmd_datum)
-
-    p = sub.add_parser("enumerate", help="enumerate classification triples")
-    _add_problem_flags(p)
-    p.add_argument("--max-results", type=int, default=None)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("twist-table", help="export the 2-cocycle exponent table")
-    _add_problem_flags(p)
-    p.add_argument("--cap", type=int, default=None, help="table size guard")
-    p.set_defaults(func=cmd_twist_table)
+    for name, text, func, extra in _PROBLEM_COMMANDS:
+        p = sub.add_parser(name, help=text)
+        _add_problem_flags(p)
+        for flag, flag_help in extra.items():
+            p.add_argument(flag, type=int, default=None, help=flag_help)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("paper-examples", help="run the golden fixtures")
     p.add_argument("--ell", type=int, default=None)

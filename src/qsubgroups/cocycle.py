@@ -77,6 +77,15 @@ class TableCapExceeded(RuntimeError):
     """Raised when a group-algebra tabulation would be too large."""
 
 
+def _table_size(ell: int, n: int, cap: int | None) -> int:
+    """ell^n, once the ell^(2n) entries of a table are checked against the cap."""
+    size = ell**n
+    limit = cap if cap is not None else DEFAULT_TABLE_CAP
+    if size * size > limit:
+        raise TableCapExceeded(f"table would have {size * size} entries, cap is {limit}")
+    return size
+
+
 @record
 class Bidegree:
     """The bidegree (-lam, mu) of a matrix coefficient; both weights are
@@ -147,12 +156,7 @@ class GroupTwoCocycle:
     def table_lines(self, cap: int | None = None):
         """Exponent table as text: one line per z1 (lexicographic), the
         entries over z2 separated by spaces."""
-        size = self.ell**self.n
-        limit = cap if cap is not None else DEFAULT_TABLE_CAP
-        if size * size > limit:
-            raise TableCapExceeded(
-                f"table would have {size * size} entries, cap is {limit}"
-            )
+        _table_size(self.ell, self.n, cap)
         ell = self.ell
         # row z1 is the sweep of u = z1^T B, whose column j is itself a sweep
         columns = [_sweep(self.bilinear.column(j), ell) for j in range(self.n)]
@@ -194,8 +198,8 @@ class TorusPairElement:
     only when a coefficient is compared or requested.  The counts must be
     nonnegative, which the packed convolution relies on: convolve checks
     them and raises ValueError on a negative count.  Construction checks
-    the rest: an int or Fraction scale, count vectors of length ell, n
-    coordinates in g and h, those of g (a packed slot) ints in 0..ell-1.
+    the rest: an int or Fraction scale, count vectors of length ell, n int
+    coordinates in g and h, those of g (a packed slot) in 0..ell-1.
     """
 
     __slots__ = ("ell", "n", "scale", "vectors")
@@ -205,6 +209,7 @@ class TorusPairElement:
             if type(scale) is not int and not isinstance(scale, Fraction):
                 raise TypeError(f"scale must be int or Fraction, got {scale!r}")
             coords = _int_tuple(itertools.chain.from_iterable(g for g, _ in vectors), "g")
+            _int_tuple(itertools.chain.from_iterable(h for _, h in vectors), "h")
             if set(map(len, itertools.chain.from_iterable(vectors))) - {n} or \
                     set(map(len, vectors.values())) - {ell} or \
                     coords and not 0 <= min(coords) <= max(coords) < ell:
@@ -381,12 +386,7 @@ def twist_J_group_algebra(
     """
     check_level(tw, ell)
     n = tw.rank
-    size = ell**n
-    limit = cap if cap is not None else DEFAULT_TABLE_CAP
-    if size * size > limit:
-        raise TableCapExceeded(
-            f"table would have {size * size} entries, cap is {limit}"
-        )
+    size = _table_size(ell, n, cap)
     bil = twist_J(tw, ell).bilinear
     vectors = list(itertools.product(range(ell), repeat=n))
     # h = B^T z1 for every z1; the dict keeps each fiber's first position

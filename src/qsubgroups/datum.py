@@ -82,13 +82,6 @@ DATUM_MEMO_SIZE = 1024  # entries each for analyze_datum and dim_H
 
 
 class _Infinite:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "INFINITE"
 
@@ -540,11 +533,11 @@ def enumerate_triples(
     fixed_pair=None,
     cap: int | None = None,
 ):
-    """All classification triples (I+, I-, N) with their dimensions.
+    """The list of all classification triples (I+, I-, N) with their dimensions.
 
     Pairs (I+, I-) run over subsets of the simple roots in binary-mask
     order; for each pair, N runs over every subgroup of the character
-    kernel in canonical order.  max_results truncates the stream;
+    kernel in canonical order.  max_results truncates the list;
     fixed_pair restricts to one (I+, I-).  dim_H runs once per pair, on
     the kernel; each record then only sets |Sigma| = ell^n / |N|.
     """

@@ -6,11 +6,12 @@ Everything downstream is built on three ingredients:
   ``Rational``),
 * the cyclotomic field Q(eps) for a primitive ell-th root of unity eps,
   with ell odd, represented modulo the ell-th cyclotomic polynomial,
-* integer matrices and one normal form, the Hermite form of a lattice
-  rowspan(M) + ell Z^n computed mod ell, which drives all linear algebra
-  over Z/ellZ: subgroups, kernels and solutions of congruence systems.
-  ell may be composite, so ranks are never trusted; pivots dividing ell
-  are.
+* integer matrices with one elimination over Z, the fraction-free
+  Gauss-Jordan _det_adj behind every determinant, adjugate and rational
+  inverse, and one normal form, the Hermite form of a lattice rowspan(M)
+  + ell Z^n computed mod ell, which drives all linear algebra over Z/ellZ:
+  subgroups, kernels and solutions of congruence systems.  ell may be
+  composite, so ranks are never trusted; pivots dividing ell are.
 
 All values are immutable after construction and all functions are pure,
 so everything here can be shared freely between workers.
@@ -22,11 +23,14 @@ import functools
 import operator
 from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
+
+from ._record import record
 
 Rational = Fraction
 
 SOLVER_MEMO_SIZE = 1024  # factored systems [A^T | I] mod m
+FIELD_MEMO_SIZE = 32  # cyclotomic levels: polynomials and reduction tables
 
 __all__ = [
     "Rational",
@@ -109,9 +113,7 @@ def euler_phi(n: int) -> int:
     return result
 
 
-_CYCLOTOMIC_CACHE: dict[int, tuple[int, ...]] = {}
-
-
+@functools.lru_cache(maxsize=FIELD_MEMO_SIZE)
 def cyclotomic_polynomial(ell: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the ell-th cyclotomic polynomial.
 
@@ -120,9 +122,6 @@ def cyclotomic_polynomial(ell: int) -> tuple[int, ...]:
     """
     if ell < 1:
         raise ValueError("cyclotomic level must be >= 1")
-    cached = _CYCLOTOMIC_CACHE.get(ell)
-    if cached is not None:
-        return cached
     num = (-1,) + (0,) * (ell - 1) + (1,)  # q^ell - 1
     den = (1,)
     for d in range(1, ell):
@@ -130,26 +129,20 @@ def cyclotomic_polynomial(ell: int) -> tuple[int, ...]:
             den = _poly_mul(den, cyclotomic_polynomial(d))
     result, rem = _poly_divmod(num, den)  # den is monic: integral quotient
     assert not rem and len(result) - 1 == euler_phi(ell)
-    _CYCLOTOMIC_CACHE[ell] = result
     return result
 
 
 # ---------------------------------------------------------------------------
 # the cyclotomic field Q(eps)
 
-_REDUCTION_CACHE: dict[int, list[tuple[int, ...]]] = {}
-
-
-def _power_reduction_table(ell: int) -> list[tuple[int, ...]]:
+@functools.lru_cache(maxsize=FIELD_MEMO_SIZE)
+def _power_reduction_table(ell: int) -> tuple[tuple[int, ...], ...]:
     """Table of q^k reduced modulo the ell-th cyclotomic polynomial.
 
     Covers every exponent k that can appear while multiplying two reduced
     elements or raising eps to a power below ell.  The cyclotomic
     polynomial is monic, so every entry is an integer.
     """
-    table = _REDUCTION_CACHE.get(ell)
-    if table is not None:
-        return table
     phi = euler_phi(ell)
     top = max(2 * phi - 1, ell)
     minpoly = cyclotomic_polynomial(ell)
@@ -168,8 +161,7 @@ def _power_reduction_table(ell: int) -> list[tuple[int, ...]]:
             for j in range(phi):
                 row[j] -= carry * minpoly[j]
         table.append(tuple(row))
-    _REDUCTION_CACHE[ell] = table
-    return table
+    return tuple(table)  # shared by every caller through the memo
 
 
 def reduce_power_basis(ell: int, coeffs) -> list:
@@ -194,6 +186,7 @@ def _validate_level(ell: int) -> None:
         raise ValueError(f"cyclotomic level must be odd and >= 3, got {ell}")
 
 
+@record
 class CyclotomicNumber:
     """An element of Q(eps), eps a primitive ell-th root of unity.
 
@@ -202,19 +195,16 @@ class CyclotomicNumber:
     exist for every nonzero element.
     """
 
-    __slots__ = ("level", "coeffs")
+    level: int
+    coeffs: tuple[Fraction, ...]
 
-    def __init__(self, level: int, coeffs):
-        _validate_level(level)
-        phi = euler_phi(level)
-        coeffs = tuple(Fraction(c) for c in coeffs)
+    def __post_init__(self):
+        _validate_level(self.level)
+        phi = euler_phi(self.level)
+        coeffs = tuple(Fraction(c) for c in self.coeffs)
         if len(coeffs) != phi:
-            raise ValueError(f"need {phi} coefficients for level {level}")
-        object.__setattr__(self, "level", level)
+            raise ValueError(f"need {phi} coefficients for level {self.level}")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclotomicNumber is immutable")
 
     @classmethod
     def zero(cls, level: int) -> "CyclotomicNumber":
@@ -322,12 +312,6 @@ class CyclotomicNumber:
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
         return self.level == other.level and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.level, self.coeffs))
-
-    def __repr__(self):
-        return f"CyclotomicNumber({self.level}, {list(self.coeffs)!r})"
 
 
 def root_of_unity_power(ell: int, k: int) -> CyclotomicNumber:
@@ -442,8 +426,8 @@ class IntMatrix:
         return self.__matmul__(other)
 
     def apply(self, vec) -> tuple[int, ...]:
-        """Matrix times column vector."""
-        vec = tuple(vec)
+        """Matrix times column vector, whose entries must be int."""
+        vec = _int_tuple(vec, "vector entries")
         if len(vec) != self.ncols:
             raise ValueError("vector length mismatch")
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
@@ -452,28 +436,10 @@ class IntMatrix:
         return IntMatrix([[a % m for a in row] for row in self.data], ncols=self.ncols)
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant, by the fraction-free elimination _det_adj."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-                if swap is None:
-                    return 0
-                a[k], a[swap] = a[swap], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        return _det_adj(self.data)[0]
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.data]
@@ -613,24 +579,41 @@ def solve_linear_mod(A: IntMatrix, b, mod: int) -> tuple[int, ...] | None:
     return tuple(-x % mod for x in v[p:])
 
 
+def _det_adj(rows) -> tuple[int, list[list[int]] | None]:
+    """(det M, adj M) of a square integer matrix M; adj M is None if M is
+    singular.  One fraction-free Gauss-Jordan elimination of [M | I]
+    (Bareiss, Math. Comp. 22, 1968), each step dividing exactly by the
+    previous pivot, ends at [d I | d (P M)^(-1)] with d = det(P M) for the
+    row swaps P; their sign is undone at the end."""
+    n = len(rows)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        swap = next((i for i in range(k, n) if a[i][k]), None)
+        if swap is None:
+            return 0, None
+        if swap != k:
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot = a[k]
+        for i, row in enumerate(a):
+            if i != k:
+                a[i] = [(pivot[k] * x - row[k] * y) // prev for x, y in zip(row, pivot)]
+        prev = pivot[k]
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+
+
 def invert_rational_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a square matrix with rational entries."""
+    """Exact inverse of a square matrix A with rational entries: with c
+    the lcm of its denominators and M = c A, A^(-1) = c adj(M) / det(M)."""
     if isinstance(rows, IntMatrix):
         rows = rows.data
     a = [[Fraction(x) for x in row] for row in rows]
-    n = len(a)
-    if any(len(row) != n for row in a):
+    if any(len(row) != len(a) for row in a):
         raise ValueError("inverse of a non-square matrix")
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col]), None)
-        if pivot is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+    c = lcm(*(x.denominator for row in a for x in row))
+    det, adj = _det_adj([[(c * x).numerator for x in row] for row in a])
+    if not det:
+        raise ZeroDivisionError("singular matrix")
+    return tuple(tuple(Fraction(c * x, det) for x in row) for row in adj)

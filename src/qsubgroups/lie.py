@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
 from ._record import record
-from .exact import IntMatrix, _int_tuple, invert_rational_matrix
+from .exact import IntMatrix, _det_adj, _int_tuple
 
 __all__ = [
     "Basis",
@@ -52,7 +53,7 @@ class InvalidCartanMatrix(ValueError):
 
 
 def symmetrizers(A: IntMatrix) -> tuple[int, ...]:
-    """Minimal positive integers d with d_i a_ij = d_j a_ji.
+    """Minimal positive integers d with d_i a_ij = d_j a_ji, per component.
 
     Raises InvalidCartanMatrix when no positive solution exists (the
     matrix is not symmetrizable) or the matrix is not a generalized
@@ -70,36 +71,31 @@ def symmetrizers(A: IntMatrix) -> tuple[int, ...]:
                     raise InvalidCartanMatrix(f"positive off-diagonal at ({i},{j})")
                 if (A[i, j] == 0) != (A[j, i] == 0):
                     raise InvalidCartanMatrix(f"zero pattern asymmetric at ({i},{j})")
-    # propagate ratios along the Coxeter graph
-    ratio: list[Fraction | None] = [None] * n
+    # propagate ratios along the Coxeter graph, one component at a time
+    d = [0] * n
     for start in range(n):
-        if ratio[start] is not None:
+        if d[start]:
             continue
-        ratio[start] = Fraction(1)
+        ratio = {start: Fraction(1)}
         stack = [start]
         while stack:
             i = stack.pop()
             for j in range(n):
-                if j == i or A[i, j] == 0:
+                if j == i or A[i, j] == 0 or j in ratio:
                     continue
-                # d_i a_ij = d_j a_ji  =>  d_j = d_i a_ij / a_ji
-                want = ratio[i] * Fraction(A[i, j], A[j, i])
-                if want <= 0:
-                    raise InvalidCartanMatrix("no positive symmetrizer exists")
-                if ratio[j] is None:
-                    ratio[j] = want
-                    stack.append(j)
-                elif ratio[j] != want:
-                    raise InvalidCartanMatrix("matrix is not symmetrizable")
-    lcm_den = lcm(*(r.denominator for r in ratio))
-    ints = [int(r * lcm_den) for r in ratio]
-    g = gcd(*ints)
-    d = tuple(x // g for x in ints)
+                # d_i a_ij = d_j a_ji  =>  d_j = d_i a_ij / a_ji (checked below)
+                ratio[j] = ratio[i] * Fraction(A[i, j], A[j, i])
+                stack.append(j)
+        # the least positive integers in these ratios: divide by their gcd
+        unit = Fraction(gcd(*(r.numerator for r in ratio.values())),
+                        lcm(*(r.denominator for r in ratio.values())))
+        for j, r in ratio.items():
+            d[j] = int(r / unit)
     for i in range(n):
         for j in range(n):
             if d[i] * A[i, j] != d[j] * A[j, i]:
                 raise InvalidCartanMatrix("matrix is not symmetrizable")
-    return d
+    return tuple(d)
 
 
 @record
@@ -203,6 +199,10 @@ class LatticeElement:
 
     @classmethod
     def make(cls, basis: Basis, coords) -> "LatticeElement":
+        """coords must be int or Fraction: bool, float and str raise TypeError."""
+        coords = tuple(coords)
+        if not all(type(c) is int or isinstance(c, Fraction) for c in coords):
+            raise TypeError(f"coordinates must be int or Fraction, got {coords!r}")
         return cls(basis, tuple(Fraction(c) for c in coords))
 
     @classmethod
@@ -214,18 +214,15 @@ class LatticeElement:
         return len(self.coords)
 
     def __add__(self, other: "LatticeElement") -> "LatticeElement":
-        if self.basis != other.basis:
-            raise ValueError("cannot add elements in different bases")
-        return LatticeElement(
-            self.basis, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
+        return self._entrywise(operator.add, other, "add")
 
     def __sub__(self, other: "LatticeElement") -> "LatticeElement":
+        return self._entrywise(operator.sub, other, "subtract")
+
+    def _entrywise(self, op, other, verb: str) -> "LatticeElement":
         if self.basis != other.basis:
-            raise ValueError("cannot subtract elements in different bases")
-        return LatticeElement(
-            self.basis, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
+            raise ValueError(f"cannot {verb} elements in different bases")
+        return LatticeElement(self.basis, tuple(map(op, self.coords, other.coords)))
 
     def __neg__(self) -> "LatticeElement":
         return LatticeElement(self.basis, tuple(-a for a in self.coords))
@@ -239,16 +236,10 @@ class LatticeElement:
 
 
 @functools.lru_cache(maxsize=None)
-def _inverse_cartan(cd: CartanDatum) -> tuple[tuple[Fraction, ...], ...]:
-    return invert_rational_matrix(cd.A)
-
-
-@functools.lru_cache(maxsize=None)
 def _adjugate_cartan(cd: CartanDatum) -> tuple[int, IntMatrix]:
     """(delta, adj A) with delta = det A > 0 and adj A = delta A^(-1)."""
-    delta = cd.A.det()
-    adj = [[(delta * x).numerator for x in row] for row in _inverse_cartan(cd)]
-    return delta, IntMatrix(adj)  # integral: delta A^(-1) is the adjugate
+    delta, adj = _det_adj(cd.A.data)
+    return delta, IntMatrix(adj)
 
 
 def _matvec(rows, coords) -> tuple[Fraction, ...]:
@@ -267,11 +258,13 @@ def alpha_to_omega(lam: LatticeElement, cd: CartanDatum) -> LatticeElement:
 
 
 def omega_to_alpha(lam: LatticeElement, cd: CartanDatum) -> LatticeElement:
-    """Coordinates in the simple-root basis: alpha = A^(-1) omega."""
+    """Coordinates in the simple-root basis: alpha = adj(A) omega / det A."""
     _rank_check(lam, cd)
     if lam.basis == Basis.ALPHA:
         return lam
-    return LatticeElement(Basis.ALPHA, _matvec(_inverse_cartan(cd), lam.coords))
+    delta, adj = _adjugate_cartan(cd)
+    coords = _matvec(adj.data, lam.coords)
+    return LatticeElement(Basis.ALPHA, tuple(x / delta for x in coords))
 
 
 def bilinear_form(lam: LatticeElement, mu: LatticeElement, cd: CartanDatum) -> Fraction:

@@ -234,7 +234,7 @@ class Character:
     z: tuple[int, ...]
 
     def pairing(self, g) -> int:
-        g = tuple(g)
+        g = _int_tuple(g, "group elements")
         if len(g) != len(self.z):
             raise ValueError("length mismatch")
         return sum(a * b for a, b in zip(self.z, g)) % self.ell

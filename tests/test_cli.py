@@ -542,6 +542,22 @@ class TestHardening:
         for argv in cases:
             assert run_cli(capsys, *argv)[0] == EXIT_PARSE, argv
 
+    def test_json_payload_reader(self, capsys):
+        """--family-c3 wins over a malformed --y, whose JSON is never read,
+        and a malformed --cartan or --y names its flag."""
+        c3 = ["validate-phi", "--type", "C", "--rank", "3", "--ell", "11"]
+        assert run_cli(capsys, *c3, "--family-c3", "1,2,0", "--y", "[[1,") == \
+            run_cli(capsys, *c3, "--family-c3", "1,2,0")
+        for argv, err in (
+            (["validate-phi", "--cartan", "[[2,-1],[-1", "--ell", "5"],
+             "bad --cartan payload: Expecting ',' delimiter: line 1 column 12 (char 11)"),
+            ([*c3, "--y", "[[1,"], "bad --y payload: Expecting value: line 1 column 5 (char 4)"),
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (EXIT_PARSE, "")
+            assert captured.err == f"parse error: {err}\n"
+
     def test_spec_ell_and_rank_must_be_integers(self, capsys, tmp_path):
         """A spec file's ell and rank are read strictly: a string, a bool
         or a float is a one-line parse error, never coerced."""

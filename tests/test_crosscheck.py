@@ -1,13 +1,15 @@
 """Cross-checks against an independent computer-algebra system (sympy).
 
 These tests compare core primitives with a second implementation that
-shares no code with this package: normal forms, cyclotomic polynomials,
-Cartan matrices and root-system sizes.
+shares no code with this package: normal forms, determinants and
+inverses, cyclotomic polynomials, Cartan matrices and root-system sizes.
 """
 
 import random
+from fractions import Fraction
 from math import gcd
 
+import pytest
 import sympy
 from sympy import Matrix
 from sympy.liealgebras.cartan_type import CartanType
@@ -16,7 +18,14 @@ from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 from sympy.polys.specialpolys import cyclotomic_poly
 
-from qsubgroups.exact import IntMatrix, cyclotomic_polynomial, hermite_normal_form
+from oracles import frac_inverse
+from qsubgroups.exact import (
+    IntMatrix,
+    _det_adj,
+    cyclotomic_polynomial,
+    hermite_normal_form,
+    invert_rational_matrix,
+)
 from qsubgroups.lie import cartan_matrix, positive_roots
 from qsubgroups.torus import TorusSubgroup
 
@@ -102,3 +111,73 @@ class TestAgainstSympy:
             mine = len(positive_roots(cartan_matrix(lie_type, rank)))
             theirs = len(RootSystem(name).all_roots())
             assert 2 * mine == theirs
+
+
+def _random_square(rng, n, entry):
+    """An n x n matrix of entry() values, made singular half the time by
+    replacing one row with a combination of two others."""
+    rows = [[entry() for _ in range(n)] for _ in range(n)]
+    if n >= 3 and rng.random() < 0.5:
+        i, j, k = rng.sample(range(n), 3)
+        a, b = entry(), entry()
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+def _sympy_matrix(rows):
+    return Matrix(len(rows), len(rows), [sympy.Rational(x.numerator, x.denominator)
+                                         for row in rows for x in map(Fraction, row)])
+
+
+def _as_fractions(m):
+    return [[Fraction(int(x.p), int(x.q)) for x in m.row(i)] for i in range(m.rows)]
+
+
+class TestEliminationAgainstSympy:
+    """IntMatrix.det, invert_rational_matrix and the adjugate all come from
+    the one fraction-free elimination exact._det_adj; they must agree with
+    sympy and with the frozen Gauss-Jordan oracle frac_inverse."""
+
+    def test_integer_matrices(self):
+        rng = random.Random(211)
+        for _ in range(300):
+            n = rng.randrange(1, 6)
+            bound = rng.choice([1, 3, 50, 10**12])
+            rows = _random_square(rng, n, lambda: rng.randint(-bound, bound))
+            theirs = _sympy_matrix(rows)
+            det = IntMatrix(rows).det()
+            assert det == theirs.det()
+            if det == 0:
+                assert _det_adj(rows) == (0, None)
+                with pytest.raises(ZeroDivisionError, match="singular matrix"):
+                    invert_rational_matrix(rows)
+                continue
+            assert _det_adj(rows) == (det, _as_fractions(theirs.adjugate()))
+            inverse = [list(row) for row in invert_rational_matrix(IntMatrix(rows))]
+            assert inverse == _as_fractions(theirs.inv()) == frac_inverse(rows)
+
+    def test_rational_matrices(self):
+        rng = random.Random(212)
+        for _ in range(150):
+            n = rng.randrange(1, 5)
+            rows = _random_square(
+                rng, n, lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+            theirs = _sympy_matrix(rows)
+            if theirs.det() == 0:
+                with pytest.raises(ZeroDivisionError, match="singular matrix"):
+                    invert_rational_matrix(rows)
+                continue
+            inverse = [list(row) for row in invert_rational_matrix(rows)]
+            assert inverse == _as_fractions(theirs.inv()) == frac_inverse(rows)
+
+    def test_shapes(self):
+        assert IntMatrix([], ncols=0).det() == 1 == _det_adj([])[0]
+        assert invert_rational_matrix([]) == ()
+        assert invert_rational_matrix([[Fraction(2, 3)]]) == ((Fraction(3, 2),),)
+        for rows in ([[1, 2]], [[1, 2], [3]], [[1], [2]]):
+            with pytest.raises(ValueError, match="non-square"):
+                invert_rational_matrix(rows)
+        with pytest.raises(ValueError, match="non-square"):
+            IntMatrix([[1, 2]]).det()
+        with pytest.raises(ZeroDivisionError, match="singular matrix"):
+            invert_rational_matrix([[0]])

@@ -134,9 +134,10 @@ def test_caches_are_bounded_or_keyed_by_cartan_datum(path):
 
 
 def test_cache_rule_sees_every_cache():
-    """The rule above finds the four CartanDatum caches and the six
-    bounded memos (subgroups, factored systems, supported roots, dim H and
-    datum analyses), so it is not vacuous."""
+    """The rule above finds the three CartanDatum caches and the eight
+    bounded memos (subgroups, factored systems, supported roots, dim H,
+    datum analyses, cyclotomic polynomials and reduction tables), so it is
+    not vacuous."""
     found = {}
     for path in SOURCES:
         tree = _tree(path)
@@ -148,9 +149,41 @@ def test_cache_rule_sees_every_cache():
                                         else "datum" if _keyed_by_cartan_datum(func)
                                         else "unbounded")
     assert found == {
-        "_inverse_cartan": "datum", "_adjugate_cartan": "datum",
+        "_adjugate_cartan": "datum",
         "positive_roots": "datum", "_parameter_lattice": "datum",
         "_span": "bounded", "_kernel": "bounded",
         "_factored": "bounded", "_roots_supported": "bounded",
         "_dim_h": "bounded", "analyze_datum": "bounded",
+        "cyclotomic_polynomial": "bounded", "_power_reduction_table": "bounded",
     }
+
+
+def _empty_container(node) -> bool:
+    """Whether an expression is an empty dict, list or set: {}, [],
+    dict(), list() or set()."""
+    if isinstance(node, (ast.Dict, ast.List)):
+        return not (node.keys if isinstance(node, ast.Dict) else node.elts)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("dict", "list", "set")
+            and not node.args and not node.keywords)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_level_empty_containers(path):
+    """A module-level empty dict, list or set is a cache or registry that
+    fills at run time, out of sight of the bounded-cache rule above: the
+    two unbounded Q(eps) caches were such dicts.  Memoise with a bounded
+    lru_cache instead."""
+    bad = [f"{path.name}:{node.lineno}" for node in _tree(path).body
+           if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+           and _empty_container(node.value)]
+    assert not bad
+
+
+def test_empty_container_rule_is_not_vacuous():
+    tree = ast.parse("A = {}\nB: list = []\nC = set()\nD = dict()\n"
+                     "E = {1: 2}\nF = [0]\nG = set(x)\nH: int\n")
+    hits = [node.targets[0].id if isinstance(node, ast.Assign) else node.target.id
+            for node in tree.body
+            if getattr(node, "value", None) is not None and _empty_container(node.value)]
+    assert hits == ["A", "B", "C", "D"]

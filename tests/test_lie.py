@@ -77,6 +77,32 @@ class TestCartanMatrix:
         for cd in ALL_SMALL:
             assert cd.d == tuple(minimal_symmetrizer(cd.A.to_lists()))
 
+    def test_symmetrizers_match_brute_search_on_random_matrices(self):
+        """Generalized Cartan matrices of rank <= 3 with off-diagonal
+        entries in {0, -1, -2, -3} and a symmetric zero pattern, connected
+        or not: accepted exactly when a brute search up to 9 (the ratio
+        along two edges) finds a symmetrizer, and then with that one."""
+        rng = random.Random(307)
+        seen = {"accepted": 0, "refused": 0, "reducible": 0}
+        for _ in range(400):
+            n = rng.choice((1, 2, 3, 3, 3))
+            a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < 0.75:
+                        a[i][j], a[j][i] = rng.choice((-1, -2, -3)), rng.choice((-1, -2, -3))
+            try:
+                want = tuple(minimal_symmetrizer(a, bound=9))
+            except AssertionError:  # none within the bound
+                with pytest.raises(InvalidCartanMatrix, match="matrix is not symmetrizable"):
+                    symmetrizers(IntMatrix(a))
+                seen["refused"] += 1
+                continue
+            assert symmetrizers(IntMatrix(a)) == want, a
+            seen["accepted"] += 1
+            seen["reducible"] += n > 1 and sum(x != 0 for row in a for x in row) < 2 * n
+        assert min(seen.values()) >= 30, seen
+
     def test_non_symmetrizable_rejected(self):
         with pytest.raises(InvalidCartanMatrix):
             symmetrizers(IntMatrix([[2, -1], [-2, 2], [0, 0]]))

@@ -25,6 +25,7 @@ VALID = {
     "Bidegree": (LatticeElement.make(Basis.OMEGA, (1, 0)),
                  LatticeElement.make(Basis.OMEGA, (0, -2))),
     "FiniteAbelianGroup": ([3, 9],),
+    "CyclotomicNumber": (5, (1, 0, -2, 3)),
 }
 
 
@@ -47,7 +48,7 @@ def sample(cls):
 
 
 def test_every_record_found():
-    assert len(RECORDS) == 29  # DatumAnalysis is the 29th
+    assert len(RECORDS) == 30  # DatumAnalysis is the 29th, CyclotomicNumber the 30th
     for mod in MODULES:
         assert not any(dataclasses.is_dataclass(v) for v in vars(mod).values())
 

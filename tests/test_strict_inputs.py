@@ -6,10 +6,12 @@ key treats True == 1 and 1.0 == 1 as the same, so a coercing front end of
 a memoised function would alias different inputs silently.
 
 Covers solve_linear_mod's right-hand side, roots_supported's indices,
-Root.from_coords, c3_parameter_matrix (which also takes a Fraction) and
-TorusPairElement's scale and g coordinates, whose g range and count
-vector length are checked too.  derandomize=True and a fixed
-max_examples keep the test deterministic.
+Root.from_coords, IntMatrix.apply and through it
+TorusEmbedding.point_exponents, Character.pairing, c3_parameter_matrix and
+LatticeElement.make (which also take a Fraction) and TorusPairElement's
+scale and g and h coordinates, whose g range and count vector length are
+checked too.  derandomize=True and a fixed max_examples keep the test
+deterministic.
 """
 
 from fractions import Fraction
@@ -19,8 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsubgroups.cocycle import TorusPairElement
+from qsubgroups.datum import FiniteAbelianGroup, TorusEmbedding
 from qsubgroups.exact import IntMatrix, solve_linear_mod
-from qsubgroups.lie import Root, cartan_matrix, roots_supported
+from qsubgroups.lie import Basis, LatticeElement, Root, cartan_matrix, roots_supported
+from qsubgroups.torus import Character
 from qsubgroups.twist import c3_parameter_matrix
 
 FUZZ = settings(derandomize=True, max_examples=200, deadline=None)
@@ -93,6 +97,48 @@ def test_c3_parameter_matrix(data):
         pytest.fail(f"returned {result!r}")
 
 
+@FUZZ
+@given(st.data())
+def test_matrix_apply_and_point_exponents(data):
+    k = data.draw(st.integers(1, 3))
+    rows = [[data.draw(st.integers(-9, 9)) for _ in range(k)] for _ in range(2)]
+    vec = [data.draw(st.integers(-20, 20)) for _ in range(k)]
+    assert IntMatrix(rows).apply(vec) == tuple(sum(map(int.__mul__, r, vec)) for r in rows)
+    refused(lambda: IntMatrix(rows).apply(with_bad(data.draw, vec)))
+    factors = data.draw(st.sampled_from([(3,), (5,), (3, 9), (15,)]))
+    embedding = TorusEmbedding.make(FiniteAbelianGroup(factors),
+                                    [[1] * len(factors), [0] * len(factors)], 2)
+    g = [data.draw(st.integers(0, 8)) for _ in factors]
+    embedding.point_exponents(g, 45)
+    refused(lambda: embedding.point_exponents(with_bad(data.draw, g), 45))
+
+
+@FUZZ
+@given(st.data())
+def test_character_pairing(data):
+    ell = data.draw(st.sampled_from([3, 5, 9, 15]))
+    z = data.draw(st.lists(st.integers(0, ell - 1), min_size=1, max_size=4))
+    g = [data.draw(st.integers(0, ell - 1)) for _ in z]
+    character = Character(ell, tuple(z))
+    assert character.pairing(g) == sum(a * b for a, b in zip(z, g)) % ell
+    refused(lambda: character.pairing(with_bad(data.draw, g)))
+
+
+@FUZZ
+@given(st.data())
+def test_lattice_element_make(data):
+    basis = data.draw(st.sampled_from(list(Basis)))
+    good = st.one_of(st.integers(-9, 9), st.fractions(max_denominator=7))
+    coords = data.draw(st.lists(good, min_size=1, max_size=4))
+    assert LatticeElement.make(basis, coords).coords == tuple(map(Fraction, coords))
+    bad = list(coords)
+    bad[data.draw(st.integers(0, len(bad) - 1))] = data.draw(
+        st.one_of(st.booleans(), st.floats(allow_nan=False, width=32), st.text(max_size=3)))
+    with pytest.raises(TypeError, match="int or Fraction"):
+        result = LatticeElement.make(basis, bad)
+        pytest.fail(f"returned {result!r}")
+
+
 @st.composite
 def elements(draw):
     """(ell, n, vectors) of a valid TorusPairElement."""
@@ -117,6 +163,8 @@ def test_torus_pair_element(element, data):
     if n:  # the bad key goes first: a dict keeps the first of equal keys
         refused(lambda: TorusPairElement(ell, n, scale,
                                          {(tuple(with_bad(data.draw, g)), h): vec, **rest}))
+        refused(lambda: TorusPairElement(ell, n, scale,
+                                         {(g, tuple(with_bad(data.draw, h))): vec, **rest}))
         out = list(g)
         out[data.draw(st.integers(0, n - 1))] = data.draw(
             st.one_of(st.integers(ell, 3 * ell), st.integers(-3 * ell, -1)))
@@ -157,3 +205,10 @@ def test_probes():
         TorusPairElement(3, 1, Fraction(1), {((0,), (0,)): (1, 0, 0, 5)})
     with pytest.raises(TypeError):  # a float scale was kept
         TorusPairElement(3, 1, 0.5, {((0,), (0,)): (1, 0, 0)})
+    refused(lambda: Character(5, (1, 2)).pairing((0.5, True)))  # was 2.5
+    refused(lambda: TorusEmbedding.make(FiniteAbelianGroup((5,)), [[1], [0]], 2)
+            .point_exponents((2.5,), 5))  # was (2.5, 0.0)
+    refused(lambda: IntMatrix([[1, 2]]).apply([0.5, True]))  # was (2.5,)
+    refused(lambda: TorusPairElement(3, 1, Fraction(1), {((0,), (0.5,)): (1, 0, 0)}))
+    with pytest.raises(TypeError, match="int or Fraction"):  # was 1/2 and 1
+        LatticeElement.make(Basis.OMEGA, [0.5, True])
