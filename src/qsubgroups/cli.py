@@ -28,7 +28,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from ._record import record
 from .cocycle import TableCapExceeded, twist_J
@@ -120,6 +119,12 @@ def _strict_rows(name: str, rows) -> list[list[int]]:
     return [_strict_ints(name, row) for row in rows]
 
 
+def _strict_str(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise ParseFailure(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _strict_object(name: str, value) -> dict:
     """A spec object; absent is empty."""
     if value is None:
@@ -129,12 +134,35 @@ def _strict_object(name: str, value) -> dict:
     return value
 
 
+def _parsed(prefix: str, build, *args):
+    """build(*args), a ValueError or TypeError (InvalidCartanMatrix and
+    json.JSONDecodeError among them) raised as a parse failure."""
+    try:
+        return build(*args)
+    except (ValueError, TypeError) as exc:
+        raise ParseFailure(f"{prefix}{exc}") from exc
+
+
 def _json_payload(flag: str, value):
     """A --cartan or --y value: text is decoded as JSON, a spec value kept."""
-    try:
-        return json.loads(value) if isinstance(value, str) else value
-    except json.JSONDecodeError as exc:
-        raise ParseFailure(f"bad {flag} payload: {exc}") from exc
+    if isinstance(value, str):
+        return _parsed(f"bad {flag} payload: ", json.loads, value)
+    return value
+
+
+# key: (flags, reader, help) of each problem value, given by its flag or
+# else by the spec file's key; messages name the first flag
+_PROBLEM_KEYS = {
+    "type": (("--type", "-t"), _strict_str, "Lie type A..G"),
+    "rank": (("--rank",), _strict_int, "rank n"),
+    "cartan": (("--cartan",), _json_payload, "JSON rows of an explicit Cartan matrix"),
+    "ell": (("--ell",), _strict_int, "odd level ell >= 3"),
+    "y": (("--y",), _json_payload, "JSON rows of the parameter matrix Y"),
+    "family_c3": (("--family-c3",), _strict_ints,
+                  "a,b,c parameters of the built-in type C rank 3 family"),
+    "iplus": (("--iplus",), _strict_ints, "comma-separated simple indices of I+"),
+    "iminus": (("--iminus",), _strict_ints, "comma-separated simple indices of I-"),
+}
 
 
 @record
@@ -163,63 +191,45 @@ def _load_spec(args) -> ProblemSpec:
         if not isinstance(doc, dict):
             raise ParseFailure("spec file must hold a JSON object")
 
-    def pick(key, flag_value):
-        return flag_value if flag_value is not None else doc.get(key)
+    def pick(key):  # the flag's value, else the spec's
+        value = getattr(args, key, None)
+        return doc.get(key) if value is None else value
 
-    lie_type = pick("type", getattr(args, "type", None))
-    rank = pick("rank", getattr(args, "rank", None))
-    cartan_rows = _json_payload("--cartan", pick("cartan", getattr(args, "cartan", None)))
-    ell = pick("ell", getattr(args, "ell", None))
+    def read(key, absent=None):  # pick(key) through its reader
+        flags, reader, _ = _PROBLEM_KEYS[key]
+        return absent if pick(key) is None else reader(flags[0], pick(key))
+
+    cartan_rows = read("cartan")
+    ell = read("ell")
     if ell is None:
         raise ParseFailure("--ell is required")
-    ell = _strict_int("--ell", ell)
     if ell < 3 or ell % 2 == 0:
         raise ParseFailure("--ell must be odd and >= 3")
 
     if cartan_rows is not None:
-        try:
-            cd = CartanDatum.from_matrix(IntMatrix(cartan_rows))
-        except (InvalidCartanMatrix, ValueError, TypeError) as exc:
-            raise ParseFailure(f"bad Cartan matrix: {exc}") from exc
+        cd = _parsed("bad Cartan matrix: ",
+                     lambda: CartanDatum.from_matrix(IntMatrix(cartan_rows)))
     else:
-        if lie_type is None or rank is None:
+        if pick("type") is None or pick("rank") is None:
             raise ParseFailure("need --type and --rank (or an explicit Cartan matrix)")
-        rank = _strict_int("--rank", rank)
-        if not isinstance(lie_type, str):
-            raise ParseFailure(f"--type must be a string, got {lie_type!r}")
-        try:
-            cd = cartan_matrix(lie_type, rank)
-        except (InvalidCartanMatrix, ValueError, TypeError) as exc:
-            raise ParseFailure(str(exc)) from exc
+        rank, lie_type = read("rank"), read("type")
+        cd = _parsed("", cartan_matrix, lie_type, rank)
     if cd.lie_type == "G" and ell % 3 == 0:
         raise ParseFailure("--ell must be coprime to 3 in type G")
 
-    family = pick("family_c3", getattr(args, "family_c3", None))
-    y_rows = pick("y", getattr(args, "y", None))
+    family = read("family_c3")
     if family is not None:
-        family = _strict_ints("--family-c3", family)
         if len(family) != 3:
             raise ParseFailure("--family-c3 needs exactly a,b,c")
         if (cd.lie_type, cd.rank) != ("C", 3):
             raise ParseFailure("--family-c3 only applies to type C rank 3")
-        try:
-            ymat = c3_parameter_matrix(*family)
-        except (ValueError, TypeError) as exc:
-            raise ParseFailure(f"bad family parameters: {exc}") from exc
-    elif y_rows is not None:
-        try:
-            ymat = IntMatrix(_json_payload("--y", y_rows))
-        except (ValueError, TypeError) as exc:
-            raise ParseFailure(f"bad parameter matrix: {exc}") from exc
+        ymat = _parsed("bad family parameters: ", c3_parameter_matrix, *family)
+    elif pick("y") is not None:  # decoded only here: --family-c3 wins over a bad --y
+        ymat = _parsed("bad parameter matrix: ", IntMatrix, read("y"))
     else:
         ymat = IntMatrix.zeros(cd.rank, cd.rank)
 
-    def index_list(key):
-        value = pick(key, getattr(args, key, None))
-        return [] if value is None else _strict_ints(f"--{key}", value)
-
-    iplus, iminus = index_list("iplus"), index_list("iminus")
-
+    iplus, iminus = sorted(read("iplus", [])), sorted(read("iminus", []))
     sigma = _strict_object("sigma", doc.get("sigma"))
     raw_gens = _strict_rows("sigma generators", sigma.get("generators", []))
     raw_gens += [_parse_int_list(g) for g in (getattr(args, "sigma_gen", None) or [])]
@@ -256,25 +266,23 @@ def _load_spec(args) -> ProblemSpec:
         "ell": ell,
         "y": ymat.to_lists() if isinstance(ymat, IntMatrix)
         else [[str(x) for x in row] for row in ymat],
-        "iplus": sorted(iplus),
-        "iminus": sorted(iminus),
+        "iplus": iplus,
+        "iminus": iminus,
+    }
+    # echoed in the same shape a spec file uses, so reports re-parse
+    sigma_echo = {
+        "generators": [list(g) for g in sigma_gens],
+        "symbols": [[s.kind, s.index if s.index is not None else list(s.vector)]
+                    for s in sigma_symbols],
     }
     if sigma_gens or sigma_symbols:
-        # echoed in the same shape a spec file uses, so reports re-parse
-        inputs["sigma"] = {}
-        if sigma_gens:
-            inputs["sigma"]["generators"] = [list(g) for g in sigma_gens]
-        if sigma_symbols:
-            inputs["sigma"]["symbols"] = [
-                [s.kind, s.index if s.index is not None else list(s.vector)]
-                for s in sigma_symbols
-            ]
+        inputs["sigma"] = {key: value for key, value in sigma_echo.items() if value}
     return ProblemSpec(
         cd=cd,
         ell=ell,
         Y=ymat,
-        iplus=tuple(sorted(iplus)),
-        iminus=tuple(sorted(iminus)),
+        iplus=tuple(iplus),
+        iminus=tuple(iminus),
         sigma_gens=tuple(sigma_gens),
         sigma_symbols=tuple(sigma_symbols),
         datum=doc.get("datum"),
@@ -408,6 +416,7 @@ def _parse_datum(tw, spec: ProblemSpec) -> TwistedSubgroupDatum:
             spec.ell, n, _strict_rows("datum n_generators", n_gens)
         )
     gamma = _strict_object("datum gamma", payload.get("gamma"))
+    embedding = TorusEmbedding.trivial(n)  # TwistedSubgroupDatum.make's default
     if gamma:
         group = FiniteAbelianGroup(
             tuple(_strict_ints("gamma factors", gamma.get("factors", [])))
@@ -415,12 +424,9 @@ def _parse_datum(tw, spec: ProblemSpec) -> TwistedSubgroupDatum:
         embedding = TorusEmbedding.make(
             group, _strict_rows("gamma embedding", gamma.get("embedding")), n
         )
-    else:
-        embedding = TorusEmbedding.trivial(n)
     delta_rows = payload.get("delta")
-    if delta_rows is None:
-        delta = DualHom.trivial(nsub, embedding.group)
-    else:
+    delta = None  # TwistedSubgroupDatum.make then sets the trivial delta
+    if delta_rows is not None:
         delta = DualHom.make(nsub, embedding.group, _strict_rows("datum delta", delta_rows))
     return TwistedSubgroupDatum.make(
         spec.iplus,
@@ -487,9 +493,7 @@ def cmd_enumerate(args) -> int:
         raise ParseFailure(f"--max-results must be >= 0, got {args.max_results}")
     spec = _load_spec(args)
     tw = _require_twist(spec)
-    fixed = None
-    if spec.iplus or spec.iminus:
-        fixed = (spec.iplus, spec.iminus)
+    fixed = (spec.iplus, spec.iminus) if spec.iplus or spec.iminus else None
     try:
         records = enumerate_triples(
             tw, spec.ell, max_results=args.max_results, fixed_pair=fixed
@@ -548,6 +552,10 @@ def _paper_fixtures(a: int, b: int, c: int, ell: int):
     def check(name, expected, actual):
         checks.append((name, expected, actual, expected == actual))
 
+    def pairings(left):  # (left(i), alpha_j) for i, j = 1, 2, 3
+        return [[int(bilinear_form(left(i), cd.simple_root(j), cd)) for j in (1, 2, 3)]
+                for i in (1, 2, 3)]
+
     check(
         "cartan_matrix_c3",
         [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
@@ -557,24 +565,12 @@ def _paper_fixtures(a: int, b: int, c: int, ell: int):
     check(
         "weight_root_pairing",
         [[cd.d[i - 1] if i == j else 0 for j in (1, 2, 3)] for i in (1, 2, 3)],
-        [
-            [
-                int(bilinear_form(cd.fundamental_weight(i), cd.simple_root(j), cd))
-                for j in (1, 2, 3)
-            ]
-            for i in (1, 2, 3)
-        ],
+        pairings(cd.fundamental_weight),
     )
     check(
         "root_root_pairing",
         [[cd.d[i - 1] * cd.A[i - 1, j - 1] for j in (1, 2, 3)] for i in (1, 2, 3)],
-        [
-            [
-                int(bilinear_form(cd.simple_root(i), cd.simple_root(j), cd))
-                for j in (1, 2, 3)
-            ]
-            for i in (1, 2, 3)
-        ],
+        pairings(cd.simple_root),
     )
     result = build_twist(cd, c3_parameter_matrix(a, b, c))
     check("twist_valid", True, result.ok)
@@ -652,7 +648,7 @@ def _paper_fixtures(a: int, b: int, c: int, ell: int):
         (ob.sigma_order_untwisted, ob.n_order_untwisted),
     )
     check("obstruction_flag", True, ob.obstructed)
-    check("obstruction_dim_ratio", Fraction(11), ob.dim_ratio)
+    check("obstruction_dim_ratio", "11", str(ob.dim_ratio))
 
     h_full = dim_H(tw, ell, (1, 2, 3), (1, 2, 3), TorusSubgroup.trivial(ell, 3))
     check("dim_full_kernel", (1, 21), h_full.factored())
@@ -675,18 +671,17 @@ def cmd_paper_examples(args) -> int:
         )
         return EXIT_GUARD
     checks = _paper_fixtures(*family, ell)
-    failures = 0
     for name, expected, actual, ok in checks:
         _emit(
             {
                 "command": "paper-examples",
                 "fixture": name,
                 "pass": ok,
-                "expected": _jsonable(expected),
-                "computed": _jsonable(actual),
+                "expected": expected,
+                "computed": actual,
             }
         )
-        failures += 0 if ok else 1
+    failures = sum(not ok for *_, ok in checks)
     _emit(
         {
             "command": "paper-examples",
@@ -697,33 +692,15 @@ def cmd_paper_examples(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_INVALID
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 # ---------------------------------------------------------------------------
 # argument wiring
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--spec", help="path to a JSON problem description")
-    p.add_argument("--type", "-t", help="Lie type A..G")
-    p.add_argument("--rank", type=int, help="rank n")
-    p.add_argument("--cartan", help="JSON rows of an explicit Cartan matrix")
-    p.add_argument("--ell", type=int, help="odd level ell >= 3")
-    p.add_argument("--y", help="JSON rows of the parameter matrix Y")
-    p.add_argument(
-        "--family-c3",
-        dest="family_c3",
-        help="a,b,c parameters of the built-in type C rank 3 family",
-    )
-    p.add_argument("--iplus", help="comma-separated simple indices of I+")
-    p.add_argument("--iminus", help="comma-separated simple indices of I-")
+    for key, (flags, reader, text) in _PROBLEM_KEYS.items():
+        # argparse already reads --rank and --ell as int
+        p.add_argument(*flags, dest=key, type=int if reader is _strict_int else None,
+                       help=text)
     p.add_argument(
         "--sigma-gen",
         action="append",

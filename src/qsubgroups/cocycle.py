@@ -146,12 +146,7 @@ class GroupTwoCocycle:
         z1, z2 = _int_tuple(z1, "characters"), _int_tuple(z2, "characters")
         if len(z1) != self.n or len(z2) != self.n:
             raise ValueError("vector length mismatch")
-        total = 0
-        for i in range(self.n):
-            if z1[i]:
-                row = self.bilinear.row(i)
-                total += z1[i] * sum(row[j] * z2[j] for j in range(self.n))
-        return total % self.ell
+        return sum(map(operator.mul, z1, self.bilinear.apply(z2))) % self.ell
 
     def table_lines(self, cap: int | None = None):
         """Exponent table as text: one line per z1 (lexicographic), the
@@ -324,12 +319,15 @@ class TorusPairElement:
                 vectors[(g, h)] = vec
         return TorusPairElement(ell, self.n, self.scale * other.scale, vectors, _built=True)
 
-    def is_identity(self) -> bool:
-        zero = ((0,) * self.n, (0,) * self.n)
-        return zero in self.vectors and all(
+    def _is_unit(self, table: dict, zero) -> bool:
+        """Whether table holds 1 at zero and 0 at every other key."""
+        return zero in table and all(
             self._equals_rational(vec, 1 if key == zero else 0)
-            for key, vec in self.vectors.items()
+            for key, vec in table.items()
         )
+
+    def is_identity(self) -> bool:
+        return self._is_unit(self.vectors, ((0,) * self.n, (0,) * self.n))
 
     def _collapsed(self, side: str) -> dict:
         if side not in ("left", "right"):
@@ -349,12 +347,7 @@ class TorusPairElement:
         return {key: self._reduce(vec) for key, vec in self._collapsed(side).items()}
 
     def counit_is_one(self, side: str) -> bool:
-        zero = (0,) * self.n
-        table = self._collapsed(side)
-        return zero in table and all(
-            self._equals_rational(vec, 1 if key == zero else 0)
-            for key, vec in table.items()
-        )
+        return self._is_unit(self._collapsed(side), (0,) * self.n)
 
 
 @record

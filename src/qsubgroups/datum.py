@@ -99,12 +99,10 @@ class FiniteAbelianGroup:
     def __post_init__(self):
         factors = _int_tuple(self.invariant_factors, "invariant factors")
         object.__setattr__(self, "invariant_factors", factors)
-        for m in factors:
-            if m < 2:
-                raise ValueError("invariant factors must be >= 2")
-        for a, b in zip(factors, factors[1:]):
-            if b % a:
-                raise ValueError("invariant factors must form a divisibility chain")
+        if any(m < 2 for m in factors):
+            raise ValueError("invariant factors must be >= 2")
+        if any(b % a for a, b in zip(factors, factors[1:])):
+            raise ValueError("invariant factors must form a divisibility chain")
 
     @property
     def order(self) -> int:
@@ -216,11 +214,8 @@ class DualHom:
         return cls(source.generators, target, tuple(zero for _ in source.generators))
 
     def _combine(self, coeffs) -> tuple[int, ...]:
-        out = [0] * self.target.ngens
-        for x, image in zip(coeffs, self.images):
-            for j in range(self.target.ngens):
-                out[j] += x * image[j]
-        return self.target.reduce(out)
+        return self.target.reduce([sum(x * im[j] for x, im in zip(coeffs, self.images))
+                                   for j in range(self.target.ngens)])
 
     def well_defined(self, ell: int) -> bool:
         """Every relation among the source generators must map to zero.
@@ -230,8 +225,7 @@ class DualHom:
         rows suffices.  evaluate solves against the same factored system."""
         gens = self.source_generators
         relations = kernel_lattice(IntMatrix(zip(*gens), ncols=len(gens)), ell).data
-        zero = tuple(0 for _ in self.target.invariant_factors)
-        return all(self._combine(rel) == zero for rel in relations)
+        return not any(any(self._combine(rel)) for rel in relations)
 
     def evaluate(self, source: TorusSubgroup, vec) -> tuple[int, ...]:
         """Image of an arbitrary element of N (well-definedness makes the
@@ -447,14 +441,11 @@ def _pullback_character(
     """Pull a character of `source` back along tau: target' -> source,
     yielding a character of the tau domain `target`."""
     out = []
-    for j in range(target.ngens):
-        total = Fraction(0)
-        col = tau[j]
-        for t in range(source.ngens):
-            total += Fraction(coords[t] * col[t], source.invariant_factors[t])
-        scaled = total * target.invariant_factors[j]
+    for col, m in zip(tau, target.invariant_factors):
+        terms = zip(coords, col, source.invariant_factors)
+        scaled = m * sum((Fraction(c * x, f) for c, x, f in terms), Fraction(0))
         assert scaled.denominator == 1, "pullback character is not integral"
-        out.append(int(scaled) % target.invariant_factors[j])
+        out.append(int(scaled) % m)
     return tuple(out)
 
 
@@ -627,9 +618,8 @@ def default_sigma_recipe(tw: TwistMap, ell: int, d: TwistedSubgroupDatum):
     recipe += [SigmaGenerator.ktilde(j) for j in sorted(d.iminus)]
     sigma = annihilator(d.N)
     required = t_phi_I(tw, ell, d.iplus, d.iminus)
-    for g in sigma.generators:
-        if not required.contains(g):
-            recipe.append(SigmaGenerator.fixed(g))
+    recipe += [SigmaGenerator.fixed(g) for g in sigma.generators
+               if not required.contains(g)]
     return tuple(recipe)
 
 

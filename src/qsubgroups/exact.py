@@ -49,20 +49,14 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# polynomials (ascending coefficient tuples, int or Fraction entries)
+# integer polynomials (ascending coefficient tuples); _poly_divmod takes
+# monic divisors only, which keeps every quotient integral
 
 def _poly_trim(coeffs):
     end = len(coeffs)
     while end > 0 and coeffs[end - 1] == 0:
         end -= 1
     return tuple(coeffs[:end])
-
-
-def _poly_sub(p, q):
-    out = list(p) + [0] * max(len(q) - len(p), 0)
-    for i, b in enumerate(q):
-        out[i] -= b
-    return _poly_trim(out)
 
 
 def _poly_mul(p, q):
@@ -77,17 +71,11 @@ def _poly_mul(p, q):
 
 
 def _poly_divmod(num, den):
-    """(quotient, remainder) of num by a nonzero den.
-
-    A monic den keeps integer coefficients integral; any other leading
-    coefficient is inverted as a Fraction.
-    """
+    """(quotient, remainder) of num by a monic den."""
     num = list(num)
-    lead = den[-1]
-    inv = 1 if lead == 1 else Fraction(1) / lead
     q = [0] * max(len(num) - len(den) + 1, 0)
     for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1] * inv
+        c = num[k + len(den) - 1]
         q[k] = c
         if c:
             for j, b in enumerate(den):
@@ -146,11 +134,7 @@ def _power_reduction_table(ell: int) -> tuple[tuple[int, ...], ...]:
     phi = euler_phi(ell)
     top = max(2 * phi - 1, ell)
     minpoly = cyclotomic_polynomial(ell)
-    table = []
-    for k in range(phi):
-        row = [0] * phi
-        row[k] = 1
-        table.append(tuple(row))
+    table = list(IntMatrix.identity(phi).data)  # q^k for k < phi is already reduced
     for k in range(phi, top):
         # q^k = q * q^(k-1), then fold the overflow coefficient back in
         # using q^phi = -(lower terms of the minimal polynomial).
@@ -198,10 +182,15 @@ class CyclotomicNumber:
     level: int
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self):
+    def __post_init__(self):  # bool, float and str raise, as in LatticeElement.make
+        if type(self.level) is not int:
+            raise TypeError(f"cyclotomic level must be int, got {self.level!r}")
         _validate_level(self.level)
         phi = euler_phi(self.level)
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
+        coeffs = tuple(self.coeffs)
+        if not all(type(c) is int or isinstance(c, Fraction) for c in coeffs):
+            raise TypeError(f"coefficients must be int or Fraction, got {coeffs!r}")
+        coeffs = tuple(map(Fraction, coeffs))
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coefficients for level {self.level}")
         object.__setattr__(self, "coeffs", coeffs)
@@ -263,27 +252,15 @@ class CyclotomicNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CyclotomicNumber":
-        """Multiplicative inverse, via the extended Euclidean algorithm
-        against the minimal polynomial of eps."""
+        """Multiplicative inverse: the solution x of M x = 1 for the
+        matrix M of multiplication by self, whose column k is self eps^k,
+        so the first column of M^(-1) (Cohen, GTM 138, section 4.2)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(eps)")
-        minpoly = tuple(Fraction(c) for c in cyclotomic_polynomial(self.level))
-        r0, r1 = minpoly, _poly_trim(self.coeffs)
-        s0, s1 = (), (Fraction(1),)
-        while True:
-            q, r = _poly_divmod(r0, r1)
-            if not r:
-                break
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1 = r1, r
-        # r1 is a nonzero constant gcd since the minimal polynomial is
-        # irreducible; s1 * self == r1 (mod minpoly).
-        if len(r1) != 1:
-            raise ArithmeticError("cyclotomic polynomial was not coprime")
-        scale = 1 / r1[0]
-        return CyclotomicNumber.from_polynomial(
-            self.level, [scale * c for c in s1]
-        )
+        cols = [reduce_power_basis(self.level, (0,) * k + self.coeffs)
+                for k in range(len(self.coeffs))]
+        inv = invert_rational_matrix(zip(*cols))
+        return CyclotomicNumber(self.level, [row[0] for row in inv])
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -432,9 +409,6 @@ class IntMatrix:
             raise ValueError("vector length mismatch")
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.data)
 
-    def mod(self, m: int) -> "IntMatrix":
-        return IntMatrix([[a % m for a in row] for row in self.data], ncols=self.ncols)
-
     def det(self) -> int:
         """Determinant, by the fraction-free elimination _det_adj."""
         if self.nrows != self.ncols:
@@ -550,12 +524,8 @@ def kernel_mod(M: IntMatrix, ell: int) -> list[tuple[tuple[int, ...], int]]:
     """Generators, each with its exact order, of the subgroup
     {z in (Z/ell)^n : M z == 0 mod ell}: the rows of kernel_lattice that
     stay nonzero mod ell.  Correct for composite ell."""
-    gens = []
-    for row in kernel_lattice(M, ell).data:
-        gen = tuple(x % ell for x in row)
-        if any(gen):
-            gens.append((gen, ell // gcd(ell, *gen)))
-    return gens
+    return [(gen, ell // gcd(ell, *gen)) for row in kernel_lattice(M, ell).data
+            if any(gen := tuple(x % ell for x in row))]
 
 
 def solve_linear_mod(A: IntMatrix, b, mod: int) -> tuple[int, ...] | None:

@@ -91,10 +91,8 @@ def symmetrizers(A: IntMatrix) -> tuple[int, ...]:
                         lcm(*(r.denominator for r in ratio.values())))
         for j, r in ratio.items():
             d[j] = int(r / unit)
-    for i in range(n):
-        for j in range(n):
-            if d[i] * A[i, j] != d[j] * A[j, i]:
-                raise InvalidCartanMatrix("matrix is not symmetrizable")
+    if any(d[i] * A[i, j] != d[j] * A[j, i] for i in range(n) for j in range(n)):
+        raise InvalidCartanMatrix("matrix is not symmetrizable")
     return tuple(d)
 
 
@@ -116,13 +114,17 @@ class CartanDatum:
 
     def _require_finite_type(self) -> None:
         # DA positive definite <=> finite type; this also guarantees that
-        # the reflection closure below terminates.
-        n = self.rank
-        da = [[self.d[i] * self.A[i, j] for j in range(n)] for i in range(n)]
-        for k in range(1, n + 1):
-            minor = IntMatrix([row[:k] for row in da[:k]])
-            if minor.det() <= 0:
+        # the reflection closure below terminates.  Its leading minors are
+        # the pivots of one fraction-free elimination without row swaps
+        # (Bareiss, Math. Comp. 22, 1968), and each must be positive.
+        a = [[d * x for x in row] for d, row in zip(self.d, self.A.data)]
+        prev = 1
+        for k, pivot in enumerate(a):
+            if pivot[k] <= 0:
                 raise InvalidCartanMatrix("matrix is not of finite type")
+            for i in range(k + 1, len(a)):
+                a[i] = [(pivot[k] * x - a[i][k] * y) // prev for x, y in zip(a[i], pivot)]
+            prev = pivot[k]
 
     def simple_root(self, i: int) -> "LatticeElement":
         """alpha_i, 1-based index, in ALPHA coordinates."""

@@ -178,23 +178,16 @@ class TorusSubgroup:
         )
 
     def elements(self, cap: int | None = None):
-        """All elements, deterministic order; guarded by cap."""
+        """All elements, sorted; guarded by cap.  Each is sum c_i b_i mod
+        ell over the Hermite rows b_i, once for each 0 <= c_i < ell/pivot_i."""
         limit = cap if cap is not None else _enum_cap()
         if self.order > limit:
             raise EnumerationGuard(
                 f"subgroup order {self.order} exceeds cap {limit}"
             )
-        seen = {(0,) * self.n}
-        frontier = [(0,) * self.n]
-        while frontier:
-            nxt = []
-            for el in frontier:
-                for g in self.generators:
-                    cand = tuple((a + b) % self.ell for a, b in zip(el, g))
-                    if cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
-            frontier = nxt
+        ell, cols = self.ell, self.lattice.transpose().data  # column i holds pivot_i
+        seen = {tuple(sum(c * x for c, x in zip(coef, col)) % ell for col in cols)
+                for coef in product(*(range(ell // col[i]) for i, col in enumerate(cols)))}
         assert len(seen) == self.order
         return sorted(seen)
 
@@ -424,13 +417,15 @@ def annihilator(sub: TorusSubgroup) -> TorusSubgroup:
     return TorusSubgroup.kernel(sub.ell, sub.n, sub.generators)
 
 
+@functools.lru_cache(maxsize=SUBGROUP_MEMO_SIZE, typed=True)
 def analyze_triple(tw: TwistMap, ell: int, triple: Triple) -> TripleAnalysis:
     """Validate a triple and derive T_I, N and the orders from it.
 
     Because Sigma contains every required generator, the annihilator N of
     Sigma automatically lands inside the character kernel, so no
     intersection is needed; the inclusion is asserted row by row.  The
-    quotient Sigma / T_I is never materialized, only its order.
+    quotient Sigma / T_I is never materialized, only its order.  Memoised
+    on (tw, ell, triple), all immutable, as datum.analyze_datum is.
     """
     report, t_I = _check_triple(tw, ell, triple)
     if not report.ok:

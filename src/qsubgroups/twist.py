@@ -151,6 +151,9 @@ def build_twist(cd: CartanDatum, Y) -> TwistBuildResult:
     n = cd.rank
     violations: list[TwistViolation] = []
 
+    def violated(condition, i, j, detail):
+        violations.append(TwistViolation(condition, (i + 1, j + 1), detail))
+
     rows = Y.data if isinstance(Y, IntMatrix) else tuple(tuple(r) for r in Y)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"parameter matrix must be {n}x{n}")
@@ -159,13 +162,8 @@ def build_twist(cd: CartanDatum, Y) -> TwistBuildResult:
             continue
         value = Fraction(rows[i][j])
         if value.denominator != 1:
-            violations.append(
-                TwistViolation(
-                    "integral_parameters",
-                    (i + 1, j + 1),
-                    f"y[{i + 1}][{j + 1}] = {value} is not an integer",
-                )
-            )
+            violated("integral_parameters", i, j,
+                     f"y[{i + 1}][{j + 1}] = {value} is not an integer")
     if violations:
         return TwistBuildResult(None, tuple(violations))
 
@@ -180,14 +178,9 @@ def build_twist(cd: CartanDatum, Y) -> TwistBuildResult:
             lhs = cd.d[i] * xmat[i, j]
             rhs = -cd.d[j] * xmat[j, i]
             if lhs != rhs:
-                violations.append(
-                    TwistViolation(
-                        "dx_antisymmetric",
-                        (i + 1, j + 1),
-                        f"d_{i + 1} x[{i + 1}][{j + 1}] = {lhs} "
-                        f"!= -d_{j + 1} x[{j + 1}][{i + 1}] = {rhs}",
-                    )
-                )
+                violated("dx_antisymmetric", i, j,
+                         f"d_{i + 1} x[{i + 1}][{j + 1}] = {lhs} "
+                         f"!= -d_{j + 1} x[{j + 1}][{i + 1}] = {rhs}")
 
     # (phi(omega_i), omega_j)/2 = d_j (Y adj A)_ji / delta; check every pair
     delta, adj = _adjugate_cartan(cd)
@@ -196,14 +189,9 @@ def build_twist(cd: CartanDatum, Y) -> TwistBuildResult:
         for j in range(n):
             if cd.d[j] * yadj[j, i] % delta:
                 value = Fraction(cd.d[j] * yadj[j, i], delta)
-                violations.append(
-                    TwistViolation(
-                        "half_integrality",
-                        (i + 1, j + 1),
-                        f"(phi(omega_{i + 1}), omega_{j + 1})/2 = {value} "
-                        "is not an integer",
-                    )
-                )
+                violated("half_integrality", i, j,
+                         f"(phi(omega_{i + 1}), omega_{j + 1})/2 = {value} "
+                         "is not an integer")
 
     if violations:
         return TwistBuildResult(None, tuple(violations))
@@ -379,11 +367,8 @@ def enumerate_valid_twists(cd: CartanDatum, bound: int, limit: int | None = None
     n = cd.rank
     delta, adj = _adjugate_cartan(cd)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    axis = [0]
-    for v in range(1, bound + 1):
-        axis += [v, -v]
-    count = 0
-    for values in _lattice_points(_parameter_lattice(cd), axis):
+    axis = [0] + [s * v for v in range(1, bound + 1) for s in (1, -1)]
+    for count, values in enumerate(_lattice_points(_parameter_lattice(cd), axis), 1):
         x = [[0] * n for _ in range(n)]
         for (i, j), v in zip(pairs, values):
             x[i][j] = v
@@ -392,6 +377,5 @@ def enumerate_valid_twists(cd: CartanDatum, bound: int, limit: int | None = None
         y = [[sum(map(operator.mul, row, col)) // delta for col in cols]
              for row in adj.data]
         yield TwistMap(cd, IntMatrix(y), IntMatrix(x))
-        count += 1
         if limit is not None and count >= limit:
             return

@@ -618,3 +618,98 @@ def former_dim_a(tw, ell, d):
     sigma_order, rp, rm, _, _ = former_dim_h(tw, ell, d.iplus, d.iminus, d.N)
     order = d.embedding.group.order if not d.is_opaque else d.embedding.order
     return order * sigma_order * ell ** (rp + rm) if order else None
+
+
+# ---------------------------------------------------------------------------
+# frozen references: the library's former finite-type test, Q(eps) inverse
+# and subgroup element walk
+
+def former_require_finite_type(cd):
+    """The library's former CartanDatum._require_finite_type: one full
+    determinant per leading minor of D A, each of which must be > 0."""
+    from qsubgroups.exact import IntMatrix
+    from qsubgroups.lie import InvalidCartanMatrix
+
+    n = cd.rank
+    da = [[cd.d[i] * cd.A[i, j] for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        minor = IntMatrix([row[:k] for row in da[:k]])
+        if minor.det() <= 0:
+            raise InvalidCartanMatrix("matrix is not of finite type")
+
+
+def _former_poly_trim(coeffs):
+    end = len(coeffs)
+    while end > 0 and coeffs[end - 1] == 0:
+        end -= 1
+    return tuple(coeffs[:end])
+
+
+def _former_poly_sub(p, q):
+    out = list(p) + [0] * max(len(q) - len(p), 0)
+    for i, b in enumerate(q):
+        out[i] -= b
+    return _former_poly_trim(out)
+
+
+def _former_poly_mul(p, q):
+    if not p or not q:
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return _former_poly_trim(out)
+
+
+def _former_poly_divmod(num, den):
+    """(quotient, remainder) of num by a nonzero den with Fraction
+    coefficients, any leading coefficient."""
+    num = list(num)
+    inv = Fraction(1) / den[-1]
+    q = [0] * max(len(num) - len(den) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = num[k + len(den) - 1] * inv
+        q[k] = c
+        if c:
+            for j, b in enumerate(den):
+                num[k + j] -= c * b
+    return _former_poly_trim(q), _former_poly_trim(num)
+
+
+def former_cyclotomic_inverse(x):
+    """The library's former CyclotomicNumber.inverse: the extended
+    Euclidean algorithm against the minimal polynomial of eps."""
+    from qsubgroups.exact import CyclotomicNumber, cyclotomic_polynomial
+
+    if x.is_zero():
+        raise ZeroDivisionError("inverse of zero in Q(eps)")
+    r0 = tuple(Fraction(c) for c in cyclotomic_polynomial(x.level))
+    r1 = _former_poly_trim(x.coeffs)
+    s0, s1 = (), (Fraction(1),)
+    while True:
+        q, r = _former_poly_divmod(r0, r1)
+        if not r:
+            break
+        s0, s1 = s1, _former_poly_sub(s0, _former_poly_mul(q, s1))
+        r0, r1 = r1, r
+    assert len(r1) == 1, "cyclotomic polynomial was not coprime"
+    return CyclotomicNumber.from_polynomial(x.level, [c / r1[0] for c in s1])
+
+
+def former_subgroup_elements(sub):
+    """The library's former TorusSubgroup.elements (without the cap): the
+    breadth-first closure of 0 under adding the canonical generators."""
+    seen = {(0,) * sub.n}
+    frontier = [(0,) * sub.n]
+    while frontier:
+        nxt = []
+        for el in frontier:
+            for g in sub.generators:
+                cand = tuple((a + b) % sub.ell for a, b in zip(el, g))
+                if cand not in seen:
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return sorted(seen)

@@ -21,6 +21,7 @@ from qsubgroups.exact import (
 from oracles import (
     brute_kernel,
     cyclotomic_by_division,
+    former_cyclotomic_inverse,
     span_elements,
 )
 
@@ -262,6 +263,26 @@ class TestLargeEntries:
                 h = hermite_normal_form(m, ell)
                 _assert_hermite_form(h, m, ell)
                 assert hermite_normal_form(h, ell) == h
+
+    def test_inverse_matches_former_euclid(self):
+        """The inverse read off the multiplication matrix equals the former
+        extended-Euclid inverse, on dense and sparse random elements with
+        rational coefficients at prime and composite levels."""
+        rng = random.Random(2113)
+        for ell in (3, 5, 9, 15, 21):
+            phi = euler_phi(ell)
+            for _ in range(25):
+                density = rng.choice((0.2, 0.6, 1.0))
+                x = CyclotomicNumber(ell, [
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                    if rng.random() < density else 0 for _ in range(phi)])
+                if x.is_zero():
+                    continue
+                inv = x.inverse()
+                assert inv == former_cyclotomic_inverse(x), (ell, x)
+                assert x * inv == 1
+        with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+            CyclotomicNumber.zero(9).inverse()
 
     def test_inverse_at_larger_composite_levels(self):
         rng = random.Random(99)

@@ -134,10 +134,10 @@ def test_caches_are_bounded_or_keyed_by_cartan_datum(path):
 
 
 def test_cache_rule_sees_every_cache():
-    """The rule above finds the three CartanDatum caches and the eight
+    """The rule above finds the three CartanDatum caches and the nine
     bounded memos (subgroups, factored systems, supported roots, dim H,
-    datum analyses, cyclotomic polynomials and reduction tables), so it is
-    not vacuous."""
+    triple and datum analyses, cyclotomic polynomials and reduction
+    tables), so it is not vacuous."""
     found = {}
     for path in SOURCES:
         tree = _tree(path)
@@ -153,7 +153,7 @@ def test_cache_rule_sees_every_cache():
         "positive_roots": "datum", "_parameter_lattice": "datum",
         "_span": "bounded", "_kernel": "bounded",
         "_factored": "bounded", "_roots_supported": "bounded",
-        "_dim_h": "bounded", "analyze_datum": "bounded",
+        "_dim_h": "bounded", "analyze_datum": "bounded", "analyze_triple": "bounded",
         "cyclotomic_polynomial": "bounded", "_power_reduction_table": "bounded",
     }
 
@@ -187,3 +187,38 @@ def test_empty_container_rule_is_not_vacuous():
             for node in tree.body
             if getattr(node, "value", None) is not None and _empty_container(node.value)]
     assert hits == ["A", "B", "C", "D"]
+
+
+# the names the package exported when it listed them by hand
+LISTED_EXPORTS = """
+CyclotomicNumber IntMatrix Rational cyclotomic_polynomial euler_phi hermite_normal_form
+kernel_mod root_of_unity_power Basis CartanDatum LatticeElement Root alpha_to_omega
+bilinear_form cartan_matrix omega_to_alpha positive_roots roots_supported symmetrizers
+TwistMap apply_phi build_twist c3_parameter_matrix enumerate_valid_twists kbar_exponent
+ktilde_exponent r_operator require_twist zero_twist Bidegree GroupTwoCocycle chi_exponent
+deformation_exponent sigma_inverse_exponent twist_J twist_J_group_algebra Character
+SigmaGenerator TorusSubgroup Triple analyze_triple annihilator enumerate_subgroups
+n_phi_from_sigma s_phi_matrix sigma_order_identity t_hat_I_complement t_phi_I
+validate_triple INFINITE DualHom FiniteAbelianGroup OpaqueGroup TorusEmbedding
+TwistedSubgroupDatum datum_equiv datum_leq dim_A dim_H enumerate_triples
+obstruction_check predicates validate_datum
+""".split()
+
+
+def test_package_exports_every_module_all():
+    """The package's public names are exactly the union of its modules'
+    __all__ lists, and every name it used to list by hand still resolves
+    to the module's own object."""
+    import types
+
+    import qsubgroups
+    from qsubgroups import cocycle, datum, exact, lie, torus, twist
+
+    modules = (exact, lie, twist, cocycle, torus, datum)
+    public = {name for name, value in vars(qsubgroups).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set().union(*(mod.__all__ for mod in modules))
+    assert len(LISTED_EXPORTS) == len(set(LISTED_EXPORTS)) == 63
+    owners = {name: mod for mod in modules for name in mod.__all__}
+    for name in LISTED_EXPORTS:
+        assert getattr(qsubgroups, name) is getattr(owners[name], name)

@@ -20,7 +20,12 @@ from qsubgroups.lie import (
     symmetrizers,
 )
 
-from oracles import frac_inverse, minimal_symmetrizer, positive_roots_by_closure
+from oracles import (
+    former_require_finite_type,
+    frac_inverse,
+    minimal_symmetrizer,
+    positive_roots_by_closure,
+)
 
 C3_MATRIX = [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]
 
@@ -117,6 +122,39 @@ class TestCartanMatrix:
     def test_user_supplied_matrix(self):
         cd = CartanDatum.from_matrix(IntMatrix(C3_MATRIX), lie_type="C")
         assert cd.d == (2, 2, 1)
+
+    def test_finite_type_matches_former_minors(self):
+        """The one fraction-free elimination of D A accepts and refuses
+        exactly what the former check, one determinant per leading minor,
+        did, with the same message: random symmetrizable generalized
+        Cartan matrices of rank 1 to 5, finite type or not."""
+        rng = random.Random(1313)
+        pairs = ((-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2), (-1, -4))
+
+        def outcome(check):
+            try:
+                check()
+            except InvalidCartanMatrix as exc:
+                return str(exc)
+            return None
+
+        seen = {None: 0, "matrix is not of finite type": 0}
+        for _ in range(1500):
+            n = rng.randint(1, 5)
+            a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < 0.4:
+                        a[i][j], a[j][i] = rng.choice(pairs)
+            A = IntMatrix(a)
+            try:
+                d = symmetrizers(A)
+            except InvalidCartanMatrix:
+                continue
+            want = outcome(lambda: former_require_finite_type(CartanDatum("X", n, A, d)))
+            assert outcome(lambda: CartanDatum.from_matrix(A)) == want, a
+            seen[want] += 1
+        assert min(seen.values()) >= 100, seen
 
 
 class TestBilinearForm:

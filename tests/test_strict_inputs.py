@@ -7,9 +7,10 @@ a memoised function would alias different inputs silently.
 
 Covers solve_linear_mod's right-hand side, roots_supported's indices,
 Root.from_coords, IntMatrix.apply and through it
-TorusEmbedding.point_exponents, Character.pairing, c3_parameter_matrix and
-LatticeElement.make (which also take a Fraction) and TorusPairElement's
-scale and g and h coordinates, whose g range and count vector length are
+TorusEmbedding.point_exponents, Character.pairing, c3_parameter_matrix,
+LatticeElement.make and CyclotomicNumber's coefficients (which also take a
+Fraction), CyclotomicNumber's level and TorusPairElement's scale and g and
+h coordinates, whose g range and count vector length are
 checked too.  derandomize=True and a fixed max_examples keep the test
 deterministic.
 """
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from qsubgroups.cocycle import TorusPairElement
 from qsubgroups.datum import FiniteAbelianGroup, TorusEmbedding
-from qsubgroups.exact import IntMatrix, solve_linear_mod
+from qsubgroups.exact import CyclotomicNumber, IntMatrix, euler_phi, solve_linear_mod
 from qsubgroups.lie import Basis, LatticeElement, Root, cartan_matrix, roots_supported
 from qsubgroups.torus import Character
 from qsubgroups.twist import c3_parameter_matrix
@@ -212,3 +213,25 @@ def test_probes():
     refused(lambda: TorusPairElement(3, 1, Fraction(1), {((0,), (0.5,)): (1, 0, 0)}))
     with pytest.raises(TypeError, match="int or Fraction"):  # was 1/2 and 1
         LatticeElement.make(Basis.OMEGA, [0.5, True])
+    with pytest.raises(TypeError, match="level must be int"):  # kept the level 5.0
+        CyclotomicNumber(5.0, [1, 0, 0, 0])
+    with pytest.raises(TypeError, match="int or Fraction"):  # was 1/2 and 1
+        CyclotomicNumber(5, [0.5, True, 0, 0])
+
+
+@FUZZ
+@given(st.data())
+def test_cyclotomic_number(data):
+    ell = data.draw(st.sampled_from([3, 5, 9, 15]))
+    good = st.one_of(st.integers(-9, 9), st.fractions(max_denominator=7))
+    coeffs = data.draw(st.lists(good, min_size=euler_phi(ell), max_size=euler_phi(ell)))
+    assert CyclotomicNumber(ell, coeffs).coeffs == tuple(map(Fraction, coeffs))
+    bad = list(coeffs)
+    bad[data.draw(st.integers(0, len(bad) - 1))] = data.draw(
+        st.one_of(st.booleans(), st.floats(allow_nan=False, width=32), st.text(max_size=3)))
+    with pytest.raises(TypeError, match="int or Fraction"):
+        result = CyclotomicNumber(ell, bad)
+        pytest.fail(f"returned {result!r}")
+    bad_level = data.draw(st.one_of(st.just(float(ell)), st.just(True), st.just(str(ell))))
+    with pytest.raises(TypeError, match="level must be int"):
+        CyclotomicNumber(bad_level, coeffs)

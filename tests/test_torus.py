@@ -29,6 +29,7 @@ from qsubgroups.twist import c3_parameter_matrix, require_twist, zero_twist
 from oracles import (
     brute_annihilator,
     brute_subgroups,
+    former_subgroup_elements,
     hermite_walk_subgroups,
     span_elements,
 )
@@ -99,6 +100,22 @@ class TestTorusSubgroup:
         b = TorusSubgroup.from_generators(5, 2, [(0, 1)])
         assert a.join(b) == TorusSubgroup.full(5, 2)
         assert a.elements() == [(i, 0) for i in range(5)]
+
+    def test_elements_match_former_closure(self):
+        """The walk over the Hermite rows lists the same sorted elements as
+        the former breadth-first closure under the generators, for random
+        subgroups at composite levels, the trivial and the full ones."""
+        rng = random.Random(4545)
+        for ell in (9, 15, 45):
+            divisors = [d for d in range(1, ell + 1) if ell % d == 0]
+            for _ in range(25):
+                n = rng.randint(0, 3 if ell < 45 else 2)
+                gens = [[rng.choice(divisors) * rng.randrange(ell) % ell for _ in range(n)]
+                        for _ in range(rng.randint(0, 3))]
+                sub = TorusSubgroup.from_generators(ell, n, gens)
+                assert sub.elements() == former_subgroup_elements(sub), (ell, n, gens)
+            for sub in (TorusSubgroup.trivial(ell, 2), TorusSubgroup.full(ell, 2)):
+                assert sub.elements() == former_subgroup_elements(sub)
 
 
 class TestSubgroupMemo:
