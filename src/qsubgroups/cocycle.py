@@ -52,6 +52,7 @@ from .exact import (
     CyclotomicNumber,
     IntMatrix,
     _int_tuple,
+    _rational_tuple,
     kernel_lattice,
     reduce_power_basis,
 )
@@ -80,7 +81,7 @@ class TableCapExceeded(RuntimeError):
 def _table_size(ell: int, n: int, cap: int | None) -> int:
     """ell^n, once the ell^(2n) entries of a table are checked against the cap."""
     size = ell**n
-    limit = cap if cap is not None else DEFAULT_TABLE_CAP
+    limit = DEFAULT_TABLE_CAP if cap is None else _int_tuple((cap,), "cap")[0]
     if size * size > limit:
         raise TableCapExceeded(f"table would have {size * size} entries, cap is {limit}")
     return size
@@ -201,8 +202,7 @@ class TorusPairElement:
 
     def __init__(self, ell: int, n: int, scale: Fraction, vectors: dict, *, _built=False):
         if not _built:  # the library's own products and twists are valid as built
-            if type(scale) is not int and not isinstance(scale, Fraction):
-                raise TypeError(f"scale must be int or Fraction, got {scale!r}")
+            _rational_tuple((scale,), "scale")
             coords = _int_tuple(itertools.chain.from_iterable(g for g, _ in vectors), "g")
             _int_tuple(itertools.chain.from_iterable(h for _, h in vectors), "h")
             if set(map(len, itertools.chain.from_iterable(vectors))) - {n} or \

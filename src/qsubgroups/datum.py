@@ -532,6 +532,8 @@ def enumerate_triples(
     fixed_pair restricts to one (I+, I-).  dim_H runs once per pair, on
     the kernel; each record then only sets |Sigma| = ell^n / |N|.
     """
+    if max_results is not None:  # cap is checked where enumerate_subgroups reads it
+        _int_tuple((max_results,), "max_results")
     n = tw.rank
     if fixed_pair is not None:
         pairs = [(tuple(sorted(fixed_pair[0])), tuple(sorted(fixed_pair[1])))]

@@ -5,13 +5,14 @@ Everything downstream is built on three ingredients:
 * arbitrary-precision rationals (``fractions.Fraction``, re-exported as
   ``Rational``),
 * the cyclotomic field Q(eps) for a primitive ell-th root of unity eps,
-  with ell odd, represented modulo the ell-th cyclotomic polynomial,
+  with ell odd, as remainders mod the ell-th cyclotomic polynomial,
 * integer matrices with one elimination over Z, the fraction-free
   Gauss-Jordan _det_adj behind every determinant, adjugate and rational
   inverse, and one normal form, the Hermite form of a lattice rowspan(M)
-  + ell Z^n computed mod ell, which drives all linear algebra over Z/ellZ:
-  subgroups, kernels and solutions of congruence systems.  ell may be
-  composite, so ranks are never trusted; pivots dividing ell are.
+  + ell Z^n computed mod ell, with one reduction _reduce against its rows,
+  which drive all linear algebra over Z/ellZ: subgroups, membership,
+  kernels and solutions of congruence systems.  ell may be composite, so
+  ranks are never trusted; pivots dividing ell are.
 
 All values are immutable after construction and all functions are pure,
 so everything here can be shared freely between workers.
@@ -30,7 +31,7 @@ from ._record import record
 Rational = Fraction
 
 SOLVER_MEMO_SIZE = 1024  # factored systems [A^T | I] mod m
-FIELD_MEMO_SIZE = 32  # cyclotomic levels: polynomials and reduction tables
+FIELD_MEMO_SIZE = 32  # cyclotomic polynomials, one per level
 
 __all__ = [
     "Rational",
@@ -49,38 +50,34 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials (ascending coefficient tuples); _poly_divmod takes
-# monic divisors only, which keeps every quotient integral
-
-def _poly_trim(coeffs):
-    end = len(coeffs)
-    while end > 0 and coeffs[end - 1] == 0:
-        end -= 1
-    return tuple(coeffs[:end])
-
+# integer polynomials (ascending coefficient lists); _poly_divmod takes monic
+# divisors only, so every quotient is integral, and pads the remainder to deg den
 
 def _poly_mul(p, q):
-    if not p or not q:
-        return ()
+    """p q, skipping the zero terms of both factors."""
     out = [0] * (len(p) + len(q) - 1)
+    terms = [(j, b) for j, b in enumerate(q) if b]
     for i, a in enumerate(p):
         if a:
-            for j, b in enumerate(q):
+            for j, b in terms:
                 out[i + j] += a * b
-    return _poly_trim(out)
+    return out
 
 
 def _poly_divmod(num, den):
-    """(quotient, remainder) of num by a monic den."""
+    """(quotient, remainder) of num by a monic den: pop the top coefficient
+    c of num and fold -c times den's lower terms into the entries below."""
     num = list(num)
-    q = [0] * max(len(num) - len(den) + 1, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        q[k] = c
+    d = len(den) - 1
+    quot = []
+    while len(num) > d:
+        c = num.pop()
+        quot.append(c)
         if c:
-            for j, b in enumerate(den):
-                num[k + j] -= c * b
-    return _poly_trim(q), _poly_trim(num)
+            for j, b in enumerate(den[:d], len(num) - d):
+                if b:
+                    num[j] -= c * b
+    return quot[::-1], num + [0] * (d - len(num))
 
 
 def euler_phi(n: int) -> int:
@@ -116,53 +113,19 @@ def cyclotomic_polynomial(ell: int) -> tuple[int, ...]:
         if ell % d == 0:
             den = _poly_mul(den, cyclotomic_polynomial(d))
     result, rem = _poly_divmod(num, den)  # den is monic: integral quotient
-    assert not rem and len(result) - 1 == euler_phi(ell)
-    return result
+    assert not any(rem) and len(result) - 1 == euler_phi(ell)
+    return tuple(result)
 
 
 # ---------------------------------------------------------------------------
 # the cyclotomic field Q(eps)
 
-@functools.lru_cache(maxsize=FIELD_MEMO_SIZE)
-def _power_reduction_table(ell: int) -> tuple[tuple[int, ...], ...]:
-    """Table of q^k reduced modulo the ell-th cyclotomic polynomial.
-
-    Covers every exponent k that can appear while multiplying two reduced
-    elements or raising eps to a power below ell.  The cyclotomic
-    polynomial is monic, so every entry is an integer.
-    """
-    phi = euler_phi(ell)
-    top = max(2 * phi - 1, ell)
-    minpoly = cyclotomic_polynomial(ell)
-    table = list(IntMatrix.identity(phi).data)  # q^k for k < phi is already reduced
-    for k in range(phi, top):
-        # q^k = q * q^(k-1), then fold the overflow coefficient back in
-        # using q^phi = -(lower terms of the minimal polynomial).
-        prev = table[k - 1]
-        row = [0] + list(prev[:-1])
-        carry = prev[-1]
-        if carry:
-            for j in range(phi):
-                row[j] -= carry * minpoly[j]
-        table.append(tuple(row))
-    return tuple(table)  # shared by every caller through the memo
-
-
 def reduce_power_basis(ell: int, coeffs) -> list:
-    """Coefficients of sum_k coeffs[k] eps^k in the power basis
-    1, eps, ..., eps^(phi(ell)-1), for exponents k < max(2 phi(ell) - 1,
-    ell).  Integer input gives integer output."""
-    table = _power_reduction_table(ell)
-    out = [0] * len(table[0])
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        if k >= len(table):
-            raise ValueError("exponent outside the reduction table")
-        for j, r in enumerate(table[k]):
-            if r:
-                out[j] += c * r
-    return out
+    """Coefficients of sum_k coeffs[k] eps^k in the power basis 1, eps, ...,
+    eps^(phi(ell)-1), for any number of coefficients: the remainder mod the
+    ell-th cyclotomic polynomial (Cohen, GTM 138, sections 3.1 and 4.2).
+    Integer input gives integer output."""
+    return _poly_divmod(coeffs, cyclotomic_polynomial(ell))[1]
 
 
 def _validate_level(ell: int) -> None:
@@ -187,10 +150,7 @@ class CyclotomicNumber:
             raise TypeError(f"cyclotomic level must be int, got {self.level!r}")
         _validate_level(self.level)
         phi = euler_phi(self.level)
-        coeffs = tuple(self.coeffs)
-        if not all(type(c) is int or isinstance(c, Fraction) for c in coeffs):
-            raise TypeError(f"coefficients must be int or Fraction, got {coeffs!r}")
-        coeffs = tuple(map(Fraction, coeffs))
+        coeffs = _rational_tuple(self.coeffs, "coefficients")
         if len(coeffs) != phi:
             raise ValueError(f"need {phi} coefficients for level {self.level}")
         object.__setattr__(self, "coeffs", coeffs)
@@ -205,15 +165,13 @@ class CyclotomicNumber:
 
     @classmethod
     def from_rational(cls, level: int, value) -> "CyclotomicNumber":
-        coeffs = [Fraction(0)] * euler_phi(level)
-        coeffs[0] = Fraction(value)
-        return cls(level, coeffs)
+        return cls(level, [value] + [0] * (euler_phi(level) - 1))
 
     @classmethod
     def from_polynomial(cls, level: int, coeffs) -> "CyclotomicNumber":
         """Reduce an arbitrary polynomial in eps into canonical form."""
         _validate_level(level)
-        return cls(level, reduce_power_basis(level, [Fraction(c) for c in coeffs]))
+        return cls(level, reduce_power_basis(level, _rational_tuple(coeffs, "coefficients")))
 
     def _check_partner(self, other):
         if not isinstance(other, CyclotomicNumber):
@@ -237,17 +195,12 @@ class CyclotomicNumber:
         return CyclotomicNumber(self.level, [-a for a in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber(self.level, [a * other for a in self.coeffs])
+        if not isinstance(other, CyclotomicNumber):
+            (c,) = _rational_tuple((other,), "scalars")
+            return CyclotomicNumber(self.level, [a * c for a in self.coeffs])
         self._check_partner(other)
-        phi = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * phi - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] += a * b
-        return CyclotomicNumber.from_polynomial(self.level, prod)
+        return CyclotomicNumber.from_polynomial(self.level,
+                                                _poly_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -263,10 +216,10 @@ class CyclotomicNumber:
         return CyclotomicNumber(self.level, [row[0] for row in inv])
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        self._check_partner(other)
-        return self * other.inverse()
+        if not isinstance(other, CyclotomicNumber):
+            (c,) = _rational_tuple((other,), "divisors")
+            return self * (1 / c)
+        return self * other.inverse()  # the product checks the levels
 
     def __pow__(self, n: int):
         if n < 0:
@@ -283,8 +236,8 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+    def __eq__(self, other):  # a bool or float compares unequal, never as 1 or 0.5
+        if type(other) is int or isinstance(other, Fraction):
             other = CyclotomicNumber.from_rational(self.level, other)
         if not isinstance(other, CyclotomicNumber):
             return NotImplemented
@@ -317,6 +270,16 @@ def _int_tuple(values, what: str) -> tuple[int, ...]:
     if not _INT_ONLY.issuperset(map(type, values)):
         _refuse_non_int(values, what)
     return values
+
+
+def _rational_tuple(values, what: str) -> tuple[Fraction, ...]:
+    """values as a tuple of Fractions, every item an int or a Fraction:
+    bool, float and str raise TypeError instead of being coerced."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int and not isinstance(x, Fraction):
+            raise TypeError(f"{what} must be int or Fraction, got {type(x).__name__} {x!r}")
+    return tuple(map(Fraction, values))
 
 
 class IntMatrix:
@@ -444,6 +407,17 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
+def _reduce(v: list, rows, first: int) -> list:
+    """Reduces v in place against Hermite rows with pivots in columns first,
+    first + 1, ..., each entry of v at a pivot into [0, pivot)."""
+    for j, row in enumerate(rows, first):
+        q = v[j] // row[j]
+        if q:
+            for k in range(j, len(v)):
+                v[k] -= q * row[k]
+    return v
+
+
 def hermite_normal_form(M: IntMatrix, ell: int) -> IntMatrix:
     """Row-style Hermite normal form of the lattice rowspan(M) + ell Z^n.
 
@@ -482,11 +456,8 @@ def hermite_normal_form(M: IntMatrix, ell: int) -> IntMatrix:
         pivot[j] = a
         basis.append(pivot)
         rows = rest
-    for j, pivot in enumerate(basis):
-        for i in range(j):
-            q = basis[i][j] // pivot[j]
-            if q:
-                basis[i] = [x - q * y for x, y in zip(basis[i], pivot)]
+    for i in range(n - 2, -1, -1):
+        _reduce(basis[i], basis[i + 1:], i + 1)
     return IntMatrix(basis, ncols=n)
 
 
@@ -540,12 +511,9 @@ def solve_linear_mod(A: IntMatrix, b, mod: int) -> tuple[int, ...] | None:
     b = _int_tuple(b, "right-hand side entries")
     if len(b) != p:
         raise ValueError("right-hand side length mismatch")
-    v = list(b) + [0] * A.ncols
-    for i, row in enumerate(_factored(A.data, A.ncols, mod)[0]):
-        q, r = divmod(v[i], row[i])
-        if r:
-            return None
-        v = [x - q * y for x, y in zip(v, row)]
+    v = _reduce(list(b) + [0] * A.ncols, _factored(A.data, A.ncols, mod)[0], 0)
+    if any(v[:p]):
+        return None
     return tuple(-x % mod for x in v[p:])
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from ._record import record
-from .exact import IntMatrix, _det_adj, _int_tuple
+from .exact import IntMatrix, _det_adj, _int_tuple, _rational_tuple
 
 __all__ = [
     "Basis",
@@ -202,10 +202,7 @@ class LatticeElement:
     @classmethod
     def make(cls, basis: Basis, coords) -> "LatticeElement":
         """coords must be int or Fraction: bool, float and str raise TypeError."""
-        coords = tuple(coords)
-        if not all(type(c) is int or isinstance(c, Fraction) for c in coords):
-            raise TypeError(f"coordinates must be int or Fraction, got {coords!r}")
-        return cls(basis, tuple(Fraction(c) for c in coords))
+        return cls(basis, _rational_tuple(coords, "coordinates"))
 
     @classmethod
     def zero(cls, basis: Basis, rank: int) -> "LatticeElement":
@@ -230,7 +227,7 @@ class LatticeElement:
         return LatticeElement(self.basis, tuple(-a for a in self.coords))
 
     def scaled(self, c) -> "LatticeElement":
-        c = Fraction(c)
+        (c,) = _rational_tuple((c,), "scale factors")
         return LatticeElement(self.basis, tuple(c * a for a in self.coords))
 
     def is_integral(self) -> bool:
@@ -297,13 +294,6 @@ class Root:
     def from_coords(cls, coords) -> "Root":
         coords = _int_tuple(coords, "root coordinates")
         return cls(coords, frozenset(i + 1 for i, c in enumerate(coords) if c))
-
-    def element(self) -> LatticeElement:
-        return LatticeElement.make(Basis.ALPHA, self.coords)
-
-    @property
-    def height(self) -> int:
-        return sum(self.coords)
 
 
 def _reflect(coords: tuple[int, ...], i: int, cd: CartanDatum) -> tuple[int, ...]:

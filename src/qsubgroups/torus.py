@@ -11,7 +11,7 @@ handled through integer lattices:
 
 The Hermite normal form of that lattice, computed mod ell, is the
 canonical form of the subgroup; equality of subgroups is syntactic
-equality of the forms, and membership is integer back-substitution.
+equality of the forms, and membership is reduction by exact._reduce.
 There is one way in for each kind of description, each one Hermite form:
 TorusSubgroup.from_generators for a span and TorusSubgroup.kernel for the
 solutions of a row system mod ell (the character kernel, annihilators,
@@ -42,6 +42,7 @@ from ._record import record
 from .exact import (
     IntMatrix,
     _int_tuple,
+    _reduce,
     hermite_normal_form,
     kernel_lattice,
     root_of_unity_power,
@@ -78,7 +79,9 @@ class EnumerationGuard(RuntimeError):
     """Raised when an enumeration would exceed the configured cap."""
 
 
-def _enum_cap() -> int:
+def _enum_cap(cap: int | None) -> int:
+    if cap is not None:
+        return _int_tuple((cap,), "cap")[0]
     raw = os.environ.get(ENUM_CAP_ENV)
     if raw is None:
         return DEFAULT_ENUM_CAP
@@ -86,17 +89,6 @@ def _enum_cap() -> int:
         return int(raw)
     except ValueError as exc:
         raise ValueError(f"{ENUM_CAP_ENV} must be an integer") from exc
-
-
-def _reduce(v: list, rows) -> list:
-    """Reduces v in place against Hermite rows whose pivots fill the last
-    len(rows) columns (v vanishing before them); zero iff v is in their span."""
-    for j, row in enumerate(rows, len(v) - len(rows)):
-        q = v[j] // row[j]
-        if q:
-            for k in range(j, len(v)):
-                v[k] -= q * row[k]
-    return v
 
 
 class TorusSubgroup:
@@ -156,7 +148,7 @@ class TorusSubgroup:
         v = list(_int_tuple(vec, "vector entries"))
         if len(v) != self.n:
             raise ValueError("vector length mismatch")
-        return not any(_reduce(v, self.lattice.data))
+        return not any(_reduce(v, self.lattice.data, 0))
 
     def killed_by(self, rows) -> bool:
         """Whether every row pairs to zero mod ell with every element,
@@ -180,7 +172,7 @@ class TorusSubgroup:
     def elements(self, cap: int | None = None):
         """All elements, sorted; guarded by cap.  Each is sum c_i b_i mod
         ell over the Hermite rows b_i, once for each 0 <= c_i < ell/pivot_i."""
-        limit = cap if cap is not None else _enum_cap()
+        limit = _enum_cap(cap)
         if self.order > limit:
             raise EnumerationGuard(
                 f"subgroup order {self.order} exceeds cap {limit}"
@@ -347,7 +339,8 @@ def _required_rows(tw: TwistMap, iplus, iminus):
     """The required generators of a triple, labelled: ("kbar", i) with
     (1-phi)(alpha_i) for i in I+, then ("ktilde", j) with (1+phi)(alpha_j)
     for j in I-, each ascending."""
-    iplus, iminus = frozenset(iplus), frozenset(iminus)
+    iplus = frozenset(_int_tuple(iplus, "simple indices"))
+    iminus = frozenset(_int_tuple(iminus, "simple indices"))
     _check_indices(tw, iplus | iminus)
     rows = [(("kbar", i), kbar_exponent(tw, i)) for i in sorted(iplus)]
     rows += [(("ktilde", j), ktilde_exponent(tw, j)) for j in sorted(iminus)]
@@ -472,7 +465,7 @@ def enumerate_subgroups(ambient: TorusSubgroup, cap: int | None = None):
     when there are more than cap subgroups.
     """
     ell, n = ambient.ell, ambient.n
-    limit = cap if cap is not None else _enum_cap()
+    limit = _enum_cap(cap)
     amb = ambient.lattice.data
     found = []
 
@@ -488,10 +481,10 @@ def enumerate_subgroups(ambient: TorusSubgroup, cap: int | None = None):
             for extra in product(*reps):
                 coef = (d // a,) + extra  # of A_i, A_{i+1}, ..., A_{n-1}
                 v = [sum(c * r[k] for c, r in zip(coef, amb[i:])) for k in range(n)]
-                row = _reduce(v, lower)
+                row = _reduce(v, lower, i + 1)
                 w = [ell // d * x for x in row]
                 w[i] = 0  # (ell/d) row - ell e_i
-                if not any(_reduce(w, lower)):
+                if not any(_reduce(w, lower, i + 1)):
                     extend(i - 1, [row] + lower)
 
     extend(n - 1, [])

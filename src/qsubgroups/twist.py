@@ -36,7 +36,13 @@ from fractions import Fraction
 from math import lcm
 
 from ._record import record
-from .exact import IntMatrix, invert_rational_matrix, kernel_lattice
+from .exact import (
+    IntMatrix,
+    _int_tuple,
+    _rational_tuple,
+    invert_rational_matrix,
+    kernel_lattice,
+)
 from .lie import (
     Basis,
     CartanDatum,
@@ -251,6 +257,8 @@ def r_operator(tw: TwistMap, sign: int = 1, inverse: bool = False) -> RationalOp
 
 
 def _index_check(tw: TwistMap, i: int) -> None:
+    if type(i) is not int:  # one C-level test per query; _int_tuple words the refusal
+        _int_tuple((i,), "simple indices")
     if not 1 <= i <= tw.rank:
         raise IndexError(f"simple index {i} out of range 1..{tw.rank}")
 
@@ -275,9 +283,7 @@ def c3_parameter_matrix(a, b, c):
     reports the integrality violation explicitly.  Each parameter must be
     an int or a Fraction: bool, float and str raise TypeError.
     """
-    if not all(type(x) is int or isinstance(x, Fraction) for x in (a, b, c)):
-        raise TypeError(f"c3 parameters must be int or Fraction, got {(a, b, c)!r}")
-    a, b, c = Fraction(a), Fraction(b), Fraction(c)
+    a, b, c = _rational_tuple((a, b, c), "c3 parameters")
     rows = [
         [a + b / 2, -a + c / 2, -b / 2 - c / 2],
         [2 * a + b, -a + c, -b / 2 - c],
@@ -364,6 +370,9 @@ def enumerate_valid_twists(cd: CartanDatum, bound: int, limit: int | None = None
     outermost.  The zero twist always comes first; `limit` stops after
     that many twists, but never before the first.
     """
+    _int_tuple((bound,), "bound")
+    if limit is not None:
+        _int_tuple((limit,), "limit")
     n = cd.rank
     delta, adj = _adjugate_cartan(cd)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -8,6 +8,7 @@ path with the library it checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -713,3 +714,53 @@ def former_subgroup_elements(sub):
                     nxt.append(cand)
         frontier = nxt
     return sorted(seen)
+
+
+# ---------------------------------------------------------------------------
+# frozen reference: the library's former Q(eps) reduction through a memoised
+# table of q^k mod the cyclotomic polynomial
+
+
+@functools.lru_cache(maxsize=32)
+def _former_power_reduction_table(ell: int) -> tuple[tuple[int, ...], ...]:
+    """Table of q^k reduced modulo the ell-th cyclotomic polynomial.
+
+    Covers every exponent k that can appear while multiplying two reduced
+    elements or raising eps to a power below ell.  The cyclotomic
+    polynomial is monic, so every entry is an integer.
+    """
+    from qsubgroups.exact import IntMatrix, cyclotomic_polynomial, euler_phi
+
+    phi = euler_phi(ell)
+    top = max(2 * phi - 1, ell)
+    minpoly = cyclotomic_polynomial(ell)
+    table = list(IntMatrix.identity(phi).data)  # q^k for k < phi is already reduced
+    for k in range(phi, top):
+        # q^k = q * q^(k-1), then fold the overflow coefficient back in
+        # using q^phi = -(lower terms of the minimal polynomial).
+        prev = table[k - 1]
+        row = [0] + list(prev[:-1])
+        carry = prev[-1]
+        if carry:
+            for j in range(phi):
+                row[j] -= carry * minpoly[j]
+        table.append(tuple(row))
+    return tuple(table)  # shared by every caller through the memo
+
+
+def former_reduce_power_basis(ell: int, coeffs) -> list:
+    """The library's former reduce_power_basis: coefficients of
+    sum_k coeffs[k] eps^k in the power basis 1, eps, ..., eps^(phi(ell)-1),
+    for exponents k < max(2 phi(ell) - 1, ell).  Integer input gives
+    integer output."""
+    table = _former_power_reduction_table(ell)
+    out = [0] * len(table[0])
+    for k, c in enumerate(coeffs):
+        if not c:
+            continue
+        if k >= len(table):
+            raise ValueError("exponent outside the reduction table")
+        for j, r in enumerate(table[k]):
+            if r:
+                out[j] += c * r
+    return out

@@ -14,6 +14,7 @@ from qsubgroups.exact import (
     euler_phi,
     hermite_normal_form,
     kernel_mod,
+    reduce_power_basis,
     root_of_unity_power,
     solve_linear_mod,
 )
@@ -22,6 +23,7 @@ from oracles import (
     brute_kernel,
     cyclotomic_by_division,
     former_cyclotomic_inverse,
+    former_reduce_power_basis,
     span_elements,
 )
 
@@ -49,6 +51,32 @@ class TestCyclotomicPolynomial:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             cyclotomic_polynomial(0)
+
+
+class TestReducePowerBasis:
+    def test_matches_former_table(self):
+        """The remainder mod the cyclotomic polynomial equals the former
+        table reduction on random int and Fraction vectors of every length
+        the table covered, and int input gives int output."""
+        rng = random.Random(1414)
+        for ell in (3, 5, 7, 9, 15, 21, 45, 105):
+            for length in range(max(2 * euler_phi(ell) - 1, ell) + 1):
+                density = rng.choice((0.2, 0.6, 1.0))
+                ints = [rng.randint(-9, 9) if rng.random() < density else 0
+                        for _ in range(length)]
+                fracs = [Fraction(c, rng.randint(1, 5)) for c in ints]
+                reduced = reduce_power_basis(ell, ints)
+                assert reduced == former_reduce_power_basis(ell, ints), (ell, ints)
+                assert all(type(c) is int for c in reduced), (ell, ints)
+                assert reduce_power_basis(ell, fracs) == \
+                    former_reduce_power_basis(ell, fracs), (ell, fracs)
+
+    def test_any_exponent(self):
+        """The former table stopped at exponent max(2 phi - 1, ell) - 1 and
+        raised "exponent outside the reduction table" above it."""
+        assert CyclotomicNumber.from_polynomial(5, [0] * 20 + [1]) == CyclotomicNumber.one(5)
+        assert reduce_power_basis(9, [0] * 31 + [2]) == [0, 0, 0, 0, 2, 0]  # q^31 = q^4
+        assert reduce_power_basis(7, []) == [0] * 6
 
 
 class TestRootOfUnity:

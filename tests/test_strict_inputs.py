@@ -8,11 +8,14 @@ a memoised function would alias different inputs silently.
 Covers solve_linear_mod's right-hand side, roots_supported's indices,
 Root.from_coords, IntMatrix.apply and through it
 TorusEmbedding.point_exponents, Character.pairing, c3_parameter_matrix,
-LatticeElement.make and CyclotomicNumber's coefficients (which also take a
-Fraction), CyclotomicNumber's level and TorusPairElement's scale and g and
-h coordinates, whose g range and count vector length are
-checked too.  derandomize=True and a fixed max_examples keep the test
-deterministic.
+LatticeElement.make and scaled and CyclotomicNumber's coefficients,
+factories and scalars (which also take a Fraction), CyclotomicNumber's
+level and TorusPairElement's scale and g and h coordinates, whose g range
+and count vector length are checked too.  Simple indices (the exponent
+queries, s_phi_matrix, t_phi_I, t_hat_I_complement, a Sigma generator) and
+the guard arguments max_results, cap, bound and limit take only an int
+as well; a guard may still be None.  derandomize=True and a fixed
+max_examples keep the test deterministic.
 """
 
 from fractions import Fraction
@@ -21,12 +24,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsubgroups.cocycle import TorusPairElement
-from qsubgroups.datum import FiniteAbelianGroup, TorusEmbedding
+from qsubgroups.cocycle import TorusPairElement, twist_J, twist_J_group_algebra
+from qsubgroups.datum import FiniteAbelianGroup, TorusEmbedding, enumerate_triples
 from qsubgroups.exact import CyclotomicNumber, IntMatrix, euler_phi, solve_linear_mod
 from qsubgroups.lie import Basis, LatticeElement, Root, cartan_matrix, roots_supported
-from qsubgroups.torus import Character
-from qsubgroups.twist import c3_parameter_matrix
+from qsubgroups.torus import (
+    Character,
+    SigmaGenerator,
+    TorusSubgroup,
+    enumerate_subgroups,
+    s_phi_matrix,
+    t_hat_I_complement,
+    t_phi_I,
+)
+from qsubgroups.twist import (
+    c3_parameter_matrix,
+    enumerate_valid_twists,
+    kbar_exponent,
+    ktilde_exponent,
+    require_twist,
+)
 
 FUZZ = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -46,8 +63,8 @@ def with_bad(draw, values):
     return values
 
 
-def refused(call):
-    with pytest.raises(TypeError, match="must be int"):
+def refused(call, match="must be int"):
+    with pytest.raises(TypeError, match=match):
         result = call()
         pytest.fail(f"returned {result!r}")
 
@@ -217,6 +234,32 @@ def test_probes():
         CyclotomicNumber(5.0, [1, 0, 0, 0])
     with pytest.raises(TypeError, match="int or Fraction"):  # was 1/2 and 1
         CyclotomicNumber(5, [0.5, True, 0, 0])
+    one = CyclotomicNumber.one(5)
+    for call in (lambda: CyclotomicNumber.from_polynomial(5, [0.5, True]),  # 1/2, 1
+                 lambda: CyclotomicNumber.from_rational(5, 0.25),  # was 1/4
+                 lambda: one * True,  # was one
+                 lambda: one / True,  # was one
+                 lambda: LatticeElement.make(Basis.OMEGA, [1, 2]).scaled(0.5)):  # halved
+        refused(call, "int or Fraction")
+    assert (one == True) is False  # used to raise TypeError
+    assert (one == 1.0) is False
+    assert one == 1 and one == Fraction(1)
+    tw = require_twist(CARTAN[2], c3_parameter_matrix(1, 2, 0))
+    refused(lambda: s_phi_matrix(tw, 5, [True], []))  # was [[1, 0, 0]]
+    refused(lambda: t_phi_I(tw, 5, [True], []))
+    refused(lambda: t_hat_I_complement(tw, 5, [True], [2.0]))  # "tuple indices must be..."
+    refused(lambda: kbar_exponent(tw, True))
+    refused(lambda: ktilde_exponent(tw, True))
+    refused(lambda: tw.tau_exponent(True))
+    refused(lambda: SigmaGenerator.kbar(True).evaluate(tw, 5))
+    with pytest.raises(IndexError):  # out of range stays an IndexError
+        kbar_exponent(tw, 4)
+    a2 = require_twist(CARTAN[0], [[0, 0], [0, 0]])
+    refused(lambda: enumerate_triples(a2, 3, max_results=True))  # was 1 of 27 records
+    refused(lambda: enumerate_triples(a2, 3, max_results=2.5))  # "slice indices must be..."
+    refused(lambda: list(enumerate_valid_twists(CARTAN[0], True)))  # walked bound 1
+    refused(lambda: list(twist_J(a2, 3).table_lines(cap=81.0)))  # ran
+    refused(lambda: TorusSubgroup.full(3, 2).elements(cap=9.5))  # ran
 
 
 @FUZZ
@@ -235,3 +278,72 @@ def test_cyclotomic_number(data):
     bad_level = data.draw(st.one_of(st.just(float(ell)), st.just(True), st.just(str(ell))))
     with pytest.raises(TypeError, match="level must be int"):
         CyclotomicNumber(bad_level, coeffs)
+    x = CyclotomicNumber(ell, coeffs)
+    bad_scalar = data.draw(st.one_of(st.booleans(), st.floats(allow_nan=False, width=32),
+                                     st.text(max_size=3)))
+    for call in (lambda: CyclotomicNumber.from_polynomial(ell, coeffs + [bad_scalar]),
+                 lambda: CyclotomicNumber.from_rational(ell, bad_scalar),
+                 lambda: x * bad_scalar, lambda: bad_scalar * x, lambda: x / bad_scalar):
+        refused(call, "int or Fraction")
+    assert (x == bad_scalar) is False
+
+
+TWISTS = [require_twist(CARTAN[0], [[0, 0], [0, 0]]),
+          require_twist(CARTAN[2], c3_parameter_matrix(1, 2, 0)),
+          require_twist(cartan_matrix("B", 2), [[-1, 2], [-1, 1]])]
+
+
+@FUZZ
+@given(st.data())
+def test_simple_indices(data):
+    tw = data.draw(st.sampled_from(TWISTS))
+    i = data.draw(st.integers(1, tw.rank))
+    bad = data.draw(BAD)
+    for query in (kbar_exponent, ktilde_exponent, type(tw).tau_exponent):
+        assert len(query(tw, i)) == tw.rank
+        refused(lambda: query(tw, bad))
+        with pytest.raises(IndexError):
+            query(tw, data.draw(st.one_of(st.integers(-3, 0),
+                                          st.integers(tw.rank + 1, tw.rank + 3))))
+    SigmaGenerator.kbar(i).evaluate(tw, 5)
+    refused(lambda: SigmaGenerator.ktilde(bad).evaluate(tw, 5))
+    iplus = data.draw(st.lists(st.integers(1, tw.rank), min_size=1, max_size=tw.rank))
+    for build in (s_phi_matrix, t_phi_I, t_hat_I_complement):
+        build(tw, 5, iplus, [i])
+        refused(lambda: build(tw, 5, with_bad(data.draw, iplus), [i]))
+        refused(lambda: build(tw, 5, [i], with_bad(data.draw, iplus)))
+
+
+@FUZZ
+@given(st.data())
+def test_guard_arguments(data):
+    """max_results, cap, bound and limit take an int or None, never a
+    bool, float, Fraction or str."""
+    tw = TWISTS[0]
+    bad = data.draw(BAD)
+    sub = TorusSubgroup.from_generators(3, 2, [[1, 2]])
+    refused(lambda: enumerate_triples(tw, 3, max_results=bad))
+    refused(lambda: enumerate_triples(tw, 3, cap=bad))
+    refused(lambda: list(enumerate_valid_twists(tw.cd, bad)))
+    refused(lambda: list(enumerate_valid_twists(tw.cd, 1, limit=bad)))
+    refused(lambda: list(twist_J(tw, 3).table_lines(cap=bad)))
+    refused(lambda: twist_J_group_algebra(tw, 3, cap=bad))
+    refused(lambda: sub.elements(cap=bad))
+    refused(lambda: enumerate_subgroups(sub, cap=bad))
+
+
+def test_guard_arguments_take_int_and_none():
+    tw = TWISTS[0]
+    assert len(enumerate_triples(tw, 3)) == 27
+    assert len(enumerate_triples(tw, 3, max_results=1, cap=None)) == 1
+    assert len(enumerate_triples(tw, 3, max_results=None, cap=100)) == 27
+    assert len(list(enumerate_valid_twists(tw.cd, 1))) == \
+        len(list(enumerate_valid_twists(tw.cd, 1, limit=None)))
+    assert len(list(enumerate_valid_twists(tw.cd, 1, limit=1))) == 1
+    assert len(list(twist_J(tw, 3).table_lines(cap=81))) == 9
+    assert len(list(twist_J(tw, 3).table_lines())) == 9
+    twist_J_group_algebra(tw, 3, cap=81)
+    full = TorusSubgroup.full(3, 2)
+    assert len(full.elements(cap=9)) == len(full.elements()) == 9
+    assert len(enumerate_subgroups(full, cap=6)) == len(enumerate_subgroups(full)) == 6
+
