@@ -556,11 +556,7 @@ def _paper_fixtures(a: int, b: int, c: int, ell: int):
         return [[int(bilinear_form(left(i), cd.simple_root(j), cd)) for j in (1, 2, 3)]
                 for i in (1, 2, 3)]
 
-    check(
-        "cartan_matrix_c3",
-        [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
-        cd.A.to_lists(),
-    )
+    check("cartan_matrix_c3", [[2, -1, 0], [-1, 2, -1], [0, -2, 2]], cd.A.to_lists())
     check("symmetrizers_c3", [2, 2, 1], list(cd.d))
     check(
         "weight_root_pairing",
@@ -584,11 +580,7 @@ def _paper_fixtures(a: int, b: int, c: int, ell: int):
     iplus, iminus = (2,), (1,)
     s = s_phi_matrix(tw, ell, iplus, iminus)
     check("s_matrix_rows", sorted([[5, 8, 10], [2, 3, 2]]), sorted(s.to_lists()))
-    check(
-        "s_matrix_canonical",
-        [[1, 0, 8], [0, 1, 10]],
-        canonical_row_form(s, ell).to_lists(),
-    )
+    check("s_matrix_canonical", [[1, 0, 8], [0, 1, 10]], canonical_row_form(s, ell).to_lists())
     kernel = t_hat_I_complement(tw, ell, iplus, iminus)
     check("kernel_a_order", 11, kernel.order)
     check("kernel_a_contains_311", True, kernel.contains((3, 1, 1)))
@@ -635,18 +627,11 @@ def _paper_fixtures(a: int, b: int, c: int, ell: int):
         (), (), TorusSubgroup.trivial(ell, 3),
         embedding=TorusEmbedding.make(z2, [[1], [0], [0]], 3),
     )
-    check(
-        "semisimple_predicate",
-        True,
-        predicates(tw, ell, semisimple_datum).semisimple,
-    )
+    check("semisimple_predicate", True, predicates(tw, ell, semisimple_datum).semisimple)
 
     ob = obstruction_check(tw, ell, iplus, iminus, recipe_a)
-    check(
-        "untwisted_comparison_orders",
-        (121, 11),
-        (ob.sigma_order_untwisted, ob.n_order_untwisted),
-    )
+    check("untwisted_comparison_orders", (121, 11),
+          (ob.sigma_order_untwisted, ob.n_order_untwisted))
     check("obstruction_flag", True, ob.obstructed)
     check("obstruction_dim_ratio", "11", str(ob.dim_ratio))
 

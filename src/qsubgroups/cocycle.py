@@ -15,15 +15,9 @@ with exponent +(phi(l_z1), l_z2)/2, where l_z = sum z_i alpha_i.  In
 matrix terms that exponent is z1^T (Y^T D A) z2, an integer matrix, so
 the cocycle is bilinear and all its identities are checked exactly.
 
-The group-algebra realization of J materializes cyclotomic numbers: the
-coefficient of the basis element (g, h) is the exact inverse Fourier
-transform ell^(-2n) sum_(z1, z2) eps^(J(z1, z2) - z1.g - z2.h).  The sum
-over z2 leaves the fiber of z1 -> B^T z1 over h, a coset z0 + K of
-K = ker(z -> B^T z mod ell), so it is known in closed form: with m(g) the
-gcd of ell and k.g over the generators k of K, the count of eps^e is
-|K| m / ell when e == -z0.g (mod m) and 0 otherwise.  Every value k.g and
-z0.g over all g comes from one "sweep" (_sweep) through the torus in
-lexicographic order, so no entry needs its own dot product or gcd.
+The group-algebra realization of J (twist_J_group_algebra) materializes
+its cyclotomic coefficients in closed form, from the cosets of the kernel
+of z -> B^T z, each value over all g from one "sweep" (_sweep).
 
 The product in that group algebra is an exact Kronecker substitution
 (Schoenhage 1982; Harvey, J. Symb. Comp. 2009) that stays independent of
@@ -35,17 +29,25 @@ of fibers do not overlap.  Each unit of one factor's count mass meets at
 most one count of the other in any cell of the product, so every
 coefficient, folded or not, is at most min(t1 m2, m1 t2), with t the sum
 and m the largest of a factor's counts; the limbs are exactly as many
-bits as that bound needs.  Every pair of fibers is multiplied once into
-the bucket h1 + h2 mod ell, and each bucket is unpacked once, folding
-every axis mod ell (eps^ell = 1).
+bits as that bound needs.  The bucket over h sums the fiber products
+over h1 + h2 == h (mod ell), either one product per pair of fibers, or
+with the h-axes taken as polynomial variables (Toom 1963; Cook 1966):
+each factor is evaluated at the points 0, +-1, ..., +-(ell - 1) of every
+h-axis, the values are multiplied pointwise, (2 ell - 1)^n products, and
+interpolated exactly by the integer inverse Vandermonde matrix, folding
+y^(k + ell) onto y^k.  _evaluates picks the faster way from the fiber
+counts, ell, n and the limb width, so a single fiber (the zero twists)
+and small dense factors keep the pairwise loop.  Each bucket is unpacked
+once, folding every axis mod ell (eps^ell = 1).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from ._record import record
 from .exact import (
@@ -53,6 +55,7 @@ from .exact import (
     IntMatrix,
     _int_tuple,
     _rational_tuple,
+    invert_rational_matrix,
     kernel_lattice,
     reduce_power_basis,
 )
@@ -72,6 +75,7 @@ __all__ = [
 ]
 
 DEFAULT_TABLE_CAP = 10_000
+WEIGHTS_MEMO_SIZE = 32  # h-axis evaluation and interpolation weights, one per level
 
 
 class TableCapExceeded(RuntimeError):
@@ -231,16 +235,8 @@ class TorusPairElement:
         return self._reduce(vec)
 
     def _reduce(self, vec) -> CyclotomicNumber:
-        return CyclotomicNumber(
-            self.ell, [self.scale * c for c in reduce_power_basis(self.ell, vec)]
-        )
-
-    def _equals_rational(self, vec, value: int) -> bool:
-        """Whether scale * vec is the integer value in Q(eps), compared in
-        integers after clearing the scale's denominator."""
         reduced = reduce_power_basis(self.ell, vec)
-        num, den = self.scale.numerator, self.scale.denominator
-        return num * reduced[0] == value * den and not (num and any(reduced[1:]))
+        return CyclotomicNumber(self.ell, [self.scale * c for c in reduced])
 
     def support(self):
         return sorted(self.vectors.keys())
@@ -298,33 +294,36 @@ class TorusPairElement:
         """Group-algebra product (convolution over the pair group)."""
         if (self.ell, self.n) != (other.ell, other.n):
             raise ValueError("mismatched group algebras")
-        ell = self.ell
-        # a folded coefficient of the product at (g, h, e) sums
-        # a[g1, h1][i] * b[g2, h2][j] over the support of a, each with its
-        # one partner in b, so it is at most t1 * m2, and likewise m1 * t2
-        # (t = sum, m = largest of a factor's counts); every unfolded or
-        # partly folded limb is a part of such a sum.  The limbs are as many
-        # bits as that bound needs, and hold each factor's own counts too.
+        ell, n = self.ell, self.n
+        # every limb, folded or not, is at most min(t1 m2, m1 t2) (see the
+        # module docstring), and the limbs hold each factor's own counts too
         (t1, m1), (t2, m2) = self._mass(), other._mass()
         width = max(min(t1 * m2, m1 * t2), m1, m2, 1).bit_length()
-        fibers = other._packed_fibers(width)
-        buckets: dict = {}
-        for h1, p1 in self._packed_fibers(width).items():
-            for h2, p2 in fibers.items():
-                h = tuple((a + b) % ell for a, b in zip(h1, h2))
-                buckets[h] = buckets.get(h, 0) + p1 * p2
+        fibers1, fibers2 = self._packed_fibers(width), other._packed_fibers(width)
+        if _evaluates(len(fibers1), len(fibers2), ell, n, width):
+            buckets = _evaluated_product(fibers1, fibers2, ell, n)
+        else:
+            buckets = {}
+            for h1, p1 in fibers1.items():
+                for h2, p2 in fibers2.items():
+                    h = tuple((a + b) % ell for a, b in zip(h1, h2))
+                    buckets[h] = buckets.get(h, 0) + p1 * p2
         vectors = {}
-        for h, packed in buckets.items():
+        for h, packed in sorted(buckets.items()):
             for g, vec in self._unpacked(packed, width):
                 vectors[(g, h)] = vec
-        return TorusPairElement(ell, self.n, self.scale * other.scale, vectors, _built=True)
+        return TorusPairElement(ell, n, self.scale * other.scale, vectors, _built=True)
 
     def _is_unit(self, table: dict, zero) -> bool:
-        """Whether table holds 1 at zero and 0 at every other key."""
-        return zero in table and all(
-            self._equals_rational(vec, 1 if key == zero else 0)
-            for key, vec in table.items()
-        )
+        """Whether scale * table holds 1 at zero and 0 at every other key,
+        compared in integers: the vector at zero must recur nowhere else,
+        and each distinct vector is reduced once."""
+        values, one = list(map(tuple, table.values())), tuple(table.get(zero, ()))
+        if values.count(one) != 1:  # also when zero is absent: no vector is ()
+            return False
+        first, *rest = reduce_power_basis(self.ell, one)
+        return self.scale * first == 1 and not any(rest) and not any(
+            any(reduce_power_basis(self.ell, vec)) for vec in set(values) - {one})
 
     def is_identity(self) -> bool:
         return self._is_unit(self.vectors, ((0,) * self.n, (0,) * self.n))
@@ -336,9 +335,7 @@ class TorusPairElement:
         for (g, h), vec in self.vectors.items():
             key = h if side == "left" else g
             cur = collapsed.get(key)
-            collapsed[key] = (
-                tuple(a + b for a, b in zip(cur, vec)) if cur else vec
-            )
+            collapsed[key] = tuple(map(operator.add, cur, vec)) if cur else vec
         return collapsed
 
     def counit_side(self, side: str) -> dict:
@@ -348,6 +345,56 @@ class TorusPairElement:
 
     def counit_is_one(self, side: str) -> bool:
         return self._is_unit(self._collapsed(side), (0,) * self.n)
+
+
+def _evaluates(f1: int, f2: int, ell: int, n: int, width: int) -> bool:
+    """Whether the evaluated product beats the pairwise loop on f1 x f2
+    fibers: with its linear passes, its P = (2 ell - 1)^n products cost
+    about as much as P (1 + sqrt(6000 / S)) pairs, S the bits of a packed
+    fiber (fitted on ell 3..15, n 1..3)."""
+    pairs, points = f1 * f2, (2 * ell - 1) ** n
+    bits = (2 * ell - 1) ** (n + 1) * width
+    return pairs > points and bits * (pairs - points) ** 2 > 6000 * points**2
+
+
+@functools.lru_cache(maxsize=WEIGHTS_MEMO_SIZE)
+def _h_axis_weights(ell: int) -> tuple:
+    """(E, W, d) on one h-axis: E evaluates a polynomial of degree < ell at
+    0, 1, -1, ..., ell - 1, 1 - ell; W / d, the inverse Vandermonde matrix
+    with d the lcm of its denominators, interpolates one of degree
+    < 2 ell - 1 from those values and folds y^(k + ell) onto y^k."""
+    points = [0] + [s * x for x in range(1, ell) for s in (1, -1)]
+    inverse = invert_rational_matrix([[x**k for k in range(2 * ell - 1)] for x in points])
+    d = lcm(*(c.denominator for row in inverse for c in row))
+    rows = [[int(c * d) for c in row] for row in inverse] + [[0] * (2 * ell - 1)]
+    folded = [list(map(operator.add, rows[k], rows[k + ell])) for k in range(ell)]
+    return [[x**k for k in range(ell)] for x in points], folded, d
+
+
+def _along_axes(cells: list, weights, n: int) -> list:
+    """The matrix weights applied along each axis of the row-major n-axis
+    array cells; each pass moves the axis it transforms last."""
+    size = len(weights[0])
+    for _ in range(n):
+        rest = len(cells) // size
+        cells = [sum(map(operator.mul, row, cells[q::rest]))
+                 for q in range(rest) for row in weights]
+    return cells
+
+
+def _evaluated_product(fibers1: dict, fibers2: dict, ell: int, n: int) -> dict:
+    """h -> the sum of p1 p2 over the fibers h1 + h2 == h (mod ell), for
+    every h in lexicographic order (see the module docstring)."""
+    evaluate, interpolate, d = _h_axis_weights(ell)
+    hs = list(itertools.product(range(ell), repeat=n))
+    values = []
+    for fibers in (fibers1, fibers2):
+        cells = dict.fromkeys(hs, 0)
+        for h, p in fibers.items():
+            cells[tuple(x % ell for x in h)] += p
+        values.append(_along_axes(list(cells.values()), evaluate, n))
+    cells = _along_axes(list(map(operator.mul, *values)), interpolate, n)
+    return {h: c // d**n for h, c in zip(hs, cells)}
 
 
 @record

@@ -47,7 +47,6 @@ from .torus import (
     enumerate_subgroups,
     evaluate_recipe,
     s_phi_matrix,
-    t_hat_I_complement,
     t_phi_I,
     validate_triple,
 )
@@ -375,8 +374,8 @@ def dim_H(tw: TwistMap, ell: int, iplus, iminus, N: TorusSubgroup) -> DimH:
 
 @functools.lru_cache(maxsize=DATUM_MEMO_SIZE, typed=True)
 def _dim_h(tw: TwistMap, ell: int, iplus: frozenset, iminus: frozenset,
-           N: TorusSubgroup) -> DimH:
-    rows = s_phi_matrix(tw, ell, iplus, iminus).data
+           N: TorusSubgroup, rows=None) -> DimH:
+    rows = s_phi_matrix(tw, ell, iplus, iminus).data if rows is None else rows
     if (N.ell, N.n) != (ell, tw.rank):
         raise ValueError("N lives in a different torus")
     if not N.killed_by(rows):
@@ -529,8 +528,9 @@ def enumerate_triples(
     Pairs (I+, I-) run over subsets of the simple roots in binary-mask
     order; for each pair, N runs over every subgroup of the character
     kernel in canonical order.  max_results truncates the list;
-    fixed_pair restricts to one (I+, I-).  dim_H runs once per pair, on
-    the kernel; each record then only sets |Sigma| = ell^n / |N|.
+    fixed_pair restricts to one (I+, I-).  s_phi_matrix and dim_H run
+    once per pair, the latter on the kernel; each record then only sets
+    |Sigma| = ell^n / |N|.
     """
     if max_results is not None:  # cap is checked where enumerate_subgroups reads it
         _int_tuple((max_results,), "max_results")
@@ -545,8 +545,9 @@ def enumerate_triples(
     for iplus, iminus in pairs:
         if max_results is not None and len(results) >= max_results:
             break
-        kernel = t_hat_I_complement(tw, ell, iplus, iminus)
-        base = dim_H(tw, ell, iplus, iminus, kernel)
+        rows = s_phi_matrix(tw, ell, iplus, iminus).data
+        kernel = TorusSubgroup.kernel(ell, n, rows)  # t_hat_I_complement
+        base = _dim_h(tw, ell, frozenset(iplus), frozenset(iminus), kernel, rows)
         results += (
             TripleRecord(iplus, iminus, sub,
                          replace(base, sigma_order=ell**n // sub.order))

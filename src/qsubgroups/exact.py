@@ -84,18 +84,14 @@ def euler_phi(n: int) -> int:
     """Euler's totient."""
     if n < 1:
         raise ValueError("totient needs n >= 1")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
+    result, p = n, 2
+    while p * p <= n:  # n keeps the prime factors not yet seen
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
             result -= result // p
         p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return result - result // n if n > 1 else result
 
 
 @functools.lru_cache(maxsize=FIELD_MEMO_SIZE)
@@ -122,10 +118,14 @@ def cyclotomic_polynomial(ell: int) -> tuple[int, ...]:
 
 def reduce_power_basis(ell: int, coeffs) -> list:
     """Coefficients of sum_k coeffs[k] eps^k in the power basis 1, eps, ...,
-    eps^(phi(ell)-1), for any number of coefficients: the remainder mod the
-    ell-th cyclotomic polynomial (Cohen, GTM 138, sections 3.1 and 4.2).
-    Integer input gives integer output."""
-    return _poly_divmod(coeffs, cyclotomic_polynomial(ell))[1]
+    eps^(phi(ell)-1), for any number of int or Fraction coefficients: the
+    remainder mod the ell-th cyclotomic polynomial (Cohen, GTM 138, sections
+    3.1 and 4.2), taken in integers once the denominators are cleared to
+    one common c.  Integer input gives integer output."""
+    c = lcm(*(x.denominator for x in coeffs))
+    rem = _poly_divmod([x.numerator * (c // x.denominator) for x in coeffs],
+                       cyclotomic_polynomial(ell))[1]
+    return rem if c == 1 else [Fraction(x, c) for x in rem]
 
 
 def _validate_level(ell: int) -> None:
@@ -222,6 +222,7 @@ class CyclotomicNumber:
         return self * other.inverse()  # the product checks the levels
 
     def __pow__(self, n: int):
+        (n,) = _int_tuple((n,), "exponents")
         if n < 0:
             return self.inverse() ** (-n)
         result = CyclotomicNumber.one(self.level)
@@ -360,8 +361,8 @@ class IntMatrix:
         return IntMatrix([[sum(map(operator.mul, row, col)) for col in cols]
                           for row in self.data], ncols=other.ncols)
 
-    def __mul__(self, other):
-        if isinstance(other, int):
+    def __mul__(self, other):  # a bool is refused by __matmul__, not taken as 1 or 0
+        if type(other) is int:
             return self.scaled(other)
         return self.__matmul__(other)
 

@@ -374,6 +374,16 @@ class TestGroupAlgebraTwist:
                 ((3,), (0,)): (0, 2, 0, 0, 2, 0, 0, 2, 0),
             }),
             (9, Fraction(1), {((0,), (4,)): (1,) + (0,) * 8}),
+            # the vector at zero recurs at another key
+            (3, Fraction(1), {((0,), (0,)): (1, 0, 0), ((1,), (2,)): (1, 0, 0)}),
+            # each distinct vector is reduced once: recurring zeros, and
+            # exactly one other key with a nonzero vector (or with 1 + eps + eps^2)
+            (3, Fraction(1), {((0,), (0,)): (1, 0, 0), ((1,), (0,)): (0, 0, 0),
+                              ((2,), (1,)): (0, 0, 0), ((1,), (1,)): (0, 1, 0),
+                              ((2,), (2,)): (2, 2, 2)}),
+            (3, Fraction(1), {((0,), (0,)): (1, 0, 0), ((1,), (0,)): (0, 0, 0),
+                              ((2,), (1,)): (0, 0, 0), ((1,), (1,)): (1, 1, 1),
+                              ((2,), (2,)): (2, 2, 2)}),
         ]
         verdicts = []
         for ell, scale, vectors in elements:
@@ -382,7 +392,7 @@ class TestGroupAlgebraTwist:
             for side in ("left", "right"):
                 assert el.counit_is_one(side) == canonical_counit(el, side)
             verdicts.append(el.is_identity())
-        assert verdicts == [True, False, True, False, True, False]
+        assert verdicts == [True, False, True, False, True, False, False, False, True]
 
 
 class TestTwistJBilinearRule:
@@ -472,6 +482,22 @@ def random_pair_element(rng, ell, n, size, top, dense=False):
     return TorusPairElement(ell, n, scale, vectors)
 
 
+def occupied_element(rng, ell, n, top, box, share):
+    """A TorusPairElement with one point over every h-fiber, its g drawn
+    from range(box)^n; about share of the vectors hold counts below top,
+    the rest are all-zero."""
+    vectors = {}
+    for h in itertools.product(range(ell), repeat=n):
+        g = tuple(rng.randrange(box) for _ in range(n))
+        nonzero = rng.random() < share
+        vectors[(g, h)] = tuple(rng.randrange(top) if nonzero else 0 for _ in range(ell))
+    return TorusPairElement(ell, n, Fraction(rng.randrange(1, 10), rng.randrange(1, 50)),
+                            vectors)
+
+
+OCCUPIED_CASES = [(ell, n) for n in (1, 2) for ell in (3, 5, 7, 9, 15)] + [(3, 3)]
+
+
 class TestConvolutionAgainstPairwiseLoop:
     """convolve against the frozen pairwise loop: exact vectors and scale."""
 
@@ -524,6 +550,42 @@ class TestConvolutionAgainstPairwiseLoop:
             self.assert_matches(ga.inverse, ga.inverse)
             self.assert_matches(ga.element, ga.inverse)
 
+
+    @pytest.mark.parametrize("ell, n", OCCUPIED_CASES)
+    def test_every_fiber_occupied(self, ell, n, monkeypatch):
+        # every h-fiber holds a point, so the evaluated product meets every
+        # h-axis in full; each product is made by both paths, which must
+        # agree with the frozen loop and give identical vectors, order
+        # included.  The g-box and the nonzero share keep the big-integer
+        # products and the frozen loop small.
+        rng = random.Random(10 * ell + n)
+        box = ell if n == 1 or ell == 3 else 1 if ell == 15 else 2
+        share = min(1, 40 / ell**n)
+        small, huge = (occupied_element(rng, ell, n, top, box, share) for top in (4, 1 << 70))
+        pairs = [(small, huge), (huge, small), (huge, huge)]
+        expected = [pairwise_convolve(a, b) for a, b in pairs]
+        products = []
+        for forced in (True, False):
+            monkeypatch.setattr("qsubgroups.cocycle._evaluates", lambda *_, f=forced: f)
+            got = [a.convolve(b) for a, b in pairs]
+            assert [(p.vectors, p.scale) for p in got] == expected
+            products.append([list(p.vectors.items()) for p in got])
+        assert products[0] == products[1]
+
+    def test_path_rule(self, monkeypatch):
+        # the dense twist at ell = 5 is evaluated; the dense one at ell = 3,
+        # the C3 twist at ell = 3 (9 fibers) and the one-fiber zero twists
+        # keep the pairwise loop
+        from qsubgroups.cocycle import _evaluated_product as real
+
+        evaluated = []
+        monkeypatch.setattr("qsubgroups.cocycle._evaluated_product",
+                            lambda *args: evaluated.append(args[2:]) or real(*args))
+        for tw, ell in ((b2_twist(), 5), (b2_twist(), 3), (worked_twist(), 3),
+                        (zero_twist(cartan_matrix("A", 2)), 9)):
+            ga = twist_J_group_algebra(tw, ell)
+            assert ga.element.convolve(ga.inverse).is_identity()
+        assert evaluated == [(5, 2)]
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_negative_counts_are_refused(self, side):

@@ -227,6 +227,8 @@ def test_probes():
     refused(lambda: TorusEmbedding.make(FiniteAbelianGroup((5,)), [[1], [0]], 2)
             .point_exponents((2.5,), 5))  # was (2.5, 0.0)
     refused(lambda: IntMatrix([[1, 2]]).apply([0.5, True]))  # was (2.5,)
+    with pytest.raises(TypeError):  # was IntMatrix([[1, 2]])
+        IntMatrix([[1, 2]]) * True
     refused(lambda: TorusPairElement(3, 1, Fraction(1), {((0,), (0.5,)): (1, 0, 0)}))
     with pytest.raises(TypeError, match="int or Fraction"):  # was 1/2 and 1
         LatticeElement.make(Basis.OMEGA, [0.5, True])
@@ -241,6 +243,8 @@ def test_probes():
                  lambda: one / True,  # was one
                  lambda: LatticeElement.make(Basis.OMEGA, [1, 2]).scaled(0.5)):  # halved
         refused(call, "int or Fraction")
+    refused(lambda: one ** True)  # was one
+    refused(lambda: one ** 2.0)
     assert (one == True) is False  # used to raise TypeError
     assert (one == 1.0) is False
     assert one == 1 and one == Fraction(1)
