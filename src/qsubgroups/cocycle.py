@@ -47,15 +47,16 @@ import functools
 import itertools
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from ._record import record
 from .exact import (
     CyclotomicNumber,
     IntMatrix,
     _int_tuple,
+    _poly_divmod,
+    _poly_mul,
     _rational_tuple,
-    invert_rational_matrix,
     kernel_lattice,
     reduce_power_basis,
 )
@@ -360,14 +361,16 @@ def _evaluates(f1: int, f2: int, ell: int, n: int, width: int) -> bool:
 @functools.lru_cache(maxsize=WEIGHTS_MEMO_SIZE)
 def _h_axis_weights(ell: int) -> tuple:
     """(E, W, d) on one h-axis: E evaluates a polynomial of degree < ell at
-    0, 1, -1, ..., ell - 1, 1 - ell; W / d, the inverse Vandermonde matrix
-    with d the lcm of its denominators, interpolates one of degree
-    < 2 ell - 1 from those values and folds y^(k + ell) onto y^k."""
+    the points x_i = 0, 1, -1, ..., ell - 1, 1 - ell; W / d interpolates one
+    of degree < 2 ell - 1 from those values, folding y^(k + ell) onto y^k.
+    Column i of the inverse Vandermonde matrix is the Lagrange polynomial
+    prod_(j != i) (y - x_j) / (x_i - x_j), and d the lcm of their denominators."""
     points = [0] + [s * x for x in range(1, ell) for s in (1, -1)]
-    inverse = invert_rational_matrix([[x**k for k in range(2 * ell - 1)] for x in points])
-    d = lcm(*(c.denominator for row in inverse for c in row))
-    rows = [[int(c * d) for c in row] for row in inverse] + [[0] * (2 * ell - 1)]
-    folded = [list(map(operator.add, rows[k], rows[k + ell])) for k in range(ell)]
+    master = functools.reduce(_poly_mul, ([-x, 1] for x in points))
+    basis = [_poly_divmod(master, [-x, 1])[0] for x in points]
+    scale = [prod(x - y for y in points if y != x) for x in points]
+    d = lcm(*scale)
+    folded = [[sum(q[k::ell]) * (d // w) for q, w in zip(basis, scale)] for k in range(ell)]
     return [[x**k for k in range(ell)] for x in points], folded, d
 
 

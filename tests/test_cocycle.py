@@ -1,8 +1,10 @@
 """Tests for exponent-level deformation data and the dual twist."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -10,13 +12,14 @@ from qsubgroups.cocycle import (
     Bidegree,
     TableCapExceeded,
     TorusPairElement,
+    _h_axis_weights,
     chi_exponent,
     deformation_exponent,
     sigma_inverse_exponent,
     twist_J,
     twist_J_group_algebra,
 )
-from qsubgroups.exact import CyclotomicNumber
+from qsubgroups.exact import CyclotomicNumber, invert_rational_matrix
 from qsubgroups.lie import Basis, LatticeElement, cartan_matrix
 from qsubgroups.twist import (
     c3_parameter_matrix,
@@ -571,6 +574,21 @@ class TestConvolutionAgainstPairwiseLoop:
             assert [(p.vectors, p.scale) for p in got] == expected
             products.append([list(p.vectors.items()) for p in got])
         assert products[0] == products[1]
+
+    @pytest.mark.parametrize("ell", [3, 5, 7, 9, 15])
+    def test_weights_are_the_inverse_vandermonde(self, ell):
+        # E is the Vandermonde matrix of the evaluation points and W / d its
+        # inverse, as invert_rational_matrix gives it, with rows k and
+        # k + ell added; d is the lcm of the inverse's denominators
+        evaluate, interpolate, d = _h_axis_weights(ell)
+        points = [row[1] for row in evaluate]
+        assert points == [0] + [s * x for x in range(1, ell) for s in (1, -1)]
+        vander = [[x**k for k in range(2 * ell - 1)] for x in points]
+        assert evaluate == [row[:ell] for row in vander]
+        inverse = list(invert_rational_matrix(vander)) + [(0,) * (2 * ell - 1)]
+        assert d == lcm(*(c.denominator for row in inverse for c in row))
+        assert [[Fraction(w, d) for w in row] for row in interpolate] == [
+            list(map(operator.add, inverse[k], inverse[k + ell])) for k in range(ell)]
 
     def test_path_rule(self, monkeypatch):
         # the dense twist at ell = 5 is evaluated; the dense one at ell = 3,
