@@ -230,6 +230,9 @@ def _load_spec(args) -> ProblemSpec:
         ymat = IntMatrix.zeros(cd.rank, cd.rank)
 
     iplus, iminus = sorted(read("iplus", [])), sorted(read("iminus", []))
+    for flag, ids in (("--iplus", iplus), ("--iminus", iminus)):
+        if len(set(ids)) < len(ids):
+            raise ParseFailure(f"{flag} repeats a simple index: {ids}")
     sigma = _strict_object("sigma", doc.get("sigma"))
     raw_gens = _strict_rows("sigma generators", sigma.get("generators", []))
     raw_gens += [_parse_int_list(g) for g in (getattr(args, "sigma_gen", None) or [])]

@@ -27,6 +27,8 @@ tau.  Mutual <= forces equal (I+, I-, N) and |Gamma| = |Gamma'|.
 analyze_datum derives all a datum determines (report, dim H, dim A, the
 predicates and their obstruction) once, memoised on (tw, ell, d);
 validate_datum, dim_A, predicates and obstruction_check read its record.
+dim_H itself is a plain function over the rows that torus memoises per
+(I+, I-); enumerate_triples calls it once per pair, on the kernel.
 """
 
 from __future__ import annotations
@@ -43,10 +45,11 @@ from .torus import (
     SigmaGenerator,
     TorusSubgroup,
     Triple,
+    _required,
     annihilator,
     enumerate_subgroups,
     evaluate_recipe,
-    s_phi_matrix,
+    t_hat_I_complement,
     t_phi_I,
     validate_triple,
 )
@@ -77,7 +80,7 @@ __all__ = [
     "predicates",
 ]
 
-DATUM_MEMO_SIZE = 1024  # entries each for analyze_datum and dim_H
+DATUM_MEMO_SIZE = 1024  # entries of the analyze_datum memo
 
 
 class _Infinite:
@@ -299,7 +302,7 @@ def _datum_report(tw: TwistMap, ell: int, d: TwistedSubgroupDatum) -> DatumRepor
     if (d.N.ell, d.N.n) != (ell, n):
         found.append(("n_shape", "N lives in the wrong torus"))
     elif not bad:
-        rows = s_phi_matrix(tw, ell, d.iplus, d.iminus).data
+        rows = _required(tw, ell, d.iplus, d.iminus)[1]
         for g in d.N.generators:
             values = [(row, sum(a * b for a, b in zip(row, g)) % ell) for row in rows]
             witness = next((f"{row} . {g} = {val} != 0 (mod {ell})"
@@ -368,30 +371,17 @@ def factor_out(value: int, base: int) -> tuple[int, int]:
 def dim_H(tw: TwistMap, ell: int, iplus, iminus, N: TorusSubgroup) -> DimH:
     """|Sigma| * ell^(#roots supported in I+ and I-), with |Sigma| =
     ell^n / |N|.  N must lie in the character kernel of (I+, I-)."""
-    return _dim_h(tw, ell, frozenset(_int_tuple(iplus, "simple indices")),
-                  frozenset(_int_tuple(iminus, "simple indices")), N)
-
-
-@functools.lru_cache(maxsize=DATUM_MEMO_SIZE, typed=True)
-def _dim_h(tw: TwistMap, ell: int, iplus: frozenset, iminus: frozenset,
-           N: TorusSubgroup, rows=None) -> DimH:
-    rows = s_phi_matrix(tw, ell, iplus, iminus).data if rows is None else rows
+    iplus = frozenset(_int_tuple(iplus, "simple indices"))
+    iminus = frozenset(_int_tuple(iminus, "simple indices"))
+    rows = _required(tw, ell, iplus, iminus)[1]
     if (N.ell, N.n) != (ell, tw.rank):
         raise ValueError("N lives in a different torus")
     if not N.killed_by(rows):
         raise ValueError("N is not inside the character kernel for (I+, I-)")
-    total = ell**tw.rank
-    sigma_order, rem = divmod(total, N.order)
+    sigma_order, rem = divmod(ell**tw.rank, N.order)
     assert rem == 0
-    return DimH(
-        ell=ell,
-        rank=tw.rank,
-        sigma_order=sigma_order,
-        roots_plus=len(roots_supported(tw.cd, iplus)),
-        roots_minus=len(roots_supported(tw.cd, iminus)),
-        simple_plus=len(iplus),
-        simple_minus=len(iminus),
-    )
+    roots = (len(roots_supported(tw.cd, ids)) for ids in (iplus, iminus))
+    return DimH(ell, tw.rank, sigma_order, *roots, len(iplus), len(iminus))
 
 
 def dim_A(tw: TwistMap, ell: int, d: TwistedSubgroupDatum):
@@ -528,15 +518,16 @@ def enumerate_triples(
     Pairs (I+, I-) run over subsets of the simple roots in binary-mask
     order; for each pair, N runs over every subgroup of the character
     kernel in canonical order.  max_results truncates the list;
-    fixed_pair restricts to one (I+, I-).  s_phi_matrix and dim_H run
-    once per pair, the latter on the kernel; each record then only sets
-    |Sigma| = ell^n / |N|.
+    fixed_pair restricts to one (I+, I-), recorded as sorted distinct
+    indices.  t_hat_I_complement and dim_H run once per pair, the latter
+    on the kernel; each record then only sets |Sigma| = ell^n / |N|.
     """
     if max_results is not None:  # cap is checked where enumerate_subgroups reads it
         _int_tuple((max_results,), "max_results")
     n = tw.rank
     if fixed_pair is not None:
-        pairs = [(tuple(sorted(fixed_pair[0])), tuple(sorted(fixed_pair[1])))]
+        pairs = [tuple(tuple(sorted(set(_int_tuple(ids, "simple indices"))))
+                       for ids in fixed_pair)]
     else:
         subsets = [tuple(i + 1 for i in range(n) if mask >> i & 1)
                    for mask in range(1 << n)]
@@ -545,9 +536,8 @@ def enumerate_triples(
     for iplus, iminus in pairs:
         if max_results is not None and len(results) >= max_results:
             break
-        rows = s_phi_matrix(tw, ell, iplus, iminus).data
-        kernel = TorusSubgroup.kernel(ell, n, rows)  # t_hat_I_complement
-        base = _dim_h(tw, ell, frozenset(iplus), frozenset(iminus), kernel, rows)
+        kernel = t_hat_I_complement(tw, ell, iplus, iminus)
+        base = dim_H(tw, ell, iplus, iminus, kernel)
         results += (
             TripleRecord(iplus, iminus, sub,
                          replace(base, sigma_order=ell**n // sub.order))
@@ -617,8 +607,7 @@ def default_sigma_recipe(tw: TwistMap, ell: int, d: TwistedSubgroupDatum):
     """Recipe used when the datum does not carry one: the required
     generators symbolically, plus Sigma's canonical generators as fixed
     vectors (treated as twist-independent)."""
-    recipe = [SigmaGenerator.kbar(i) for i in sorted(d.iplus)]
-    recipe += [SigmaGenerator.ktilde(j) for j in sorted(d.iminus)]
+    recipe = [SigmaGenerator(*label) for label in _required(tw, ell, d.iplus, d.iminus)[0]]
     sigma = annihilator(d.N)
     required = t_phi_I(tw, ell, d.iplus, d.iminus)
     recipe += [SigmaGenerator.fixed(g) for g in sigma.generators

@@ -198,9 +198,12 @@ class CyclotomicNumber:
         if not isinstance(other, CyclotomicNumber):
             (c,) = _rational_tuple((other,), "scalars")
             return CyclotomicNumber(self.level, [a * c for a in self.coeffs])
-        self._check_partner(other)
-        return CyclotomicNumber.from_polynomial(self.level,
-                                                _poly_mul(self.coeffs, other.coeffs))
+        self._check_partner(other)  # both over one denominator c: integer products
+        c = lcm(*(x.denominator for x in self.coeffs + other.coeffs))
+        p, q = ([x.numerator * (c // x.denominator) for x in v]
+                for v in (self.coeffs, other.coeffs))
+        rem = reduce_power_basis(self.level, _poly_mul(p, q))
+        return CyclotomicNumber(self.level, [Fraction(x, c * c) for x in rem])
 
     __rmul__ = __mul__
 

@@ -23,12 +23,14 @@ the Hermite lattices between ell Z^n and the ambient subgroup's own
 lattice.
 
 A Hopf-subalgebra triple (I+, I-, Sigma) requires Sigma to contain the
-exponent vectors (1 -+ phi)(alpha_i) for i in I+-; the coefficient
-matrix S built from exactly those vectors has the character kernel as
-its kernel mod ell, so a character lies in that kernel iff every row of
-S pairs to zero with it.  analyze_triple derives everything a triple
-determines (T_I, N, |Sigma|, |N|, |Omega|, the order identity) in one
-pass; n_phi_from_sigma, sigma_order_identity and omega_order read it.
+exponent vectors (1 -+ phi)(alpha_i) for i in I+-.  Their rows mod ell
+form the coefficient matrix S, whose kernel mod ell is the character
+kernel.  A bounded memo derives the labelled rows once per (tw, ell, I+,
+I-), and s_phi_matrix, validate_triple, t_phi_I (T_I, a span) and
+t_hat_I_complement (the kernel) read them.  analyze_triple derives
+everything a triple determines (T_I, N, |Sigma|, |N|, |Omega|, the order
+identity) in one pass; n_phi_from_sigma, sigma_order_identity and
+omega_order read it.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ __all__ = [
 
 ENUM_CAP_ENV = "QSUBGROUPS_ENUM_CAP"
 DEFAULT_ENUM_CAP = 200_000
-SUBGROUP_MEMO_SIZE = 4096  # entries per constructor
+SUBGROUP_MEMO_SIZE = 4096  # entries per constructor, and of the required rows
 
 
 class EnumerationGuard(RuntimeError):
@@ -198,8 +200,9 @@ class TorusSubgroup:
         )
 
 
-# The memo behind the two constructors: rows are int tuples already checked
-# by IntMatrix, and errors (ell < 1) propagate without being cached.
+# The memo behind the two constructors and the required rows of (I+, I-):
+# rows are int tuples already checked by IntMatrix, and errors (ell < 1)
+# propagate without being cached.
 
 @functools.lru_cache(maxsize=SUBGROUP_MEMO_SIZE)
 def _span(ell: int, n: int, rows) -> TorusSubgroup:
@@ -299,7 +302,7 @@ class Triple:
              sigma_gens=(), recipe=None) -> "Triple":
         iplus = frozenset(_int_tuple(iplus, "simple indices"))
         iminus = frozenset(_int_tuple(iminus, "simple indices"))
-        _check_indices(tw, iplus | iminus)
+        _required(tw, ell, iplus, iminus)  # refuses an index out of range
         gens = [tuple(x % ell for x in _int_tuple(g, "sigma generator entries"))
                 for g in sigma_gens]
         if recipe is not None:
@@ -329,41 +332,31 @@ class TripleAnalysis:
     order_identity: bool  # |Sigma| * |N| == ell^n
 
 
-def _check_indices(tw: TwistMap, indices) -> None:
-    bad = set(indices) - set(range(1, tw.rank + 1))
+def _required(tw: TwistMap, ell: int, iplus, iminus):
+    """(labels, S) of the pair (I+, I-), see _required_memo; the indices
+    pass _int_tuple first, since a cache key takes True for 1."""
+    return _required_memo(tw, ell, frozenset(_int_tuple(iplus, "simple indices")),
+                          frozenset(_int_tuple(iminus, "simple indices")))
+
+
+@functools.lru_cache(maxsize=SUBGROUP_MEMO_SIZE, typed=True)
+def _required_memo(tw: TwistMap, ell: int, iplus: frozenset, iminus: frozenset):
+    """The required generators of a triple: labels ("kbar", i) for
+    (1-phi)(alpha_i), i in I+, then ("ktilde", j) for (1+phi)(alpha_j),
+    j in I-, each ascending, and S, their exponent vectors mod ell, whose
+    entries IntMatrix checks once, so the subgroup memos take S as is."""
+    bad = (iplus | iminus) - set(range(1, tw.rank + 1))
     if bad:
         raise ValueError(f"simple indices out of range: {sorted(bad)}")
-
-
-def _required_rows(tw: TwistMap, iplus, iminus):
-    """The required generators of a triple, labelled: ("kbar", i) with
-    (1-phi)(alpha_i) for i in I+, then ("ktilde", j) with (1+phi)(alpha_j)
-    for j in I-, each ascending."""
-    iplus = frozenset(_int_tuple(iplus, "simple indices"))
-    iminus = frozenset(_int_tuple(iminus, "simple indices"))
-    _check_indices(tw, iplus | iminus)
-    rows = [(("kbar", i), kbar_exponent(tw, i)) for i in sorted(iplus)]
-    rows += [(("ktilde", j), ktilde_exponent(tw, j)) for j in sorted(iminus)]
-    return rows
+    labels = [("kbar", i) for i in sorted(iplus)] + [("ktilde", j) for j in sorted(iminus)]
+    rows = [SigmaGenerator(*label).evaluate(tw, ell) for label in labels]
+    return tuple(labels), IntMatrix(rows, ncols=tw.rank).data
 
 
 def t_phi_I(tw: TwistMap, ell: int, iplus, iminus) -> TorusSubgroup:
     """The subgroup generated by the required elements of a triple:
     (1-phi)(alpha_i) for i in I+ and (1+phi)(alpha_j) for j in I-."""
-    rows = [row for _, row in _required_rows(tw, iplus, iminus)]
-    return TorusSubgroup.from_generators(ell, tw.rank, rows)
-
-
-def _check_triple(tw: TwistMap, ell: int, triple: Triple):
-    """(report, T_I) for a triple; see validate_triple."""
-    required = _required_rows(tw, triple.iplus, triple.iminus)
-    missing = [label for label, row in required if not triple.sigma.contains(row)]
-    t_I = TorusSubgroup.from_generators(ell, tw.rank, [row for _, row in required])
-    for i in sorted(triple.iplus & triple.iminus):
-        basis = tuple(int(r == i - 1) for r in range(tw.rank))
-        if not t_I.contains(basis):
-            missing.append(("kalpha", i))
-    return TripleReport(ok=not missing, missing=tuple(missing)), t_I
+    return _span(ell, tw.rank, _required(tw, ell, iplus, iminus)[1])
 
 
 def validate_triple(tw: TwistMap, ell: int, triple: Triple) -> TripleReport:
@@ -375,7 +368,12 @@ def validate_triple(tw: TwistMap, ell: int, triple: Triple) -> TripleReport:
     is twice the basis vector, but confirmed here so the report is
     self-contained).
     """
-    return _check_triple(tw, ell, triple)[0]
+    labels, rows = _required(tw, ell, triple.iplus, triple.iminus)
+    missing = [label for label, row in zip(labels, rows) if not triple.sigma.contains(row)]
+    t_I = _span(ell, tw.rank, rows)
+    missing += [("kalpha", i) for i in sorted(triple.iplus & triple.iminus)
+                if not t_I.contains([int(r == i - 1) for r in range(tw.rank)])]
+    return TripleReport(ok=not missing, missing=tuple(missing))
 
 
 def s_phi_matrix(tw: TwistMap, ell: int, iplus, iminus) -> IntMatrix:
@@ -386,8 +384,7 @@ def s_phi_matrix(tw: TwistMap, ell: int, iplus, iminus) -> IntMatrix:
     exponent vectors of the required Sigma generators.  Rows are ordered
     I+ ascending, then I- ascending.
     """
-    rows = [[x % ell for x in row] for _, row in _required_rows(tw, iplus, iminus)]
-    return IntMatrix(rows, ncols=tw.rank)
+    return IntMatrix(_required(tw, ell, iplus, iminus)[1], ncols=tw.rank)
 
 
 def canonical_row_form(M: IntMatrix, ell: int) -> IntMatrix:
@@ -401,8 +398,7 @@ def t_hat_I_complement(tw: TwistMap, ell: int, iplus, iminus) -> TorusSubgroup:
     """Characters that kill every required generator: the kernel of the
     coefficient matrix mod ell.  For prime ell its order is
     ell^(n - rank)."""
-    s = s_phi_matrix(tw, ell, iplus, iminus)
-    return TorusSubgroup.kernel(ell, tw.rank, s.data)
+    return _kernel(ell, tw.rank, _required(tw, ell, iplus, iminus)[1])
 
 
 def annihilator(sub: TorusSubgroup) -> TorusSubgroup:
@@ -420,12 +416,12 @@ def analyze_triple(tw: TwistMap, ell: int, triple: Triple) -> TripleAnalysis:
     quotient Sigma / T_I is never materialized, only its order.  Memoised
     on (tw, ell, triple), all immutable, as datum.analyze_datum is.
     """
-    report, t_I = _check_triple(tw, ell, triple)
+    report = validate_triple(tw, ell, triple)
     if not report.ok:
         raise ValueError(f"invalid triple, missing generators: {report.missing}")
-    sigma = triple.sigma
-    nsub = annihilator(sigma)
-    assert nsub.killed_by(s_phi_matrix(tw, ell, triple.iplus, triple.iminus).data)
+    rows = _required(tw, ell, triple.iplus, triple.iminus)[1]
+    sigma, t_I, nsub = triple.sigma, _span(ell, tw.rank, rows), annihilator(triple.sigma)
+    assert nsub.killed_by(rows)
     omega, rem = divmod(sigma.order, t_I.order)
     assert rem == 0
     return TripleAnalysis(

@@ -699,6 +699,19 @@ def former_cyclotomic_inverse(x):
     return CyclotomicNumber.from_polynomial(x.level, [c / r1[0] for c in s1])
 
 
+def former_cyclotomic_product(x, y):
+    """The library's former CyclotomicNumber product: the schoolbook
+    product of the two Fraction coefficient vectors, then the reduction
+    mod the cyclotomic polynomial."""
+    from qsubgroups.exact import CyclotomicNumber
+
+    out = [Fraction(0)] * (len(x.coeffs) + len(y.coeffs) - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            out[i + j] += a * b
+    return CyclotomicNumber.from_polynomial(x.level, out)
+
+
 def former_subgroup_elements(sub):
     """The library's former TorusSubgroup.elements (without the cap): the
     breadth-first closure of 0 under adding the canonical generators."""

@@ -26,12 +26,13 @@ def json_lines(text):
 
 
 def clear_subgroup_memo():
-    """Empty the subgroup constructors' memo and the datum memos, so a test
-    that counts calls does not depend on what earlier tests derived."""
+    """Empty the subgroup constructors' memo, the memo of the required rows
+    of (I+, I-) and the datum memo, so a test that counts calls does not
+    depend on what earlier tests derived."""
     torus._span.cache_clear()
     torus._kernel.cache_clear()
     datum.analyze_datum.cache_clear()
-    datum._dim_h.cache_clear()
+    torus._required_memo.cache_clear()
 
 
 class TestValidatePhi:
@@ -601,6 +602,23 @@ class TestHardening:
             code = main(["kernel", "--spec", str(path)])
             captured = capsys.readouterr()
             assert (code, captured.out) == (EXIT_PARSE, ""), extra
+            assert captured.err == f"parse error: {message}\n"
+
+    def test_repeated_simple_index_is_a_parse_failure(self, capsys, tmp_path):
+        """--iplus 2,2 (or a spec's "iplus": [2, 2]) is refused with exit 3,
+        not echoed as [2, 2] while the math runs on {2}."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"type": "A", "rank": 2, "ell": 5, "iminus": [1, 2, 1]}))
+        for argv, message in (
+            (["enumerate", "--type", "A", "--rank", "2", "--ell", "5", "--iplus", "2,2"],
+             "--iplus repeats a simple index: [2, 2]"),
+            (["kernel", "--type", "A", "--rank", "2", "--ell", "5", "--iplus", "2,1,2"],
+             "--iplus repeats a simple index: [1, 2, 2]"),
+            (["kernel", "--spec", str(path)], "--iminus repeats a simple index: [1, 1, 2]"),
+        ):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (EXIT_PARSE, ""), argv
             assert captured.err == f"parse error: {message}\n"
 
     def test_non_integral_parameter_matrix_is_a_parse_failure(self, capsys, tmp_path):

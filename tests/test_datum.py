@@ -1,6 +1,7 @@
 """Tests for twisted subgroup data: validation, dimensions, order."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -449,6 +450,55 @@ class TestEnumerateTriples:
         assert len(records) == 2  # subgroups of a cyclic group of order 11
         assert [rec.N.order for rec in records] == [1, 11]
         assert enumerate_triples(tw, 11, max_results=0) == []
+
+    def test_fixed_pair_records_sorted_distinct_indices(self):
+        tw = worked_twist()
+        records = enumerate_triples(tw, 11, fixed_pair=([2, 2], (1, 1)))
+        assert records == enumerate_triples(tw, 11, fixed_pair=((2,), (1,)))
+        assert {(rec.iplus, rec.iminus) for rec in records} == {((2,), (1,))}
+        records = enumerate_triples(tw, 5, fixed_pair=([3, 1, 3], []))
+        assert {(rec.iplus, rec.iminus) for rec in records} == {((1, 3), ())}
+
+    def test_one_kernel_and_one_dim_h_per_pair(self, monkeypatch):
+        """With every memo cleared, enumerate_triples reaches the character
+        kernel and dim H through t_hat_I_complement and dim_H, once per
+        (I+, I-) pair, as every other caller does."""
+        import qsubgroups.datum as datum_module
+        import qsubgroups.exact as exact_module
+        import qsubgroups.lie as lie_module
+        import qsubgroups.torus as torus_module
+
+        for memo in (torus_module._span, torus_module._kernel, torus_module._required_memo,
+                     torus_module.analyze_triple, datum_module.analyze_datum,
+                     lie_module._roots_supported, exact_module._factored):
+            memo.cache_clear()
+        calls = {"t_hat_I_complement": [], "dim_H": []}
+        for name, log in calls.items():
+            def counting(tw, ell, iplus, iminus, *rest, original=getattr(datum_module, name),
+                         log=log):
+                log.append((iplus, iminus))
+                return original(tw, ell, iplus, iminus, *rest)
+            monkeypatch.setattr(datum_module, name, counting)
+        enumerate_triples(zero_twist(cartan_matrix("A", 2)), 3)
+        subsets = [(), (1,), (2,), (1, 2)]
+        pairs = [(p, m) for p in subsets for m in subsets]
+        assert calls == {"t_hat_I_complement": pairs, "dim_H": pairs}
+
+    @pytest.mark.parametrize("shape", ["A2", "A3", "C3"])
+    def test_counts_multiply_across_coprime_levels(self, shape):
+        """For coprime p and q, (Z/pq)^n splits as (Z/p)^n x (Z/q)^n, and
+        so does every subgroup of a character kernel.  So for each (I+, I-)
+        the number of triples at pq is the product of the numbers at p and
+        at q (a check independent of the Hermite walk)."""
+        tw = worked_twist() if shape == "C3" else zero_twist(cartan_matrix("A", int(shape[1])))
+
+        def counts(ell):
+            return Counter((rec.iplus, rec.iminus) for rec in enumerate_triples(tw, ell))
+
+        for p, q in ((3, 5), (3, 7)):
+            at_p, at_q, at_pq = counts(p), counts(q), counts(p * q)
+            assert len(at_pq) == 4**tw.rank
+            assert {k: at_p[k] * at_q[k] for k in at_pq} == at_pq, (p, q)
 
 
 class TestPredicates:

@@ -23,6 +23,7 @@ from oracles import (
     brute_kernel,
     cyclotomic_by_division,
     former_cyclotomic_inverse,
+    former_cyclotomic_product,
     former_reduce_power_basis,
     span_elements,
 )
@@ -311,6 +312,20 @@ class TestLargeEntries:
                 assert x * inv == 1
         with pytest.raises(ZeroDivisionError, match="inverse of zero"):
             CyclotomicNumber.zero(9).inverse()
+
+    def test_product_matches_former_fraction_product(self):
+        """The product over one cleared denominator equals the former
+        schoolbook product of the Fraction coefficient vectors, reduced
+        mod the cyclotomic polynomial, on dense and sparse elements."""
+        rng = random.Random(4242)
+        for ell, rounds in ((9, 30), (15, 30), (101, 3)):
+            phi = euler_phi(ell)
+            for _ in range(rounds):
+                x, y = (CyclotomicNumber(ell, [
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                    if rng.random() < density else 0 for _ in range(phi)])
+                    for density in rng.sample((0.0, 0.2, 0.6, 1.0), 2))
+                assert x * y == former_cyclotomic_product(x, y), (ell, x, y)
 
     def test_inverse_at_larger_composite_levels(self):
         rng = random.Random(99)

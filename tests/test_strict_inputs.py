@@ -12,10 +12,11 @@ LatticeElement.make and scaled and CyclotomicNumber's coefficients,
 factories and scalars (which also take a Fraction), CyclotomicNumber's
 level and TorusPairElement's scale and g and h coordinates, whose g range
 and count vector length are checked too.  Simple indices (the exponent
-queries, s_phi_matrix, t_phi_I, t_hat_I_complement, a Sigma generator) and
-the guard arguments max_results, cap, bound and limit take only an int
-as well; a guard may still be None.  derandomize=True and a fixed
-max_examples keep the test deterministic.
+queries, s_phi_matrix, t_phi_I, t_hat_I_complement, a Sigma generator,
+a directly built Triple, dim_H) and the guard arguments max_results,
+cap, bound and limit take only an int as well; a guard may still be
+None.  derandomize=True and a fixed max_examples keep the test
+deterministic.
 """
 
 from fractions import Fraction
@@ -25,17 +26,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsubgroups.cocycle import TorusPairElement, twist_J, twist_J_group_algebra
-from qsubgroups.datum import FiniteAbelianGroup, TorusEmbedding, enumerate_triples
+from qsubgroups.datum import FiniteAbelianGroup, TorusEmbedding, dim_H, enumerate_triples
 from qsubgroups.exact import CyclotomicNumber, IntMatrix, euler_phi, solve_linear_mod
 from qsubgroups.lie import Basis, LatticeElement, Root, cartan_matrix, roots_supported
 from qsubgroups.torus import (
     Character,
     SigmaGenerator,
     TorusSubgroup,
+    Triple,
+    analyze_triple,
     enumerate_subgroups,
     s_phi_matrix,
     t_hat_I_complement,
     t_phi_I,
+    validate_triple,
 )
 from qsubgroups.twist import (
     c3_parameter_matrix,
@@ -316,6 +320,21 @@ def test_simple_indices(data):
         build(tw, 5, iplus, [i])
         refused(lambda: build(tw, 5, with_bad(data.draw, iplus), [i]))
         refused(lambda: build(tw, 5, [i], with_bad(data.draw, iplus)))
+
+
+def test_directly_built_triple_is_refused():
+    """A cache key takes frozenset({True}) for frozenset({1}), so a Triple
+    built without Triple.make must still be refused on its way into the
+    memo of the required rows of (I+, I-), and so must dim_H's indices."""
+    tw = TWISTS[1]
+    sigma = TorusSubgroup.full(5, 3)
+    for build in (s_phi_matrix, t_phi_I, t_hat_I_complement):
+        build(tw, 5, [1], [])  # the memo now holds the pair ({1}, {})
+    bad = Triple(frozenset({True}), frozenset(), sigma)
+    analyze_triple.cache_clear()  # its own key would take bad for the triple on {1}
+    refused(lambda: validate_triple(tw, 5, bad))
+    refused(lambda: analyze_triple(tw, 5, bad))
+    refused(lambda: dim_H(tw, 5, [True], [], t_hat_I_complement(tw, 5, [1], [])))
 
 
 @FUZZ
