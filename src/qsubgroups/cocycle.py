@@ -25,7 +25,8 @@ the transform, so J * J^-1 = 1 remains a real check.  Each factor's
 support is grouped by its h-part; the fiber over h, a polynomial in
 g_1..g_n and eps with nonnegative integer counts, is packed into one
 Python int with every axis padded to 2 ell - 1 slots, so that products
-of fibers do not overlap.  Each unit of one factor's count mass meets at
+of fibers do not overlap; each distinct count vector is packed once and
+then shifted into place.  Each unit of one factor's count mass meets at
 most one count of the other in any cell of the product, so every
 coefficient, folded or not, is at most min(t1 m2, m1 t2), with t the sum
 and m the largest of a factor's counts; the limbs are exactly as many
@@ -37,12 +38,15 @@ h-axis, the values are multiplied pointwise, (2 ell - 1)^n products, and
 interpolated exactly by the integer inverse Vandermonde matrix, folding
 y^(k + ell) onto y^k.  _evaluates picks the faster way from the fiber
 counts, ell, n and the limb width, so a single fiber (the zero twists)
-and small dense factors keep the pairwise loop.  Each bucket is unpacked
-once, folding every axis mod ell (eps^ell = 1).
+and small dense factors keep the pairwise loop.  To unpack, each g-axis
+is folded mod ell on the whole bucket, by a mask of the slots 0..ell-1 of
+every 2 ell - 1; each cell is then cut from the bucket's bytes, and each
+distinct cell is split into limbs and folded mod eps^ell = 1 once.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -243,53 +247,59 @@ class TorusPairElement:
         return sorted(self.vectors.keys())
 
     def _mass(self) -> tuple[int, int]:
-        """(sum, largest) of all counts; a negative count, which the packed
-        product cannot hold, raises ValueError."""
-        counts = list(itertools.chain.from_iterable(self.vectors.values()))
-        if counts and min(counts) < 0:
+        """(sum, largest) of all counts, each distinct vector weighed once;
+        a negative count (the packed product holds none) raises ValueError."""
+        counts = collections.Counter(self.vectors.values())
+        if min(itertools.chain.from_iterable(counts), default=0) < 0:
             raise ValueError("group-algebra counts must be nonnegative")
-        return sum(counts), max(counts, default=0)
+        return (sum(sum(vec) * k for vec, k in counts.items()),
+                max(itertools.chain.from_iterable(counts), default=0))
 
     def _packed_fibers(self, width: int) -> dict:
         """h -> the fiber {g: vec} over h packed into one integer: limbs of
         width bits, the n g-axes (g_1 most significant) and the eps axis
-        each padded to 2 ell - 1 slots."""
+        each padded to 2 ell - 1 slots (see the module docstring)."""
         slots = 2 * self.ell - 1
-        fibers: dict = {}
+        weights = [slots ** (self.n - i) * width for i in range(self.n)]  # per unit of g_i
+        limbs, shifts, fibers = {}, {}, {}  # each distinct vector and g is worked out once
         for (g, h), vec in self.vectors.items():
-            x = 0
-            for c in reversed(vec):
-                x = x << width | c
-            slot = 0
-            for a in g:
-                slot = slot * slots + a
-            fibers[h] = fibers.get(h, 0) | x << slot * slots * width
+            if (x := limbs.get(vec)) is None:
+                x = limbs[vec] = functools.reduce(lambda y, c: y << width | c, vec[::-1], 0)
+            if (s := shifts.get(g)) is None:
+                s = shifts[g] = sum(map(operator.mul, g, weights))
+            fibers[h] = fibers.get(h, 0) | x << s
         return fibers
 
-    def _unpacked(self, packed: int, width: int):
-        """Yield (g, vec) for every nonzero cell of a product of packed
-        fibers, each axis folded mod ell (eps^ell = 1, g_i + ell = g_i)."""
-        ell = self.ell
-        slots = 2 * ell - 1
-
-        def folded_parts(x, step):  # step: bits per slot of the top axis of x
-            x = (x & ((1 << ell * step) - 1)) + (x >> ell * step)
-            mask = (1 << step) - 1
-            return [(x >> k * step) & mask for k in range(ell)]
-
-        step = slots**self.n * width
-        cells = {(): packed}
-        for _ in range(self.n):
-            cells = {
-                g + (k,): part
-                for g, x in cells.items()
-                for k, part in enumerate(folded_parts(x, step))
-                if part
-            }
-            step //= slots
-        for g, x in cells.items():
-            if x:
-                yield g, tuple(folded_parts(x, step))
+    def _unpacked(self, buckets: dict, width: int) -> dict:
+        """(g, h) -> vec for every nonzero cell of the buckets, h ascending,
+        then g, each axis folded mod ell (see the module docstring)."""
+        ell, n, slots = self.ell, self.n, 2 * self.ell - 1
+        cell, size = slots * width, ell * slots**n * width  # size: a bucket with g_1 folded
+        folds = []  # (shift, mask of slots 0..ell-1 in every period) of each g-axis
+        for step in (slots**i * width for i in range(n, 0, -1)):
+            lo, span = (1 << ell * step) - 1, slots * step
+            while span < size:  # doubling: no (2^(P R) - 1) // (2^P - 1), a quadratic division
+                lo, span = lo | lo << span, 2 * span
+            folds.append((ell * step, lo))
+        slot = [0]  # the g-slot of each g, lexicographically
+        for _ in range(n):
+            slot = [s * slots + a for s in slot for a in range(ell)]
+        cuts = [(g, s * cell >> 3, (s * cell + cell + 7) >> 3, s * cell & 7)  # bytes, 1st bit
+                for g, s in zip(itertools.product(range(ell), repeat=n), slot)]
+        vectors, seen, mask, limb = {}, {0: ()}, (1 << cell) - 1, (1 << width) - 1
+        for h, x in sorted(buckets.items()):
+            for shift, lo in folds:
+                low = x & lo
+                x = low + ((x ^ low) >> shift)
+            data = x.to_bytes((x.bit_length() + 7) // 8, "little")
+            for g, first, last, bit in cuts:
+                vec = seen.get(key := int.from_bytes(data[first:last], "little") >> bit & mask)
+                if vec is None:
+                    limbs = [key >> k * width & limb for k in range(slots)]
+                    vec = seen[key] = tuple(map(operator.add, limbs, limbs[ell:] + [0]))
+                if vec:
+                    vectors[g, h] = vec
+        return vectors
 
     def convolve(self, other: "TorusPairElement") -> "TorusPairElement":
         """Group-algebra product (convolution over the pair group)."""
@@ -309,10 +319,7 @@ class TorusPairElement:
                 for h2, p2 in fibers2.items():
                     h = tuple((a + b) % ell for a, b in zip(h1, h2))
                     buckets[h] = buckets.get(h, 0) + p1 * p2
-        vectors = {}
-        for h, packed in sorted(buckets.items()):
-            for g, vec in self._unpacked(packed, width):
-                vectors[(g, h)] = vec
+        vectors = self._unpacked(buckets, width)
         return TorusPairElement(ell, n, self.scale * other.scale, vectors, _built=True)
 
     def _is_unit(self, table: dict, zero) -> bool:

@@ -242,10 +242,11 @@ def _adjugate_cartan(cd: CartanDatum) -> tuple[int, IntMatrix]:
 
 
 def _matvec(rows, coords) -> tuple[Fraction, ...]:
-    """Exact product of a matrix (int or rational rows) with a vector."""
-    return tuple(
-        sum((a * x for a, x in zip(row, coords)), Fraction(0)) for row in rows
-    )
+    """Exact product of an int or rational matrix and a vector, over a common denominator."""
+    den = lcm(*(c.denominator for row in (coords, *rows) for c in row))
+    xs = [x.numerator * (den // x.denominator) for x in coords]
+    return tuple(Fraction(sum(a.numerator * (den // a.denominator) * x
+                              for a, x in zip(row, xs)), den * den) for row in rows)
 
 
 def alpha_to_omega(lam: LatticeElement, cd: CartanDatum) -> LatticeElement:
@@ -272,10 +273,7 @@ def bilinear_form(lam: LatticeElement, mu: LatticeElement, cd: CartanDatum) -> F
     _rank_check(mu, cd)
     left = alpha_to_omega(lam, cd)
     right = omega_to_alpha(mu, cd)
-    return sum(
-        (left.coords[i] * cd.d[i] * right.coords[i] for i in range(cd.rank)),
-        Fraction(0),
-    )
+    return _matvec([left.coords], tuple(map(operator.mul, cd.d, right.coords)))[0]
 
 
 def _rank_check(lam: LatticeElement, cd: CartanDatum) -> None:

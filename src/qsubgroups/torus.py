@@ -406,12 +406,17 @@ def annihilator(sub: TorusSubgroup) -> TorusSubgroup:
     return TorusSubgroup.kernel(sub.ell, sub.n, sub.generators)
 
 
-@functools.lru_cache(maxsize=SUBGROUP_MEMO_SIZE, typed=True)
 def analyze_triple(tw: TwistMap, ell: int, triple: Triple) -> TripleAnalysis:
-    """Validate a triple and derive T_I, N and the orders from it.
+    """Validate a triple and derive T_I, N and the orders from it, once
+    (_analyzed); its indices pass _int_tuple first, as in _required."""
+    _int_tuple(triple.iplus | triple.iminus, "simple indices")
+    return _analyzed(tw, ell, triple)
 
-    Because Sigma contains every required generator, the annihilator N of
-    Sigma automatically lands inside the character kernel, so no
+
+@functools.lru_cache(maxsize=SUBGROUP_MEMO_SIZE, typed=True)
+def _analyzed(tw: TwistMap, ell: int, triple: Triple) -> TripleAnalysis:
+    """Because Sigma contains every required generator, the annihilator N
+    of Sigma automatically lands inside the character kernel, so no
     intersection is needed; the inclusion is asserted row by row.  The
     quotient Sigma / T_I is never materialized, only its order.  Memoised
     on (tw, ell, triple), all immutable, as datum.analyze_datum is.

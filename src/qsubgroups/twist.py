@@ -113,8 +113,8 @@ class TwistMap:
             tuple(sum(self.Y[j, s] * d[j] * A[j, t] for j in range(n)) for t in range(n))
             for s in range(n)
         )
-        for s in range(n):
-            phi_s = apply_phi(self, self.cd.simple_root(s + 1))
+        for s in range(n):  # phi(alpha_s) goes to OMEGA once per row, not once per entry
+            phi_s = alpha_to_omega(apply_phi(self, self.cd.simple_root(s + 1)), self.cd)
             for t in range(n):
                 half = bilinear_form(phi_s, self.cd.simple_root(t + 1), self.cd) / 2
                 assert half == rows[s][t]

@@ -272,6 +272,49 @@ def pairwise_convolve(a, b):
     return vectors, a.scale * b.scale
 
 
+def former_packed_fibers(element, width):
+    """The library's former TorusPairElement._packed_fibers: h -> the fiber
+    over h packed into one integer, limbs of width bits, the n g-axes
+    (g_1 most significant) and the eps axis each padded to 2 ell - 1
+    slots; every cell's vector packed and its slot found on its own."""
+    slots = 2 * element.ell - 1
+    fibers = {}
+    for (g, h), vec in element.vectors.items():
+        x = 0
+        for c in reversed(vec):
+            x = x << width | c
+        slot = 0
+        for a in g:
+            slot = slot * slots + a
+        fibers[h] = fibers.get(h, 0) | x << slot * slots * width
+    return fibers
+
+
+def former_unpacked(element, packed, width):
+    """The library's former TorusPairElement._unpacked: (g, vec) for every
+    nonzero cell of one packed product, g lexicographic, each axis folded
+    mod ell by splitting one level of slots at a time."""
+    ell = element.ell
+    slots = 2 * ell - 1
+
+    def folded_parts(x, step):  # step: bits per slot of the top axis of x
+        x = (x & ((1 << ell * step) - 1)) + (x >> ell * step)
+        mask = (1 << step) - 1
+        return [(x >> k * step) & mask for k in range(ell)]
+
+    step = slots**element.n * width
+    cells = {(): packed}
+    for _ in range(element.n):
+        cells = {
+            g + (k,): part
+            for g, x in cells.items()
+            for k, part in enumerate(folded_parts(x, step))
+            if part
+        }
+        step //= slots
+    return [(g, tuple(folded_parts(x, step))) for g, x in cells.items() if x]
+
+
 # ---------------------------------------------------------------------------
 # frozen reference: the library's former group-algebra twist and table
 

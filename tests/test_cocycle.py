@@ -30,7 +30,9 @@ from qsubgroups.twist import (
 
 from oracles import (
     fiber_scan_group_algebra,
+    former_packed_fibers,
     former_twist_bilinear,
+    former_unpacked,
     pairwise_convolve,
     pairwise_table_lines,
 )
@@ -498,6 +500,12 @@ def occupied_element(rng, ell, n, top, box, share):
                             vectors)
 
 
+def in_product_order(vectors):
+    """The items of a dict keyed by (g, h) in the order convolve gives its
+    product: h ascending, then g."""
+    return sorted(vectors.items(), key=lambda item: item[0][::-1])
+
+
 OCCUPIED_CASES = [(ell, n) for n in (1, 2) for ell in (3, 5, 7, 9, 15)] + [(3, 3)]
 
 
@@ -509,7 +517,7 @@ class TestConvolutionAgainstPairwiseLoop:
         got = a.convolve(b)
         vectors, scale = pairwise_convolve(a, b)
         assert (got.ell, got.n) == (a.ell, a.n)
-        assert got.vectors == vectors
+        assert list(got.vectors.items()) == in_product_order(vectors)
         assert got.scale == scale
 
     @pytest.mark.parametrize("ell", [3, 5, 7, 9, 15])
@@ -615,6 +623,72 @@ class TestConvolutionAgainstPairwiseLoop:
             a.convolve(b)
 
 
+def repeating_element(rng, ell, n, top, hs, share):
+    """A TorusPairElement over the fibers hs holding about share of the g
+    in (0..ell-1)^n over each h, every vector one of three drawn below top
+    (one all-zero), so that a few distinct vectors fill many cells."""
+    kinds = [(0,) * ell] + [tuple(rng.randrange(top) for _ in range(ell)) for _ in "ab"]
+    return TorusPairElement(ell, n, Fraction(1, rng.randrange(1, 9)), {
+        (g, h): rng.choice(kinds) for h in hs
+        for g in itertools.product(range(ell), repeat=n) if rng.random() < share})
+
+
+def former_product(a, b, width):
+    """(packed buckets of a * b, their cells by the frozen unpacking loop)
+    at the given limb width."""
+    buckets = {}
+    for h1, p1 in former_packed_fibers(a, width).items():
+        for h2, p2 in former_packed_fibers(b, width).items():
+            h = tuple((x + y) % a.ell for x, y in zip(h1, h2))
+            buckets[h] = buckets.get(h, 0) + p1 * p2
+    return buckets, [((g, h), vec) for h, packed in sorted(buckets.items())
+                     for g, vec in former_unpacked(a, packed, width)]
+
+
+PACKING_CASES = [(ell, n) for n in (1, 2, 3) for ell in (3, 5, 7, 9, 15)]
+PACKING_WIDTHS = (1, 2, 3, 5, 8, 13, 24, 33, 64, 70)
+
+
+class TestPackingAgainstFormerLoops:
+    """_packed_fibers, _unpacked and _mass, which work once per distinct
+    vector or cell, against the frozen per-cell loops they replaced: the
+    same packed integers, and the same cells in the same order, at limb
+    widths from 1 to 70 bits (packed fibers of at most 2^21 bits, products
+    of at most 2^18)."""
+
+    @pytest.mark.parametrize("ell, n", PACKING_CASES)
+    def test_same_integers_and_cells(self, ell, n):
+        rng = random.Random(100 * ell + n)
+        slots = 2 * ell - 1
+        hs = list({tuple(rng.randrange(ell) for _ in range(n)) for _ in range(3)})
+        share = min(1, 40 / ell**n)
+        origin = ((0,) * n, (0,) * n)
+        for width in (w for w in PACKING_WIDTHS if slots ** (n + 1) * w <= 1 << 21):
+            top = 1 << width
+            one_fiber, many = (repeating_element(rng, ell, n, top, fibers, share)
+                               for fibers in (hs[:1], hs))
+            scattered = random_pair_element(rng, ell, n, 12, top)
+            zeros = repeating_element(rng, ell, n, 1, hs, share)  # every count 0
+            empty = TorusPairElement(ell, n, Fraction(1), {})
+            for el in (one_fiber, many, scattered, zeros, empty):
+                assert el._packed_fibers(width) == former_packed_fibers(el, width)
+                flat = [c for vec in el.vectors.values() for c in vec]
+                assert el._mass() == (sum(flat), max(flat, default=0))
+            # unit * (counts 0 and 1) needs one-bit limbs
+            unit = TorusPairElement(ell, n, Fraction(1), {origin: (0, 1) + (0,) * (ell - 2)})
+            bits = repeating_element(rng, ell, n, 2, hs, share)
+            pairs = [(unit, bits), (bits, unit)] if width == 1 else []
+            if slots ** (n + 1) * width <= 1 << 18:
+                pairs += [(one_fiber, many), (many, scattered), (scattered, scattered),
+                          (zeros, many), (many, many)]
+            for a, b in pairs:
+                (t1, m1), (t2, m2) = a._mass(), b._mass()
+                w = max(width, min(t1 * m2, m1 * t2).bit_length(), m1.bit_length(),
+                        m2.bit_length())
+                buckets, cells = former_product(a, b, w)
+                assert list(a._unpacked(buckets, w).items()) == cells
+
+
 def all_ones_element(ell, n, hs):
     """Coefficient 1 (count vector (1, 0, ..., 0)) at every g over each h
     in hs."""
@@ -636,10 +710,11 @@ class TestLimbEdges:
     @staticmethod
     def assert_product(a, b, largest):
         got = a.convolve(b)
-        assert got.vectors == b.convolve(a).vectors
+        assert list(got.vectors.items()) == list(b.convolve(a).vectors.items())
         assert max(max(vec) for vec in got.vectors.values()) == largest
         if len(a.vectors) * len(b.vectors) * a.ell**2 <= 10**6:
-            assert (got.vectors, got.scale) == pairwise_convolve(a, b)
+            vectors, scale = pairwise_convolve(a, b)
+            assert (list(got.vectors.items()), got.scale) == (in_product_order(vectors), scale)
         return got
 
     @pytest.mark.parametrize("n, ell", LIMB_EDGE_CASES)

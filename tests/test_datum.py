@@ -469,7 +469,7 @@ class TestEnumerateTriples:
         import qsubgroups.torus as torus_module
 
         for memo in (torus_module._span, torus_module._kernel, torus_module._required_memo,
-                     torus_module.analyze_triple, datum_module.analyze_datum,
+                     torus_module._analyzed, datum_module.analyze_datum,
                      lie_module._roots_supported, exact_module._factored):
             memo.cache_clear()
         calls = {"t_hat_I_complement": [], "dim_H": []}

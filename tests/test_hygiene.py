@@ -154,7 +154,7 @@ def test_cache_rule_sees_every_cache():
         "positive_roots": "datum", "_parameter_lattice": "datum",
         "_span": "bounded", "_kernel": "bounded",
         "_factored": "bounded", "_roots_supported": "bounded",
-        "_required_memo": "bounded", "analyze_datum": "bounded", "analyze_triple": "bounded",
+        "_required_memo": "bounded", "analyze_datum": "bounded", "_analyzed": "bounded",
         "cyclotomic_polynomial": "bounded", "_h_axis_weights": "bounded",
     }
 

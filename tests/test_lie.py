@@ -11,6 +11,7 @@ from qsubgroups.lie import (
     CartanDatum,
     InvalidCartanMatrix,
     LatticeElement,
+    _matvec,
     alpha_to_omega,
     bilinear_form,
     cartan_matrix,
@@ -224,6 +225,26 @@ class TestBasisConversion:
                 assert omega_to_alpha(alpha_to_omega(lam, cd), cd) == lam
                 mu = random_element(rng, Basis.OMEGA, cd.rank)
                 assert alpha_to_omega(omega_to_alpha(mu, cd), cd) == mu
+
+    def test_matvec_matches_the_fraction_sum(self):
+        # one common denominator in integers against the former sum of
+        # Fraction products, entry by entry and in type, on int and rational
+        # matrices and vectors, empty ones included
+        rng = random.Random(11)
+
+        def entry():
+            if rng.randrange(3):
+                return rng.randrange(-40, 41)
+            return Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**4))
+
+        for _ in range(400):
+            nrows, ncols = rng.randrange(0, 6), rng.randrange(0, 6)
+            rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+            coords = [entry() for _ in range(ncols)]
+            got = _matvec(rows, coords)
+            want = tuple(sum((a * x for a, x in zip(row, coords)), Fraction(0)) for row in rows)
+            assert got == want
+            assert all(type(x) is Fraction for x in got)
 
 
 class TestPositiveRoots:

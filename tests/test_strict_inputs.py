@@ -325,13 +325,14 @@ def test_simple_indices(data):
 def test_directly_built_triple_is_refused():
     """A cache key takes frozenset({True}) for frozenset({1}), so a Triple
     built without Triple.make must still be refused on its way into the
-    memo of the required rows of (I+, I-), and so must dim_H's indices."""
+    memo of the required rows of (I+, I-) and into the triple memo, even
+    while both hold the entry on {1}, and so must dim_H's indices."""
     tw = TWISTS[1]
     sigma = TorusSubgroup.full(5, 3)
     for build in (s_phi_matrix, t_phi_I, t_hat_I_complement):
         build(tw, 5, [1], [])  # the memo now holds the pair ({1}, {})
+    analyze_triple(tw, 5, Triple(frozenset({1}), frozenset(), sigma))  # and the triple
     bad = Triple(frozenset({True}), frozenset(), sigma)
-    analyze_triple.cache_clear()  # its own key would take bad for the triple on {1}
     refused(lambda: validate_triple(tw, 5, bad))
     refused(lambda: analyze_triple(tw, 5, bad))
     refused(lambda: dim_H(tw, 5, [True], [], t_hat_I_complement(tw, 5, [1], [])))
