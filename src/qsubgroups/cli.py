@@ -214,7 +214,7 @@ def _load_spec(args) -> ProblemSpec:
             raise ParseFailure("need --type and --rank (or an explicit Cartan matrix)")
         rank, lie_type = read("rank"), read("type")
         cd = _parsed("", cartan_matrix, lie_type, rank)
-    if cd.lie_type == "G" and ell % 3 == 0:
+    if cd.has_triple_bond and ell % 3 == 0:
         raise ParseFailure("--ell must be coprime to 3 in type G")
 
     family = read("family_c3")
@@ -321,14 +321,8 @@ def _require_twist(spec: ProblemSpec):
 
 
 def _build_triple(tw, spec: ProblemSpec) -> Triple:
-    return Triple.make(
-        tw,
-        spec.ell,
-        spec.iplus,
-        spec.iminus,
-        sigma_gens=spec.sigma_gens,
-        recipe=spec.sigma_symbols or None,
-    )
+    return Triple.make(tw, spec.ell, spec.iplus, spec.iminus, sigma_gens=spec.sigma_gens,
+                       recipe=spec.sigma_symbols or None)
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def deformation_exponent(tw: TwistMap, bd1: Bidegree, bd2: Bidegree) -> Fraction
 def check_level(tw: TwistMap, ell: int) -> None:
     if ell < 3 or ell % 2 == 0:
         raise ValueError(f"level must be odd and >= 3, got {ell}")
-    if tw.cd.lie_type == "G" and gcd(ell, 3) != 1:
+    if tw.cd.has_triple_bond and gcd(ell, 3) != 1:
         raise ValueError("level must be coprime to 3 in type G")
 
 

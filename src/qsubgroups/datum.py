@@ -40,7 +40,7 @@ from math import lcm, prod
 
 from ._record import record, replace
 from .exact import IntMatrix, _int_tuple, kernel_lattice, solve_linear_mod
-from .lie import roots_supported
+from .lie import index_set, roots_supported
 from .torus import (
     SigmaGenerator,
     TorusSubgroup,
@@ -150,16 +150,20 @@ class TorusEmbedding:
     matrix: tuple[tuple[int, ...], ...]  # n rows, ngens columns
     n: int
 
+    def __post_init__(self):
+        (n,), ngens = _int_tuple((self.n,), "torus rank"), self.group.ngens
+        rows = tuple(_int_tuple(row, "embedding matrix entries") for row in self.matrix)
+        if len(rows) != n or any(len(r) != ngens for r in rows):
+            raise ValueError(f"embedding matrix must be {n} x {ngens}")
+        object.__setattr__(self, "matrix", rows)
+
     @classmethod
     def make(cls, group: FiniteAbelianGroup, matrix, n: int) -> "TorusEmbedding":
-        rows = tuple(_int_tuple(row, "embedding matrix entries") for row in matrix)
-        if len(rows) != n or any(len(r) != group.ngens for r in rows):
-            raise ValueError(f"embedding matrix must be {n} x {group.ngens}")
-        return cls(group, rows, n)
+        return cls(group, matrix, n)
 
     @classmethod
     def trivial(cls, n: int) -> "TorusEmbedding":
-        return cls.make(FiniteAbelianGroup(()), [()] * n, n)
+        return cls(FiniteAbelianGroup(()), ((),) * n, n)
 
     def point_exponents(self, g, modulus: int) -> tuple[int, ...]:
         """The image of a group element as a vector of root-of-unity
@@ -203,17 +207,19 @@ class DualHom:
     target: FiniteAbelianGroup
     images: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self):
+        images = tuple(self.target.reduce(im) for im in self.images)
+        if len(images) != len(self.source_generators):
+            raise ValueError("need one image per canonical generator")
+        object.__setattr__(self, "images", images)
+
     @classmethod
     def make(cls, source: TorusSubgroup, target: FiniteAbelianGroup, images) -> "DualHom":
-        images = tuple(target.reduce(im) for im in images)
-        if len(images) != len(source.generators):
-            raise ValueError("need one image per canonical generator")
         return cls(source.generators, target, images)
 
     @classmethod
     def trivial(cls, source: TorusSubgroup, target: FiniteAbelianGroup) -> "DualHom":
-        zero = tuple(0 for _ in target.invariant_factors)
-        return cls(source.generators, target, tuple(zero for _ in source.generators))
+        return cls(source.generators, target, ((0,) * target.ngens,) * len(source.generators))
 
     def _combine(self, coeffs) -> tuple[int, ...]:
         return self.target.reduce([sum(x * im[j] for x, im in zip(coeffs, self.images))
@@ -252,11 +258,13 @@ class TwistedSubgroupDatum:
     delta: DualHom | None
     sigma_recipe: tuple[SigmaGenerator, ...] | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "iplus", index_set(self.iplus))
+        object.__setattr__(self, "iminus", index_set(self.iminus))
+
     @classmethod
     def make(cls, iplus, iminus, N, embedding=None, delta=None,
              sigma_recipe=None) -> "TwistedSubgroupDatum":
-        iplus = frozenset(_int_tuple(iplus, "simple indices"))
-        iminus = frozenset(_int_tuple(iminus, "simple indices"))
         if embedding is None:
             embedding = TorusEmbedding.trivial(N.n)
         if delta is None and isinstance(embedding, TorusEmbedding):
@@ -371,8 +379,7 @@ def factor_out(value: int, base: int) -> tuple[int, int]:
 def dim_H(tw: TwistMap, ell: int, iplus, iminus, N: TorusSubgroup) -> DimH:
     """|Sigma| * ell^(#roots supported in I+ and I-), with |Sigma| =
     ell^n / |N|.  N must lie in the character kernel of (I+, I-)."""
-    iplus = frozenset(_int_tuple(iplus, "simple indices"))
-    iminus = frozenset(_int_tuple(iminus, "simple indices"))
+    iplus, iminus = index_set(iplus), index_set(iminus)
     rows = _required(tw, ell, iplus, iminus)[1]
     if (N.ell, N.n) != (ell, tw.rank):
         raise ValueError("N lives in a different torus")
@@ -526,8 +533,7 @@ def enumerate_triples(
         _int_tuple((max_results,), "max_results")
     n = tw.rank
     if fixed_pair is not None:
-        pairs = [tuple(tuple(sorted(set(_int_tuple(ids, "simple indices"))))
-                       for ids in fixed_pair)]
+        pairs = [tuple(tuple(sorted(index_set(ids))) for ids in fixed_pair)]
     else:
         subsets = [tuple(i + 1 for i in range(n) if mask >> i & 1)
                    for mask in range(1 << n)]
@@ -576,8 +582,7 @@ def obstruction_check(
     Sigma does not at 0 (the dimensions then differ).  Read from the
     analysis of the datum (I+, I-, N), N the annihilator of Sigma.
     """
-    iplus = frozenset(_int_tuple(iplus, "simple indices"))
-    iminus = frozenset(_int_tuple(iminus, "simple indices"))
+    iplus, iminus = index_set(iplus), index_set(iminus)
     recipe = tuple(recipe)
     sigma = evaluate_recipe(tw, ell, recipe)
     _require_triple(tw, ell, iplus, iminus, sigma, "twisted")

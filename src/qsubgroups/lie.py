@@ -112,6 +112,10 @@ class CartanDatum:
         datum._require_finite_type()
         return datum
 
+    @property
+    def has_triple_bond(self) -> bool:  # a_ij = -3, the G2 bond, whatever the label
+        return any(-3 in row for row in self.A.data)
+
     def _require_finite_type(self) -> None:
         # DA positive definite <=> finite type; this also guarantees that
         # the reflection closure below terminates.  Its leading minors are
@@ -329,9 +333,14 @@ def positive_roots(cd: CartanDatum) -> tuple[Root, ...]:
     return tuple(Root.from_coords(c) for c in ordered)
 
 
+def index_set(ids) -> frozenset[int]:
+    """Simple indices as a frozenset; a non-int, a bool too, raises TypeError."""
+    return frozenset(_int_tuple(ids, "simple indices"))
+
+
 def roots_supported(cd: CartanDatum, indices) -> tuple[Root, ...]:
-    """Positive roots supported inside the given simple indices (ints)."""
-    return _roots_supported(cd, frozenset(_int_tuple(indices, "simple indices")))
+    """Positive roots supported inside the given simple indices."""
+    return _roots_supported(cd, index_set(indices))
 
 
 @functools.lru_cache(maxsize=ROOTS_MEMO_SIZE)

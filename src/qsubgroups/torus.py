@@ -18,19 +18,21 @@ solutions of a row system mod ell (the character kernel, annihilators,
 kernels of torus embeddings).  Both look their input (ell, n, rows) up in
 a bounded memo first, so a subgroup that several checks of one request
 derive (T_I, N, a kernel) is built once; sharing the cached object is
-safe because TorusSubgroup is immutable.  enumerate_subgroups walks only
-the Hermite lattices between ell Z^n and the ambient subgroup's own
-lattice.
+safe because TorusSubgroup is an immutable record.  enumerate_subgroups
+walks only the Hermite lattices between ell Z^n and the ambient
+subgroup's own lattice.
 
 A Hopf-subalgebra triple (I+, I-, Sigma) requires Sigma to contain the
 exponent vectors (1 -+ phi)(alpha_i) for i in I+-.  Their rows mod ell
 form the coefficient matrix S, whose kernel mod ell is the character
 kernel.  A bounded memo derives the labelled rows once per (tw, ell, I+,
 I-), and s_phi_matrix, validate_triple, t_phi_I (T_I, a span) and
-t_hat_I_complement (the kernel) read them.  analyze_triple derives
-everything a triple determines (T_I, N, |Sigma|, |N|, |Omega|, the order
-identity) in one pass; n_phi_from_sigma, sigma_order_identity and
-omega_order read it.
+t_hat_I_complement (the kernel) read them.  Indices pass lie.index_set
+on the way in, as a Triple's do when it is built, so a bool never meets
+a cache key (which takes True for 1).  analyze_triple derives everything
+a triple determines (T_I, N, |Sigma|, |N|, |Omega|, the order identity)
+in one pass, memoised on the triple; n_phi_from_sigma,
+sigma_order_identity and omega_order read it.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .exact import (
     kernel_lattice,
     root_of_unity_power,
 )
+from .lie import index_set
 from .twist import TwistMap, kbar_exponent, ktilde_exponent
 
 __all__ = [
@@ -93,29 +96,25 @@ def _enum_cap(cap: int | None) -> int:
         raise ValueError(f"{ENUM_CAP_ENV} must be an integer") from exc
 
 
+@record
 class TorusSubgroup:
-    """A subgroup of (Z/ell)^n in canonical (Hermite) form."""
+    """A subgroup of (Z/ell)^n in canonical (Hermite) form; its order and
+    its nonzero Hermite rows mod ell (generators) are read off the lattice."""
 
-    __slots__ = ("ell", "n", "lattice", "generators", "order")
+    ell: int
+    n: int
+    lattice: IntMatrix
 
-    def __init__(self, ell: int, n: int, lattice: IntMatrix):
+    def __post_init__(self):
+        ell = self.ell
         if ell < 1:
             raise ValueError("level must be >= 1")
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "lattice", lattice)
-        order, rem = divmod(ell**n, prod(lattice[i, i] for i in range(n)))
+        order, rem = divmod(ell**self.n, prod(self.lattice[i, i] for i in range(self.n)))
         assert rem == 0
-        gens = tuple(
-            row_mod
-            for row in lattice.data
-            if any(row_mod := tuple(x % ell for x in row))
-        )
-        object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "order", order)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TorusSubgroup is immutable")
+        object.__setattr__(self, "generators", tuple(
+            row_mod for row in self.lattice.data if any(row_mod := tuple(x % ell for x in row))
+        ))
 
     @classmethod
     def from_generators(cls, ell: int, n: int, gens) -> "TorusSubgroup":
@@ -155,11 +154,8 @@ class TorusSubgroup:
     def killed_by(self, rows) -> bool:
         """Whether every row pairs to zero mod ell with every element,
         i.e. whether the subgroup lies in the kernel of the rows."""
-        return not any(
-            sum(a * b for a, b in zip(row, g)) % self.ell
-            for row in rows
-            for g in self.generators
-        )
+        return not any(sum(a * b for a, b in zip(row, g)) % self.ell
+                       for row in rows for g in self.generators)
 
     def is_subgroup_of(self, other: "TorusSubgroup") -> bool:
         self._compat(other)
@@ -167,37 +163,19 @@ class TorusSubgroup:
 
     def join(self, other: "TorusSubgroup") -> "TorusSubgroup":
         self._compat(other)
-        return TorusSubgroup.from_generators(
-            self.ell, self.n, self.generators + other.generators
-        )
+        return TorusSubgroup.from_generators(self.ell, self.n, self.generators + other.generators)
 
     def elements(self, cap: int | None = None):
         """All elements, sorted; guarded by cap.  Each is sum c_i b_i mod
         ell over the Hermite rows b_i, once for each 0 <= c_i < ell/pivot_i."""
         limit = _enum_cap(cap)
         if self.order > limit:
-            raise EnumerationGuard(
-                f"subgroup order {self.order} exceeds cap {limit}"
-            )
+            raise EnumerationGuard(f"subgroup order {self.order} exceeds cap {limit}")
         ell, cols = self.ell, self.lattice.transpose().data  # column i holds pivot_i
         seen = {tuple(sum(c * x for c, x in zip(coef, col)) % ell for col in cols)
                 for coef in product(*(range(ell // col[i]) for i, col in enumerate(cols)))}
         assert len(seen) == self.order
         return sorted(seen)
-
-    def __eq__(self, other):
-        if not isinstance(other, TorusSubgroup):
-            return NotImplemented
-        return (self.ell, self.n, self.lattice) == (other.ell, other.n, other.lattice)
-
-    def __hash__(self):
-        return hash((self.ell, self.n, self.lattice))
-
-    def __repr__(self):
-        return (
-            f"TorusSubgroup(ell={self.ell}, n={self.n}, order={self.order}, "
-            f"generators={list(self.generators)!r})"
-        )
 
 
 # The memo behind the two constructors and the required rows of (I+, I-):
@@ -297,11 +275,14 @@ class Triple:
     sigma: TorusSubgroup
     recipe: tuple[SigmaGenerator, ...] | None = None
 
+    def __post_init__(self):
+        object.__setattr__(self, "iplus", index_set(self.iplus))
+        object.__setattr__(self, "iminus", index_set(self.iminus))
+
     @classmethod
     def make(cls, tw: TwistMap, ell: int, iplus, iminus,
              sigma_gens=(), recipe=None) -> "Triple":
-        iplus = frozenset(_int_tuple(iplus, "simple indices"))
-        iminus = frozenset(_int_tuple(iminus, "simple indices"))
+        iplus, iminus = index_set(iplus), index_set(iminus)
         _required(tw, ell, iplus, iminus)  # refuses an index out of range
         gens = [tuple(x % ell for x in _int_tuple(g, "sigma generator entries"))
                 for g in sigma_gens]
@@ -334,9 +315,8 @@ class TripleAnalysis:
 
 def _required(tw: TwistMap, ell: int, iplus, iminus):
     """(labels, S) of the pair (I+, I-), see _required_memo; the indices
-    pass _int_tuple first, since a cache key takes True for 1."""
-    return _required_memo(tw, ell, frozenset(_int_tuple(iplus, "simple indices")),
-                          frozenset(_int_tuple(iminus, "simple indices")))
+    pass index_set on their way in, as a Triple's do."""
+    return _required_memo(tw, ell, index_set(iplus), index_set(iminus))
 
 
 @functools.lru_cache(maxsize=SUBGROUP_MEMO_SIZE, typed=True)
@@ -406,16 +386,11 @@ def annihilator(sub: TorusSubgroup) -> TorusSubgroup:
     return TorusSubgroup.kernel(sub.ell, sub.n, sub.generators)
 
 
-def analyze_triple(tw: TwistMap, ell: int, triple: Triple) -> TripleAnalysis:
-    """Validate a triple and derive T_I, N and the orders from it, once
-    (_analyzed); its indices pass _int_tuple first, as in _required."""
-    _int_tuple(triple.iplus | triple.iminus, "simple indices")
-    return _analyzed(tw, ell, triple)
-
-
 @functools.lru_cache(maxsize=SUBGROUP_MEMO_SIZE, typed=True)
-def _analyzed(tw: TwistMap, ell: int, triple: Triple) -> TripleAnalysis:
-    """Because Sigma contains every required generator, the annihilator N
+def analyze_triple(tw: TwistMap, ell: int, triple: Triple) -> TripleAnalysis:
+    """Validate a triple and derive T_I, N and the orders from it, once.
+
+    Because Sigma contains every required generator, the annihilator N
     of Sigma automatically lands inside the character kernel, so no
     intersection is needed; the inclusion is asserted row by row.  The
     quotient Sigma / T_I is never materialized, only its order.  Memoised

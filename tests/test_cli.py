@@ -383,6 +383,17 @@ class TestContract:
         )
         assert code == EXIT_PARSE
 
+    def test_g2_level_guard_reads_the_matrix(self, capsys):
+        """The guard reads the G2 triple bond (an entry -3) of the matrix,
+        not the type label, so an explicit G2 matrix is refused too."""
+        for matrix in ("[[2,-1],[-3,2]]", "[[2,-3],[-1,2]]"):
+            assert main(["kernel", "--cartan", matrix, "--ell", "9"]) == EXIT_PARSE
+            assert capsys.readouterr().err.strip() == \
+                "parse error: --ell must be coprime to 3 in type G"
+            assert run_cli(capsys, "kernel", "--cartan", matrix, "--ell", "5")[0] == EXIT_OK
+        assert run_cli(capsys, "kernel", "--cartan", "[[2,-2],[-1,2]]",
+                       "--ell", "9")[0] == EXIT_OK  # B2's double bond is no G2
+
 
 class TestHardening:
     def test_inputs_echo_round_trips(self, capsys, tmp_path):

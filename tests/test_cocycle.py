@@ -13,14 +13,15 @@ from qsubgroups.cocycle import (
     TableCapExceeded,
     TorusPairElement,
     _h_axis_weights,
+    check_level,
     chi_exponent,
     deformation_exponent,
     sigma_inverse_exponent,
     twist_J,
     twist_J_group_algebra,
 )
-from qsubgroups.exact import CyclotomicNumber, invert_rational_matrix
-from qsubgroups.lie import Basis, LatticeElement, cartan_matrix
+from qsubgroups.exact import CyclotomicNumber, IntMatrix, invert_rational_matrix
+from qsubgroups.lie import Basis, CartanDatum, LatticeElement, cartan_matrix
 from qsubgroups.twist import (
     c3_parameter_matrix,
     enumerate_valid_twists,
@@ -270,6 +271,18 @@ class TestTwistJ:
         with pytest.raises(ValueError):
             twist_J(g2, 9)
         twist_J(g2, 5)  # coprime to 3 is fine
+
+    def test_g2_level_guard_reads_the_matrix(self):
+        """check_level refuses ell = 9 for a G2 matrix given without its
+        type label (lie_type "X"): the guard reads the entry -3."""
+        for rows in ([[2, -1], [-3, 2]], [[2, -3], [-1, 2]]):
+            g2 = zero_twist(CartanDatum.from_matrix(IntMatrix(rows)))
+            assert g2.cd.lie_type == "X"
+            for call in (check_level, twist_J, twist_J_group_algebra):
+                with pytest.raises(ValueError, match="coprime to 3 in type G"):
+                    call(g2, 9)
+            check_level(g2, 5)
+        check_level(zero_twist(cartan_matrix("B", 2)), 9)  # a double bond is no G2
 
 
 class TestGroupAlgebraTwist:

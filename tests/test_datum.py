@@ -1,5 +1,6 @@
 """Tests for twisted subgroup data: validation, dimensions, order."""
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -12,6 +13,7 @@ from qsubgroups.datum import (
     FiniteAbelianGroup,
     OpaqueGroup,
     TorusEmbedding,
+    TripleRecord,
     TwistedSubgroupDatum,
     datum_equiv,
     datum_leq,
@@ -22,9 +24,15 @@ from qsubgroups.datum import (
     predicates,
     validate_datum,
 )
-from qsubgroups.lie import cartan_matrix
+from qsubgroups.exact import IntMatrix
+from qsubgroups.lie import CartanDatum, cartan_matrix
 from qsubgroups.torus import SigmaGenerator, TorusSubgroup
-from qsubgroups.twist import c3_parameter_matrix, require_twist, zero_twist
+from qsubgroups.twist import (
+    c3_parameter_matrix,
+    enumerate_valid_twists,
+    require_twist,
+    zero_twist,
+)
 
 from oracles import brute_subgroups
 
@@ -469,7 +477,7 @@ class TestEnumerateTriples:
         import qsubgroups.torus as torus_module
 
         for memo in (torus_module._span, torus_module._kernel, torus_module._required_memo,
-                     torus_module._analyzed, datum_module.analyze_datum,
+                     torus_module.analyze_triple, datum_module.analyze_datum,
                      lie_module._roots_supported, exact_module._factored):
             memo.cache_clear()
         calls = {"t_hat_I_complement": [], "dim_H": []}
@@ -499,6 +507,35 @@ class TestEnumerateTriples:
             at_p, at_q, at_pq = counts(p), counts(q), counts(p * q)
             assert len(at_pq) == 4**tw.rank
             assert {k: at_p[k] * at_q[k] for k in at_pq} == at_pq, (p, q)
+
+    @pytest.mark.parametrize("shape, ell", [("B3", 3), ("C3", 5), ("G2", 5)])
+    def test_relabelling_the_simple_roots(self, shape, ell):
+        """The classification does not depend on how the simple roots are
+        numbered.  With old root perm[k] renamed k + 1, A' = P A P^T and
+        Y' = P Y P^T (P[k][perm[k]] = 1) give the same records, with I+-
+        renamed, the coordinates of N permuted and the same DimH."""
+        cd = cartan_matrix(shape[0], int(shape[1]))
+        n = cd.rank
+        twists = list(enumerate_valid_twists(cd, 1, limit=3))
+        assert any(not tw.is_zero() for tw in twists) or shape == "B3"  # B3: phi = 0 only
+        for tw in twists:
+            records = enumerate_triples(tw, ell)
+            for perm in itertools.permutations(range(n)):
+                if perm == tuple(range(n)):
+                    continue
+                new = {old + 1: k + 1 for k, old in enumerate(perm)}
+
+                def conj(M, perm=perm):
+                    return IntMatrix([[M[i, j] for j in perm] for i in perm])
+
+                relabelled = require_twist(CartanDatum.from_matrix(conj(cd.A)), conj(tw.Y))
+                expected = Counter(TripleRecord(
+                    tuple(sorted(new[i] for i in rec.iplus)),
+                    tuple(sorted(new[i] for i in rec.iminus)),
+                    TorusSubgroup.from_generators(
+                        ell, n, [[g[i] for i in perm] for g in rec.N.generators]),
+                    rec.dims) for rec in records)
+                assert Counter(enumerate_triples(relabelled, ell)) == expected, (tw.Y, perm)
 
 
 class TestPredicates:

@@ -154,9 +154,20 @@ def test_cache_rule_sees_every_cache():
         "positive_roots": "datum", "_parameter_lattice": "datum",
         "_span": "bounded", "_kernel": "bounded",
         "_factored": "bounded", "_roots_supported": "bounded",
-        "_required_memo": "bounded", "analyze_datum": "bounded", "_analyzed": "bounded",
+        "_required_memo": "bounded", "analyze_datum": "bounded", "analyze_triple": "bounded",
         "cyclotomic_polynomial": "bounded", "_h_axis_weights": "bounded",
     }
+
+
+def test_only_int_matrix_defines_setattr():
+    """Immutable classes come from qsubgroups._record, which checks fields
+    in __post_init__; only IntMatrix, built in every Hermite step, keeps a
+    hand-written constructor and __setattr__."""
+    found = [f"{path.name}:{cls.name}" for path in SOURCES
+             for cls in ast.walk(_tree(path)) if isinstance(cls, ast.ClassDef)
+             if any(isinstance(f, ast.FunctionDef) and f.name == "__setattr__"
+                    for f in cls.body)]
+    assert found == ["exact.py:IntMatrix"]
 
 
 SOURCE_LINE_BUDGET = 3828  # src/qsubgroups at the seed (ROADMAP item 3)

@@ -10,7 +10,10 @@ import pytest
 
 from qsubgroups import cli, cocycle, datum, exact, lie, torus, twist
 from qsubgroups._record import record, replace
+from qsubgroups.datum import FiniteAbelianGroup, TorusEmbedding
+from qsubgroups.exact import IntMatrix
 from qsubgroups.lie import Basis, LatticeElement
+from qsubgroups.torus import TorusSubgroup
 
 MODULES = (cli, cocycle, datum, exact, lie, torus, twist)
 RECORDS = sorted(
@@ -26,6 +29,12 @@ VALID = {
                  LatticeElement.make(Basis.OMEGA, (0, -2))),
     "FiniteAbelianGroup": ([3, 9],),
     "CyclotomicNumber": (5, (1, 0, -2, 3)),
+    "TorusSubgroup": (3, 2, IntMatrix([[1, 2], [0, 3]])),
+    "Triple": (frozenset({1}), frozenset({1, 2}), TorusSubgroup.full(3, 2), None),
+    "TwistedSubgroupDatum": (frozenset({2}), frozenset(), TorusSubgroup.trivial(3, 2),
+                             TorusEmbedding.trivial(2), None, None),
+    "TorusEmbedding": (FiniteAbelianGroup((3,)), ((1,), (0,)), 2),
+    "DualHom": (((1, 2),), FiniteAbelianGroup((3,)), ((2,),)),
 }
 
 
@@ -48,7 +57,7 @@ def sample(cls):
 
 
 def test_every_record_found():
-    assert len(RECORDS) == 30  # DatumAnalysis is the 29th, CyclotomicNumber the 30th
+    assert len(RECORDS) == 31  # CyclotomicNumber is the 30th, TorusSubgroup the 31st
     for mod in MODULES:
         assert not any(dataclasses.is_dataclass(v) for v in vars(mod).values())
 
@@ -132,6 +141,17 @@ def test_post_init_runs():
     for cls in (cocycle.Bidegree, twin(cocycle.Bidegree)):
         with pytest.raises(ValueError, match="OMEGA"):
             cls(alpha, alpha)
+    lattice = IntMatrix([[1, 2], [0, 3]])
+    for cls in (TorusSubgroup, twin(TorusSubgroup)):
+        sub = cls(3, 2, lattice)
+        assert (sub.order, sub.generators) == (3, ((1, 2),))
+        assert hash(sub) == hash((3, 2, lattice))  # the hash of the former class
+        with pytest.raises(ValueError, match="level"):
+            cls(0, 1, IntMatrix([[1]]))
+    for cls in (torus.Triple, twin(torus.Triple)):
+        assert cls([2, 1], (), TorusSubgroup.full(3, 2)).iplus == frozenset({1, 2})
+    for cls in (datum.DualHom, twin(datum.DualHom)):
+        assert cls(((1, 2),), FiniteAbelianGroup((3,)), [[5]]).images == ((2,),)
 
 
 def test_triple_record_sigma_order_matches_dataclasses_replace():

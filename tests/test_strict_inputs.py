@@ -13,10 +13,11 @@ factories and scalars (which also take a Fraction), CyclotomicNumber's
 level and TorusPairElement's scale and g and h coordinates, whose g range
 and count vector length are checked too.  Simple indices (the exponent
 queries, s_phi_matrix, t_phi_I, t_hat_I_complement, a Sigma generator,
-a directly built Triple, dim_H) and the guard arguments max_results,
-cap, bound and limit take only an int as well; a guard may still be
-None.  derandomize=True and a fixed max_examples keep the test
-deterministic.
+a directly built Triple or TwistedSubgroupDatum, dim_H), the matrix and
+rank of a directly built TorusEmbedding, the images of a DualHom and the
+guard arguments max_results, cap, bound and limit take only an int as
+well; a guard may still be None.  derandomize=True and a fixed
+max_examples keep the test deterministic.
 """
 
 from fractions import Fraction
@@ -26,7 +27,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsubgroups.cocycle import TorusPairElement, twist_J, twist_J_group_algebra
-from qsubgroups.datum import FiniteAbelianGroup, TorusEmbedding, dim_H, enumerate_triples
+from qsubgroups.datum import (
+    DualHom,
+    FiniteAbelianGroup,
+    TorusEmbedding,
+    TwistedSubgroupDatum,
+    analyze_datum,
+    dim_H,
+    enumerate_triples,
+    validate_datum,
+)
 from qsubgroups.exact import CyclotomicNumber, IntMatrix, euler_phi, solve_linear_mod
 from qsubgroups.lie import Basis, LatticeElement, Root, cartan_matrix, roots_supported
 from qsubgroups.torus import (
@@ -324,18 +334,46 @@ def test_simple_indices(data):
 
 def test_directly_built_triple_is_refused():
     """A cache key takes frozenset({True}) for frozenset({1}), so a Triple
-    built without Triple.make must still be refused on its way into the
-    memo of the required rows of (I+, I-) and into the triple memo, even
-    while both hold the entry on {1}, and so must dim_H's indices."""
+    built without Triple.make must still be refused, even while the memo
+    of the required rows of (I+, I-) and the triple memo hold the entry
+    on {1}: the Triple itself refuses the index when it is built.  So
+    must dim_H's indices."""
     tw = TWISTS[1]
     sigma = TorusSubgroup.full(5, 3)
     for build in (s_phi_matrix, t_phi_I, t_hat_I_complement):
         build(tw, 5, [1], [])  # the memo now holds the pair ({1}, {})
     analyze_triple(tw, 5, Triple(frozenset({1}), frozenset(), sigma))  # and the triple
-    bad = Triple(frozenset({True}), frozenset(), sigma)
-    refused(lambda: validate_triple(tw, 5, bad))
-    refused(lambda: analyze_triple(tw, 5, bad))
+    refused(lambda: Triple(frozenset(), frozenset({True}), sigma))
+    refused(lambda: validate_triple(tw, 5, Triple(frozenset({True}), frozenset(), sigma)))
+    refused(lambda: analyze_triple(tw, 5, Triple(frozenset({True}), frozenset(), sigma)))
     refused(lambda: dim_H(tw, 5, [True], [], t_hat_I_complement(tw, 5, [1], [])))
+
+
+def test_directly_built_datum_parts_are_refused():
+    """TwistedSubgroupDatum, TorusEmbedding and DualHom check their own
+    fields when they are built, so a bool index, matrix entry or image
+    never reaches the datum memo, even while it holds the datum on {1}."""
+    tw = TWISTS[1]
+    N = t_hat_I_complement(tw, 5, [1], [])
+    good = TwistedSubgroupDatum.make(frozenset({1}), frozenset(), N)
+    assert validate_datum(tw, 5, good).ok  # the datum memo now holds {1}
+    assert analyze_datum(tw, 5, good) is analyze_datum(
+        tw, 5, TwistedSubgroupDatum(frozenset({1}), frozenset(), N, good.embedding, good.delta))
+    refused(lambda: TwistedSubgroupDatum(frozenset({True}), frozenset(), N,
+                                         good.embedding, good.delta))
+    refused(lambda: TwistedSubgroupDatum(frozenset(), [1.0], N, good.embedding, good.delta))
+    z5 = FiniteAbelianGroup((5,))
+    assert TorusEmbedding(z5, ((1,), (0,)), 2).matrix == ((1,), (0,))
+    refused(lambda: TorusEmbedding(z5, ((True,), (0,)), 2))
+    refused(lambda: TorusEmbedding(z5, ((1,), (0,)), True), "torus rank must be int")
+    with pytest.raises(ValueError, match=r"must be 2 x 1"):
+        TorusEmbedding(z5, ((1,),), 2)
+    source = TorusSubgroup.from_generators(5, 2, [[1, 0]])
+    assert DualHom(source.generators, z5, [[7]]).images == ((2,),)
+    refused(lambda: DualHom(source.generators, z5, ((True,),)))
+    refused(lambda: DualHom.make(source, z5, [[2.0]]))
+    with pytest.raises(ValueError, match="one image per canonical generator"):
+        DualHom(source.generators, z5, ())
 
 
 @FUZZ
