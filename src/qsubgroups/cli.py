@@ -221,7 +221,7 @@ def _load_spec(args) -> ProblemSpec:
     if family is not None:
         if len(family) != 3:
             raise ParseFailure("--family-c3 needs exactly a,b,c")
-        if (cd.lie_type, cd.rank) != ("C", 3):
+        if cd.A != cartan_matrix("C", 3).A:  # the matrix decides, not the label
             raise ParseFailure("--family-c3 only applies to type C rank 3")
         ymat = _parsed("bad family parameters: ", c3_parameter_matrix, *family)
     elif pick("y") is not None:  # decoded only here: --family-c3 wins over a bad --y

@@ -27,8 +27,9 @@ tau.  Mutual <= forces equal (I+, I-, N) and |Gamma| = |Gamma'|.
 analyze_datum derives all a datum determines (report, dim H, dim A, the
 predicates and their obstruction) once, memoised on (tw, ell, d);
 validate_datum, dim_A, predicates and obstruction_check read its record.
-dim_H itself is a plain function over the rows that torus memoises per
-(I+, I-); enumerate_triples calls it once per pair, on the kernel.
+dim_H checks bare indices for _dim_h, a plain function over the rows
+that torus memoises per (I+, I-), which analyze_datum calls directly;
+enumerate_triples calls dim_H once per pair, on the kernel.
 """
 
 from __future__ import annotations
@@ -40,18 +41,17 @@ from math import lcm, prod
 
 from ._record import record, replace
 from .exact import IntMatrix, _int_tuple, kernel_lattice, solve_linear_mod
-from .lie import index_set, roots_supported
+from .lie import index_set, positive_roots
 from .torus import (
     SigmaGenerator,
     TorusSubgroup,
-    Triple,
-    _required,
+    _required_memo,
+    _span,
+    _triple_report,
     annihilator,
     enumerate_subgroups,
     evaluate_recipe,
     t_hat_I_complement,
-    t_phi_I,
-    validate_triple,
 )
 from .twist import TwistMap, zero_twist
 
@@ -310,7 +310,7 @@ def _datum_report(tw: TwistMap, ell: int, d: TwistedSubgroupDatum) -> DatumRepor
     if (d.N.ell, d.N.n) != (ell, n):
         found.append(("n_shape", "N lives in the wrong torus"))
     elif not bad:
-        rows = _required(tw, ell, d.iplus, d.iminus)[1]
+        rows = _required_memo(tw, ell, d.iplus, d.iminus)[1].data
         for g in d.N.generators:
             values = [(row, sum(a * b for a, b in zip(row, g)) % ell) for row in rows]
             witness = next((f"{row} . {g} = {val} != 0 (mod {ell})"
@@ -379,15 +379,18 @@ def factor_out(value: int, base: int) -> tuple[int, int]:
 def dim_H(tw: TwistMap, ell: int, iplus, iminus, N: TorusSubgroup) -> DimH:
     """|Sigma| * ell^(#roots supported in I+ and I-), with |Sigma| =
     ell^n / |N|.  N must lie in the character kernel of (I+, I-)."""
-    iplus, iminus = index_set(iplus), index_set(iminus)
-    rows = _required(tw, ell, iplus, iminus)[1]
+    return _dim_h(tw, ell, index_set(iplus), index_set(iminus), N)
+
+
+def _dim_h(tw: TwistMap, ell: int, iplus: frozenset, iminus: frozenset, N) -> DimH:
+    S = _required_memo(tw, ell, iplus, iminus)[1]  # refuses an index out of range
     if (N.ell, N.n) != (ell, tw.rank):
         raise ValueError("N lives in a different torus")
-    if not N.killed_by(rows):
+    if not N.killed_by(S.data):
         raise ValueError("N is not inside the character kernel for (I+, I-)")
     sigma_order, rem = divmod(ell**tw.rank, N.order)
     assert rem == 0
-    roots = (len(roots_supported(tw.cd, ids)) for ids in (iplus, iminus))
+    roots = (sum(r.support <= ids for r in positive_roots(tw.cd)) for ids in (iplus, iminus))
     return DimH(ell, tw.rank, sigma_order, *roots, len(iplus), len(iminus))
 
 
@@ -591,7 +594,7 @@ def obstruction_check(
 
 
 def _require_triple(tw: TwistMap, ell: int, iplus, iminus, sigma, side: str) -> None:
-    report = validate_triple(tw, ell, Triple(iplus, iminus, sigma, None))
+    report = _triple_report(tw, ell, iplus, iminus, sigma)
     if not report.ok:
         raise ValueError(
             f"recipe does not produce a valid {side} triple; "
@@ -612,9 +615,10 @@ def default_sigma_recipe(tw: TwistMap, ell: int, d: TwistedSubgroupDatum):
     """Recipe used when the datum does not carry one: the required
     generators symbolically, plus Sigma's canonical generators as fixed
     vectors (treated as twist-independent)."""
-    recipe = [SigmaGenerator(*label) for label in _required(tw, ell, d.iplus, d.iminus)[0]]
+    labels, S = _required_memo(tw, ell, d.iplus, d.iminus)
+    recipe = [SigmaGenerator(*label) for label in labels]
     sigma = annihilator(d.N)
-    required = t_phi_I(tw, ell, d.iplus, d.iminus)
+    required = _span(ell, S)
     recipe += [SigmaGenerator.fixed(g) for g in sigma.generators
                if not required.contains(g)]
     return tuple(recipe)
@@ -668,7 +672,7 @@ def analyze_datum(tw: TwistMap, ell: int, d: TwistedSubgroupDatum) -> DatumAnaly
     report = _datum_report(tw, ell, d)
     if not report.ok:
         return DatumAnalysis(report)
-    h = dim_H(tw, ell, d.iplus, d.iminus, d.N)
+    h = _dim_h(tw, ell, d.iplus, d.iminus, d.N)
     order = d.gamma_order
     dim_a = INFINITE if order is INFINITE else order * h.value
     recipe = d.sigma_recipe
@@ -684,7 +688,7 @@ def analyze_datum(tw: TwistMap, ell: int, d: TwistedSubgroupDatum) -> DatumAnaly
     except (ValueError, IndexError) as exc:
         return DatumAnalysis(report, h, dim_a, failure=(type(exc), str(exc)))
     n_zero = annihilator(sigma_zero)
-    h_zero = dim_H(zero, ell, d.iplus, d.iminus, n_zero)
+    h_zero = _dim_h(zero, ell, d.iplus, d.iminus, n_zero)
     total = ell**tw.rank
     ob = ObstructionReport(sigma.order, d.N.order, sigma_zero.order, n_zero.order,
                            h.value, h_zero.value,

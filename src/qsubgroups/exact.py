@@ -15,7 +15,9 @@ Everything downstream is built on three ingredients:
   ranks are never trusted; pivots dividing ell are.
 
 All values are immutable after construction and all functions are pure,
-so everything here can be shared freely between workers.
+so everything here can be shared freely between workers.  Two bounded
+memos: cyclotomic_polynomial on ell, and _factored, the one Hermite form
+behind every kernel and solve, on the checked IntMatrix M and m.
 """
 
 from __future__ import annotations
@@ -465,23 +467,15 @@ def hermite_normal_form(M: IntMatrix, ell: int) -> IntMatrix:
     return IntMatrix(basis, ncols=n)
 
 
-def _with_identity(rows, k: int) -> IntMatrix:
-    """[A^T | I_k] for the p x k matrix A with these rows: row y is (A e_y, e_y)."""
-    cols = zip(*rows) if rows else [()] * k
-    return IntMatrix(
-        [col + (0,) * y + (1,) + (0,) * (k - 1 - y) for y, col in enumerate(cols)],
-        ncols=len(rows) + k,
-    )
-
-
 @functools.lru_cache(maxsize=SOLVER_MEMO_SIZE, typed=True)
-def _factored(rows, k: int, mod: int) -> tuple[tuple, IntMatrix]:
-    """(the p top rows, the kernel lattice) of the Hermite form of [A^T | I_k]
-    mod m for the p x k matrix A with these int rows: the one factorization
-    behind kernel_lattice, kernel_mod and solve_linear_mod, made once per
-    (A, m).  typed=True keeps a float or bool m out of an int m's entry."""
-    p = len(rows)
-    h = hermite_normal_form(_with_identity(rows, k), mod).data
+def _factored(M: IntMatrix, mod: int) -> tuple[tuple, IntMatrix]:
+    """(the p top rows, the kernel lattice) of the Hermite form of [M^T | I_k]
+    mod m for the p x k matrix M: the one factorization behind
+    kernel_lattice, kernel_mod and solve_linear_mod, made once per (M, m).
+    typed=True keeps a float or bool m out of an int m's entry."""
+    p, k = M.nrows, M.ncols
+    system = [col + e for col, e in zip(M.transpose().data, IntMatrix.identity(k).data)]
+    h = hermite_normal_form(IntMatrix(system, ncols=p + k), mod).data
     return h[:p], IntMatrix([row[p:] for row in h[p:]], ncols=k)
 
 
@@ -492,7 +486,7 @@ def kernel_lattice(M: IntMatrix, ell: int) -> IntMatrix:
     l == M z (mod ell), so the rows of its Hermite form whose left block
     vanishes are a basis of the kernel lattice, already in Hermite form.
     """
-    return _factored(M.data, M.ncols, ell)[1]
+    return _factored(M, ell)[1]
 
 
 def kernel_mod(M: IntMatrix, ell: int) -> list[tuple[tuple[int, ...], int]]:
@@ -515,7 +509,7 @@ def solve_linear_mod(A: IntMatrix, b, mod: int) -> tuple[int, ...] | None:
     b = _int_tuple(b, "right-hand side entries")
     if len(b) != p:
         raise ValueError("right-hand side length mismatch")
-    v = _reduce(list(b) + [0] * A.ncols, _factored(A.data, A.ncols, mod)[0], 0)
+    v = _reduce(list(b) + [0] * A.ncols, _factored(A, mod)[0], 0)
     if any(v[:p]):
         return None
     return tuple(-x % mod for x in v[p:])

@@ -12,7 +12,9 @@ for type C of rank 3 one gets
     [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]        with d = (2, 2, 1),
 the labelling used by every worked fixture downstream.  Symmetrizers are
 always recomputed from the matrix, never assumed from the label, and
-arbitrary user-supplied Cartan matrices are accepted.
+arbitrary user-supplied Cartan matrices are accepted.  positive_roots
+and _adjugate_cartan are cached per CartanDatum; roots_supported filters
+positive_roots on each call.
 """
 
 from __future__ import annotations
@@ -39,8 +41,6 @@ __all__ = [
     "positive_roots",
     "roots_supported",
 ]
-
-ROOTS_MEMO_SIZE = 1024  # (Cartan datum, index set) pairs
 
 
 class Basis(enum.Enum):
@@ -340,11 +340,7 @@ def index_set(ids) -> frozenset[int]:
 
 def roots_supported(cd: CartanDatum, indices) -> tuple[Root, ...]:
     """Positive roots supported inside the given simple indices."""
-    return _roots_supported(cd, index_set(indices))
-
-
-@functools.lru_cache(maxsize=ROOTS_MEMO_SIZE)
-def _roots_supported(cd: CartanDatum, allowed: frozenset) -> tuple[Root, ...]:
+    allowed = index_set(indices)
     bad = allowed - set(range(1, cd.rank + 1))
     if bad:
         raise ValueError(f"simple indices out of range: {sorted(bad)}")

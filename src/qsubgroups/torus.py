@@ -15,24 +15,32 @@ equality of the forms, and membership is reduction by exact._reduce.
 There is one way in for each kind of description, each one Hermite form:
 TorusSubgroup.from_generators for a span and TorusSubgroup.kernel for the
 solutions of a row system mod ell (the character kernel, annihilators,
-kernels of torus embeddings).  Both look their input (ell, n, rows) up in
-a bounded memo first, so a subgroup that several checks of one request
-derive (T_I, N, a kernel) is built once; sharing the cached object is
-safe because TorusSubgroup is an immutable record.  enumerate_subgroups
-walks only the Hermite lattices between ell Z^n and the ambient
-subgroup's own lattice.
+kernels of torus embeddings).  Both check their rows into one IntMatrix
+M; a span is memoised on (ell, M), and a kernel is read off the Hermite
+form that exact._factored holds for (M, ell), so a subgroup that several
+checks of one request derive is built from one form; sharing a cached
+object is safe because TorusSubgroup is an immutable record.
+enumerate_subgroups walks only the Hermite lattices between ell Z^n and
+the ambient subgroup's own lattice.
 
 A Hopf-subalgebra triple (I+, I-, Sigma) requires Sigma to contain the
 exponent vectors (1 -+ phi)(alpha_i) for i in I+-.  Their rows mod ell
 form the coefficient matrix S, whose kernel mod ell is the character
-kernel.  A bounded memo derives the labelled rows once per (tw, ell, I+,
-I-), and s_phi_matrix, validate_triple, t_phi_I (T_I, a span) and
-t_hat_I_complement (the kernel) read them.  Indices pass lie.index_set
-on the way in, as a Triple's do when it is built, so a bool never meets
-a cache key (which takes True for 1).  analyze_triple derives everything
-a triple determines (T_I, N, |Sigma|, |N|, |Omega|, the order identity)
-in one pass, memoised on the triple; n_phi_from_sigma,
-sigma_order_identity and omega_order read it.
+kernel.  A bounded memo derives the labels and S, one checked IntMatrix,
+once per (tw, ell, I+, I-); s_phi_matrix returns S itself, and T_I and
+the kernel are keyed on it.  Bare indices pass lie.index_set on the way
+in, so a bool never meets a cache key (which takes True for 1); record
+readers skip it, since a Triple or datum checked I+- when it was built.
+analyze_triple derives everything a triple determines (T_I, N, |Sigma|,
+|N|, |Omega|, the order identity) in one pass, memoised on the triple;
+n_phi_from_sigma, sigma_order_identity and omega_order read it.
+
+The library's 10 caches, keyed on immutable values; errors are never
+cached.  Bounded: here _span (ell, S), _required_memo (tw, ell, I+, I-)
+and analyze_triple (tw, ell, triple); datum.analyze_datum (tw, ell, d);
+exact._factored (M, m) and exact.cyclotomic_polynomial (ell);
+cocycle._h_axis_weights (ell).  Per CartanDatum: lie.positive_roots,
+lie._adjugate_cartan and twist._parameter_lattice.
 """
 
 from __future__ import annotations
@@ -77,7 +85,7 @@ __all__ = [
 
 ENUM_CAP_ENV = "QSUBGROUPS_ENUM_CAP"
 DEFAULT_ENUM_CAP = 200_000
-SUBGROUP_MEMO_SIZE = 4096  # entries per constructor, and of the required rows
+SUBGROUP_MEMO_SIZE = 4096  # entries of each memo here
 
 
 class EnumerationGuard(RuntimeError):
@@ -121,7 +129,7 @@ class TorusSubgroup:
         span = IntMatrix(gens, ncols=n)
         if span.ncols != n:
             raise ValueError("generator length mismatch")
-        return _span(ell, n, span.data)
+        return _span(ell, span)
 
     @classmethod
     def kernel(cls, ell: int, n: int, rows) -> "TorusSubgroup":
@@ -130,7 +138,7 @@ class TorusSubgroup:
         system = IntMatrix(rows, ncols=n)
         if system.ncols != n:
             raise ValueError("row length mismatch")
-        return _kernel(ell, n, system.data)
+        return cls(ell, n, kernel_lattice(system, ell))
 
     @classmethod
     def trivial(cls, ell: int, n: int) -> "TorusSubgroup":
@@ -178,18 +186,9 @@ class TorusSubgroup:
         return sorted(seen)
 
 
-# The memo behind the two constructors and the required rows of (I+, I-):
-# rows are int tuples already checked by IntMatrix, and errors (ell < 1)
-# propagate without being cached.
-
 @functools.lru_cache(maxsize=SUBGROUP_MEMO_SIZE)
-def _span(ell: int, n: int, rows) -> TorusSubgroup:
-    return TorusSubgroup(ell, n, hermite_normal_form(IntMatrix(rows, ncols=n), ell))
-
-
-@functools.lru_cache(maxsize=SUBGROUP_MEMO_SIZE)
-def _kernel(ell: int, n: int, rows) -> TorusSubgroup:
-    return TorusSubgroup(ell, n, kernel_lattice(IntMatrix(rows, ncols=n), ell))
+def _span(ell: int, S: IntMatrix) -> TorusSubgroup:
+    return TorusSubgroup(ell, S.ncols, hermite_normal_form(S, ell))
 
 
 @record
@@ -283,7 +282,7 @@ class Triple:
     def make(cls, tw: TwistMap, ell: int, iplus, iminus,
              sigma_gens=(), recipe=None) -> "Triple":
         iplus, iminus = index_set(iplus), index_set(iminus)
-        _required(tw, ell, iplus, iminus)  # refuses an index out of range
+        _required_memo(tw, ell, iplus, iminus)  # refuses an index out of range
         gens = [tuple(x % ell for x in _int_tuple(g, "sigma generator entries"))
                 for g in sigma_gens]
         if recipe is not None:
@@ -323,20 +322,20 @@ def _required(tw: TwistMap, ell: int, iplus, iminus):
 def _required_memo(tw: TwistMap, ell: int, iplus: frozenset, iminus: frozenset):
     """The required generators of a triple: labels ("kbar", i) for
     (1-phi)(alpha_i), i in I+, then ("ktilde", j) for (1+phi)(alpha_j),
-    j in I-, each ascending, and S, their exponent vectors mod ell, whose
-    entries IntMatrix checks once, so the subgroup memos take S as is."""
+    j in I-, each ascending, and S, the IntMatrix of their exponent vectors
+    mod ell, checked once here; the torus memos are keyed on S itself."""
     bad = (iplus | iminus) - set(range(1, tw.rank + 1))
     if bad:
         raise ValueError(f"simple indices out of range: {sorted(bad)}")
     labels = [("kbar", i) for i in sorted(iplus)] + [("ktilde", j) for j in sorted(iminus)]
     rows = [SigmaGenerator(*label).evaluate(tw, ell) for label in labels]
-    return tuple(labels), IntMatrix(rows, ncols=tw.rank).data
+    return tuple(labels), IntMatrix(rows, ncols=tw.rank)
 
 
 def t_phi_I(tw: TwistMap, ell: int, iplus, iminus) -> TorusSubgroup:
     """The subgroup generated by the required elements of a triple:
     (1-phi)(alpha_i) for i in I+ and (1+phi)(alpha_j) for j in I-."""
-    return _span(ell, tw.rank, _required(tw, ell, iplus, iminus)[1])
+    return _span(ell, _required(tw, ell, iplus, iminus)[1])
 
 
 def validate_triple(tw: TwistMap, ell: int, triple: Triple) -> TripleReport:
@@ -348,10 +347,14 @@ def validate_triple(tw: TwistMap, ell: int, triple: Triple) -> TripleReport:
     is twice the basis vector, but confirmed here so the report is
     self-contained).
     """
-    labels, rows = _required(tw, ell, triple.iplus, triple.iminus)
-    missing = [label for label, row in zip(labels, rows) if not triple.sigma.contains(row)]
-    t_I = _span(ell, tw.rank, rows)
-    missing += [("kalpha", i) for i in sorted(triple.iplus & triple.iminus)
+    return _triple_report(tw, ell, triple.iplus, triple.iminus, triple.sigma)
+
+
+def _triple_report(tw: TwistMap, ell: int, iplus, iminus, sigma) -> TripleReport:
+    labels, S = _required_memo(tw, ell, iplus, iminus)
+    missing = [label for label, row in zip(labels, S.data) if not sigma.contains(row)]
+    t_I = _span(ell, S)
+    missing += [("kalpha", i) for i in sorted(iplus & iminus)
                 if not t_I.contains([int(r == i - 1) for r in range(tw.rank)])]
     return TripleReport(ok=not missing, missing=tuple(missing))
 
@@ -364,7 +367,7 @@ def s_phi_matrix(tw: TwistMap, ell: int, iplus, iminus) -> IntMatrix:
     exponent vectors of the required Sigma generators.  Rows are ordered
     I+ ascending, then I- ascending.
     """
-    return IntMatrix(_required(tw, ell, iplus, iminus)[1], ncols=tw.rank)
+    return _required(tw, ell, iplus, iminus)[1]
 
 
 def canonical_row_form(M: IntMatrix, ell: int) -> IntMatrix:
@@ -378,7 +381,8 @@ def t_hat_I_complement(tw: TwistMap, ell: int, iplus, iminus) -> TorusSubgroup:
     """Characters that kill every required generator: the kernel of the
     coefficient matrix mod ell.  For prime ell its order is
     ell^(n - rank)."""
-    return _kernel(ell, tw.rank, _required(tw, ell, iplus, iminus)[1])
+    S = _required(tw, ell, iplus, iminus)[1]
+    return TorusSubgroup(ell, tw.rank, kernel_lattice(S, ell))
 
 
 def annihilator(sub: TorusSubgroup) -> TorusSubgroup:
@@ -399,9 +403,9 @@ def analyze_triple(tw: TwistMap, ell: int, triple: Triple) -> TripleAnalysis:
     report = validate_triple(tw, ell, triple)
     if not report.ok:
         raise ValueError(f"invalid triple, missing generators: {report.missing}")
-    rows = _required(tw, ell, triple.iplus, triple.iminus)[1]
-    sigma, t_I, nsub = triple.sigma, _span(ell, tw.rank, rows), annihilator(triple.sigma)
-    assert nsub.killed_by(rows)
+    S = _required_memo(tw, ell, triple.iplus, triple.iminus)[1]
+    sigma, t_I, nsub = triple.sigma, _span(ell, S), annihilator(triple.sigma)
+    assert nsub.killed_by(S.data)
     omega, rem = divmod(sigma.order, t_I.order)
     assert rem == 0
     return TripleAnalysis(

@@ -234,7 +234,6 @@ class RationalOperator:
     """An exact rational operator on the lattice, in the ALPHA basis."""
 
     matrix: tuple[tuple[Fraction, ...], ...]
-    basis: Basis = Basis.ALPHA
 
     def apply(self, lam: LatticeElement, cd: CartanDatum) -> LatticeElement:
         alpha = omega_to_alpha(lam, cd)

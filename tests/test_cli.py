@@ -26,11 +26,10 @@ def json_lines(text):
 
 
 def clear_subgroup_memo():
-    """Empty the subgroup constructors' memo, the memo of the required rows
-    of (I+, I-) and the datum memo, so a test that counts calls does not
-    depend on what earlier tests derived."""
+    """Empty the span memo, the memo of the required rows of (I+, I-) and
+    the datum memo, so a test that counts calls does not depend on what
+    earlier tests derived."""
     torus._span.cache_clear()
-    torus._kernel.cache_clear()
     datum.analyze_datum.cache_clear()
     torus._required_memo.cache_clear()
 
@@ -179,21 +178,20 @@ class TestDatum:
         assert len(calls) == 1
 
     def test_worked_datum_computes_dim_h_once_per_side(self, capsys, monkeypatch):
-        """One datum report runs dim_H twice: the twisted side that
-        cmd_datum computes is reused by the obstruction check."""
-        import qsubgroups.cli as cli_module
+        """One datum report derives dim H twice (datum._dim_h, which
+        dim_H fronts): the twisted side that cmd_datum computes is reused
+        by the obstruction check."""
         import qsubgroups.datum as datum_module
 
         clear_subgroup_memo()
         calls = []
-        original = datum_module.dim_H
+        original = datum_module._dim_h
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(datum_module, "dim_H", counting)
-        monkeypatch.setattr(cli_module, "dim_H", counting)
+        monkeypatch.setattr(datum_module, "_dim_h", counting)
         code, _ = run_cli(
             capsys, "datum", *C3_FLAGS,
             "--iplus", "2", "--sigma-sym", "ktilde:1", "--sigma-sym", "kbar:2",
@@ -394,6 +392,22 @@ class TestContract:
         assert run_cli(capsys, "kernel", "--cartan", "[[2,-2],[-1,2]]",
                        "--ell", "9")[0] == EXIT_OK  # B2's double bond is no G2
 
+    def test_family_c3_reads_the_matrix(self, capsys):
+        """--family-c3 is decided by the C3 matrix, not the type label: the
+        explicit matrix gives the named type's results, and B3 is refused."""
+        family = ["--ell", "11", "--family-c3", "1,2,0"]
+        code, named = run_cli(capsys, "validate-phi", "--type", "C", "--rank", "3", *family)
+        assert code == EXIT_OK
+        code, explicit = run_cli(capsys, "validate-phi", "--cartan",
+                                 "[[2,-1,0],[-1,2,-1],[0,-2,2]]", *family)
+        assert code == EXIT_OK
+        assert [r["results"] for r in json_lines(explicit)] == \
+            [r["results"] for r in json_lines(named)]
+        assert main(["validate-phi", "--cartan", "[[2,-1,0],[-1,2,-2],[0,-1,2]]",
+                     *family]) == EXIT_PARSE
+        assert capsys.readouterr().err == \
+            "parse error: --family-c3 only applies to type C rank 3\n"
+
 
 class TestHardening:
     def test_inputs_echo_round_trips(self, capsys, tmp_path):
@@ -423,7 +437,7 @@ class TestHardening:
             capsys,
             "kernel",
             "--cartan",
-            "[[2,-1,0],[-1,2,-1],[0,-2,2]]",
+            "[[2,-1,0],[-1,2,-2],[0,-1,2]]",
             "--ell",
             "11",
             "--family-c3",
@@ -433,7 +447,7 @@ class TestHardening:
             "--iminus",
             "1",
         )
-        assert code == EXIT_PARSE  # family needs the named type
+        assert code == EXIT_PARSE  # the family needs the C3 matrix; this is B3
         code, out = run_cli(
             capsys,
             "kernel",

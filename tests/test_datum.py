@@ -15,6 +15,7 @@ from qsubgroups.datum import (
     TorusEmbedding,
     TripleRecord,
     TwistedSubgroupDatum,
+    analyze_datum,
     datum_equiv,
     datum_leq,
     dim_A,
@@ -26,8 +27,15 @@ from qsubgroups.datum import (
 )
 from qsubgroups.exact import IntMatrix
 from qsubgroups.lie import CartanDatum, cartan_matrix
-from qsubgroups.torus import SigmaGenerator, TorusSubgroup
+from qsubgroups.torus import (
+    SigmaGenerator,
+    TorusSubgroup,
+    Triple,
+    annihilator,
+    validate_triple,
+)
 from qsubgroups.twist import (
+    build_twist,
     c3_parameter_matrix,
     enumerate_valid_twists,
     require_twist,
@@ -45,6 +53,29 @@ def worked_twist():
 
 def n_from_gens(ell, n, gens):
     return TorusSubgroup.from_generators(ell, n, gens)
+
+
+def relabellings(n):
+    """Every non-identity renaming of the simple roots, old root perm[k] to
+    k + 1, as (perm, {old: new}); P[k][perm[k]] = 1."""
+    for perm in itertools.permutations(range(n)):
+        if perm != tuple(range(n)):
+            yield perm, {old + 1: k + 1 for k, old in enumerate(perm)}
+
+
+def conjugated(rows, perm):
+    """P M P^T for the renaming perm, as lists."""
+    return [[rows[i][j] for j in perm] for i in perm]
+
+
+def relabelled_twist(tw, perm):
+    return require_twist(CartanDatum.from_matrix(IntMatrix(conjugated(tw.cd.A.data, perm))),
+                         IntMatrix(conjugated(tw.Y.data, perm)))
+
+
+def permuted(N, perm):
+    """N with coordinate k of the renamed torus read from old coordinate perm[k]."""
+    return n_from_gens(N.ell, N.n, [[g[i] for i in perm] for g in N.generators])
 
 
 class TestGroupsAndEmbeddings:
@@ -193,6 +224,40 @@ class TestValidateDatum:
         )
         report = validate_datum(tw, 11, d)
         assert any(v.condition == "delta_well_defined" for v in report.violations)
+
+
+    def test_record_readers_do_not_check_indices_again(self, monkeypatch):
+        """A Triple and a datum checked I+- when they were built, so cold
+        validate_triple and analyze_datum calls make no index_set call;
+        the bare-index dim_H still checks both sets."""
+        import qsubgroups.datum as datum_module
+        import qsubgroups.exact as exact_module
+        import qsubgroups.lie as lie_module
+        import qsubgroups.torus as torus_module
+
+        tw = worked_twist()
+        triple = Triple.make(tw, 11, {2}, {1}, sigma_gens=[(2, 3, 2), (5, 8, 10)])
+        recipe = (SigmaGenerator.ktilde(1), SigmaGenerator.kbar(2))
+        data = [TwistedSubgroupDatum.make({2}, (), n_from_gens(11, 3, [(3, 1, 1)])),
+                TwistedSubgroupDatum.make({2}, {1}, annihilator(triple.sigma),
+                                          sigma_recipe=recipe)]
+        for memo in (torus_module._span, torus_module._required_memo,
+                     torus_module.analyze_triple, datum_module.analyze_datum,
+                     exact_module._factored):
+            memo.cache_clear()
+        calls = []
+
+        def counting(ids, original=lie_module.index_set):
+            calls.append(ids)
+            return original(ids)
+
+        for module in (lie_module, torus_module, datum_module):
+            monkeypatch.setattr(module, "index_set", counting)
+        assert validate_triple(tw, 11, triple).ok
+        assert all(analyze_datum(tw, 11, d).predicates is not None for d in data)
+        assert calls == []
+        dim_H(tw, 11, [2], (), data[0].N)
+        assert calls == [[2], ()]
 
 
 class TestDimensions:
@@ -473,12 +538,11 @@ class TestEnumerateTriples:
         (I+, I-) pair, as every other caller does."""
         import qsubgroups.datum as datum_module
         import qsubgroups.exact as exact_module
-        import qsubgroups.lie as lie_module
         import qsubgroups.torus as torus_module
 
-        for memo in (torus_module._span, torus_module._kernel, torus_module._required_memo,
+        for memo in (torus_module._span, torus_module._required_memo,
                      torus_module.analyze_triple, datum_module.analyze_datum,
-                     lie_module._roots_supported, exact_module._factored):
+                     exact_module._factored):
             memo.cache_clear()
         calls = {"t_hat_I_complement": [], "dim_H": []}
         for name, log in calls.items():
@@ -520,22 +584,75 @@ class TestEnumerateTriples:
         assert any(not tw.is_zero() for tw in twists) or shape == "B3"  # B3: phi = 0 only
         for tw in twists:
             records = enumerate_triples(tw, ell)
-            for perm in itertools.permutations(range(n)):
-                if perm == tuple(range(n)):
-                    continue
-                new = {old + 1: k + 1 for k, old in enumerate(perm)}
-
-                def conj(M, perm=perm):
-                    return IntMatrix([[M[i, j] for j in perm] for i in perm])
-
-                relabelled = require_twist(CartanDatum.from_matrix(conj(cd.A)), conj(tw.Y))
+            for perm, new in relabellings(n):
+                relabelled = relabelled_twist(tw, perm)
                 expected = Counter(TripleRecord(
                     tuple(sorted(new[i] for i in rec.iplus)),
                     tuple(sorted(new[i] for i in rec.iminus)),
-                    TorusSubgroup.from_generators(
-                        ell, n, [[g[i] for i in perm] for g in rec.N.generators]),
+                    permuted(rec.N, perm),
                     rec.dims) for rec in records)
                 assert Counter(enumerate_triples(relabelled, ell)) == expected, (tw.Y, perm)
+
+    @pytest.mark.parametrize("shape", ["B3", "C3", "G2"])
+    def test_relabelling_keeps_build_twist_verdicts(self, shape):
+        """build_twist gives P Y P^T over P A P^T the verdict of Y over A:
+        the same ok flag, and each violated condition at the renamed index
+        pair (unordered for dx_antisymmetric, which reports i <= j only)."""
+        cd = cartan_matrix(shape[0], int(shape[1]))
+        n = cd.rank
+        rng = random.Random(71)
+        candidates = [tw.Y.to_lists() for tw in enumerate_valid_twists(cd, 1, limit=3)]
+        candidates += [[[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+                       for _ in range(12)]
+        candidates.append([[Fraction(1, 2)] + [0] * (n - 1)] + [[0] * n] * (n - 1))
+
+        def verdict(result, new):
+            pairs = Counter(
+                (v.condition, tuple(sorted(new[i] for i in v.indices))
+                 if v.condition == "dx_antisymmetric" else tuple(new[i] for i in v.indices))
+                for v in result.violations)
+            return result.ok, pairs
+
+        same = {i: i for i in range(1, n + 1)}
+        seen = set()
+        for y in candidates:
+            result = build_twist(cd, y)
+            seen |= {v.condition for v in result.violations} | {result.ok}
+            for perm, new in relabellings(n):
+                cd2 = CartanDatum.from_matrix(IntMatrix(conjugated(cd.A.data, perm)))
+                assert verdict(build_twist(cd2, conjugated(y, perm)), same) == \
+                    verdict(result, new), (y, perm)
+        wanted = {True, False, "integral_parameters", "dx_antisymmetric", "half_integrality"}
+        if cd.A.det() == 1:  # G2: adj A is A^(-1), so every integral Y is half-integral
+            wanted.remove("half_integrality")
+        assert seen >= wanted
+
+    @pytest.mark.parametrize("shape, ell", [("B3", 3), ("C3", 5), ("G2", 5)])
+    def test_relabelling_keeps_datum_analyses(self, shape, ell):
+        """analyze_datum of the renamed datum (I+- renamed, N's coordinates
+        permuted) gives the same DimH, dim A and predicates, for the last
+        enumerated N of each (I+, I-); with N the whole torus it fails the
+        same conditions.  Same twists as test_relabelling_the_simple_roots."""
+        cd = cartan_matrix(shape[0], int(shape[1]))
+        n = cd.rank
+        full = TorusSubgroup.full(ell, n)
+        for tw in enumerate_valid_twists(cd, 1, limit=3):
+            last = {(rec.iplus, rec.iminus): rec for rec in enumerate_triples(tw, ell)}
+            for perm, new in relabellings(n):
+                relabelled = relabelled_twist(tw, perm)
+                for (iplus, iminus), rec in last.items():
+                    for N in (rec.N, full):
+                        a = analyze_datum(tw, ell, TwistedSubgroupDatum.make(iplus, iminus, N))
+                        b = analyze_datum(relabelled, ell, TwistedSubgroupDatum.make(
+                            [new[i] for i in iplus], [new[i] for i in iminus],
+                            permuted(N, perm)))
+                        assert a.report.ok == b.report.ok == (N == rec.N or not iplus + iminus)
+                        assert Counter(v.condition for v in a.report.violations) == \
+                            Counter(v.condition for v in b.report.violations)
+                        assert (a.dim_h, a.dim_a, a.predicates) == \
+                            (b.dim_h, b.dim_a, b.predicates), (tw.Y, perm, iplus, iminus)
+                    assert analyze_datum(tw, ell, TwistedSubgroupDatum.make(
+                        iplus, iminus, rec.N)).dim_h == rec.dims
 
 
 class TestPredicates:

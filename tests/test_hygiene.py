@@ -134,11 +134,10 @@ def test_caches_are_bounded_or_keyed_by_cartan_datum(path):
 
 
 def test_cache_rule_sees_every_cache():
-    """The rule above finds the three CartanDatum caches and the nine
-    bounded memos (subgroups, factored systems, supported roots, the
-    required rows of (I+, I-), triple and datum analyses, cyclotomic
-    polynomials, h-axis weights of the group-algebra product), so it is
-    not vacuous."""
+    """The rule above finds all 10 caches, the three CartanDatum caches
+    and the seven bounded memos (spans, factored systems, the required
+    rows of (I+, I-), triple and datum analyses, cyclotomic polynomials,
+    h-axis weights of the group-algebra product), so it is not vacuous."""
     found = {}
     for path in SOURCES:
         tree = _tree(path)
@@ -152,8 +151,7 @@ def test_cache_rule_sees_every_cache():
     assert found == {
         "_adjugate_cartan": "datum",
         "positive_roots": "datum", "_parameter_lattice": "datum",
-        "_span": "bounded", "_kernel": "bounded",
-        "_factored": "bounded", "_roots_supported": "bounded",
+        "_span": "bounded", "_factored": "bounded",
         "_required_memo": "bounded", "analyze_datum": "bounded", "analyze_triple": "bounded",
         "cyclotomic_polynomial": "bounded", "_h_axis_weights": "bounded",
     }

@@ -119,8 +119,9 @@ class TestTorusSubgroup:
 
 
 class TestSubgroupMemo:
-    """from_generators and kernel answer from a bounded memo: checked
-    against a fresh build through the normal form they wrap."""
+    """from_generators answers from the bounded _span memo, keyed on the
+    checked IntMatrix; kernel reads the Hermite form that exact._factored
+    holds.  Both are checked against a fresh build."""
 
     def test_cached_constructors_match_a_fresh_build(self):
         rng = random.Random(23)
@@ -138,21 +139,24 @@ class TestSubgroupMemo:
                     want = TorusSubgroup(ell, n, fresh)
                     assert got == want, (ell, rows)
                     assert (got.order, got.generators) == (want.order, want.generators)
-                    again = build(ell, n, [list(r) for r in rows])
-                    assert again == want and again is got
+                    assert build(ell, n, [list(r) for r in rows]) == want
+                again = TorusSubgroup.from_generators(ell, n, [list(r) for r in rows])
+                assert again is TorusSubgroup.from_generators(ell, n, rows)
+                assert again is torus._span(ell, m)
+                assert TorusSubgroup.kernel(ell, n, rows).lattice is kernel_lattice(m, ell)
 
     def test_memo_is_bounded_and_counts_hits(self):
-        for memo in (torus._span, torus._kernel):
-            assert memo.cache_info().maxsize == torus.SUBGROUP_MEMO_SIZE
+        assert torus._span.cache_info().maxsize == torus.SUBGROUP_MEMO_SIZE
         torus._span.cache_clear()
         TorusSubgroup.from_generators(15, 2, [(3, 5)])
-        TorusSubgroup.from_generators(15, 2, [(3, 5)])
+        TorusSubgroup.from_generators(15, 2, [[3, 5]])
+        t_I = t_phi_I(zero_twist(cartan_matrix("A", 2)), 15, {1}, ())
+        assert t_I is t_phi_I(zero_twist(cartan_matrix("A", 2)), 15, [1], [])
         info = torus._span.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
 
     def test_errors_raise_every_time_and_are_not_cached(self):
         torus._span.cache_clear()
-        torus._kernel.cache_clear()
         for _ in range(2):
             for build in (TorusSubgroup.from_generators, TorusSubgroup.kernel):
                 with pytest.raises(ValueError):
@@ -160,7 +164,6 @@ class TestSubgroupMemo:
                 with pytest.raises(ValueError):
                     build(5, 2, [(1, 0, 0)])
         assert torus._span.cache_info().currsize == 0
-        assert torus._kernel.cache_info().currsize == 0
 
     def test_cached_entry_never_answers_a_non_integer(self):
         TorusSubgroup.from_generators(5, 2, [(1, 0)])
@@ -240,6 +243,15 @@ class TestSPhiMatrix:
     def test_single_row(self):
         tw = worked_twist()
         assert s_phi_matrix(tw, 11, {2}, ()).to_lists() == [[2, 3, 2]]
+
+    def test_returns_the_memos_own_matrix(self):
+        """S is checked once, in the memo of the required rows, and handed
+        out as is: the same IntMatrix keys T_I and the kernel."""
+        tw = worked_twist()
+        s = s_phi_matrix(tw, 11, {2}, {1})
+        assert s is s_phi_matrix(tw, 11, [2], (1,))
+        assert s is torus._required_memo(tw, 11, frozenset({2}), frozenset({1}))[1]
+        assert t_phi_I(tw, 11, {2}, {1}) is torus._span(11, s)
 
 
 class TestKernelAndAnnihilator:
