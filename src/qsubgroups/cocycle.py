@@ -61,10 +61,10 @@ from .exact import (
     _poly_divmod,
     _poly_mul,
     _rational_tuple,
-    kernel_lattice,
     reduce_power_basis,
 )
 from .lie import Basis, LatticeElement, bilinear_form
+from .torus import TorusSubgroup
 from .twist import TwistMap, apply_phi
 
 __all__ = [
@@ -443,17 +443,12 @@ def twist_J_group_algebra(
     # and some representative z0 of it
     images = zip(*[[v % ell for v in _sweep(bil.column(j), ell)] for j in range(n)])
     fibers = dict(zip(images, vectors))
-    count = size // len(fibers)  # |K|
-    kernel = [row for row in kernel_lattice(bil.transpose(), ell).data
-              if any(x % ell for x in row)]
-    if kernel:
-        orders = list(map(gcd, itertools.repeat(ell), *(_sweep(k, ell) for k in kernel)))
-    else:
-        orders = [ell] * size
+    K = TorusSubgroup.kernel(ell, n, bil.transpose().data)
+    orders = list(map(gcd, [ell] * size, *(_sweep(k, ell) for k in K.generators)))
     top = n * (ell - 1) + 1  # sweep values are unreduced
     by_order = {}
     for m in set(orders):
-        c = count * m // ell
+        c = K.order * m // ell
         base = [tuple(c if (k - e) % m == 0 else 0 for k in range(ell)) for e in range(m)]
         by_order[m] = [base[e % m] for e in range(top)]
     lookup = list(map(by_order.__getitem__, orders))

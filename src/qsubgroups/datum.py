@@ -25,11 +25,11 @@ gamma', and delta' restricted to N equals the pullback of delta along
 tau.  Mutual <= forces equal (I+, I-, N) and |Gamma| = |Gamma'|.
 
 analyze_datum derives all a datum determines (report, dim H, dim A, the
-predicates and their obstruction) once, memoised on (tw, ell, d);
-validate_datum, dim_A, predicates and obstruction_check read its record.
-dim_H checks bare indices for _dim_h, a plain function over the rows
-that torus memoises per (I+, I-), which analyze_datum calls directly;
-enumerate_triples calls dim_H once per pair, on the kernel.
+predicates and their obstruction) once, memoised on (tw, ell, d), and
+reads subgroup orders wherever an order decides; validate_datum, dim_A,
+predicates and obstruction_check read its record.  dim_H checks bare
+indices for _dim_h, which analyze_datum calls directly; enumerate_triples
+calls dim_H once per pair, on the kernel.
 """
 
 from __future__ import annotations
@@ -180,15 +180,13 @@ class TorusEmbedding:
                          ncols=len(factors))
 
     def is_injective(self) -> bool:
-        """Trivial kernel: the solution subgroup of the congruence system
-        must coincide with the relation subgroup of the presentation."""
+        """Trivial kernel: the solutions of the congruence system contain the
+        relations, of order modulus^k / |group|, so they must have that order."""
         factors = self.group.invariant_factors
         modulus = lcm(*factors)
         emat = self._exponent_matrix(modulus)
         solutions = TorusSubgroup.kernel(modulus, len(factors), emat.data)
-        relations = TorusSubgroup.from_generators(modulus, len(factors), [
-            [m * int(i == j) for j in range(len(factors))] for i, m in enumerate(factors)])
-        return solutions == relations
+        return solutions.order * self.group.order == modulus ** len(factors)
 
 
 @record
@@ -665,9 +663,9 @@ def analyze_datum(tw: TwistMap, ell: int, d: TwistedSubgroupDatum) -> DatumAnaly
 
     Memoised on (tw, ell, d), all immutable records, so the checks of one
     request share one analysis.  Sigma's recipe (the datum's own, else
-    default_sigma_recipe) must reproduce N; the twisted side of the
-    obstruction then reuses N and dim H, and only the untwisted side is
-    derived afresh.
+    default_sigma_recipe) must reproduce N = Sigma^perp, tested by order.
+    The twisted side of the obstruction reuses N and dim H; the untwisted
+    side needs only |Sigma_0|, as |N_0| = ell^n / |Sigma_0|.
     """
     report = _datum_report(tw, ell, d)
     if not report.ok:
@@ -677,21 +675,20 @@ def analyze_datum(tw: TwistMap, ell: int, d: TwistedSubgroupDatum) -> DatumAnaly
     dim_a = INFINITE if order is INFINITE else order * h.value
     recipe = d.sigma_recipe
     zero = zero_twist(tw.cd)
+    total = ell**tw.rank
     try:
         if recipe is None:  # the default spans the annihilator of N, which gives N
             recipe, sigma = default_sigma_recipe(tw, ell, d), annihilator(d.N)
-        elif annihilator(sigma := evaluate_recipe(tw, ell, recipe)) != d.N:
+        elif not (d.N.order * (sigma := evaluate_recipe(tw, ell, recipe)).order == total
+                  and d.N.killed_by(sigma.generators)):
             raise ValueError("sigma recipe does not reproduce the datum's N")
         _require_triple(tw, ell, d.iplus, d.iminus, sigma, "twisted")
         sigma_zero = evaluate_recipe(zero, ell, recipe)
         _require_triple(zero, ell, d.iplus, d.iminus, sigma_zero, "untwisted")
     except (ValueError, IndexError) as exc:
         return DatumAnalysis(report, h, dim_a, failure=(type(exc), str(exc)))
-    n_zero = annihilator(sigma_zero)
-    h_zero = _dim_h(zero, ell, d.iplus, d.iminus, n_zero)
-    total = ell**tw.rank
-    ob = ObstructionReport(sigma.order, d.N.order, sigma_zero.order, n_zero.order,
-                           h.value, h_zero.value,
+    ob = ObstructionReport(sigma.order, d.N.order, sigma_zero.order, total // sigma_zero.order,
+                           h.value, replace(h, sigma_order=sigma_zero.order).value,
                            sigma.order == total and sigma_zero.order != total)
     finite = not (d.is_opaque and d.embedding.order is None)
     preds = Predicates(not (d.iplus & d.iminus), not (d.iplus | d.iminus) and finite,

@@ -353,9 +353,8 @@ def validate_triple(tw: TwistMap, ell: int, triple: Triple) -> TripleReport:
 def _triple_report(tw: TwistMap, ell: int, iplus, iminus, sigma) -> TripleReport:
     labels, S = _required_memo(tw, ell, iplus, iminus)
     missing = [label for label, row in zip(labels, S.data) if not sigma.contains(row)]
-    t_I = _span(ell, S)
     missing += [("kalpha", i) for i in sorted(iplus & iminus)
-                if not t_I.contains([int(r == i - 1) for r in range(tw.rank)])]
+                if not _span(ell, S).contains([int(r == i - 1) for r in range(tw.rank)])]
     return TripleReport(ok=not missing, missing=tuple(missing))
 
 

@@ -820,3 +820,25 @@ def former_reduce_power_basis(ell: int, coeffs) -> list:
             if r:
                 out[j] += c * r
     return out
+
+
+# ---------------------------------------------------------------------------
+# library memos
+
+def clear_library_memos():
+    """Empty every lru_cache that a qsubgroups module defines, found by
+    walking the modules, so a test that counts calls does not depend on
+    what earlier tests derived; returns their qualified names."""
+    import importlib
+    import pkgutil
+
+    import qsubgroups
+
+    cleared = []
+    for info in pkgutil.iter_modules(qsubgroups.__path__):
+        module = importlib.import_module(f"qsubgroups.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
+                value.cache_clear()
+                cleared.append(f"{info.name}.{name}")
+    return cleared

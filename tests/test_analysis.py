@@ -182,6 +182,16 @@ def test_predicates_recipe_argument_replaces_the_datums():
         predicates(tw, 11, d, recipe=bad)
 
 
+def test_recipe_of_the_right_order_must_still_reproduce_n():
+    """|N| * |Sigma| = ell^n is not enough: Sigma must also kill N."""
+    tw = TWISTS[-1]  # the worked C3 twist
+    d = TwistedSubgroupDatum.make({2}, (), TorusSubgroup.from_generators(11, 3, [(3, 1, 1)]))
+    assert predicates(tw, 11, d, recipe=(SigmaGenerator.ktilde(1), SigmaGenerator.kbar(2)))
+    same_order = (SigmaGenerator.kbar(2), SigmaGenerator.kbar(1))  # |Sigma| = 121, N's is 11
+    with pytest.raises(ValueError, match=re.escape("does not reproduce the datum's N")):
+        predicates(tw, 11, d, recipe=same_order)
+
+
 @st.composite
 def systems(draw):
     """(A, mod): a p x k integer matrix, 0 <= p, k <= 4, with a modulus."""

@@ -852,7 +852,7 @@ class TestWorkOncePerTwist:
         def forbidden(*args, **kwargs):
             raise AssertionError("work done before the table cap check")
 
-        for name in ("kernel_lattice", "_sweep", "twist_J"):
+        for name in ("TorusSubgroup", "_sweep", "twist_J"):
             monkeypatch.setattr(cocycle_mod, name, forbidden)
         with pytest.raises(TableCapExceeded):
             twist_J_group_algebra(worked_twist(), 11)

@@ -42,7 +42,7 @@ from qsubgroups.twist import (
     zero_twist,
 )
 
-from oracles import brute_subgroups
+from oracles import brute_subgroups, clear_library_memos
 
 C3 = cartan_matrix("C", 3)
 
@@ -119,8 +119,9 @@ class TestGroupsAndEmbeddings:
 
     def test_injectivity_against_enumeration(self):
         rng = random.Random(71)
-        for _ in range(40):
-            factors = rng.choice([(2,), (3,), (4,), (2, 2), (2, 4), (3, 3)])
+        for _ in range(80):
+            factors = rng.choice([(2,), (3,), (4,), (6,), (2, 2), (2, 4), (2, 6), (3, 3),
+                                  (3, 9), (2, 2, 4)])
             group = FiniteAbelianGroup(factors)
             n = rng.randrange(1, 4)
             emb = TorusEmbedding.make(
@@ -231,7 +232,6 @@ class TestValidateDatum:
         validate_triple and analyze_datum calls make no index_set call;
         the bare-index dim_H still checks both sets."""
         import qsubgroups.datum as datum_module
-        import qsubgroups.exact as exact_module
         import qsubgroups.lie as lie_module
         import qsubgroups.torus as torus_module
 
@@ -241,10 +241,7 @@ class TestValidateDatum:
         data = [TwistedSubgroupDatum.make({2}, (), n_from_gens(11, 3, [(3, 1, 1)])),
                 TwistedSubgroupDatum.make({2}, {1}, annihilator(triple.sigma),
                                           sigma_recipe=recipe)]
-        for memo in (torus_module._span, torus_module._required_memo,
-                     torus_module.analyze_triple, datum_module.analyze_datum,
-                     exact_module._factored):
-            memo.cache_clear()
+        clear_library_memos()
         calls = []
 
         def counting(ids, original=lie_module.index_set):
@@ -537,13 +534,8 @@ class TestEnumerateTriples:
         kernel and dim H through t_hat_I_complement and dim_H, once per
         (I+, I-) pair, as every other caller does."""
         import qsubgroups.datum as datum_module
-        import qsubgroups.exact as exact_module
-        import qsubgroups.torus as torus_module
 
-        for memo in (torus_module._span, torus_module._required_memo,
-                     torus_module.analyze_triple, datum_module.analyze_datum,
-                     exact_module._factored):
-            memo.cache_clear()
+        clear_library_memos()
         calls = {"t_hat_I_complement": [], "dim_H": []}
         for name, log in calls.items():
             def counting(tw, ell, iplus, iminus, *rest, original=getattr(datum_module, name),
@@ -708,6 +700,83 @@ class TestPredicates:
         d = TwistedSubgroupDatum.make({2}, {1}, TorusSubgroup.trivial(11, 3))
         preds = predicates(tw, 11, d)
         assert not preds.cocycle_deformation_obstructed
+
+
+B2_CRIT7 = [[-1, 2], [-1, 1]]  # the B2 bound-2 twist of acceptance criterion 7
+
+
+class TestAnalyzeDatum:
+    def test_cold_analysis_hermite_forms_and_dim_h(self, monkeypatch):
+        """A cold analysis of the worked datum reads N_0 and dim H_0 off
+        |Sigma_0|, tests N = Sigma^perp by orders and builds T_I only for a
+        shared index: at most 5 Hermite forms with the default recipe, 4
+        with (ktilde 1, kbar 2) and 6 with I+ = I- = {2}, and dim H once,
+        on the twisted side."""
+        import qsubgroups.datum as datum_module
+        import qsubgroups.exact as exact_module
+        import qsubgroups.torus as torus_module
+
+        tw = worked_twist()
+        nsub = n_from_gens(11, 3, [(3, 1, 1)])
+        recipe = (SigmaGenerator.ktilde(1), SigmaGenerator.kbar(2))
+        cases = [(TwistedSubgroupDatum.make({2}, (), nsub), 5),
+                 (TwistedSubgroupDatum.make({2}, (), nsub, sigma_recipe=recipe), 4),
+                 (TwistedSubgroupDatum.make({2}, {2}, TorusSubgroup.trivial(11, 3)), 6)]
+        calls = {"hermite_normal_form": [], "_dim_h": []}
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name].append(args)
+                return original(*args)
+            return wrapper
+
+        for module, name in ((exact_module, "hermite_normal_form"),
+                             (torus_module, "hermite_normal_form"), (datum_module, "_dim_h")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        for d, most in cases:
+            clear_library_memos()
+            for log in calls.values():
+                log.clear()
+            assert analyze_datum(tw, 11, d).predicates is not None
+            assert len(calls["hermite_normal_form"]) <= most, d
+            assert [args[0].is_zero() for args in calls["_dim_h"]] == [False]
+
+    @pytest.mark.parametrize("shape", ["C3", "B2"])
+    def test_orders_multiply_across_coprime_levels(self, shape):
+        """For coprime p and q, (Z/pq)^n splits as (Z/p)^n x (Z/q)^n, and a
+        recipe of kbar, ktilde and tau symbols evaluates at pq to the pair
+        of its values at p and at q.  So with N = Sigma^perp at each level,
+        |Sigma|, dim H and the untwisted |Sigma_0|, |N_0| and dim H_0 at pq
+        are the products of their values at p and at q.  (The default
+        recipe does not split: its fixed vectors are Sigma's Hermite rows
+        at each level.)"""
+        if shape == "C3":
+            tw = worked_twist()
+        else:
+            tw = require_twist(cartan_matrix("B", 2), B2_CRIT7)
+        n = tw.rank
+        symbols = [make(i) for make in (SigmaGenerator.kbar, SigmaGenerator.ktilde,
+                                        SigmaGenerator.tau) for i in range(1, n + 1)]
+
+        def orders(ell, iplus, iminus, recipe):
+            sigma = TorusSubgroup.from_generators(ell, n, [g.evaluate(tw, ell) for g in recipe])
+            d = TwistedSubgroupDatum.make(iplus, iminus, annihilator(sigma), sigma_recipe=recipe)
+            a = analyze_datum(tw, ell, d).valid()
+            assert a.failure is None, a.failure
+            ob = a.predicates.obstruction
+            return (a.dim_h.sigma_order, a.dim_h.value, ob.sigma_order_untwisted,
+                    ob.n_order_untwisted, ob.dim_untwisted)
+
+        rng = random.Random(43)
+        for p, q in ((3, 5), (3, 7), (5, 7)):
+            for _ in range(8):
+                iplus, iminus = ({i for i in range(1, n + 1) if rng.randrange(2)}
+                                 for _ in range(2))
+                recipe = tuple([SigmaGenerator.kbar(i) for i in sorted(iplus)]
+                               + [SigmaGenerator.ktilde(j) for j in sorted(iminus)]
+                               + rng.sample(symbols, rng.randrange(3)))
+                at_p, at_q, at_pq = (orders(ell, iplus, iminus, recipe) for ell in (p, q, p * q))
+                assert at_pq == tuple(x * y for x, y in zip(at_p, at_q)), (p, q, recipe)
 
 
 class TestHardening:

@@ -157,6 +157,16 @@ def test_cache_rule_sees_every_cache():
     }
 
 
+def test_memo_helper_clears_every_cache():
+    """oracles.clear_library_memos, which walks the imported modules,
+    clears the caches that the rule above finds in the sources."""
+    from oracles import clear_library_memos
+
+    found = {func.name for path in SOURCES for func in ast.walk(_tree(path))
+             if isinstance(func, ast.FunctionDef) and any(_cache_decorators(func))}
+    assert sorted(name.split(".")[1] for name in clear_library_memos()) == sorted(found)
+
+
 def test_only_int_matrix_defines_setattr():
     """Immutable classes come from qsubgroups._record, which checks fields
     in __post_init__; only IntMatrix, built in every Hermite step, keeps a
