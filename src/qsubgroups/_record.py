@@ -5,7 +5,10 @@ gives it an __init__ taking them positionally or by keyword (a class
 attribute of the same name is the default; __post_init__, if defined,
 runs last), plus __eq__ (same class, equal fields), __hash__ (the hash
 of the field tuple) and __repr__ (Cls(a=1, b=2)), all as dataclasses
-would.  A method the class defines itself is kept.  Assignment and
+would, except that the hash is computed once, on first use, and cached
+on the instance (records are memo keys, hashed on every lookup);
+__getstate__ leaves it out, so pickle and copy never carry it to another
+process.  A method the class defines itself is kept.  Assignment and
 deletion raise AttributeError, so a __post_init__ that normalises a
 field writes it with object.__setattr__.
 
@@ -66,20 +69,26 @@ def record(cls):
         return NotImplemented
 
     def __hash__(self):
-        return hash(fields(self))
+        try:
+            return self._hash
+        except AttributeError:
+            h = self.__dict__["_hash"] = hash(fields(self))
+            return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def __repr__(self):
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in names)
         return f"{self.__class__.__qualname__}({shown})"
 
-    namespace.update(__eq__=__eq__, __hash__=__hash__, __repr__=__repr__)
     own = cls.__dict__
-    for attr in ("__init__", "__eq__", "__hash__", "__repr__"):
+    for method in (namespace["__init__"], __eq__, __hash__, __repr__, __getstate__):
+        attr = method.__name__
         # Python sets __hash__ = None on a class that defines only __eq__;
         # that is no hash of its own
         if attr not in own or (attr == "__hash__" and own[attr] is None
                                and "__eq__" in own):
-            method = namespace[attr]
             method.__qualname__ = f"{cls.__qualname__}.{attr}"
             setattr(cls, attr, method)
     cls.__setattr__ = _frozen_setattr

@@ -164,7 +164,7 @@ class GroupTwoCocycle:
         _table_size(self.ell, self.n, cap)
         ell = self.ell
         # row z1 is the sweep of u = z1^T B, whose column j is itself a sweep
-        columns = [_sweep(self.bilinear.column(j), ell) for j in range(self.n)]
+        columns = [_sweep(col, ell) for col in self.bilinear.transpose().data]
         residues = [str(v % ell) for v in range(self.n * (ell - 1) + 1)]
         for u in zip(*columns):
             yield " ".join(map(residues.__getitem__, _sweep(u, ell)))
@@ -441,7 +441,7 @@ def twist_J_group_algebra(
     vectors = list(itertools.product(range(ell), repeat=n))
     # h = B^T z1 for every z1; the dict keeps each fiber's first position
     # and some representative z0 of it
-    images = zip(*[[v % ell for v in _sweep(bil.column(j), ell)] for j in range(n)])
+    images = zip(*[[v % ell for v in _sweep(col, ell)] for col in bil.transpose().data])
     fibers = dict(zip(images, vectors))
     K = TorusSubgroup.kernel(ell, n, bil.transpose().data)
     orders = list(map(gcd, [ell] * size, *(_sweep(k, ell) for k in K.generators)))

@@ -45,6 +45,7 @@ from .lie import index_set, positive_roots
 from .torus import (
     SigmaGenerator,
     TorusSubgroup,
+    Triple,
     _required_memo,
     _span,
     _triple_report,
@@ -183,6 +184,8 @@ class TorusEmbedding:
         """Trivial kernel: the solutions of the congruence system contain the
         relations, of order modulus^k / |group|, so they must have that order."""
         factors = self.group.invariant_factors
+        if not factors:  # the trivial group
+            return True
         modulus = lcm(*factors)
         emat = self._exponent_matrix(modulus)
         solutions = TorusSubgroup.kernel(modulus, len(factors), emat.data)
@@ -256,9 +259,7 @@ class TwistedSubgroupDatum:
     delta: DualHom | None
     sigma_recipe: tuple[SigmaGenerator, ...] | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "iplus", index_set(self.iplus))
-        object.__setattr__(self, "iminus", index_set(self.iminus))
+    __post_init__ = Triple.__post_init__  # index_set on iplus and iminus
 
     @classmethod
     def make(cls, iplus, iminus, N, embedding=None, delta=None,
@@ -423,8 +424,8 @@ def _solve_tau(
     emat = gamma._exponent_matrix(modulus)  # factored once, by the first solve
     emat_p = gamma_p._exponent_matrix(modulus)
     columns = []
-    for j in range(gamma_p.group.ngens):
-        target = [x % modulus for x in emat_p.column(j)]  # gamma' of generator j
+    for col in emat_p.transpose().data:
+        target = [x % modulus for x in col]  # gamma' of one generator
         y0 = solve_linear_mod(emat, target, modulus)
         if y0 is None:
             return None
@@ -609,13 +610,12 @@ class Predicates:
     obstruction: ObstructionReport | None = None
 
 
-def default_sigma_recipe(tw: TwistMap, ell: int, d: TwistedSubgroupDatum):
+def default_sigma_recipe(tw: TwistMap, ell: int, d: TwistedSubgroupDatum, sigma):
     """Recipe used when the datum does not carry one: the required
-    generators symbolically, plus Sigma's canonical generators as fixed
-    vectors (treated as twist-independent)."""
+    generators symbolically, plus the canonical generators of Sigma, the
+    annihilator of N, as fixed vectors (treated as twist-independent)."""
     labels, S = _required_memo(tw, ell, d.iplus, d.iminus)
     recipe = [SigmaGenerator(*label) for label in labels]
-    sigma = annihilator(d.N)
     required = _span(ell, S)
     recipe += [SigmaGenerator.fixed(g) for g in sigma.generators
                if not required.contains(g)]
@@ -678,7 +678,7 @@ def analyze_datum(tw: TwistMap, ell: int, d: TwistedSubgroupDatum) -> DatumAnaly
     total = ell**tw.rank
     try:
         if recipe is None:  # the default spans the annihilator of N, which gives N
-            recipe, sigma = default_sigma_recipe(tw, ell, d), annihilator(d.N)
+            recipe = default_sigma_recipe(tw, ell, d, sigma := annihilator(d.N))
         elif not (d.N.order * (sigma := evaluate_recipe(tw, ell, recipe)).order == total
                   and d.N.killed_by(sigma.generators)):
             raise ValueError("sigma recipe does not reproduce the datum's N")

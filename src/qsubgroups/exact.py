@@ -15,9 +15,12 @@ Everything downstream is built on three ingredients:
   ranks are never trusted; pivots dividing ell are.
 
 All values are immutable after construction and all functions are pure,
-so everything here can be shared freely between workers.  Two bounded
-memos: cyclotomic_polynomial on ell, and _factored, the one Hermite form
-behind every kernel and solve, on the checked IntMatrix M and m.
+so everything here can be shared freely between workers.  Input is
+checked once, at the boundary: IntMatrix(rows) types every entry, and
+matrices derived from checked ones come from the trusting IntMatrix._of.
+Two bounded memos: cyclotomic_polynomial on ell, and _factored, the one
+Hermite form behind every kernel and solve, on the checked IntMatrix M
+and m.
 """
 
 from __future__ import annotations
@@ -294,7 +297,9 @@ class IntMatrix:
     Entries must be of type int: bool, float, Fraction and str are
     refused with TypeError rather than coerced, so 0.5 never becomes 0
     and true never becomes 1.  Callers holding integral rationals convert
-    them explicitly.
+    them explicitly.  IntMatrix(rows) checks; the private IntMatrix._of
+    trusts rows the library built (tuples of int, ncols long) and every
+    method that derives a matrix from checked ones goes through it.
     """
 
     __slots__ = ("data", "nrows", "ncols")
@@ -313,16 +318,25 @@ class IntMatrix:
         object.__setattr__(self, "nrows", len(data))
         object.__setattr__(self, "ncols", width)
 
+    @classmethod
+    def _of(cls, data: tuple, ncols: int) -> "IntMatrix":
+        """Unchecked: data must be a tuple of int tuples, each ncols long."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "nrows", len(data))
+        object.__setattr__(self, "ncols", ncols)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+        return cls._of(tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
-        return cls([[0] * ncols for _ in range(nrows)], ncols=ncols)
+        return cls._of(((0,) * ncols,) * nrows, ncols)
 
     def __getitem__(self, key):
         i, j = key
@@ -331,11 +345,8 @@ class IntMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.data[i]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.data)
-
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([self.column(j) for j in range(self.ncols)], ncols=self.nrows)
+        return IntMatrix._of(tuple(zip(*self.data)) or ((),) * self.ncols, self.nrows)
 
     def __add__(self, other):
         return self._entrywise(operator.add, other)
@@ -348,23 +359,24 @@ class IntMatrix:
             raise TypeError("expected an IntMatrix")
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("matrix shape mismatch")
-        return IntMatrix([list(map(op, r1, r2)) for r1, r2 in zip(self.data, other.data)],
-                         ncols=self.ncols)
+        rows = zip(self.data, other.data)
+        return IntMatrix._of(tuple(tuple(map(op, r1, r2)) for r1, r2 in rows), self.ncols)
 
     def __neg__(self):
-        return IntMatrix([[-a for a in row] for row in self.data], ncols=self.ncols)
+        return IntMatrix._of(tuple(tuple(-a for a in row) for row in self.data), self.ncols)
 
     def scaled(self, c: int) -> "IntMatrix":
-        return IntMatrix([[c * a for a in row] for row in self.data], ncols=self.ncols)
+        _int_tuple((c,), "scalars")
+        return IntMatrix._of(tuple(tuple(c * a for a in row) for row in self.data), self.ncols)
 
     def __matmul__(self, other):
         if not isinstance(other, IntMatrix):
             raise TypeError("expected an IntMatrix")
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch in product")
-        cols = [other.column(j) for j in range(other.ncols)]
-        return IntMatrix([[sum(map(operator.mul, row, col)) for col in cols]
-                          for row in self.data], ncols=other.ncols)
+        cols = other.transpose().data
+        return IntMatrix._of(tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
+                                   for row in self.data), other.ncols)
 
     def __mul__(self, other):  # a bool is refused by __matmul__, not taken as 1 or 0
         if type(other) is int:
@@ -435,8 +447,11 @@ def hermite_normal_form(M: IntMatrix, ell: int) -> IntMatrix:
     extended-gcd step against the pivot row, which leaves the gcd g in the
     pivot and a partner row cleared in column j.  The partner stays for
     the later columns: when g properly divides ell it carries (ell / g)
-    times the row, which keeps composite ell exact.
+    times the row, which keeps composite ell exact.  A row whose entry
+    the pivot already divides is cleared by subtracting a multiple of the
+    pivot row, which leaves the pivot row as it is.
     """
+    _int_tuple((ell,), "modulus")
     if ell < 1:
         raise ValueError("modulus must be >= 1")
     n = M.ncols
@@ -448,8 +463,7 @@ def hermite_normal_form(M: IntMatrix, ell: int) -> IntMatrix:
         rest = []
         for row in rows:
             b = row[j]
-            if b:
-                # [[s, t], [b/g, -a/g]] has determinant -1 and clears row[j]
+            if b % a:  # [[s, t], [b/g, -a/g]] has determinant -1 and clears row[j]
                 g, s, t = _xgcd(a, b)
                 u, v = b // g, a // g
                 pivot, row = (
@@ -457,6 +471,9 @@ def hermite_normal_form(M: IntMatrix, ell: int) -> IntMatrix:
                     [(u * x - v * y) % ell for x, y in zip(pivot, row)],
                 )
                 a = g
+            elif b:  # a divides b: row - (b/a) pivot clears row[j]
+                q = b // a
+                row = [(y - q * x) % ell for x, y in zip(pivot, row)]
             if any(row):
                 rest.append(row)
         pivot[j] = a
@@ -464,7 +481,7 @@ def hermite_normal_form(M: IntMatrix, ell: int) -> IntMatrix:
         rows = rest
     for i in range(n - 2, -1, -1):
         _reduce(basis[i], basis[i + 1:], i + 1)
-    return IntMatrix(basis, ncols=n)
+    return IntMatrix._of(tuple(map(tuple, basis)), n)
 
 
 @functools.lru_cache(maxsize=SOLVER_MEMO_SIZE, typed=True)
@@ -474,9 +491,9 @@ def _factored(M: IntMatrix, mod: int) -> tuple[tuple, IntMatrix]:
     kernel_lattice, kernel_mod and solve_linear_mod, made once per (M, m).
     typed=True keeps a float or bool m out of an int m's entry."""
     p, k = M.nrows, M.ncols
-    system = [col + e for col, e in zip(M.transpose().data, IntMatrix.identity(k).data)]
-    h = hermite_normal_form(IntMatrix(system, ncols=p + k), mod).data
-    return h[:p], IntMatrix([row[p:] for row in h[p:]], ncols=k)
+    system = tuple(map(operator.add, M.transpose().data, IntMatrix.identity(k).data))
+    h = hermite_normal_form(IntMatrix._of(system, p + k), mod).data
+    return h[:p], IntMatrix._of(tuple(row[p:] for row in h[p:]), k)
 
 
 def kernel_lattice(M: IntMatrix, ell: int) -> IntMatrix:

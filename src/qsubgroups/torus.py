@@ -14,9 +14,10 @@ canonical form of the subgroup; equality of subgroups is syntactic
 equality of the forms, and membership is reduction by exact._reduce.
 There is one way in for each kind of description, each one Hermite form:
 TorusSubgroup.from_generators for a span and TorusSubgroup.kernel for the
-solutions of a row system mod ell (the character kernel, annihilators,
-kernels of torus embeddings).  Both check their rows into one IntMatrix
-M; a span is memoised on (ell, M), and a kernel is read off the Hermite
+solutions of a row system mod ell (the character kernel, kernels of
+torus embeddings).  Both check their rows into one IntMatrix M, which an
+annihilator, whose rows are a subgroup's own generators, need not do;
+a span is memoised on (ell, M), and a kernel is read off the Hermite
 form that exact._factored holds for (M, ell), so a subgroup that several
 checks of one request derive is built from one form; sharing a cached
 object is safe because TorusSubgroup is an immutable record.
@@ -106,23 +107,26 @@ def _enum_cap(cap: int | None) -> int:
 
 @record
 class TorusSubgroup:
-    """A subgroup of (Z/ell)^n in canonical (Hermite) form; its order and
-    its nonzero Hermite rows mod ell (generators) are read off the lattice."""
+    """A subgroup of (Z/ell)^n in canonical (Hermite) form; its order and,
+    on first read, its nonzero Hermite rows mod ell (generators) are read
+    off the lattice."""
 
     ell: int
     n: int
     lattice: IntMatrix
 
     def __post_init__(self):
-        ell = self.ell
-        if ell < 1:
+        if self.ell < 1:
             raise ValueError("level must be >= 1")
-        order, rem = divmod(ell**self.n, prod(self.lattice[i, i] for i in range(self.n)))
+        order, rem = divmod(self.ell**self.n, prod(self.lattice[i, i] for i in range(self.n)))
         assert rem == 0
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "generators", tuple(
-            row_mod for row in self.lattice.data if any(row_mod := tuple(x % ell for x in row))
-        ))
+
+    @functools.cached_property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        ell = self.ell
+        return tuple(row_mod for row in self.lattice.data
+                     if any(row_mod := tuple(x % ell for x in row)))
 
     @classmethod
     def from_generators(cls, ell: int, n: int, gens) -> "TorusSubgroup":
@@ -186,7 +190,7 @@ class TorusSubgroup:
         return sorted(seen)
 
 
-@functools.lru_cache(maxsize=SUBGROUP_MEMO_SIZE)
+@functools.lru_cache(maxsize=SUBGROUP_MEMO_SIZE, typed=True)
 def _span(ell: int, S: IntMatrix) -> TorusSubgroup:
     return TorusSubgroup(ell, S.ncols, hermite_normal_form(S, ell))
 
@@ -281,8 +285,8 @@ class Triple:
     @classmethod
     def make(cls, tw: TwistMap, ell: int, iplus, iminus,
              sigma_gens=(), recipe=None) -> "Triple":
-        iplus, iminus = index_set(iplus), index_set(iminus)
-        _required_memo(tw, ell, iplus, iminus)  # refuses an index out of range
+        triple = cls(iplus, iminus, None)  # checks the indices; Sigma is set below
+        _required_memo(tw, ell, triple.iplus, triple.iminus)  # refuses one out of range
         gens = [tuple(x % ell for x in _int_tuple(g, "sigma generator entries"))
                 for g in sigma_gens]
         if recipe is not None:
@@ -290,8 +294,9 @@ class Triple:
             # Sigma stays re-evaluable at a different twist
             recipe = tuple(recipe) + tuple(SigmaGenerator.fixed(g) for g in gens)
             gens = [g.evaluate(tw, ell) for g in recipe]
-        return cls(iplus, iminus, TorusSubgroup.from_generators(ell, tw.rank, gens),
-                   recipe)
+        object.__setattr__(triple, "sigma", TorusSubgroup.from_generators(ell, tw.rank, gens))
+        object.__setattr__(triple, "recipe", recipe)
+        return triple
 
 
 @record
@@ -312,12 +317,6 @@ class TripleAnalysis:
     order_identity: bool  # |Sigma| * |N| == ell^n
 
 
-def _required(tw: TwistMap, ell: int, iplus, iminus):
-    """(labels, S) of the pair (I+, I-), see _required_memo; the indices
-    pass index_set on their way in, as a Triple's do."""
-    return _required_memo(tw, ell, index_set(iplus), index_set(iminus))
-
-
 @functools.lru_cache(maxsize=SUBGROUP_MEMO_SIZE, typed=True)
 def _required_memo(tw: TwistMap, ell: int, iplus: frozenset, iminus: frozenset):
     """The required generators of a triple: labels ("kbar", i) for
@@ -335,7 +334,7 @@ def _required_memo(tw: TwistMap, ell: int, iplus: frozenset, iminus: frozenset):
 def t_phi_I(tw: TwistMap, ell: int, iplus, iminus) -> TorusSubgroup:
     """The subgroup generated by the required elements of a triple:
     (1-phi)(alpha_i) for i in I+ and (1+phi)(alpha_j) for j in I-."""
-    return _span(ell, _required(tw, ell, iplus, iminus)[1])
+    return _span(ell, s_phi_matrix(tw, ell, iplus, iminus))
 
 
 def validate_triple(tw: TwistMap, ell: int, triple: Triple) -> TripleReport:
@@ -364,29 +363,31 @@ def s_phi_matrix(tw: TwistMap, ell: int, iplus, iminus) -> IntMatrix:
     One row per i in I+ with entries (delta_ij - 2 y_ji) and one row per
     j in I- with entries (delta_jk + 2 y_kj); these are exactly the
     exponent vectors of the required Sigma generators.  Rows are ordered
-    I+ ascending, then I- ascending.
+    I+ ascending, then I- ascending.  The indices pass index_set on their
+    way in, as a Triple's do.
     """
-    return _required(tw, ell, iplus, iminus)[1]
+    return _required_memo(tw, ell, index_set(iplus), index_set(iminus))[1]
 
 
 def canonical_row_form(M: IntMatrix, ell: int) -> IntMatrix:
     """Canonical row form of a matrix over Z/ell: the canonical generators
     of the subgroup its rows span."""
-    span = TorusSubgroup.from_generators(ell, M.ncols, M.data)
-    return IntMatrix(span.generators, ncols=M.ncols)
+    return IntMatrix._of(_span(ell, M).generators, M.ncols)
 
 
 def t_hat_I_complement(tw: TwistMap, ell: int, iplus, iminus) -> TorusSubgroup:
     """Characters that kill every required generator: the kernel of the
     coefficient matrix mod ell.  For prime ell its order is
     ell^(n - rank)."""
-    S = _required(tw, ell, iplus, iminus)[1]
+    S = s_phi_matrix(tw, ell, iplus, iminus)
     return TorusSubgroup(ell, tw.rank, kernel_lattice(S, ell))
 
 
 def annihilator(sub: TorusSubgroup) -> TorusSubgroup:
-    """{z : <z, g> = 0 mod ell for every g in sub}."""
-    return TorusSubgroup.kernel(sub.ell, sub.n, sub.generators)
+    """{z : <z, g> = 0 mod ell for every g in sub}: the kernel of its
+    generators, which need no second check."""
+    rows = IntMatrix._of(sub.generators, sub.n)
+    return TorusSubgroup(sub.ell, sub.n, kernel_lattice(rows, sub.ell))
 
 
 @functools.lru_cache(maxsize=SUBGROUP_MEMO_SIZE, typed=True)
@@ -467,4 +468,5 @@ def enumerate_subgroups(ambient: TorusSubgroup, cap: int | None = None):
                     extend(i - 1, [row] + lower)
 
     extend(n - 1, [])
+    del extend  # the closure refers to itself: free it without the cyclic GC
     return sorted(found, key=lambda s: (s.order, s.lattice.data))

@@ -84,6 +84,35 @@ def span_elements(gens, ell, n):
     return frozenset(seen)
 
 
+def brute_cyclic_leq(ell, n, indices, indices2, spec, spec2):
+    """Whether d <= d' by the definition, for data over (Z/ell)^n given as
+    (I+, I-) and spec = (gens, m, column, w): N spanned by gens, Gamma =
+    Z/m sending its generator to exp(2 pi i column / m) (trivial for
+    m = 1) and delta(x) the character taking the generator to
+    exp(2 pi i w.x / m).  Tries every tau(gen') = t gen, 0 <= t < m, and
+    compares gamma tau with gamma' and delta' with delta tau on every
+    element of N."""
+    (gens, m, column, w), (gens2, m2, column2, w2) = spec, spec2
+    if not all(set(b) <= set(a) for a, b in zip(indices, indices2)):
+        return False
+    elements = span_elements(gens, ell, n)
+    if not elements <= span_elements(gens2, ell, n):
+        return False
+
+    def integral(x):
+        return x.denominator == 1
+
+    for t in range(m):
+        if m2 > 1 and not all(integral(Fraction(t * c, m) - Fraction(c2, m2))
+                              for c, c2 in zip(column, column2)):
+            continue
+        dot = [sum(a * b for a, b in zip(v, x)) for x in elements for v in (w, w2)]
+        if all(integral(Fraction(b, m2) - Fraction(t * a, m))
+               for a, b in zip(dot[::2], dot[1::2])):
+            return True
+    return False
+
+
 def brute_annihilator(elements, ell, n):
     """{z : <z, g> == 0 mod ell for all g in elements} by enumeration."""
     out = set()
@@ -505,6 +534,47 @@ def fraction_twist_search(cd, bound, limit=None):
 
 
 # ---------------------------------------------------------------------------
+# frozen reference: the library's former Hermite form mod ell, one
+# extended-gcd step for every row with a nonzero entry in the pivot column
+
+def former_hermite_normal_form(rows, n, ell):
+    """The Hermite form of rowspan(rows) + ell Z^n as a tuple of n rows,
+    computed as hermite_normal_form did before a pivot dividing an entry
+    cleared it with one row operation."""
+    def xgcd(a, b):
+        s0, s1, t0, t1 = 1, 0, 0, 1
+        while b:
+            q, r = divmod(a, b)
+            a, b = b, r
+            s0, s1 = s1, s0 - q * s1
+            t0, t1 = t1, t0 - q * t1
+        return a, s0, t0
+
+    rows = [[x % ell for x in row] for row in rows]
+    basis = []
+    for j in range(n):
+        a, pivot, rest = ell, [0] * n, []
+        for row in rows:
+            b = row[j]
+            if b:
+                g, s, t = xgcd(a, b)
+                u, v = b // g, a // g
+                pivot, row = ([(s * x + t * y) % ell for x, y in zip(pivot, row)],
+                              [(u * x - v * y) % ell for x, y in zip(pivot, row)])
+                a = g
+            if any(row):
+                rest.append(row)
+        pivot[j] = a
+        basis.append(pivot)
+        rows = rest
+    for i in range(n - 2, -1, -1):
+        for j in range(i + 1, n):
+            q = basis[i][j] // basis[j][j]
+            basis[i] = [x - q * y for x, y in zip(basis[i], basis[j])]
+    return tuple(map(tuple, basis))
+
+
+# ---------------------------------------------------------------------------
 # frozen reference: the library's former linear solver over Z/m
 
 def _former_with_identity(A):
@@ -648,7 +718,7 @@ def former_predicates(tw, ell, d):
 
     recipe = d.sigma_recipe
     if recipe is None:
-        recipe = default_sigma_recipe(tw, ell, d)
+        recipe = default_sigma_recipe(tw, ell, d, annihilator(d.N))
     elif annihilator(evaluate_recipe(tw, ell, recipe)) != d.N:
         raise ValueError("sigma recipe does not reproduce the datum's N")
     ob = _former_obstruction(tw, ell, d.iplus, d.iminus, recipe)

@@ -1,6 +1,7 @@
 """Tests for twisted subgroup data: validation, dimensions, order."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -42,7 +43,7 @@ from qsubgroups.twist import (
     zero_twist,
 )
 
-from oracles import brute_subgroups, clear_library_memos
+from oracles import brute_cyclic_leq, brute_subgroups, clear_library_memos
 
 C3 = cartan_matrix("C", 3)
 
@@ -435,6 +436,127 @@ class TestPartialOrder:
         assert datum_leq(tw, 11, d, opaque).status == "unknown"
 
 
+def leq_datum(ell, iplus, iminus, spec):
+    """The datum over (Z/ell)^3 of spec = (gens, m, column, w): N spanned
+    by gens, Gamma = Z/m embedded by column / m (trivial for m = 1) and
+    delta(x) = w . x mod m, a homomorphism for every N."""
+    gens, m, column, w = spec
+    nsub = n_from_gens(ell, 3, gens)
+    if m == 1:
+        return TwistedSubgroupDatum.make(iplus, iminus, nsub)
+    emb = TorusEmbedding.make(FiniteAbelianGroup((m,)), [[c] for c in column], 3)
+    images = [(sum(a * b for a, b in zip(w, g)) % m,) for g in nsub.generators]
+    return TwistedSubgroupDatum.make(iplus, iminus, nsub, embedding=emb,
+                                     delta=DualHom.make(nsub, emb.group, images))
+
+
+def leq_specs(rng, ell):
+    """Specs (see leq_datum) of d and d' at level ell: mostly d' relaxes d
+    (a larger N, the same Gamma through a unit c with delta' = c delta, or
+    a trivial Gamma), so d <= d' unless delta' is perturbed; else random."""
+    def vec():
+        return [rng.randrange(ell) for _ in range(3)]
+
+    def spec():
+        column = vec()
+        while math.gcd(ell, *column) != 1:  # gamma must be injective
+            column = vec()
+        return [vec() for _ in range(rng.randrange(3))], rng.choice((1, ell)), column, vec()
+
+    d = spec()
+    if rng.random() < 0.4:
+        return d, spec()
+    gens, m, column, w = d
+    gens = gens + [vec() for _ in range(rng.randrange(2))]
+    if m == 1 or rng.random() < 0.3:
+        return d, (gens, 1, column, w)
+    c = rng.choice([u for u in range(1, ell) if math.gcd(u, ell) == 1])
+    shift = vec() if rng.random() < 0.3 else [0, 0, 0]
+    return d, (gens, m, [c * x % ell for x in column],
+               [(c * x + s) % ell for x, s in zip(w, shift)])
+
+
+class TestOrderOracles:
+    @staticmethod
+    def index_pairs(rng):
+        """(I+, I-) of d and of d': mostly nested, I'+- inside I+-."""
+        def subset():
+            return {i for i in range(1, 4) if rng.randrange(2)}
+
+        iplus, iminus = subset(), subset()
+        if rng.random() < 0.8:
+            return (iplus, iminus), ({i for i in iplus if rng.randrange(3)},
+                                     {i for i in iminus if rng.randrange(3)})
+        return (iplus, iminus), (subset(), subset())
+
+    def test_leq_splits_across_coprime_levels(self):
+        """(Z/pq)^3 is (Z/p)^3 x (Z/q)^3, and a Gamma of order dividing pq is
+        its p-part times its q-part, as are tau and the characters delta
+        takes values in.  So d <= d' at pq exactly when it holds at p and
+        at q, for data glued from one datum at each level: N from q N_p +
+        p N_q, Gamma's column a m_q + b m_p over m = m_p m_q, and delta's
+        vector the CRT lift of (w_p m_q mod p, w_q m_p mod q).  At p and at
+        q the verdict is also checked against the definition, by brute
+        force over N's elements and every tau."""
+        tw = worked_twist()
+        rng = random.Random(211)
+        seen = Counter()
+        for p, q in ((3, 5), (5, 7), (3, 7)):
+            ep, eq = pow(q, -1, p) * q, pow(p, -1, q) * p  # the CRT idempotents
+
+            def glue(at_p, at_q):
+                (gp, mp, ap, wp), (gq, mq, aq, wq) = at_p, at_q
+                gens = [[q * x for x in g] for g in gp] + [[p * x for x in g] for g in gq]
+                column = [(x * mq if mp > 1 else 0) + (y * mp if mq > 1 else 0)
+                          for x, y in zip(ap, aq)]
+                w = [(x * mq * ep + y * mp * eq) % (p * q) for x, y in zip(wp, wq)]
+                return gens, mp * mq, column, w
+
+            for _ in range(40):
+                ids, ids2 = self.index_pairs(rng)
+                at_p, at_q = leq_specs(rng, p), leq_specs(rng, q)
+                status = {}
+                for ell, (s, s2) in ((p, at_p), (q, at_q),
+                                     (p * q, (glue(at_p[0], at_q[0]), glue(at_p[1], at_q[1])))):
+                    d, d2 = leq_datum(ell, *ids, s), leq_datum(ell, *ids2, s2)
+                    status[ell] = datum_leq(tw, ell, d, d2).status
+                    if ell != p * q:
+                        want = brute_cyclic_leq(ell, 3, ids, ids2, s, s2)
+                        assert status[ell] == ("true" if want else "false"), (ell, ids, s, s2)
+                want = "true" if status[p] == status[q] == "true" else "false"
+                assert status[p * q] == want, (p, q, ids, ids2, at_p, at_q)
+                seen[status[p], status[q]] += 1
+        assert seen["true", "true"] >= 15 and seen["true", "false"] + seen["false", "true"] >= 15
+
+    @pytest.mark.parametrize("ell", [7, 9, 15])
+    def test_relabelling_keeps_leq(self, ell):
+        """datum_leq reads the torus coordinates only through N, gamma and
+        delta, so renaming the simple roots (I+- renamed, the coordinates
+        of N's generators, gamma's column and delta's vector permuted)
+        keeps the verdict and the certificate tau, though N's canonical
+        generators change."""
+        tw = worked_twist()
+        rng = random.Random(223 + ell)
+        statuses = Counter()
+        for _ in range(30):
+            ids, ids2 = self.index_pairs(rng)
+            specs = leq_specs(rng, ell)
+            got = datum_leq(tw, ell, leq_datum(ell, *ids, specs[0]),
+                            leq_datum(ell, *ids2, specs[1]))
+            statuses[got.status] += 1
+            for perm, new in relabellings(3):
+                def renamed(indices, spec):
+                    gens, m, column, w = spec
+                    return ([new[i] for i in indices[0]], [new[i] for i in indices[1]],
+                            ([[g[i] for i in perm] for g in gens], m,
+                             [column[i] for i in perm], [w[i] for i in perm]))
+
+                moved = datum_leq(tw, ell, leq_datum(ell, *renamed(ids, specs[0])),
+                                  leq_datum(ell, *renamed(ids2, specs[1])))
+                assert (moved.status, moved.tau) == (got.status, got.tau), (perm, ids, specs)
+        assert statuses["true"] >= 5 and statuses["false"] >= 5
+
+
 class TestEquivalence:
     def test_identical(self):
         tw = worked_twist()
@@ -708,10 +830,10 @@ B2_CRIT7 = [[-1, 2], [-1, 1]]  # the B2 bound-2 twist of acceptance criterion 7
 class TestAnalyzeDatum:
     def test_cold_analysis_hermite_forms_and_dim_h(self, monkeypatch):
         """A cold analysis of the worked datum reads N_0 and dim H_0 off
-        |Sigma_0|, tests N = Sigma^perp by orders and builds T_I only for a
-        shared index: at most 5 Hermite forms with the default recipe, 4
-        with (ktilde 1, kbar 2) and 6 with I+ = I- = {2}, and dim H once,
-        on the twisted side."""
+        |Sigma_0|, tests N = Sigma^perp by orders, builds T_I only for a
+        shared index and factors nothing for the trivial Gamma: at most 4
+        Hermite forms with the default recipe, 3 with (ktilde 1, kbar 2)
+        and 5 with I+ = I- = {2}, and dim H once, on the twisted side."""
         import qsubgroups.datum as datum_module
         import qsubgroups.exact as exact_module
         import qsubgroups.torus as torus_module
@@ -719,9 +841,9 @@ class TestAnalyzeDatum:
         tw = worked_twist()
         nsub = n_from_gens(11, 3, [(3, 1, 1)])
         recipe = (SigmaGenerator.ktilde(1), SigmaGenerator.kbar(2))
-        cases = [(TwistedSubgroupDatum.make({2}, (), nsub), 5),
-                 (TwistedSubgroupDatum.make({2}, (), nsub, sigma_recipe=recipe), 4),
-                 (TwistedSubgroupDatum.make({2}, {2}, TorusSubgroup.trivial(11, 3)), 6)]
+        cases = [(TwistedSubgroupDatum.make({2}, (), nsub), 4),
+                 (TwistedSubgroupDatum.make({2}, (), nsub, sigma_recipe=recipe), 3),
+                 (TwistedSubgroupDatum.make({2}, {2}, TorusSubgroup.trivial(11, 3)), 5)]
         calls = {"hermite_normal_form": [], "_dim_h": []}
 
         def counting(name, original):
@@ -740,6 +862,34 @@ class TestAnalyzeDatum:
             assert analyze_datum(tw, 11, d).predicates is not None
             assert len(calls["hermite_normal_form"]) <= most, d
             assert [args[0].is_zero() for args in calls["_dim_h"]] == [False]
+
+    def test_cold_analysis_checks_few_matrices(self, monkeypatch):
+        """Matrices the library derives from checked ones come from the
+        trusting IntMatrix._of, so a cold analysis of the worked datum
+        types entries in IntMatrix.__init__ only at the boundary: the
+        required rows S at phi and at phi = 0, the recipe's Sigma and
+        delta's source generators.  At most 4 checked matrices with the
+        default recipe, 5 with (ktilde 1, kbar 2) and 4 with I+ = I- = {2}
+        (against 26, 20 and 27 when every derived matrix was checked)."""
+        tw = worked_twist()
+        nsub = n_from_gens(11, 3, [(3, 1, 1)])
+        recipe = (SigmaGenerator.ktilde(1), SigmaGenerator.kbar(2))
+        cases = [(TwistedSubgroupDatum.make({2}, (), nsub), 4),
+                 (TwistedSubgroupDatum.make({2}, (), nsub, sigma_recipe=recipe), 5),
+                 (TwistedSubgroupDatum.make({2}, {2}, TorusSubgroup.trivial(11, 3)), 4)]
+        checked = []
+        original = IntMatrix.__init__
+
+        def counting(self, *args, **kwargs):
+            checked.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(IntMatrix, "__init__", counting)
+        for d, most in cases:
+            clear_library_memos()
+            checked.clear()
+            assert analyze_datum(tw, 11, d).predicates is not None
+            assert 0 < len(checked) <= most, (d, checked)
 
     @pytest.mark.parametrize("shape", ["C3", "B2"])
     def test_orders_multiply_across_coprime_levels(self, shape):

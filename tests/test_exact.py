@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from qsubgroups.exact import (
     CyclotomicNumber,
     IntMatrix,
+    _factored,
     cyclotomic_polynomial,
     euler_phi,
     hermite_normal_form,
@@ -24,6 +25,7 @@ from oracles import (
     cyclotomic_by_division,
     former_cyclotomic_inverse,
     former_cyclotomic_product,
+    former_hermite_normal_form,
     former_reduce_power_basis,
     span_elements,
 )
@@ -207,6 +209,71 @@ class TestHermiteNormalForm:
         m = IntMatrix([[4, 6], [2, 2]])
         assert hermite_normal_form(m, 12).to_lists() == [[2, 0], [0, 2]]
         assert hermite_normal_form(m, 9).to_lists() == [[1, 0], [0, 1]]
+
+
+def _as_checked(m, shape):
+    """m has the given shape, tuple rows of int, and equals the matrix
+    IntMatrix builds, with its checks, from the same rows."""
+    assert (m.nrows, m.ncols) == shape
+    assert m == IntMatrix(m.data, ncols=m.ncols)
+    assert type(m.data) is tuple and all(
+        type(row) is tuple and len(row) == m.ncols and all(type(x) is int for x in row)
+        for row in m.data)
+
+
+class TestTrustedConstructors:
+    """Matrices derived from checked ones come from the unchecked
+    IntMatrix._of; each must be the matrix the checked constructor would
+    build from its rows, 0-row and 0-column shapes included."""
+
+    SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (2, 3), (3, 2), (4, 4)]
+
+    def test_derived_matrices_equal_checked_ones(self):
+        rng = random.Random(97)
+        for _ in range(25):
+            for r, c in self.SHAPES:
+                a = IntMatrix([[rng.randint(-60, 60) for _ in range(c)] for _ in range(r)],
+                              ncols=c)
+                k = rng.randrange(4)
+                b = IntMatrix([[rng.randint(-60, 60) for _ in range(k)] for _ in range(c)],
+                              ncols=k)
+                _as_checked(IntMatrix.identity(r), (r, r))
+                _as_checked(IntMatrix.zeros(r, c), (r, c))
+                _as_checked(a.transpose(), (c, r))
+                _as_checked(a @ b, (r, k))
+                for m in (-a, a.scaled(-7), a * 3, a + a, a - a):
+                    _as_checked(m, (r, c))
+                for ell in (9, 15, 45):
+                    _as_checked(hermite_normal_form(a, ell), (c, c))
+                    top, kernel = _factored(a, ell)
+                    _as_checked(kernel, (c, c))
+                    _as_checked(IntMatrix(top, ncols=r + c), (r, r + c))
+                    assert all(type(row) is tuple and all(type(x) is int for x in row)
+                               for row in top)
+
+    def test_hermite_form_matches_former_algorithm(self):
+        """One row operation where the pivot divides the entry, in place of
+        an extended-gcd step, gives the same unique Hermite form; composite
+        levels included."""
+        rng = random.Random(101)
+        for ell in MODULI + (7, 63, 105, 1001):
+            for _ in range(30):
+                r, c = rng.randrange(5), rng.randrange(5)
+                rows = [[rng.randrange(-3 * ell, 3 * ell) for _ in range(c)] for _ in range(r)]
+                got = hermite_normal_form(IntMatrix(rows, ncols=c), ell)
+                assert got.data == former_hermite_normal_form(rows, c, ell), (rows, ell)
+
+    @pytest.mark.parametrize("bad", [True, 0.5, 9.0, Fraction(9), "9"], ids=repr)
+    def test_trusting_paths_check_their_parameters(self, bad):
+        """A float or bool modulus or scalar would make the unchecked
+        result hold non-ints, so the modulus and the scalar are checked."""
+        m = IntMatrix([[1, 2], [3, 4]])
+        with pytest.raises(TypeError, match="modulus must be int"):
+            hermite_normal_form(m, bad)
+        with pytest.raises(TypeError, match="modulus must be int"):
+            kernel_mod(m, bad)
+        with pytest.raises(TypeError, match="scalars must be int"):
+            m.scaled(bad)
 
 
 class TestKernelMod:

@@ -3,11 +3,19 @@ class bodies: same fields, defaults, repr, equality, hash, immutability,
 __post_init__ and replace.  The tests import dataclasses; the library
 does not (test_hygiene checks that)."""
 
+import copy
 import dataclasses
+import functools
 import inspect
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qsubgroups
 from qsubgroups import cli, cocycle, datum, exact, lie, torus, twist
 from qsubgroups._record import record, replace
 from qsubgroups.datum import FiniteAbelianGroup, TorusEmbedding
@@ -40,11 +48,14 @@ VALID = {
 
 def twin(cls):
     """A frozen dataclass made by dataclasses from cls's own annotations,
-    defaults and __post_init__, under the same qualname."""
+    defaults, __post_init__ and lazy attributes (functools.cached_property,
+    TorusSubgroup.generators), under the same qualname."""
     own = vars(cls)
     body = {name: own[name] for name in own["__annotations__"] if name in own}
     if "__post_init__" in own:
         body["__post_init__"] = own["__post_init__"]
+    body.update((name, value) for name, value in own.items()
+                if isinstance(value, functools.cached_property))
     body.update(__annotations__=dict(own["__annotations__"]),
                 __qualname__=cls.__qualname__, __module__=cls.__module__)
     return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), body))
@@ -116,6 +127,14 @@ class TestAgainstDataclass:
                 delattr(mirror, name)
             assert str(got.value) == str(want.value)
 
+    def test_hash_is_the_field_hash_before_and_after_first_use(self, cls):
+        rec = cls(*sample(cls))
+        want = hash(tuple(getattr(rec, name) for name in cls._fields))
+        assert "_hash" not in vars(rec)
+        assert hash(rec) == want  # first use: computed and cached
+        assert vars(rec)["_hash"] == want
+        assert hash(rec) == want == hash(cls(*sample(cls)))
+
     def test_replace(self, cls):
         values = sample(cls)
         name = cls._fields[-1]
@@ -152,6 +171,27 @@ def test_post_init_runs():
         assert cls([2, 1], (), TorusSubgroup.full(3, 2)).iplus == frozenset({1, 2})
     for cls in (datum.DualHom, twin(datum.DualHom)):
         assert cls(((1, 2),), FiniteAbelianGroup((3,)), [[5]]).images == ((2,),)
+
+
+def test_cached_hash_is_not_carried_by_pickle_or_copy():
+    """A str hashes differently in each process, so a record's cached
+    hash stays behind: a clone hashes its own fields on first use, and a
+    record unpickled in a process with another hash seed hashes there as
+    its field tuple does."""
+    rec = torus.SigmaGenerator("kbar", 2)
+    want = hash(("kbar", 2, None))
+    assert hash(rec) == want and vars(rec)["_hash"] == want
+    for clone in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+        assert clone == rec and "_hash" not in vars(clone)
+        assert hash(clone) == want
+    script = ("import pickle, sys; rec = pickle.loads(sys.stdin.buffer.read()); "
+              "print(hash(rec) == hash((rec.kind, rec.index, rec.vector)))")
+    src = str(Path(qsubgroups.__file__).resolve().parents[1])
+    for seed in ("1", "2"):  # at least one differs from this process's seed
+        out = subprocess.run([sys.executable, "-c", script], input=pickle.dumps(rec),
+                             capture_output=True, check=True,
+                             env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src))
+        assert out.stdout.strip() == b"True", out.stderr
 
 
 def test_triple_record_sigma_order_matches_dataclasses_replace():

@@ -172,6 +172,12 @@ class TestSubgroupMemo:
                 TorusSubgroup.from_generators(5, 2, [bad])
             with pytest.raises(TypeError):
                 TorusSubgroup.kernel(5, 2, [bad])
+        # the memo is typed, so a bool or float level misses the entry of
+        # level 1 and meets the Hermite form's modulus check
+        TorusSubgroup.from_generators(1, 2, [(1, 0)])
+        for level in (True, 1.0):
+            with pytest.raises(TypeError, match="modulus must be int"):
+                TorusSubgroup.from_generators(level, 2, [(1, 0)])
 
 
 class TestTPhiI:
@@ -430,6 +436,21 @@ class TestEnumerateSubgroups:
             monkeypatch.undo()
             assert len(subs) == count
             assert len(built) == count
+
+    def test_leaves_no_cyclic_garbage(self):
+        """Refcounting frees the walk's state: a recursive closure left
+        alive would hand every walked subgroup to the cyclic collector."""
+        import gc
+
+        ambient = TorusSubgroup.full(5, 2)
+        gc.collect()
+        gc.disable()
+        try:
+            subs = enumerate_subgroups(ambient)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(subs) == 8
 
 
 class TestOmegaOrder:
