@@ -17,7 +17,8 @@ the cocycle is bilinear and all its identities are checked exactly.
 
 The group-algebra realization of J (twist_J_group_algebra) materializes
 its cyclotomic coefficients in closed form, from the cosets of the kernel
-of z -> B^T z, each value over all g from one "sweep" (_sweep).
+K of z -> B^T z, and stores only the g of the annihilator K^perp: off it
+every coset sum vanishes, for any ell, so a zero twist is one entry.
 
 The product in that group algebra is an exact Kronecker substitution
 (Schoenhage 1982; Harvey, J. Symb. Comp. 2009) that stays independent of
@@ -227,8 +228,7 @@ class TorusPairElement:
     @classmethod
     def identity(cls, ell: int, n: int) -> "TorusPairElement":
         zero = (0,) * n
-        vec = (1,) + (0,) * (ell - 1)
-        return cls(ell, n, Fraction(1), {(zero, zero): vec})
+        return cls(ell, n, Fraction(1), {(zero, zero): (1,) + (0,) * (ell - 1)})
 
     def coefficient(self, g, h) -> CyclotomicNumber:
         g, h = _int_tuple(g, "group elements"), _int_tuple(h, "group elements")
@@ -341,8 +341,7 @@ class TorusPairElement:
             raise ValueError("side must be 'left' or 'right'")
         collapsed: dict = {}
         for (g, h), vec in self.vectors.items():
-            key = h if side == "left" else g
-            cur = collapsed.get(key)
+            cur = collapsed.get(key := h if side == "left" else g)
             collapsed[key] = tuple(map(operator.add, cur, vec)) if cur else vec
         return collapsed
 
@@ -427,12 +426,13 @@ def twist_J_group_algebra(
     computed exactly.  The sum over z2 collapses to a point mass on the
     fiber h = B^T z1 mod ell, a coset z0 + K of K = ker(z -> B^T z mod
     ell).  On it z1.g runs through z0.g + m Z/ell, each value |K| m / ell
-    times, where m = m(g) is the gcd of ell and k.g over the generators k
-    of K.  So the count vector at (g, h) is |K| m / ell at the exponents
-    e == -z0.g (mod m), looked up from one prebuilt tuple per (m, e).
-    The inverse uses the character values eps^(-J): the same fibers,
-    over -h.  Fibers come in the order of their first z1, and within a
-    fiber g runs lexicographically.
+    times, where m is the gcd of ell and k.g over the generators k of K.
+    For m < ell those ell / m powers of eps^m sum to 0, so only the g of
+    K^perp (every k.g == 0 mod ell) are stored, each as the monomial
+    |K| eps^(-z0.g); a zero twist is the one entry at (0, 0).  The
+    inverse uses the character values eps^(-J): the same fibers, over
+    -h.  Fibers come in the order of their first z1, and within a fiber
+    g runs lexicographically.
     """
     check_level(tw, ell)
     n = tw.rank
@@ -444,21 +444,17 @@ def twist_J_group_algebra(
     images = zip(*[[v % ell for v in _sweep(col, ell)] for col in bil.transpose().data])
     fibers = dict(zip(images, vectors))
     K = TorusSubgroup.kernel(ell, n, bil.transpose().data)
-    orders = list(map(gcd, [ell] * size, *(_sweep(k, ell) for k in K.generators)))
-    top = n * (ell - 1) + 1  # sweep values are unreduced
-    by_order = {}
-    for m in set(orders):
-        c = K.order * m // ell
-        base = [tuple(c if (k - e) % m == 0 else 0 for k in range(ell)) for e in range(m)]
-        by_order[m] = [base[e % m] for e in range(top)]
-    lookup = list(map(by_order.__getitem__, orders))
-    element: dict = {}
-    inverse: dict = {}
+    kept = range(size)  # narrowed to K^perp: k.g == 0 (mod ell) for each generator k of K
+    for kg in (_sweep(k, ell) for k in K.generators):
+        kept = [i for i in kept if not kg[i] % ell]
+    gs = [vectors[i] for i in kept]
+    monomials = [(0,) * e + (K.order,) + (0,) * (ell - 1 - e) for e in range(ell)]
+    element, inverse = {}, {}
     for h, z0 in fibers.items():
-        vecs = list(map(operator.getitem, lookup, _sweep([-x for x in z0], ell)))
-        element.update(zip(zip(vectors, itertools.repeat(h)), vecs))
-        minus_h = tuple(-x % ell for x in h)
-        inverse.update(zip(zip(vectors, itertools.repeat(minus_h)), vecs))
+        dots = _sweep([-x for x in z0], ell)
+        vecs = [monomials[dots[i] % ell] for i in kept]
+        element.update(zip(zip(gs, itertools.repeat(h)), vecs))
+        inverse.update(zip(zip(gs, itertools.repeat(tuple(-x % ell for x in h))), vecs))
     scale = Fraction(1, size)
     return GroupAlgebraTwist(
         element=TorusPairElement(ell, n, scale, element, _built=True),

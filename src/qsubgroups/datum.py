@@ -170,15 +170,16 @@ class TorusEmbedding:
         """The image of a group element as a vector of root-of-unity
         exponents modulo the given common modulus (a multiple of the
         group exponent)."""
+        (modulus,) = _int_tuple((modulus,), "modulus")
         return tuple(x % modulus for x in self._exponent_matrix(modulus).apply(g))
 
-    def _exponent_matrix(self, modulus: int) -> IntMatrix:
+    def _exponent_matrix(self, modulus: int) -> IntMatrix:  # trusts an int modulus, own rows
         factors = self.group.invariant_factors
         if any(modulus % m for m in factors):
             raise ValueError("modulus must be a multiple of every factor")
         steps = [modulus // m for m in factors]
-        return IntMatrix([[s * x for s, x in zip(steps, row)] for row in self.matrix],
-                         ncols=len(factors))
+        return IntMatrix._of(tuple(tuple(s * x for s, x in zip(steps, row))
+                                   for row in self.matrix), len(factors))
 
     def is_injective(self) -> bool:
         """Trivial kernel: the solutions of the congruence system contain the

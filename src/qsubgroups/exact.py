@@ -330,6 +330,9 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
+    def __reduce__(self):  # pickle and copy rebuild through the checking constructor
+        return IntMatrix, (self.data, self.ncols)
+
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls._of(tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), n)

@@ -116,7 +116,8 @@ class TorusSubgroup:
     lattice: IntMatrix
 
     def __post_init__(self):
-        if self.ell < 1:
+        if type(self.ell) is not int or type(self.n) is not int or self.ell < 1:
+            _int_tuple((self.ell, self.n), "subgroup level and rank")  # TypeError first
             raise ValueError("level must be >= 1")
         order, rem = divmod(self.ell**self.n, prod(self.lattice[i, i] for i in range(self.n)))
         assert rem == 0

@@ -4,7 +4,7 @@ import itertools
 import operator
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -20,7 +20,12 @@ from qsubgroups.cocycle import (
     twist_J,
     twist_J_group_algebra,
 )
-from qsubgroups.exact import CyclotomicNumber, IntMatrix, invert_rational_matrix
+from qsubgroups.exact import (
+    CyclotomicNumber,
+    IntMatrix,
+    invert_rational_matrix,
+    reduce_power_basis,
+)
 from qsubgroups.lie import Basis, CartanDatum, LatticeElement, cartan_matrix
 from qsubgroups.twist import (
     c3_parameter_matrix,
@@ -800,17 +805,38 @@ def frozen_oracle_cases():
     return cases
 
 
+def vanishing_stride(vec, ell):
+    """The proper divisor m of ell if vec is c > 0 on one residue class
+    mod m and 0 elsewhere, else None: such a vector is c eps^e (1 + eps^m
+    + ... + eps^(ell - m)), which is 0 because eps^m is a primitive
+    (ell / m)-th root of unity."""
+    support = [k for k, c in enumerate(vec) if c]
+    for m in range(1, ell):
+        if ell % m == 0 and support and support[0] < m \
+                and support == list(range(support[0], ell, m)) \
+                and len({vec[k] for k in support}) == 1:
+            return m
+    return None
+
+
 class TestClosedFormAgainstFiberScan:
     """twist_J_group_algebra and table_lines against the frozen per-point
-    transform and the per-entry table: identical dicts, key order included,
-    and byte-identical table text."""
+    transform and the per-entry table: the oracle's dicts without the
+    entries that vanish in Q(eps), key order and bytes included, and
+    byte-identical table text."""
 
     @pytest.mark.parametrize("tw, ell", frozen_oracle_cases())
     def test_group_algebra_twist(self, tw, ell):
         ga = twist_J_group_algebra(tw, ell, cap=ell ** (4 * tw.rank))
         element, inverse, scale = fiber_scan_group_algebra(tw, ell)
-        assert list(ga.element.vectors.items()) == list(element.items())
-        assert list(ga.inverse.vectors.items()) == list(inverse.items())
+        for got, oracle in ((ga.element, element), (ga.inverse, inverse)):
+            kept = [(key, vec) for key, vec in oracle.items()
+                    if vanishing_stride(vec, ell) is None]
+            assert list(got.vectors.items()) == kept
+            # the stride rule agrees with reduction mod the cyclotomic polynomial
+            removed = {vec for vec in oracle.values() if vanishing_stride(vec, ell)}
+            assert not any(any(reduce_power_basis(ell, vec)) for vec in removed)
+            assert all(any(reduce_power_basis(ell, vec)) for vec in set(got.vectors.values()))
         assert ga.element.scale == ga.inverse.scale == scale
         assert (ga.element.ell, ga.element.n) == (ell, tw.rank)
 
@@ -821,6 +847,46 @@ class TestClosedFormAgainstFiberScan:
         got = "\n".join(cocycle.table_lines(cap=ell ** (4 * tw.rank)))
         expected = pairwise_table_lines(former_twist_bilinear(tw, ell), ell, tw.rank)
         assert got.encode() == "\n".join(expected).encode()
+
+
+def coset_orders(tw, ell):
+    """m(g) = gcd(ell, k.g over every k in K) for each g, with K = ker(z ->
+    B^T z mod ell) found by testing every z."""
+    bilinear = former_twist_bilinear(tw, ell)
+    vectors = list(itertools.product(range(ell), repeat=tw.rank))
+    K = [z for z in vectors
+         if not any(sum(row[j] * a for row, a in zip(bilinear, z)) % ell
+                    for j in range(tw.rank))]
+    return [gcd(ell, *(sum(map(operator.mul, k, g)) for k in K)) for g in vectors]
+
+
+class TestSupportIsTheNonzeroCoefficients:
+    @pytest.mark.parametrize("tw, ell", [
+        pytest.param(zero_twist(cartan_matrix("A", 1)), ell, id=f"A1:0@{ell}")
+        for ell in (9, 15, 27, 45)
+    ] + [
+        pytest.param(require_twist(cartan_matrix("A", 2), A2_BOUND4), ell, id=f"A2:b4@{ell}")
+        for ell in (9, 15)
+    ] + [pytest.param(zero_twist(cartan_matrix("A", 2)), 9, id="A2:0@9")])
+    def test_brute_force(self, tw, ell):
+        assert any(1 < m < ell for m in coset_orders(tw, ell))
+        ga = twist_J_group_algebra(tw, ell, cap=ell ** (4 * tw.rank))
+        vectors = list(itertools.product(range(ell), repeat=tw.rank))
+        for el in (ga.element, ga.inverse):
+            nonzero = [(g, h) for g in vectors for h in vectors
+                       if any(el.coefficient(g, h).coeffs)]
+            assert el.support() == sorted(nonzero)
+
+    @pytest.mark.parametrize("ell", (3, 5, 9, 15))
+    @pytest.mark.parametrize("lie_type, rank", (("A", 1), ("A", 2), ("B", 2), ("C", 3)))
+    def test_zero_twist_is_one_entry(self, lie_type, rank, ell):
+        ga = twist_J_group_algebra(zero_twist(cartan_matrix(lie_type, rank)), ell,
+                                   cap=ell ** (2 * rank))
+        zero = (0,) * rank
+        for el in (ga.element, ga.inverse):
+            assert el.vectors == {(zero, zero): (ell**rank,) + (0,) * (ell - 1)}
+            assert el.scale == Fraction(1, ell**rank)
+            assert el.is_identity()
 
 
 class TestWorkOncePerTwist:

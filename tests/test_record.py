@@ -194,6 +194,30 @@ def test_cached_hash_is_not_carried_by_pickle_or_copy():
         assert out.stdout.strip() == b"True", out.stderr
 
 
+def test_records_holding_a_matrix_pickle_and_copy():
+    """IntMatrix rebuilds through its checking constructor, so records
+    that hold one go through pickle, copy and deepcopy: each clone is
+    equal, hashes the same and still refuses assignment."""
+    for matrix in (IntMatrix([[1, 2], [0, 3]]), IntMatrix.zeros(0, 3)):
+        for clone in (pickle.loads(pickle.dumps(matrix)), copy.copy(matrix),
+                      copy.deepcopy(matrix)):
+            assert (clone.data, clone.nrows, clone.ncols) == \
+                (matrix.data, matrix.nrows, matrix.ncols)
+            with pytest.raises(AttributeError, match="immutable"):
+                clone.data = ()
+    tw = twist.require_twist(lie.cartan_matrix("C", 3), twist.c3_parameter_matrix(1, 2, 0))
+    sub = TorusSubgroup.from_generators(5, 3, [[1, 2, 3]])
+    assert sub.generators  # the lazy generators are read before the copy
+    triple = torus.Triple.make(tw, 5, [1], [2], sigma_gens=[[1, 2, 3]])
+    for rec in (sub, tw, triple):
+        for clone in (pickle.loads(pickle.dumps(rec)), copy.copy(rec), copy.deepcopy(rec)):
+            assert type(clone) is type(rec)
+            assert clone == rec and hash(clone) == hash(rec)
+            with pytest.raises(AttributeError):
+                setattr(clone, rec._fields[0], None)
+    assert pickle.loads(pickle.dumps(sub)).generators == ((1, 2, 3),)
+
+
 def test_triple_record_sigma_order_matches_dataclasses_replace():
     tw = twist.zero_twist(lie.cartan_matrix("A", 2))
     dims = twin(datum.DimH)

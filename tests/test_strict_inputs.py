@@ -16,8 +16,9 @@ queries, s_phi_matrix, t_phi_I, t_hat_I_complement, a Sigma generator,
 a directly built Triple or TwistedSubgroupDatum, dim_H), the matrix and
 rank of a directly built TorusEmbedding, the images of a DualHom and the
 guard arguments max_results, cap, bound and limit take only an int as
-well; a guard may still be None.  derandomize=True and a fixed
-max_examples keep the test deterministic.
+well, as do the modulus of point_exponents and the level and rank of a
+directly built TorusSubgroup; a guard may still be None.
+derandomize=True and a fixed max_examples keep the test deterministic.
 """
 
 from fractions import Fraction
@@ -240,6 +241,9 @@ def test_probes():
     refused(lambda: Character(5, (1, 2)).pairing((0.5, True)))  # was 2.5
     refused(lambda: TorusEmbedding.make(FiniteAbelianGroup((5,)), [[1], [0]], 2)
             .point_exponents((2.5,), 5))  # was (2.5, 0.0)
+    for modulus in (15.0, True, Fraction(15), "15"):  # its matrix is built unchecked
+        refused(lambda: TorusEmbedding.make(FiniteAbelianGroup((5,)), [[1], [0]], 2)
+                .point_exponents((2,), modulus))
     refused(lambda: IntMatrix([[1, 2]]).apply([0.5, True]))  # was (2.5,)
     with pytest.raises(TypeError):  # was IntMatrix([[1, 2]])
         IntMatrix([[1, 2]]) * True
@@ -347,6 +351,17 @@ def test_directly_built_triple_is_refused():
     refused(lambda: validate_triple(tw, 5, Triple(frozenset({True}), frozenset(), sigma)))
     refused(lambda: analyze_triple(tw, 5, Triple(frozenset({True}), frozenset(), sigma)))
     refused(lambda: dim_H(tw, 5, [True], [], t_hat_I_complement(tw, 5, [1], [])))
+
+
+def test_directly_built_torus_subgroup_is_refused():
+    """A TorusSubgroup built directly takes only an int level and rank:
+    5.0 used to give the order 5.0 and float generators, True the level
+    True."""
+    lattice = IntMatrix([[1, 0], [0, 5]])
+    assert TorusSubgroup(5, 2, lattice).order == 5
+    for ell, n in ((5.0, 2), (True, 2), (Fraction(5), 2), ("5", 2), (5, 2.0), (5, True)):
+        refused(lambda: TorusSubgroup(ell, n, lattice))
+    refused(lambda: TorusSubgroup(True, 1, IntMatrix([[1]])))
 
 
 def test_directly_built_datum_parts_are_refused():
