@@ -348,6 +348,7 @@ def cmd_kernel(args) -> int:
     tw = _require_twist(spec)
     s = s_phi_matrix(tw, spec.ell, spec.iplus, spec.iminus)
     kernel = t_hat_I_complement(tw, spec.ell, spec.iplus, spec.iminus)
+    triple = _build_triple(tw, spec) if spec.sigma_gens or spec.sigma_symbols else None
     record = {
         "command": "kernel",
         "inputs": spec.inputs,
@@ -363,9 +364,8 @@ def cmd_kernel(args) -> int:
             "kernel solved over Z/ell via Smith normal form",
         ],
     }
-    _emit(record)
-    if spec.sigma_gens or spec.sigma_symbols:
-        triple = _build_triple(tw, spec)
+    _emit(record)  # after every input check, so a refused input prints nothing
+    if triple is not None:
         report = validate_triple(tw, spec.ell, triple)
         if not report.ok:
             _emit(

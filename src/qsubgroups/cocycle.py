@@ -37,12 +37,12 @@ with the h-axes taken as polynomial variables (Toom 1963; Cook 1966):
 each factor is evaluated at the points 0, +-1, ..., +-(ell - 1) of every
 h-axis, the values are multiplied pointwise, (2 ell - 1)^n products, and
 interpolated exactly by the integer inverse Vandermonde matrix, folding
-y^(k + ell) onto y^k.  _evaluates picks the faster way from the fiber
-counts, ell, n and the limb width, so a single fiber (the zero twists)
-and small dense factors keep the pairwise loop.  To unpack, each g-axis
-is folded mod ell on the whole bucket, by a mask of the slots 0..ell-1 of
-every 2 ell - 1; each cell is then cut from the bucket's bytes, and each
-distinct cell is split into limbs and folded mod eps^ell = 1 once.
+y^(k + ell) onto y^k.  _evaluates takes whichever way needs fewer
+big-integer products, so a single fiber (the zero twists) keeps the
+pairwise loop.  To unpack, each g-axis is folded mod ell on the whole
+bucket, by a mask of the slots 0..ell-1 of every 2 ell - 1; each cell is
+then cut from the bucket's bytes, and each distinct cell is split into
+limbs and folded mod eps^ell = 1 once.
 """
 
 from __future__ import annotations
@@ -311,7 +311,7 @@ class TorusPairElement:
         (t1, m1), (t2, m2) = self._mass(), other._mass()
         width = max(min(t1 * m2, m1 * t2), m1, m2, 1).bit_length()
         fibers1, fibers2 = self._packed_fibers(width), other._packed_fibers(width)
-        if _evaluates(len(fibers1), len(fibers2), ell, n, width):
+        if _evaluates(len(fibers1), len(fibers2), ell, n):
             buckets = _evaluated_product(fibers1, fibers2, ell, n)
         else:
             buckets = {}
@@ -354,14 +354,10 @@ class TorusPairElement:
         return self._is_unit(self._collapsed(side), (0,) * self.n)
 
 
-def _evaluates(f1: int, f2: int, ell: int, n: int, width: int) -> bool:
-    """Whether the evaluated product beats the pairwise loop on f1 x f2
-    fibers: with its linear passes, its P = (2 ell - 1)^n products cost
-    about as much as P (1 + sqrt(6000 / S)) pairs, S the bits of a packed
-    fiber (fitted on ell 3..15, n 1..3)."""
-    pairs, points = f1 * f2, (2 * ell - 1) ** n
-    bits = (2 * ell - 1) ** (n + 1) * width
-    return pairs > points and bits * (pairs - points) ** 2 > 6000 * points**2
+def _evaluates(f1: int, f2: int, ell: int, n: int) -> bool:
+    """Whether the evaluated product needs fewer big-integer products than
+    the pairwise loop on f1 x f2 fibers: one per point, (2 ell - 1)^n."""
+    return f1 * f2 > (2 * ell - 1) ** n
 
 
 @functools.lru_cache(maxsize=WEIGHTS_MEMO_SIZE)

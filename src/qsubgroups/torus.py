@@ -36,12 +36,12 @@ analyze_triple derives everything a triple determines (T_I, N, |Sigma|,
 |N|, |Omega|, the order identity) in one pass, memoised on the triple;
 n_phi_from_sigma, sigma_order_identity and omega_order read it.
 
-The library's 10 caches, keyed on immutable values; errors are never
+The library's 9 caches, keyed on immutable values; errors are never
 cached.  Bounded: here _span (ell, S), _required_memo (tw, ell, I+, I-)
 and analyze_triple (tw, ell, triple); datum.analyze_datum (tw, ell, d);
 exact._factored (M, m) and exact.cyclotomic_polynomial (ell);
-cocycle._h_axis_weights (ell).  Per CartanDatum: lie.positive_roots,
-lie._adjugate_cartan and twist._parameter_lattice.
+cocycle._h_axis_weights (ell).  Per CartanDatum: lie.positive_roots and
+lie._adjugate_cartan.
 """
 
 from __future__ import annotations

@@ -293,7 +293,6 @@ def c3_parameter_matrix(a, b, c):
     return rows
 
 
-@functools.lru_cache(maxsize=None)
 def _parameter_lattice(cd: CartanDatum) -> IntMatrix:
     """Hermite basis of the lattice of valid parameter vectors (x_ij)_(i<j).
 
@@ -336,26 +335,26 @@ def _lattice_points(basis: IntMatrix, axis):
     so only values of that one residue class are tried.
     """
     rows = basis.data
-    p = len(rows)
     classes = []
-    for k in range(p):
+    for k, row in enumerate(rows):
         by_residue: dict[int, list[int]] = {}
         for v in axis:
-            by_residue.setdefault(v % rows[k][k], []).append(v)
+            by_residue.setdefault(v % row[k], []).append(v)
         classes.append(by_residue)
-    point = [0] * p
+    yield from _descend(rows, classes, (), [0] * len(rows))
 
-    def descend(k, offset):
-        if k == p:
-            yield tuple(point)
-            return
-        pivot, row = rows[k][k], rows[k]
-        for v in classes[k].get(offset[k] % pivot, ()):
-            point[k] = v
-            a = (v - offset[k]) // pivot
-            yield from descend(k + 1, [o + a * h for o, h in zip(offset, row)])
 
-    yield from descend(0, [0] * p)
+def _descend(rows, classes, prefix: tuple, offset: list):
+    """The points of _lattice_points that begin with prefix, offset the
+    sum of the rows it fixes; module level, so no walk leaves a cycle."""
+    k = len(prefix)
+    if k == len(rows):
+        yield prefix
+        return
+    pivot, row = rows[k][k], rows[k]
+    for v in classes[k].get(offset[k] % pivot, ()):
+        a = (v - offset[k]) // pivot
+        yield from _descend(rows, classes, prefix + (v,), [o + a * h for o, h in zip(offset, row)])
 
 
 def enumerate_valid_twists(cd: CartanDatum, bound: int, limit: int | None = None):

@@ -893,6 +893,32 @@ def former_reduce_power_basis(ell: int, coeffs) -> list:
 
 
 # ---------------------------------------------------------------------------
+# relabelling the simple roots
+
+def relabellings(n):
+    """Every non-identity renaming of the simple roots, old root perm[k] to
+    k + 1, as (perm, {old: new}); P[k][perm[k]] = 1."""
+    for perm in itertools.permutations(range(n)):
+        if perm != tuple(range(n)):
+            yield perm, {old + 1: k + 1 for k, old in enumerate(perm)}
+
+
+def conjugated(rows, perm):
+    """P M P^T for the renaming perm, as lists."""
+    return [[rows[i][j] for j in perm] for i in perm]
+
+
+def relabelled_twist(tw, perm):
+    """The twist tw with its simple roots renamed by perm."""
+    from qsubgroups.exact import IntMatrix
+    from qsubgroups.lie import CartanDatum
+    from qsubgroups.twist import require_twist
+
+    return require_twist(CartanDatum.from_matrix(IntMatrix(conjugated(tw.cd.A.data, perm))),
+                         IntMatrix(conjugated(tw.Y.data, perm)))
+
+
+# ---------------------------------------------------------------------------
 # library memos
 
 def clear_library_memos():

@@ -115,6 +115,21 @@ class TestKernel:
         assert code == EXIT_INVALID
         assert json_lines(out)[-1]["results"]["triple_valid"] is False
 
+    def test_malformed_sigma_generator_prints_nothing(self, capsys, tmp_path):
+        """A Sigma generator of the wrong length fails the command before
+        the kernel record is written, inline or from a spec file."""
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"type": "A", "rank": 2, "ell": 3,
+                                    "sigma": {"generators": [[1, 2, 3]]}}))
+        a2 = ["--type", "A", "--rank", "2", "--ell", "3"]
+        for argv in (["kernel", *a2, "--sigma-gen", "1,2,3"],
+                     ["kernel", *a2, "--sigma-sym", "vector:1,2,3"],
+                     ["kernel", "--spec", str(path)]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (EXIT_INVALID, ""), argv
+            assert captured.err == "invalid input: generator length mismatch\n"
+
 
 class TestGoldenTranscripts:
     def test_worked_c3_transcripts(self, capsys):

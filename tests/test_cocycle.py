@@ -12,6 +12,7 @@ from qsubgroups.cocycle import (
     Bidegree,
     TableCapExceeded,
     TorusPairElement,
+    _evaluates,
     _h_axis_weights,
     check_level,
     chi_exponent,
@@ -41,6 +42,8 @@ from oracles import (
     former_unpacked,
     pairwise_convolve,
     pairwise_table_lines,
+    relabelled_twist,
+    relabellings,
 )
 
 C3 = cartan_matrix("C", 3)
@@ -617,9 +620,13 @@ class TestConvolutionAgainstPairwiseLoop:
             list(map(operator.add, inverse[k], inverse[k + ell])) for k in range(ell)]
 
     def test_path_rule(self, monkeypatch):
-        # the dense twist at ell = 5 is evaluated; the dense one at ell = 3,
-        # the C3 twist at ell = 3 (9 fibers) and the one-fiber zero twists
-        # keep the pairwise loop
+        # evaluated when the fiber pairs outnumber the (2 ell - 1)^n points:
+        # the dense twist at ell = 5 (625 against 81) and at ell = 3 (81
+        # against 25); the C3 twist at ell = 3 (81 against 125) and the
+        # one-fiber zero twists keep the pairwise loop
+        assert _evaluates(25, 25, 5, 2) and _evaluates(9, 9, 3, 2)
+        assert not _evaluates(9, 9, 3, 3)
+        assert not any(_evaluates(1, 1, ell, n) for ell in (3, 5, 9, 15) for n in (1, 2, 3))
         from qsubgroups.cocycle import _evaluated_product as real
 
         evaluated = []
@@ -629,7 +636,7 @@ class TestConvolutionAgainstPairwiseLoop:
                         (zero_twist(cartan_matrix("A", 2)), 9)):
             ga = twist_J_group_algebra(tw, ell)
             assert ga.element.convolve(ga.inverse).is_identity()
-        assert evaluated == [(5, 2)]
+        assert evaluated == [(5, 2), (3, 2)]
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_negative_counts_are_refused(self, side):
@@ -639,6 +646,38 @@ class TestConvolutionAgainstPairwiseLoop:
         a, b = (bad, good) if side == "left" else (good, bad)
         with pytest.raises(ValueError, match="nonnegative"):
             a.convolve(b)
+
+
+def renamed(element, perm):
+    """The vectors of element with coordinate k of g and h read from old
+    coordinate perm[k]: the torus of the twist renamed by perm."""
+    return {(tuple(g[i] for i in perm), tuple(h[i] for i in perm)): vec
+            for (g, h), vec in element.vectors.items()}
+
+
+class TestRelabellingTheSimpleRoots:
+    """Renaming the simple roots renames the torus coordinates, so the
+    renamed twist's J and J^-1 and both products J * J^-1 and J^-1 * J
+    hold the renamed count vectors, unreduced, at the same scale; on the
+    evaluated path (B2 at 3 and 5) and on the pairwise one (C3 at 3, the
+    one-fiber A2 zero twist at 9)."""
+
+    @pytest.mark.parametrize("twist, ell", [
+        ("b2", 3), ("b2", 5), ("worked", 3), ("a2-zero", 9)])
+    def test_products_are_renamed(self, twist, ell):
+        tw = {"b2": b2_twist, "worked": worked_twist,
+              "a2-zero": lambda: zero_twist(cartan_matrix("A", 2))}[twist]()
+
+        def elements(ga):
+            return [ga.element, ga.inverse, ga.element.convolve(ga.inverse),
+                    ga.inverse.convolve(ga.element)]
+
+        original = elements(twist_J_group_algebra(tw, ell))
+        assert original[2].is_identity() and original[3].is_identity()
+        for perm, _ in relabellings(tw.rank):
+            got = elements(twist_J_group_algebra(relabelled_twist(tw, perm), ell))
+            assert [(x.scale, x.vectors) for x in got] == \
+                [(x.scale, renamed(x, perm)) for x in original], perm
 
 
 def repeating_element(rng, ell, n, top, hs, share):

@@ -1,6 +1,5 @@
 """Tests for twisted subgroup data: validation, dimensions, order."""
 
-import itertools
 import math
 import random
 from collections import Counter
@@ -43,7 +42,14 @@ from qsubgroups.twist import (
     zero_twist,
 )
 
-from oracles import brute_cyclic_leq, brute_subgroups, clear_library_memos
+from oracles import (
+    brute_cyclic_leq,
+    brute_subgroups,
+    clear_library_memos,
+    conjugated,
+    relabelled_twist,
+    relabellings,
+)
 
 C3 = cartan_matrix("C", 3)
 
@@ -54,24 +60,6 @@ def worked_twist():
 
 def n_from_gens(ell, n, gens):
     return TorusSubgroup.from_generators(ell, n, gens)
-
-
-def relabellings(n):
-    """Every non-identity renaming of the simple roots, old root perm[k] to
-    k + 1, as (perm, {old: new}); P[k][perm[k]] = 1."""
-    for perm in itertools.permutations(range(n)):
-        if perm != tuple(range(n)):
-            yield perm, {old + 1: k + 1 for k, old in enumerate(perm)}
-
-
-def conjugated(rows, perm):
-    """P M P^T for the renaming perm, as lists."""
-    return [[rows[i][j] for j in perm] for i in perm]
-
-
-def relabelled_twist(tw, perm):
-    return require_twist(CartanDatum.from_matrix(IntMatrix(conjugated(tw.cd.A.data, perm))),
-                         IntMatrix(conjugated(tw.Y.data, perm)))
 
 
 def permuted(N, perm):

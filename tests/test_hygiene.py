@@ -134,7 +134,7 @@ def test_caches_are_bounded_or_keyed_by_cartan_datum(path):
 
 
 def test_cache_rule_sees_every_cache():
-    """The rule above finds all 10 caches, the three CartanDatum caches
+    """The rule above finds all 9 caches, the two CartanDatum caches
     and the seven bounded memos (spans, factored systems, the required
     rows of (I+, I-), triple and datum analyses, cyclotomic polynomials,
     h-axis weights of the group-algebra product), so it is not vacuous."""
@@ -150,7 +150,7 @@ def test_cache_rule_sees_every_cache():
                                         else "unbounded")
     assert found == {
         "_adjugate_cartan": "datum",
-        "positive_roots": "datum", "_parameter_lattice": "datum",
+        "positive_roots": "datum",
         "_span": "bounded", "_factored": "bounded",
         "_required_memo": "bounded", "analyze_datum": "bounded", "analyze_triple": "bounded",
         "cyclotomic_polynomial": "bounded", "_h_axis_weights": "bounded",

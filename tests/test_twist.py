@@ -352,3 +352,26 @@ class TestSearchScale:
             assert fraction_build_twist(cd, tw.Y) == (
                 (tw.Y.to_lists(), tw.X.to_lists()), []
             )
+
+    def test_leaves_no_cyclic_garbage(self):
+        """Refcounting frees the lattice walk's state whether the search
+        runs to the end, stops at its limit or is abandoned: a recursive
+        closure left alive would hand each search to the cyclic collector."""
+        import gc
+
+        cd = cartan_matrix("C", 3)
+        full = list(enumerate_valid_twists(cd, 2))
+        gc.collect()
+        gc.disable()
+        try:
+            assert list(enumerate_valid_twists(cd, 2)) == full
+            assert gc.collect() == 0
+            assert list(enumerate_valid_twists(cd, 2, limit=3)) == full[:3]
+            assert gc.collect() == 0
+            search = enumerate_valid_twists(cd, 2)
+            assert next(search) == full[0]
+            del search
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert len(full) > 3
