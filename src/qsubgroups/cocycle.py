@@ -439,7 +439,7 @@ def twist_J_group_algebra(
     # and some representative z0 of it
     images = zip(*[[v % ell for v in _sweep(col, ell)] for col in bil.transpose().data])
     fibers = dict(zip(images, vectors))
-    K = TorusSubgroup.kernel(ell, n, bil.transpose().data)
+    K = TorusSubgroup.kernel(ell, n, bil.transpose())
     kept = range(size)  # narrowed to K^perp: k.g == 0 (mod ell) for each generator k of K
     for kg in (_sweep(k, ell) for k in K.generators):
         kept = [i for i in kept if not kg[i] % ell]

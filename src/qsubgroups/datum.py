@@ -47,7 +47,6 @@ from .torus import (
     TorusSubgroup,
     Triple,
     _required_memo,
-    _span,
     _triple_report,
     annihilator,
     enumerate_subgroups,
@@ -134,10 +133,14 @@ class FiniteAbelianGroup:
 
 @record
 class OpaqueGroup:
-    """A group known only by its order (None means infinite)."""
+    """A group known only by its order, an int >= 1 (None means infinite)."""
 
     order: int | None = None
     label: str = "opaque"
+
+    def __post_init__(self):
+        if self.order is not None and _int_tuple((self.order,), "group order")[0] < 1:
+            raise ValueError("group order must be >= 1")
 
 
 @record
@@ -189,7 +192,7 @@ class TorusEmbedding:
             return True
         modulus = lcm(*factors)
         emat = self._exponent_matrix(modulus)
-        solutions = TorusSubgroup.kernel(modulus, len(factors), emat.data)
+        solutions = TorusSubgroup.kernel(modulus, len(factors), emat)
         return solutions.order * self.group.order == modulus ** len(factors)
 
 
@@ -277,7 +280,7 @@ class TwistedSubgroupDatum:
     def gamma_order(self):
         if isinstance(self.embedding, TorusEmbedding):
             return self.embedding.group.order
-        return self.embedding.order if self.embedding.order else INFINITE
+        return INFINITE if self.embedding.order is None else self.embedding.order
 
     @property
     def is_opaque(self) -> bool:
@@ -458,6 +461,8 @@ def datum_leq(
     """
     if (d.N.ell, d.N.n) != (dp.N.ell, dp.N.n) or d.N.ell != ell or d.N.n != tw.rank:
         raise ValueError("data live over different levels or ranks")
+    if any(x.delta is None and not x.is_opaque for x in (d, dp)):
+        raise ValueError("a datum with a torus embedding needs a delta")
     reasons = []
     if not (dp.iplus <= d.iplus and dp.iminus <= d.iminus):
         return LeqResult("false", ("index sets are not nested",))
@@ -617,7 +622,7 @@ def default_sigma_recipe(tw: TwistMap, ell: int, d: TwistedSubgroupDatum, sigma)
     annihilator of N, as fixed vectors (treated as twist-independent)."""
     labels, S = _required_memo(tw, ell, d.iplus, d.iminus)
     recipe = [SigmaGenerator(*label) for label in labels]
-    required = _span(ell, S)
+    required = TorusSubgroup.from_generators(ell, tw.rank, S)
     recipe += [SigmaGenerator.fixed(g) for g in sigma.generators
                if not required.contains(g)]
     return tuple(recipe)

@@ -12,17 +12,17 @@ handled through integer lattices:
 The Hermite normal form of that lattice, computed mod ell, is the
 canonical form of the subgroup; equality of subgroups is syntactic
 equality of the forms, and membership is reduction by exact._reduce.
-There is one way in for each kind of description, each one Hermite form:
+Every subgroup comes in through one of two doors, each one Hermite form:
 TorusSubgroup.from_generators for a span and TorusSubgroup.kernel for the
-solutions of a row system mod ell (the character kernel, kernels of
-torus embeddings).  Both check their rows into one IntMatrix M, which an
-annihilator, whose rows are a subgroup's own generators, need not do;
+solutions of a row system mod ell (the character kernel, annihilators,
+the kernels of torus embeddings and of the twist's bilinear form).  Each
+checks plain rows into an IntMatrix M and takes an IntMatrix as checked;
 a span is memoised on (ell, M), and a kernel is read off the Hermite
 form that exact._factored holds for (M, ell), so a subgroup that several
 checks of one request derive is built from one form; sharing a cached
-object is safe because TorusSubgroup is an immutable record.
-enumerate_subgroups walks only the Hermite lattices between ell Z^n and
-the ambient subgroup's own lattice.
+object is safe because TorusSubgroup is an immutable record.  Only
+enumerate_subgroups builds records itself, from the Hermite lattices its
+walk yields between ell Z^n and the ambient subgroup's own lattice.
 
 A Hopf-subalgebra triple (I+, I-, Sigma) requires Sigma to contain the
 exponent vectors (1 -+ phi)(alpha_i) for i in I+-.  Their rows mod ell
@@ -131,7 +131,8 @@ class TorusSubgroup:
 
     @classmethod
     def from_generators(cls, ell: int, n: int, gens) -> "TorusSubgroup":
-        span = IntMatrix(gens, ncols=n)
+        """The span of gens mod ell: rows, or an IntMatrix taken as checked."""
+        span = gens if isinstance(gens, IntMatrix) else IntMatrix(gens, ncols=n)
         if span.ncols != n:
             raise ValueError("generator length mismatch")
         return _span(ell, span)
@@ -139,8 +140,8 @@ class TorusSubgroup:
     @classmethod
     def kernel(cls, ell: int, n: int, rows) -> "TorusSubgroup":
         """{z : <row, z> = 0 mod ell for every row}, read off one Hermite
-        form (see exact.kernel_lattice)."""
-        system = IntMatrix(rows, ncols=n)
+        form (see exact.kernel_lattice); rows as from_generators takes them."""
+        system = rows if isinstance(rows, IntMatrix) else IntMatrix(rows, ncols=n)
         if system.ncols != n:
             raise ValueError("row length mismatch")
         return cls(ell, n, kernel_lattice(system, ell))
@@ -151,7 +152,7 @@ class TorusSubgroup:
 
     @classmethod
     def full(cls, ell: int, n: int) -> "TorusSubgroup":
-        return cls.from_generators(ell, n, IntMatrix.identity(n).to_lists())
+        return cls.from_generators(ell, n, IntMatrix.identity(n))
 
     def _compat(self, other: "TorusSubgroup") -> None:
         if (self.ell, self.n) != (other.ell, other.n):
@@ -335,7 +336,7 @@ def _required_memo(tw: TwistMap, ell: int, iplus: frozenset, iminus: frozenset):
 def t_phi_I(tw: TwistMap, ell: int, iplus, iminus) -> TorusSubgroup:
     """The subgroup generated by the required elements of a triple:
     (1-phi)(alpha_i) for i in I+ and (1+phi)(alpha_j) for j in I-."""
-    return _span(ell, s_phi_matrix(tw, ell, iplus, iminus))
+    return TorusSubgroup.from_generators(ell, tw.rank, s_phi_matrix(tw, ell, iplus, iminus))
 
 
 def validate_triple(tw: TwistMap, ell: int, triple: Triple) -> TripleReport:
@@ -354,7 +355,8 @@ def _triple_report(tw: TwistMap, ell: int, iplus, iminus, sigma) -> TripleReport
     labels, S = _required_memo(tw, ell, iplus, iminus)
     missing = [label for label, row in zip(labels, S.data) if not sigma.contains(row)]
     missing += [("kalpha", i) for i in sorted(iplus & iminus)
-                if not _span(ell, S).contains([int(r == i - 1) for r in range(tw.rank)])]
+                if not TorusSubgroup.from_generators(ell, tw.rank, S).contains(
+                    [int(r == i - 1) for r in range(tw.rank)])]
     return TripleReport(ok=not missing, missing=tuple(missing))
 
 
@@ -373,22 +375,20 @@ def s_phi_matrix(tw: TwistMap, ell: int, iplus, iminus) -> IntMatrix:
 def canonical_row_form(M: IntMatrix, ell: int) -> IntMatrix:
     """Canonical row form of a matrix over Z/ell: the canonical generators
     of the subgroup its rows span."""
-    return IntMatrix._of(_span(ell, M).generators, M.ncols)
+    return IntMatrix._of(TorusSubgroup.from_generators(ell, M.ncols, M).generators, M.ncols)
 
 
 def t_hat_I_complement(tw: TwistMap, ell: int, iplus, iminus) -> TorusSubgroup:
     """Characters that kill every required generator: the kernel of the
     coefficient matrix mod ell.  For prime ell its order is
     ell^(n - rank)."""
-    S = s_phi_matrix(tw, ell, iplus, iminus)
-    return TorusSubgroup(ell, tw.rank, kernel_lattice(S, ell))
+    return TorusSubgroup.kernel(ell, tw.rank, s_phi_matrix(tw, ell, iplus, iminus))
 
 
 def annihilator(sub: TorusSubgroup) -> TorusSubgroup:
     """{z : <z, g> = 0 mod ell for every g in sub}: the kernel of its
     generators, which need no second check."""
-    rows = IntMatrix._of(sub.generators, sub.n)
-    return TorusSubgroup(sub.ell, sub.n, kernel_lattice(rows, sub.ell))
+    return TorusSubgroup.kernel(sub.ell, sub.n, IntMatrix._of(sub.generators, sub.n))
 
 
 @functools.lru_cache(maxsize=SUBGROUP_MEMO_SIZE, typed=True)
@@ -405,17 +405,17 @@ def analyze_triple(tw: TwistMap, ell: int, triple: Triple) -> TripleAnalysis:
     if not report.ok:
         raise ValueError(f"invalid triple, missing generators: {report.missing}")
     S = _required_memo(tw, ell, triple.iplus, triple.iminus)[1]
-    sigma, t_I, nsub = triple.sigma, _span(ell, S), annihilator(triple.sigma)
+    t_I, nsub = TorusSubgroup.from_generators(ell, tw.rank, S), annihilator(triple.sigma)
     assert nsub.killed_by(S.data)
-    omega, rem = divmod(sigma.order, t_I.order)
+    omega, rem = divmod(triple.sigma.order, t_I.order)
     assert rem == 0
     return TripleAnalysis(
         t_I=t_I,
         N=nsub,
-        sigma_order=sigma.order,
+        sigma_order=triple.sigma.order,
         n_order=nsub.order,
         omega_order=omega,
-        order_identity=sigma.order * nsub.order == ell**tw.rank,
+        order_identity=triple.sigma.order * nsub.order == ell**tw.rank,
     )
 
 
@@ -450,9 +450,9 @@ def enumerate_subgroups(ambient: TorusSubgroup, cap: int | None = None):
     amb = ambient.lattice.data
     found = []
 
-    def extend(i, lower):  # lower: L's rows i+1 .. n-1
+    def extend(i, lower):  # lower: L's rows i+1 .. n-1, already a Hermite form
         if i < 0:
-            found.append(TorusSubgroup(ell, n, IntMatrix(lower)))
+            found.append(TorusSubgroup(ell, n, IntMatrix._of(tuple(lower), n)))
             if len(found) > limit:
                 raise EnumerationGuard(f"subgroup count exceeds cap {limit}")
             return
@@ -466,7 +466,7 @@ def enumerate_subgroups(ambient: TorusSubgroup, cap: int | None = None):
                 w = [ell // d * x for x in row]
                 w[i] = 0  # (ell/d) row - ell e_i
                 if not any(_reduce(w, lower, i + 1)):
-                    extend(i - 1, [row] + lower)
+                    extend(i - 1, [tuple(row)] + lower)
 
     extend(n - 1, [])
     del extend  # the closure refers to itself: free it without the cyclic GC

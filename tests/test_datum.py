@@ -1043,3 +1043,77 @@ class TestStrictIntegers:
             dim_H(tw, 5, [bad], (), N)
         with pytest.raises(TypeError, match="simple indices must be int"):
             obstruction_check(tw, 5, (), [bad], ())
+
+
+class TestOpaqueGroupOrder:
+    """An opaque Gamma's order is None (infinite) or an int >= 1: "7" used
+    to give dim A the string '777...7', 2.5 a float, True the order 1, -3
+    a negative dimension, and 0 an infinite dim A that the semisimple
+    predicate still read as finite."""
+
+    tw = zero_twist(cartan_matrix("A", 2))
+
+    def datum(self, order):
+        return TwistedSubgroupDatum.make((), (), TorusSubgroup.trivial(5, 2),
+                                         embedding=OpaqueGroup(order=order))
+
+    @pytest.mark.parametrize("order", [0, -3])
+    def test_order_below_one_is_refused(self, order):
+        with pytest.raises(ValueError, match="group order must be >= 1"):
+            OpaqueGroup(order=order)
+
+    @pytest.mark.parametrize("order", [2.5, True, "7"], ids=repr)
+    def test_non_int_order_is_refused(self, order):
+        with pytest.raises(TypeError, match="group order must be int"):
+            OpaqueGroup(order=order)
+
+    def test_finite_and_infinite_orders(self):
+        dim_h = dim_H(self.tw, 5, (), (), TorusSubgroup.trivial(5, 2)).value
+        assert dim_h == 25
+        for order in (1, 7):
+            d = self.datum(order)
+            assert d.gamma_order == order
+            assert dim_A(self.tw, 5, d) == order * dim_h
+            assert predicates(self.tw, 5, d).semisimple
+        d = self.datum(None)
+        assert d.gamma_order is INFINITE and dim_A(self.tw, 5, d) is INFINITE
+        assert not predicates(self.tw, 5, d).semisimple
+
+
+class TestLeqNeedsDelta:
+    """A datum with a torus embedding but no delta is refused by the
+    partial order with ValueError; it used to raise AttributeError from
+    inside the comparison of the deltas."""
+
+    tw = zero_twist(cartan_matrix("A", 2))
+    N = TorusSubgroup.from_generators(5, 2, [(1, 0)])
+
+    def test_missing_delta_is_refused(self):
+        bare = TwistedSubgroupDatum((), (), self.N, TorusEmbedding.trivial(2), None)
+        full = TwistedSubgroupDatum.make((), (), self.N)
+        for d, dp in ((bare, bare), (bare, full), (full, bare)):
+            with pytest.raises(ValueError, match="needs a delta"):
+                datum_leq(self.tw, 5, d, dp)
+            with pytest.raises(ValueError, match="needs a delta"):
+                datum_equiv(self.tw, 5, d, dp)
+        assert datum_leq(self.tw, 5, full, full).status == "true"
+
+    @pytest.mark.parametrize("iplus", [(), (1,)], ids=["nested", "not-nested"])
+    def test_missing_delta_is_refused_before_any_answer(self, iplus):
+        """With trivial N the deltas were never read, so such data got an
+        answer ("true" compared with themselves, "false" for index sets
+        that are not nested); now they are refused as well."""
+        trivial = TorusSubgroup.trivial(5, 2)
+        bare = TwistedSubgroupDatum((), (), trivial, TorusEmbedding.trivial(2), None)
+        other = TwistedSubgroupDatum(iplus, (), trivial, TorusEmbedding.trivial(2), None)
+        for d, dp in ((bare, bare), (bare, other), (other, bare)):
+            with pytest.raises(ValueError, match="needs a delta"):
+                datum_leq(self.tw, 5, d, dp)
+            with pytest.raises(ValueError, match="needs a delta"):
+                datum_equiv(self.tw, 5, d, dp)
+
+    def test_opaque_data_stay_unknown(self):
+        opaque = TwistedSubgroupDatum((), (), self.N, OpaqueGroup(order=3), None)
+        assert datum_leq(self.tw, 5, opaque, opaque).status == "unknown"
+        with pytest.raises(ValueError, match="undecidable for opaque groups"):
+            datum_equiv(self.tw, 5, opaque, opaque)

@@ -1,5 +1,5 @@
-"""Source rules of the library: a stdlib-only runtime, no floats, and a
-light import.
+"""Source rules of the library: a stdlib-only runtime, no floats, a light
+import and one way into a subgroup.
 
 Every module under src/qsubgroups is parsed, not imported, so a rule
 breach is reported with its file and line even if the module would fail
@@ -176,6 +176,93 @@ def test_only_int_matrix_defines_setattr():
              if any(isinstance(f, ast.FunctionDef) and f.name == "__setattr__"
                     for f in cls.body)]
     assert found == ["exact.py:IntMatrix"]
+
+
+
+# One way into a subgroup of (Z/ell)^n: TorusSubgroup.from_generators for a
+# span, behind which the span memo torus._span stays, and
+# TorusSubgroup.kernel for the solutions of a row system.  Each takes an
+# IntMatrix as checked, so the library's kernels pass the matrix they hold.
+
+def _defs(tree):
+    """(qualified name, node) of every top-level function and every method
+    of a top-level class; a nested function counts as its outer one."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _where(pred):
+    """file:function of every function in the sources with a node that
+    pred accepts, and file:<module> where such a node lies outside them."""
+    found = set()
+    for path in SOURCES:
+        tree = _tree(path)
+        inside = set()
+        for name, func in _defs(tree):
+            nodes = list(ast.walk(func))
+            inside.update(map(id, nodes))
+            if any(map(pred, nodes)):
+                found.add(f"{path.name}:{name}")
+        if any(pred(node) and id(node) not in inside for node in ast.walk(tree)):
+            found.add(f"{path.name}:<module>")
+    return found
+
+
+def _is_kernel_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "kernel" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "TorusSubgroup")
+
+
+def test_span_memo_is_read_only_by_from_generators():
+    def names_span(node):
+        return ((isinstance(node, ast.Name) and node.id == "_span")
+                or (isinstance(node, ast.Attribute) and node.attr == "_span")
+                or (isinstance(node, ast.alias) and "_span" in (node.name, node.asname)))
+
+    assert _where(names_span) == {"torus.py:TorusSubgroup.from_generators"}
+
+
+def test_subgroups_are_built_only_behind_the_doors():
+    """TorusSubgroup(...) anywhere, and cls(...) in TorusSubgroup's own
+    classmethods."""
+    def builds(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "TorusSubgroup")
+
+    found = _where(builds)
+    tree = _tree(SRC / "qsubgroups" / "torus.py")
+    found |= {f"torus.py:{name}" for name, func in _defs(tree)
+              if name.startswith("TorusSubgroup.") for node in ast.walk(func)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "cls"}
+    assert found == {"torus.py:_span", "torus.py:TorusSubgroup.kernel",
+                     "torus.py:enumerate_subgroups"}
+
+
+def test_kernels_go_through_torus_subgroup_kernel():
+    """The library's kernels call TorusSubgroup.kernel, and no caller
+    passes a matrix's .data to it."""
+    assert {"torus.py:t_hat_I_complement", "torus.py:annihilator",
+            "datum.py:TorusEmbedding.is_injective",
+            "cocycle.py:twist_J_group_algebra"} <= _where(_is_kernel_call)
+    assert not _where(lambda node: _is_kernel_call(node) and any(
+        isinstance(arg, ast.Attribute) and arg.attr == "data" for arg in node.args))
+
+
+def test_subgroup_walk_builds_no_checked_matrix():
+    """enumerate_subgroups' walk yields Hermite forms, which it wraps
+    unchecked."""
+    (walk,) = [func for name, func in _defs(_tree(SRC / "qsubgroups" / "torus.py"))
+               if name == "enumerate_subgroups"]
+    assert not [node.lineno for node in ast.walk(walk)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "IntMatrix"]
 
 
 SOURCE_LINE_BUDGET = 3828  # src/qsubgroups at the seed (ROADMAP item 3)

@@ -1,6 +1,8 @@
 """Tests for torus subgroups, kernels, annihilators and triples."""
 
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -562,3 +564,91 @@ class TestStrictIntegers:
         assert full.contains((1, 2))
         with pytest.raises(TypeError, match="vector entries must be int"):
             full.contains((bad, 0))
+
+
+class TestCharacterKernelIsNotSymmetricInIPlusMinus:
+    """The character kernel of (I+, I-) against rows derived straight from
+    Y, e_i - 2 Y[:, i] for i in I+ and e_j + 2 Y[:, j] for j in I-, with
+    the kernel counted over all of (Z/ell)^n.  Swapping I+ with I- changes
+    the count for some of these pairs, so a library that swapped them (or
+    read the rows mod anything but ell) would fail here, where the CRT and
+    relabelling oracles, both symmetric in I+-, pass it."""
+
+    TWISTS = [
+        require_twist(cartan_matrix("A", 2), [[-1, 2], [-2, 1]]),
+        require_twist(cartan_matrix("B", 2), [[-1, 2], [-1, 1]]),
+        require_twist(cartan_matrix("G", 2), [[-3, 2], [-6, 3]]),
+        worked_twist(),
+    ]
+
+    def test_kernel_order_and_rows(self):
+        swapped_differs = 0
+        for tw, ell in itertools.product(self.TWISTS, (5, 9, 15)):
+            n, Y = tw.rank, tw.Y.data
+            kbar = [tuple(int(r == i) - 2 * Y[r][i] for r in range(n)) for i in range(n)]
+            ktilde = [tuple(int(r == i) + 2 * Y[r][i] for r in range(n)) for i in range(n)]
+            # masks[m]: how many z are killed by exactly the rows in bit set m
+            # (bit i - 1 for kbar_i, bit n + j - 1 for ktilde_j)
+            masks = Counter(
+                sum(1 << b for b, row in enumerate(kbar + ktilde)
+                    if not sum(a * x for a, x in zip(row, z)) % ell)
+                for z in itertools.product(range(ell), repeat=n))
+
+            def count(bits):
+                return sum(c for m, c in masks.items() if m & bits == bits)
+
+            subsets = [s for k in range(n + 1) for s in itertools.combinations(range(1, n + 1), k)]
+            for iplus, iminus in itertools.product(subsets, repeat=2):
+                if iplus == iminus:
+                    continue
+                rows = [kbar[i - 1] for i in iplus] + [ktilde[j - 1] for j in iminus]
+                assert s_phi_matrix(tw, ell, iplus, iminus).data == tuple(
+                    tuple(x % ell for x in row) for row in rows)
+                plus = sum(1 << (i - 1) for i in iplus)
+                minus = sum(1 << (n + j - 1) for j in iminus)
+                want = count(plus | minus)
+                assert t_hat_I_complement(tw, ell, iplus, iminus).order == want
+                swapped = sum(1 << (n + i - 1) for i in iplus) | sum(
+                    1 << (j - 1) for j in iminus)
+                swapped_differs += count(swapped) != want
+        assert swapped_differs > 0
+
+
+class TestOneWayIn:
+    """TorusSubgroup.from_generators and TorusSubgroup.kernel take plain
+    rows, which they check, or an IntMatrix, which is already checked; a
+    matrix and its rows give the same subgroup, and a matrix of the wrong
+    width is refused."""
+
+    @pytest.mark.parametrize("ell", [5, 9, 15, 45])
+    def test_matrix_and_rows_give_the_same_subgroup(self, ell):
+        rng = random.Random(ell)
+        for _ in range(40):
+            n = rng.randrange(1, 4)
+            rows = [tuple(rng.randrange(-ell, 2 * ell) for _ in range(n))
+                    for _ in range(rng.randrange(0, n + 2))]
+            matrix = IntMatrix(rows, ncols=n)
+            # the span memo is keyed on the matrix, so the span is the same object
+            assert TorusSubgroup.from_generators(ell, n, matrix) is \
+                TorusSubgroup.from_generators(ell, n, rows)
+            assert TorusSubgroup.kernel(ell, n, matrix) == TorusSubgroup.kernel(ell, n, rows)
+
+    def test_identity_matrix_spans_the_full_torus(self):
+        full = TorusSubgroup.full(5, 3)
+        assert full.order == 125
+        assert full is TorusSubgroup.from_generators(5, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert TorusSubgroup.kernel(5, 3, IntMatrix.identity(3)) == TorusSubgroup.trivial(5, 3)
+
+    @pytest.mark.parametrize("matrix", [IntMatrix([[1, 0]]), IntMatrix([[1, 0, 0, 2]]),
+                                        IntMatrix([], ncols=2), IntMatrix([], ncols=4)],
+                             ids=["narrow", "wide", "empty-narrow", "empty-wide"])
+    def test_wrong_width_matrix_is_refused(self, matrix):
+        with pytest.raises(ValueError, match="generator length mismatch"):
+            TorusSubgroup.from_generators(5, 3, matrix)
+        with pytest.raises(ValueError, match="row length mismatch"):
+            TorusSubgroup.kernel(5, 3, matrix)
+
+    def test_a_matrix_is_not_unpacked_as_rows(self):
+        """An IntMatrix used to fail with "cannot unpack non-iterable int"."""
+        assert TorusSubgroup.from_generators(5, 2, IntMatrix([[1, 0]])).generators == ((1, 0),)
+        assert TorusSubgroup.kernel(5, 2, IntMatrix([[1, 0]])).generators == ((0, 1),)
