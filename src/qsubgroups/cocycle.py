@@ -62,6 +62,7 @@ from .exact import (
     _poly_divmod,
     _poly_mul,
     _rational_tuple,
+    _validate_level,
     reduce_power_basis,
 )
 from .lie import Basis, LatticeElement, bilinear_form
@@ -138,8 +139,7 @@ def deformation_exponent(tw: TwistMap, bd1: Bidegree, bd2: Bidegree) -> Fraction
 
 
 def check_level(tw: TwistMap, ell: int) -> None:
-    if ell < 3 or ell % 2 == 0:
-        raise ValueError(f"level must be odd and >= 3, got {ell}")
+    _validate_level(ell)
     if tw.cd.has_triple_bond and gcd(ell, 3) != 1:
         raise ValueError("level must be coprime to 3 in type G")
 

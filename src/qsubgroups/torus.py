@@ -21,17 +21,19 @@ a span is memoised on (ell, M), and a kernel is read off the Hermite
 form that exact._factored holds for (M, ell), so a subgroup that several
 checks of one request derive is built from one form; sharing a cached
 object is safe because TorusSubgroup is an immutable record.  Only
-enumerate_subgroups builds records itself, from the Hermite lattices its
-walk yields between ell Z^n and the ambient subgroup's own lattice.
+enumerate_subgroups builds records itself, from the Hermite lattices
+between ell Z^n and the ambient subgroup's own lattice that the
+module-level generator _sublattices yields (no closure, so no cycle).
 
 A Hopf-subalgebra triple (I+, I-, Sigma) requires Sigma to contain the
 exponent vectors (1 -+ phi)(alpha_i) for i in I+-.  Their rows mod ell
 form the coefficient matrix S, whose kernel mod ell is the character
 kernel.  A bounded memo derives the labels and S, one checked IntMatrix,
-once per (tw, ell, I+, I-); s_phi_matrix returns S itself, and T_I and
-the kernel are keyed on it.  Bare indices pass lie.index_set on the way
-in, so a bool never meets a cache key (which takes True for 1); record
-readers skip it, since a Triple or datum checked I+- when it was built.
+once per (tw, ell, I+, I-), after exact._validate_level (ell odd, >= 3);
+s_phi_matrix returns S itself, and T_I and the kernel are keyed on it.
+Bare indices pass lie.index_set on the way in, so a bool never meets a
+cache key (which takes True for 1); record readers skip it, since a
+Triple or datum checked I+- when it was built.
 analyze_triple derives everything a triple determines (T_I, N, |Sigma|,
 |N|, |Omega|, the order identity) in one pass, memoised on the triple;
 n_phi_from_sigma, sigma_order_identity and omega_order read it.
@@ -56,6 +58,7 @@ from .exact import (
     IntMatrix,
     _int_tuple,
     _reduce,
+    _validate_level,
     hermite_normal_form,
     kernel_lattice,
     root_of_unity_power,
@@ -133,7 +136,8 @@ class TorusSubgroup:
     def from_generators(cls, ell: int, n: int, gens) -> "TorusSubgroup":
         """The span of gens mod ell: rows, or an IntMatrix taken as checked."""
         span = gens if isinstance(gens, IntMatrix) else IntMatrix(gens, ncols=n)
-        if span.ncols != n:
+        if span.ncols != n or type(n) is not int:
+            _int_tuple((n,), "subgroup rank")  # TypeError first
             raise ValueError("generator length mismatch")
         return _span(ell, span)
 
@@ -262,8 +266,8 @@ class SigmaGenerator:
 
 
 def evaluate_recipe(tw: TwistMap, ell: int, recipe) -> TorusSubgroup:
-    gens = [g.evaluate(tw, ell) for g in recipe]
-    return TorusSubgroup.from_generators(ell, tw.rank, gens)
+    _validate_level(ell)
+    return TorusSubgroup.from_generators(ell, tw.rank, [g.evaluate(tw, ell) for g in recipe])
 
 
 @record
@@ -287,18 +291,16 @@ class Triple:
     @classmethod
     def make(cls, tw: TwistMap, ell: int, iplus, iminus,
              sigma_gens=(), recipe=None) -> "Triple":
-        triple = cls(iplus, iminus, None)  # checks the indices; Sigma is set below
-        _required_memo(tw, ell, triple.iplus, triple.iminus)  # refuses one out of range
+        iplus, iminus = index_set(iplus), index_set(iminus)
+        _required_memo(tw, ell, iplus, iminus)  # refuses a bad level or index
         gens = [tuple(x % ell for x in _int_tuple(g, "sigma generator entries"))
                 for g in sigma_gens]
-        if recipe is not None:
-            # raw extras join the recipe as fixed vectors, so the whole
-            # Sigma stays re-evaluable at a different twist
-            recipe = tuple(recipe) + tuple(SigmaGenerator.fixed(g) for g in gens)
-            gens = [g.evaluate(tw, ell) for g in recipe]
-        object.__setattr__(triple, "sigma", TorusSubgroup.from_generators(ell, tw.rank, gens))
-        object.__setattr__(triple, "recipe", recipe)
-        return triple
+        if recipe is None:
+            return cls(iplus, iminus, TorusSubgroup.from_generators(ell, tw.rank, gens))
+        # raw extras join the recipe as fixed vectors, so the whole
+        # Sigma stays re-evaluable at a different twist
+        recipe = tuple(recipe) + tuple(SigmaGenerator.fixed(g) for g in gens)
+        return cls(iplus, iminus, evaluate_recipe(tw, ell, recipe), recipe)
 
 
 @record
@@ -325,6 +327,7 @@ def _required_memo(tw: TwistMap, ell: int, iplus: frozenset, iminus: frozenset):
     (1-phi)(alpha_i), i in I+, then ("ktilde", j) for (1+phi)(alpha_j),
     j in I-, each ascending, and S, the IntMatrix of their exponent vectors
     mod ell, checked once here; the torus memos are keyed on S itself."""
+    _validate_level(ell)
     bad = (iplus | iminus) - set(range(1, tw.rank + 1))
     if bad:
         raise ValueError(f"simple indices out of range: {sorted(bad)}")
@@ -340,24 +343,14 @@ def t_phi_I(tw: TwistMap, ell: int, iplus, iminus) -> TorusSubgroup:
 
 
 def validate_triple(tw: TwistMap, ell: int, triple: Triple) -> TripleReport:
-    """Check the containment chain behind a triple.
-
-    Sigma must contain every required generator, and the inner subgroup
-    on I+ cap I- must sit inside the required subgroup (automatic for
-    odd ell since the sum of the two required vectors at a shared index
-    is twice the basis vector, but confirmed here so the report is
-    self-contained).
-    """
+    """Check that Sigma contains every required generator."""
     return _triple_report(tw, ell, triple.iplus, triple.iminus, triple.sigma)
 
 
 def _triple_report(tw: TwistMap, ell: int, iplus, iminus, sigma) -> TripleReport:
     labels, S = _required_memo(tw, ell, iplus, iminus)
-    missing = [label for label, row in zip(labels, S.data) if not sigma.contains(row)]
-    missing += [("kalpha", i) for i in sorted(iplus & iminus)
-                if not TorusSubgroup.from_generators(ell, tw.rank, S).contains(
-                    [int(r == i - 1) for r in range(tw.rank)])]
-    return TripleReport(ok=not missing, missing=tuple(missing))
+    missing = tuple(label for label, row in zip(labels, S.data) if not sigma.contains(row))
+    return TripleReport(ok=not missing, missing=missing)
 
 
 def s_phi_matrix(tw: TwistMap, ell: int, iplus, iminus) -> IntMatrix:
@@ -439,35 +432,37 @@ def enumerate_subgroups(ambient: TorusSubgroup, cap: int | None = None):
     """Every subgroup of a subgroup A of (Z/ell)^n, sorted by (order, lattice).
 
     The subgroups of A are the Hermite-form lattices L with ell Z^n inside
-    L inside A, and only those are walked, bottom row first: row i of L is
-    (d/a_i) A_i (a_i | d | ell) plus a representative sum c_j A_j
+    L inside A, and _sublattices walks only those, bottom row first: row i
+    of L is (d/a_i) A_i (a_i | d | ell) plus a representative sum c_j A_j
     (0 <= c_j < d_j/a_j) of A_{>i} / L_{>i}, reduced against L's lower
     rows, and kept iff L still contains ell e_i.  Raises EnumerationGuard
-    when there are more than cap subgroups.
+    on the first lattice past cap.
     """
     ell, n = ambient.ell, ambient.n
     limit = _enum_cap(cap)
-    amb = ambient.lattice.data
     found = []
-
-    def extend(i, lower):  # lower: L's rows i+1 .. n-1, already a Hermite form
-        if i < 0:
-            found.append(TorusSubgroup(ell, n, IntMatrix._of(tuple(lower), n)))
-            if len(found) > limit:
-                raise EnumerationGuard(f"subgroup count exceeds cap {limit}")
-            return
-        a = amb[i][i]
-        reps = [range(row[j] // amb[j][j]) for j, row in enumerate(lower, i + 1)]
-        for d in (d for d in range(a, ell + 1, a) if ell % d == 0):
-            for extra in product(*reps):
-                coef = (d // a,) + extra  # of A_i, A_{i+1}, ..., A_{n-1}
-                v = [sum(c * r[k] for c, r in zip(coef, amb[i:])) for k in range(n)]
-                row = _reduce(v, lower, i + 1)
-                w = [ell // d * x for x in row]
-                w[i] = 0  # (ell/d) row - ell e_i
-                if not any(_reduce(w, lower, i + 1)):
-                    extend(i - 1, [tuple(row)] + lower)
-
-    extend(n - 1, [])
-    del extend  # the closure refers to itself: free it without the cyclic GC
+    for lattice in _sublattices(ambient.lattice.data, ell, n - 1, []):
+        found.append(TorusSubgroup(ell, n, IntMatrix._of(lattice, n)))
+        if len(found) > limit:
+            raise EnumerationGuard(f"subgroup count exceeds cap {limit}")
     return sorted(found, key=lambda s: (s.order, s.lattice.data))
+
+
+def _sublattices(amb, ell: int, i: int, lower: list):
+    """The Hermite lattices of enumerate_subgroups' walk whose rows i+1 ..
+    n-1 are lower, as tuples of rows; module level, like twist._descend,
+    so no walk leaves a cycle."""
+    if i < 0:
+        yield tuple(lower)
+        return
+    a, n = amb[i][i], len(amb)
+    reps = [range(row[j] // amb[j][j]) for j, row in enumerate(lower, i + 1)]
+    for d in (d for d in range(a, ell + 1, a) if ell % d == 0):
+        for extra in product(*reps):
+            coef = (d // a,) + extra  # of A_i, A_{i+1}, ..., A_{n-1}
+            v = [sum(c * r[k] for c, r in zip(coef, amb[i:])) for k in range(n)]
+            row = _reduce(v, lower, i + 1)
+            w = [ell // d * x for x in row]
+            w[i] = 0  # (ell/d) row - ell e_i
+            if not any(_reduce(w, lower, i + 1)):
+                yield from _sublattices(amb, ell, i - 1, [tuple(row)] + lower)

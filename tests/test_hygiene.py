@@ -256,13 +256,55 @@ def test_kernels_go_through_torus_subgroup_kernel():
 
 
 def test_subgroup_walk_builds_no_checked_matrix():
-    """enumerate_subgroups' walk yields Hermite forms, which it wraps
-    unchecked."""
-    (walk,) = [func for name, func in _defs(_tree(SRC / "qsubgroups" / "torus.py"))
-               if name == "enumerate_subgroups"]
-    assert not [node.lineno for node in ast.walk(walk)
+    """enumerate_subgroups' walk, the generator _sublattices, yields
+    Hermite forms, which enumerate_subgroups wraps unchecked."""
+    walks = [func for name, func in _defs(_tree(SRC / "qsubgroups" / "torus.py"))
+             if name in ("enumerate_subgroups", "_sublattices")]
+    assert len(walks) == 2
+    assert not [node.lineno for walk in walks for node in ast.walk(walk)
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "IntMatrix"]
+
+
+# Build, don't patch: a record is complete when its constructor returns,
+# and a recursive walk is a module-level function, which leaves no cycle
+# for the cyclic collector (a nested function that calls itself holds
+# itself through its closure cell).
+
+def test_records_are_written_only_in_post_init():
+    """Outside IntMatrix and _record, object.__setattr__ appears only in a
+    __post_init__, where a record normalises or derives its own fields."""
+    def object_setattr(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+    found = _where(object_setattr)
+    assert "torus.py:TorusSubgroup.__post_init__" in found
+    assert not [where for where in found if not where.endswith(".__post_init__")
+                and not where.startswith(("exact.py:IntMatrix.", "_record.py:"))]
+
+
+def _self_referencing_nested(tree):
+    """(line, name) of every function defined inside another function
+    whose body names it."""
+    return [(inner.lineno, inner.name) for _, func in _defs(tree)
+            for inner in ast.walk(func)
+            if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)) and inner is not func
+            and any(isinstance(node, ast.Name) and node.id == inner.name
+                    for node in ast.walk(inner))]
+
+
+def test_self_reference_rule_is_not_vacuous():
+    tree = ast.parse("def outer():\n    def walk(i):\n        return walk(i - 1)\n"
+                     "    def leaf():\n        return outer\n"
+                     "class C:\n    def m(self):\n        def again():\n"
+                     "            yield from again()\n")
+    assert _self_referencing_nested(tree) == [(2, "walk"), (8, "again")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_nested_function_refers_to_itself(path):
+    assert not _self_referencing_nested(_tree(path))
 
 
 SOURCE_LINE_BUDGET = 3828  # src/qsubgroups at the seed (ROADMAP item 3)

@@ -364,6 +364,15 @@ def test_directly_built_torus_subgroup_is_refused():
     refused(lambda: TorusSubgroup(True, 1, IntMatrix([[1]])))
 
 
+def test_from_generators_takes_an_int_rank():
+    """from_generators refuses a non-int rank as kernel does, also when
+    the rows have the width it stands for: 2.0 used to give rank 2."""
+    for n, rows in ((2.0, [[1, 0]]), (True, [[1]]), (Fraction(2), [[1, 0]]), ("2", [[1, 0]])):
+        refused(lambda: TorusSubgroup.from_generators(5, n, rows))
+        refused(lambda: TorusSubgroup.from_generators(5, n, IntMatrix(rows)))
+    assert TorusSubgroup.from_generators(5, 2, [[1, 0]]).n == 2
+
+
 def test_directly_built_datum_parts_are_refused():
     """TwistedSubgroupDatum, TorusEmbedding and DualHom check their own
     fields when they are built, so a bool index, matrix entry or image

@@ -454,6 +454,59 @@ class TestEnumerateSubgroups:
             gc.enable()
         assert len(subs) == 8
 
+    def test_cap_admits_exactly_the_subgroup_count(self):
+        """(Z/5)^2 has 8 subgroups: cap=8 returns them all, cap=7 trips
+        the guard on the eighth."""
+        from qsubgroups.torus import EnumerationGuard
+
+        full = TorusSubgroup.full(5, 2)
+        subs = enumerate_subgroups(full, cap=8)
+        assert len(subs) == 8 and subs == enumerate_subgroups(full)
+        with pytest.raises(EnumerationGuard, match="exceeds cap 7"):
+            enumerate_subgroups(full, cap=7)
+
+    def test_guard_stop_leaves_no_cyclic_garbage(self):
+        """A walk stopped by the guard frees its suspended generators
+        and the records it built by reference counting."""
+        import gc
+
+        from qsubgroups.torus import EnumerationGuard
+
+        ambient = TorusSubgroup.full(5, 2)
+        tripped = False
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                enumerate_subgroups(ambient, cap=7)
+            except EnumerationGuard:
+                tripped = True
+            assert tripped and gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestLevelGate:
+    """The torus and datum layers refuse the levels that the paper
+    excludes (ell odd and >= 3), as exact and cocycle do, with ValueError
+    rather than a ZeroDivisionError or an answer for a meaningless ell."""
+
+    @pytest.mark.parametrize("ell", [0, -3, 1, 2, 4])
+    def test_refused(self, ell):
+        from qsubgroups.datum import enumerate_triples, obstruction_check
+
+        tw = zero_twist(cartan_matrix("A", 2))
+        calls = (
+            lambda: s_phi_matrix(tw, ell, (1,), ()),
+            lambda: t_hat_I_complement(tw, ell, (1,), ()),
+            lambda: Triple.make(tw, ell, (1,), ()),
+            lambda: enumerate_triples(tw, ell),
+            lambda: obstruction_check(tw, ell, (1,), (), [SigmaGenerator.kbar(1)]),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="must be odd and >= 3"):
+                call()
+
 
 class TestOmegaOrder:
     def test_worked_values(self):
