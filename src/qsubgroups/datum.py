@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from ._record import record, replace
-from .exact import IntMatrix, _int_tuple, kernel_lattice, solve_linear_mod
+from .exact import IntMatrix, _int_tuple, _validate_level, kernel_lattice, solve_linear_mod
 from .lie import index_set, positive_roots
 from .torus import (
     SigmaGenerator,
@@ -539,6 +539,7 @@ def enumerate_triples(
     """
     if max_results is not None:  # cap is checked where enumerate_subgroups reads it
         _int_tuple((max_results,), "max_results")
+    _validate_level(ell)  # here, as max_results=0 skips the pair loop
     n = tw.rank
     if fixed_pair is not None:
         pairs = [tuple(tuple(sorted(index_set(ids))) for ids in fixed_pair)]

@@ -137,9 +137,7 @@ class CartanDatum:
         return LatticeElement(Basis.ALPHA, tuple(coords))
 
     def fundamental_weight(self, i: int) -> "LatticeElement":
-        coords = [Fraction(0)] * self.rank
-        coords[i - 1] = Fraction(1)
-        return LatticeElement(Basis.OMEGA, tuple(coords))
+        return LatticeElement(Basis.OMEGA, self.simple_root(i).coords)
 
 
 _BUILTIN_RANK_RANGE = {
@@ -273,9 +271,7 @@ def omega_to_alpha(lam: LatticeElement, cd: CartanDatum) -> LatticeElement:
 
 def bilinear_form(lam: LatticeElement, mu: LatticeElement, cd: CartanDatum) -> Fraction:
     """The symmetric form with (omega_i, alpha_j) = d_i delta_ij."""
-    _rank_check(lam, cd)
-    _rank_check(mu, cd)
-    left = alpha_to_omega(lam, cd)
+    left = alpha_to_omega(lam, cd)  # each conversion checks the rank
     right = omega_to_alpha(mu, cd)
     return _matvec([left.coords], tuple(map(operator.mul, cd.d, right.coords)))[0]
 
@@ -298,14 +294,6 @@ class Root:
         return cls(coords, frozenset(i + 1 for i, c in enumerate(coords) if c))
 
 
-def _reflect(coords: tuple[int, ...], i: int, cd: CartanDatum) -> tuple[int, ...]:
-    # s_i(c) = c - (A c)_i e_i in ALPHA coordinates, i 0-based here
-    pairing = sum(a * c for a, c in zip(cd.A.data[i], coords))
-    out = list(coords)
-    out[i] -= pairing
-    return tuple(out)
-
-
 @functools.lru_cache(maxsize=None)
 def positive_roots(cd: CartanDatum) -> tuple[Root, ...]:
     """All positive roots via the reflection closure of the simple ones.
@@ -321,11 +309,10 @@ def positive_roots(cd: CartanDatum) -> tuple[Root, ...]:
     while frontier:
         nxt = []
         for coords in frontier:
-            for i in range(n):
-                image = _reflect(coords, i, cd)
-                if image in seen:
-                    continue
-                if all(c >= 0 for c in image):
+            for i, row in enumerate(cd.A.data):  # s_i(c) = c - (A c)_i e_i, ALPHA coordinates
+                pairing = sum(a * c for a, c in zip(row, coords))
+                image = coords[:i] + (coords[i] - pairing,) + coords[i + 1:]
+                if image not in seen and all(c >= 0 for c in image):
                     seen.add(image)
                     nxt.append(image)
         frontier = nxt

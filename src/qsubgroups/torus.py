@@ -22,8 +22,8 @@ form that exact._factored holds for (M, ell), so a subgroup that several
 checks of one request derive is built from one form; sharing a cached
 object is safe because TorusSubgroup is an immutable record.  Only
 enumerate_subgroups builds records itself, from the Hermite lattices
-between ell Z^n and the ambient subgroup's own lattice that the
-module-level generator _sublattices yields (no closure, so no cycle).
+between ell Z^n and the ambient's lattice that _sublattices yields; its
+column solver _cosets proposes no row that a returned lattice lacks.
 
 A Hopf-subalgebra triple (I+, I-, Sigma) requires Sigma to contain the
 exponent vectors (1 -+ phi)(alpha_i) for i in I+-.  Their rows mod ell
@@ -51,7 +51,7 @@ from __future__ import annotations
 import functools
 import os
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 from ._record import record
 from .exact import (
@@ -432,11 +432,12 @@ def enumerate_subgroups(ambient: TorusSubgroup, cap: int | None = None):
     """Every subgroup of a subgroup A of (Z/ell)^n, sorted by (order, lattice).
 
     The subgroups of A are the Hermite-form lattices L with ell Z^n inside
-    L inside A, and _sublattices walks only those, bottom row first: row i
-    of L is (d/a_i) A_i (a_i | d | ell) plus a representative sum c_j A_j
-    (0 <= c_j < d_j/a_j) of A_{>i} / L_{>i}, reduced against L's lower
-    rows, and kept iff L still contains ell e_i.  Raises EnumerationGuard
-    on the first lattice past cap.
+    L inside A, and _sublattices walks exactly those, bottom row first:
+    row i of L is (d/a_i) A_i (a_i | d | ell) plus sum c_j A_j (0 <= c_j
+    < d_j/a_j), reduced against L's lower rows; L contains ell e_i iff
+    (ell/d) row lies in L_{>i} (so d = ell gives ell e_i), which _cosets
+    solves column by column: no built row is dropped, so cap bounds the
+    work too.  Raises EnumerationGuard on the first lattice past cap.
     """
     ell, n = ambient.ell, ambient.n
     limit = _enum_cap(cap)
@@ -455,14 +456,29 @@ def _sublattices(amb, ell: int, i: int, lower: list):
     if i < 0:
         yield tuple(lower)
         return
-    a, n = amb[i][i], len(amb)
-    reps = [range(row[j] // amb[j][j]) for j, row in enumerate(lower, i + 1)]
-    for d in (d for d in range(a, ell + 1, a) if ell % d == 0):
-        for extra in product(*reps):
-            coef = (d // a,) + extra  # of A_i, A_{i+1}, ..., A_{n-1}
-            v = [sum(c * r[k] for c, r in zip(coef, amb[i:])) for k in range(n)]
-            row = _reduce(v, lower, i + 1)
-            w = [ell // d * x for x in row]
-            w[i] = 0  # (ell/d) row - ell e_i
-            if not any(_reduce(w, lower, i + 1)):
-                yield from _sublattices(amb, ell, i - 1, [tuple(row)] + lower)
+    a = amb[i][i]
+    for d in (d for d in range(a, ell, a) if ell % d == 0):
+        v = [d // a * x for x in amb[i]]
+        for row in _cosets(amb, lower, ell // d, [ell // a * x for x in amb[i]], v, 0):
+            yield from _sublattices(amb, ell, i - 1, [tuple(_reduce(row, lower, i + 1))] + lower)
+    yield from _sublattices(amb, ell, i - 1, [(0,) * i + (ell,) + (0,) * len(lower)] + lower)
+
+
+def _cosets(amb, lower, m: int, w: list, v: list, k: int):
+    """Each row v + sum c_j A_j, j over the pivot columns of lower[k:], with
+    0 <= c_j < d_j/a_j and w + m sum c_j A_j in their lattice; w is 0 on
+    lower's columns left of them.  Column j asks w_j + m a_j c_j = 0 mod
+    d_j: one class of c_j mod d_j/g if g = gcd(m a_j, d_j) divides w_j."""
+    if k == len(lower):
+        yield v
+        return
+    j = len(amb) - len(lower) + k
+    A, L = amb[j], lower[k]
+    g = gcd(m * A[j], L[j])
+    if w[j] % g:
+        return
+    step = L[j] // g
+    for c in range(-w[j] // g * pow(m * A[j] // g, -1, step) % step, L[j] // A[j], step):
+        q = (w[j] + m * c * A[j]) // L[j]
+        yield from _cosets(amb, lower, m, [x + m * c * y - q * z for x, y, z in zip(w, A, L)],
+                           [x + c * y for x, y in zip(v, A)], k + 1)

@@ -273,6 +273,45 @@ def hermite_walk_subgroups(ambient):
 
 
 # ---------------------------------------------------------------------------
+# frozen reference: the library's former sublattice walk, which built every
+# candidate row and kept it iff the lattice still contained ell e_i
+
+
+def former_sublattices(amb, ell: int, i: int, lower: list):
+    """The Hermite lattices of enumerate_subgroups' walk whose rows i+1 ..
+    n-1 are lower, as tuples of rows; module level, like twist._descend,
+    so no walk leaves a cycle."""
+    from qsubgroups.exact import _reduce
+
+    if i < 0:
+        yield tuple(lower)
+        return
+    a, n = amb[i][i], len(amb)
+    reps = [range(row[j] // amb[j][j]) for j, row in enumerate(lower, i + 1)]
+    for d in (d for d in range(a, ell + 1, a) if ell % d == 0):
+        for extra in itertools.product(*reps):
+            coef = (d // a,) + extra  # of A_i, A_{i+1}, ..., A_{n-1}
+            v = [sum(c * r[k] for c, r in zip(coef, amb[i:])) for k in range(n)]
+            row = _reduce(v, lower, i + 1)
+            w = [ell // d * x for x in row]
+            w[i] = 0  # (ell/d) row - ell e_i
+            if not any(_reduce(w, lower, i + 1)):
+                yield from former_sublattices(amb, ell, i - 1, [tuple(row)] + lower)
+
+
+def former_enumerate_subgroups(ambient):
+    """enumerate_subgroups as it was over former_sublattices (without the
+    cap): every lattice wrapped unchecked, sorted by (order, lattice)."""
+    from qsubgroups.exact import IntMatrix
+    from qsubgroups.torus import TorusSubgroup
+
+    ell, n = ambient.ell, ambient.n
+    found = [TorusSubgroup(ell, n, IntMatrix._of(lattice, n))
+             for lattice in former_sublattices(ambient.lattice.data, ell, n - 1, [])]
+    return sorted(found, key=lambda s: (s.order, s.lattice.data))
+
+
+# ---------------------------------------------------------------------------
 # frozen reference: the library's former pairwise group-algebra product
 
 def pairwise_convolve(a, b):

@@ -256,11 +256,12 @@ def test_kernels_go_through_torus_subgroup_kernel():
 
 
 def test_subgroup_walk_builds_no_checked_matrix():
-    """enumerate_subgroups' walk, the generator _sublattices, yields
-    Hermite forms, which enumerate_subgroups wraps unchecked."""
+    """enumerate_subgroups' walk, the generator _sublattices with its
+    column solver _cosets, yields Hermite forms, which enumerate_subgroups
+    wraps unchecked."""
     walks = [func for name, func in _defs(_tree(SRC / "qsubgroups" / "torus.py"))
-             if name in ("enumerate_subgroups", "_sublattices")]
-    assert len(walks) == 2
+             if name in ("enumerate_subgroups", "_sublattices", "_cosets")]
+    assert len(walks) == 3
     assert not [node.lineno for walk in walks for node in ast.walk(walk)
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "IntMatrix"]

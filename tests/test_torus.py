@@ -1,6 +1,7 @@
 """Tests for torus subgroups, kernels, annihilators and triples."""
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -31,7 +32,9 @@ from qsubgroups.twist import c3_parameter_matrix, require_twist, zero_twist
 from oracles import (
     brute_annihilator,
     brute_subgroups,
+    former_enumerate_subgroups,
     former_subgroup_elements,
+    former_sublattices,
     hermite_walk_subgroups,
     span_elements,
 )
@@ -408,6 +411,63 @@ class TestEnumerateSubgroups:
             for ambient in ambients:
                 assert enumerate_subgroups(ambient) == hermite_walk_subgroups(ambient)
 
+    @pytest.mark.parametrize("ell", [3, 5, 9, 15, 25, 27, 45, 63, 1001])
+    def test_matches_frozen_rejection_walk(self, ell):
+        """Same lattices in the same order, from the walk and after the
+        sort, as the former walk, which built every candidate row and kept
+        those whose lattice still contained ell e_i, on the full, the
+        trivial and seeded random ambients of ranks 1-4; an ambient with
+        more than 20000 subgroups is skipped."""
+        from qsubgroups.torus import EnumerationGuard
+
+        rng = random.Random(1000 + ell)
+        compared = []
+        for n in range(1, 5):
+            ambients = [TorusSubgroup.full(ell, n), TorusSubgroup.trivial(ell, n)]
+            ambients += [random_subgroup(rng, ell, n)[0] for _ in range(3)]
+            for k, ambient in enumerate(ambients):
+                try:
+                    got = enumerate_subgroups(ambient, cap=20000)
+                except EnumerationGuard:
+                    continue
+                amb = ambient.lattice.data
+                assert list(torus._sublattices(amb, ell, n - 1, [])) == \
+                    list(former_sublattices(amb, ell, n - 1, []))
+                assert got == former_enumerate_subgroups(ambient)
+                compared.append((n, k))
+        assert {(1, 0), (2, 0), (1, 1), (4, 1)} <= set(compared)
+
+    def test_composite_counts_are_crt_products(self):
+        """A subgroup of (Z/ell)^n is the product of its p-parts, so its
+        count at a composite ell is the product of the counts at the
+        prime-power factors of ell."""
+        def count(ell, n):
+            return len(enumerate_subgroups(TorusSubgroup.full(ell, n)))
+
+        cases = [(45, n, (9, 5)) for n in range(4)] + [(63, 2, (9, 7)), (1001, 2, (7, 11, 13))]
+        for ell, n, factors in cases:
+            assert count(ell, n) == math.prod(count(q, n) for q in factors), (ell, n)
+        assert (count(9, 3), count(5, 3), count(45, 3)) == (445, 64, 28480)
+
+    @pytest.mark.parametrize("ell, n", [(5, 4), (45, 2)])
+    def test_builds_one_row_per_row_prefix(self, monkeypatch, ell, n):
+        """No rejection: the walk reduces at most one proposed row per
+        distinct row-prefix (rows i..n-1, built bottom first) of the
+        lattices it yields, so it builds no row that a returned subgroup
+        does not hold."""
+        original, reduced = torus._reduce, []
+
+        def counting(v, rows, first):
+            reduced.append(first)
+            return original(v, rows, first)
+
+        monkeypatch.setattr(torus, "_reduce", counting)
+        subs = enumerate_subgroups(TorusSubgroup.full(ell, n))
+        monkeypatch.undo()
+        prefixes = {s.lattice.data[i:] for s in subs for i in range(n)}
+        assert len(subs) == {(5, 4): 1120, (45, 2): 184}[ell, n]
+        assert 0 < len(reduced) <= len(prefixes)
+
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_full_torus_counts_are_gaussian_binomial_sums(self, p):
         def gaussian_binomial(k, j):
@@ -506,6 +566,21 @@ class TestLevelGate:
         for call in calls:
             with pytest.raises(ValueError, match="must be odd and >= 3"):
                 call()
+
+
+    @pytest.mark.parametrize("ell", [4, 0, 1, 2, -3])
+    def test_refused_before_the_pair_loop(self, ell):
+        """max_results=0 skips enumerate_triples' pair loop, not its level
+        check."""
+        from qsubgroups.datum import enumerate_triples
+
+        with pytest.raises(ValueError, match="must be odd and >= 3"):
+            enumerate_triples(zero_twist(cartan_matrix("A", 2)), ell, max_results=0)
+
+    def test_max_results_zero_at_a_valid_level_is_empty(self):
+        from qsubgroups.datum import enumerate_triples
+
+        assert enumerate_triples(zero_twist(cartan_matrix("A", 2)), 5, max_results=0) == []
 
 
 class TestOmegaOrder:
