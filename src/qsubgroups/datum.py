@@ -547,17 +547,15 @@ def enumerate_triples(
         subsets = [tuple(i + 1 for i in range(n) if mask >> i & 1)
                    for mask in range(1 << n)]
         pairs = [(p, m) for p in subsets for m in subsets]
-    results = []
+    results, full = [], ell**n
     for iplus, iminus in pairs:
         if max_results is not None and len(results) >= max_results:
             break
         kernel = t_hat_I_complement(tw, ell, iplus, iminus)
-        base = dim_H(tw, ell, iplus, iminus, kernel)
-        results += (
-            TripleRecord(iplus, iminus, sub,
-                         replace(base, sigma_order=ell**n // sub.order))
-            for sub in enumerate_subgroups(kernel, cap=cap)
-        )
+        h = dim_H(tw, ell, iplus, iminus, kernel)
+        roots = h.roots_plus, h.roots_minus, h.simple_plus, h.simple_minus
+        results += (TripleRecord(iplus, iminus, sub, DimH(ell, n, full // sub.order, *roots))
+                    for sub in enumerate_subgroups(kernel, cap=cap))
     return results[:max_results]
 
 

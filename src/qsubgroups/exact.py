@@ -134,7 +134,8 @@ def reduce_power_basis(ell: int, coeffs) -> list:
 
 
 def _validate_level(ell: int) -> None:
-    if ell < 3 or ell % 2 == 0:
+    if type(ell) is not int or ell < 3 or ell % 2 == 0:
+        _int_tuple((ell,), "cyclotomic level")  # TypeError first
         raise ValueError(f"cyclotomic level must be odd and >= 3, got {ell}")
 
 
@@ -151,8 +152,6 @@ class CyclotomicNumber:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):  # bool, float and str raise, as in LatticeElement.make
-        if type(self.level) is not int:
-            raise TypeError(f"cyclotomic level must be int, got {self.level!r}")
         _validate_level(self.level)
         phi = euler_phi(self.level)
         coeffs = _rational_tuple(self.coeffs, "coefficients")

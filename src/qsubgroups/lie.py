@@ -59,39 +59,39 @@ def symmetrizers(A: IntMatrix) -> tuple[int, ...]:
     matrix is not symmetrizable) or the matrix is not a generalized
     Cartan matrix.
     """
-    n = A.nrows
+    a, n = A.data, A.nrows
     if A.ncols != n:
         raise InvalidCartanMatrix("Cartan matrix must be square")
-    for i in range(n):
-        if A[i, i] != 2:
+    for i, row in enumerate(a):
+        if row[i] != 2:
             raise InvalidCartanMatrix(f"diagonal entry a[{i}][{i}] != 2")
-        for j in range(n):
+        for j, x in enumerate(row):
             if i != j:
-                if A[i, j] > 0:
+                if x > 0:
                     raise InvalidCartanMatrix(f"positive off-diagonal at ({i},{j})")
-                if (A[i, j] == 0) != (A[j, i] == 0):
+                if (x == 0) != (a[j][i] == 0):
                     raise InvalidCartanMatrix(f"zero pattern asymmetric at ({i},{j})")
-    # propagate ratios along the Coxeter graph, one component at a time
+    # propagate ratios (num, den) along the Coxeter graph, one component at a time
     d = [0] * n
     for start in range(n):
         if d[start]:
             continue
-        ratio = {start: Fraction(1)}
+        ratio = {start: (1, 1)}
         stack = [start]
         while stack:
             i = stack.pop()
-            for j in range(n):
-                if j == i or A[i, j] == 0 or j in ratio:
+            for j, x in enumerate(a[i]):
+                if j == i or x == 0 or j in ratio:
                     continue
                 # d_i a_ij = d_j a_ji  =>  d_j = d_i a_ij / a_ji (checked below)
-                ratio[j] = ratio[i] * Fraction(A[i, j], A[j, i])
+                ratio[j] = (ratio[i][0] * -x, ratio[i][1] * -a[j][i])
                 stack.append(j)
-        # the least positive integers in these ratios: divide by their gcd
-        unit = Fraction(gcd(*(r.numerator for r in ratio.values())),
-                        lcm(*(r.denominator for r in ratio.values())))
-        for j, r in ratio.items():
-            d[j] = int(r / unit)
-    if any(d[i] * A[i, j] != d[j] * A[j, i] for i in range(n) for j in range(n)):
+        # the least positive integers in these ratios: clear dens, divide by the gcd
+        scale = lcm(*(den for _, den in ratio.values()))
+        unit = gcd(*(num * scale // den for num, den in ratio.values()))
+        for j, (num, den) in ratio.items():
+            d[j] = num * scale // den // unit
+    if any(d[i] * x != d[j] * a[j][i] for i, row in enumerate(a) for j, x in enumerate(row)):
         raise InvalidCartanMatrix("matrix is not symmetrizable")
     return tuple(d)
 

@@ -28,8 +28,8 @@ column solver _cosets proposes no row that a returned lattice lacks.
 A Hopf-subalgebra triple (I+, I-, Sigma) requires Sigma to contain the
 exponent vectors (1 -+ phi)(alpha_i) for i in I+-.  Their rows mod ell
 form the coefficient matrix S, whose kernel mod ell is the character
-kernel.  A bounded memo derives the labels and S, one checked IntMatrix,
-once per (tw, ell, I+, I-), after exact._validate_level (ell odd, >= 3);
+kernel.  A bounded memo derives the labels and S from the twist's exponent
+rows once per (tw, ell, I+, I-), after exact._validate_level (ell odd, >= 3);
 s_phi_matrix returns S itself, and T_I and the kernel are keyed on it.
 Bare indices pass lie.index_set on the way in, so a bool never meets a
 cache key (which takes True for 1); record readers skip it, since a
@@ -122,7 +122,8 @@ class TorusSubgroup:
         if type(self.ell) is not int or type(self.n) is not int or self.ell < 1:
             _int_tuple((self.ell, self.n), "subgroup level and rank")  # TypeError first
             raise ValueError("level must be >= 1")
-        order, rem = divmod(self.ell**self.n, prod(self.lattice[i, i] for i in range(self.n)))
+        pivots = prod(row[i] for i, row in enumerate(self.lattice.data))
+        order, rem = divmod(self.ell**self.n, pivots)
         assert rem == 0
         object.__setattr__(self, "order", order)
 
@@ -326,14 +327,16 @@ def _required_memo(tw: TwistMap, ell: int, iplus: frozenset, iminus: frozenset):
     """The required generators of a triple: labels ("kbar", i) for
     (1-phi)(alpha_i), i in I+, then ("ktilde", j) for (1+phi)(alpha_j),
     j in I-, each ascending, and S, the IntMatrix of their exponent vectors
-    mod ell, checked once here; the torus memos are keyed on S itself."""
+    mod ell, read from the twist's exponent rows, checked when the twist
+    was built; the torus memos are keyed on S itself."""
     _validate_level(ell)
     bad = (iplus | iminus) - set(range(1, tw.rank + 1))
     if bad:
         raise ValueError(f"simple indices out of range: {sorted(bad)}")
     labels = [("kbar", i) for i in sorted(iplus)] + [("ktilde", j) for j in sorted(iminus)]
-    rows = [SigmaGenerator(*label).evaluate(tw, ell) for label in labels]
-    return tuple(labels), IntMatrix(rows, ncols=tw.rank)
+    rows = {"kbar": tw._exponents[1], "ktilde": tw._exponents[2]}
+    S = tuple(tuple(x % ell for x in rows[kind][i - 1]) for kind, i in labels)
+    return tuple(labels), IntMatrix._of(S, tw.rank)
 
 
 def t_phi_I(tw: TwistMap, ell: int, iplus, iminus) -> TorusSubgroup:

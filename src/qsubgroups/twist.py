@@ -381,8 +381,8 @@ def enumerate_valid_twists(cd: CartanDatum, bound: int, limit: int | None = None
             x[i][j] = v
             x[j][i] = -cd.d[i] * v // cd.d[j]
         cols = list(zip(*x))
-        y = [[sum(map(operator.mul, row, col)) // delta for col in cols]
-             for row in adj.data]
-        yield TwistMap(cd, IntMatrix(y), IntMatrix(x))
+        y = tuple(tuple(sum(map(operator.mul, row, col)) // delta for col in cols)
+                  for row in adj.data)
+        yield TwistMap(cd, IntMatrix._of(y, n), IntMatrix._of(tuple(map(tuple, x)), n))
         if limit is not None and count >= limit:
             return

@@ -180,6 +180,48 @@ def minimal_symmetrizer(a_rows, bound=8):
     raise AssertionError("no symmetrizer within bound")
 
 
+def former_symmetrizers(A):
+    """The library's former lie.symmetrizers, frozen: it propagated the
+    ratios d_j / d_i as Fractions, read entries through A[i, j] and
+    divided by gcd(numerators) / lcm(denominators)."""
+    from math import gcd, lcm
+
+    from qsubgroups.lie import InvalidCartanMatrix
+
+    n = A.nrows
+    if A.ncols != n:
+        raise InvalidCartanMatrix("Cartan matrix must be square")
+    for i in range(n):
+        if A[i, i] != 2:
+            raise InvalidCartanMatrix(f"diagonal entry a[{i}][{i}] != 2")
+        for j in range(n):
+            if i != j:
+                if A[i, j] > 0:
+                    raise InvalidCartanMatrix(f"positive off-diagonal at ({i},{j})")
+                if (A[i, j] == 0) != (A[j, i] == 0):
+                    raise InvalidCartanMatrix(f"zero pattern asymmetric at ({i},{j})")
+    d = [0] * n
+    for start in range(n):
+        if d[start]:
+            continue
+        ratio = {start: Fraction(1)}
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if j == i or A[i, j] == 0 or j in ratio:
+                    continue
+                ratio[j] = ratio[i] * Fraction(A[i, j], A[j, i])
+                stack.append(j)
+        unit = Fraction(gcd(*(r.numerator for r in ratio.values())),
+                        lcm(*(r.denominator for r in ratio.values())))
+        for j, r in ratio.items():
+            d[j] = int(r / unit)
+    if any(d[i] * A[i, j] != d[j] * A[j, i] for i in range(n) for j in range(n)):
+        raise InvalidCartanMatrix("matrix is not symmetrizable")
+    return tuple(d)
+
+
 # ---------------------------------------------------------------------------
 # exact rational matrices
 

@@ -255,6 +255,13 @@ def test_kernels_go_through_torus_subgroup_kernel():
         isinstance(arg, ast.Attribute) and arg.attr == "data" for arg in node.args))
 
 
+def _checked_matrix_calls(funcs):
+    """Line numbers of the IntMatrix(...) calls in the functions."""
+    return [node.lineno for func in funcs for node in ast.walk(func)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "IntMatrix"]
+
+
 def test_subgroup_walk_builds_no_checked_matrix():
     """enumerate_subgroups' walk, the generator _sublattices with its
     column solver _cosets, yields Hermite forms, which enumerate_subgroups
@@ -262,9 +269,21 @@ def test_subgroup_walk_builds_no_checked_matrix():
     walks = [func for name, func in _defs(_tree(SRC / "qsubgroups" / "torus.py"))
              if name in ("enumerate_subgroups", "_sublattices", "_cosets")]
     assert len(walks) == 3
-    assert not [node.lineno for walk in walks for node in ast.walk(walk)
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "IntMatrix"]
+    assert not _checked_matrix_calls(walks)
+
+
+def test_per_pair_path_builds_no_checked_matrix():
+    """The classification's per-pair path wraps what the library built
+    from a checked twist: torus._required_memo reads the required rows
+    from the twist's exponent rows, datum.enumerate_triples builds each
+    record's dimensions field by field, and twist.enumerate_valid_twists
+    wraps the integer Y and X it computed."""
+    wanted = {"torus.py": "_required_memo", "datum.py": "enumerate_triples",
+              "twist.py": "enumerate_valid_twists"}
+    funcs = [func for file, want in wanted.items()
+             for name, func in _defs(_tree(SRC / "qsubgroups" / file)) if name == want]
+    assert len(funcs) == 3
+    assert not _checked_matrix_calls(funcs)
 
 
 # Build, don't patch: a record is complete when its constructor returns,

@@ -1,5 +1,6 @@
 """Tests for the root-system and lattice engine."""
 
+import collections
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from qsubgroups.lie import (
 
 from oracles import (
     former_require_finite_type,
+    former_symmetrizers,
     frac_inverse,
     minimal_symmetrizer,
     positive_roots_by_closure,
@@ -108,6 +110,49 @@ class TestCartanMatrix:
             seen["accepted"] += 1
             seen["reducible"] += n > 1 and sum(x != 0 for row in a for x in row) < 2 * n
         assert min(seen.values()) >= 30, seen
+
+    BUILTIN_TYPES = ([("A", n) for n in range(1, 10)] + [("B", n) for n in range(2, 10)]
+                     + [("C", n) for n in range(2, 10)] + [("D", n) for n in range(4, 10)]
+                     + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+
+    @staticmethod
+    def _outcome(A, symmetrize):
+        try:
+            return "accepted", symmetrize(A)
+        except InvalidCartanMatrix as exc:
+            return type(exc).__name__, str(exc)
+
+    def test_symmetrizers_match_frozen_fraction_version_on_builtins(self):
+        assert len(self.BUILTIN_TYPES) == 36
+        for lie_type, n in self.BUILTIN_TYPES:
+            A = cartan_matrix(lie_type, n).A
+            assert symmetrizers(A) == former_symmetrizers(A), (lie_type, n)
+
+    def test_symmetrizers_match_frozen_fraction_version_on_random_matrices(self):
+        """Same value, or the same exception with the same message, on
+        seeded random square matrices of rank 0 to 6: mostly generalized
+        Cartan matrices (some of them not symmetrizable), plus ones with a
+        wrong diagonal, a positive off-diagonal entry or an asymmetric zero
+        pattern, and non-square ones."""
+        rng = random.Random(2718)
+        seen = collections.Counter()
+        for _ in range(3000):
+            n = rng.randint(0, 6)
+            a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < 0.5:
+                        a[i][j], a[j][i] = rng.randint(-6, -1), rng.randint(-6, -1)
+            if n and rng.random() < 0.2:
+                i, j = rng.randrange(n), rng.randrange(n)
+                a[i][j] = rng.randint(-3, 3)
+            if rng.random() < 0.02:
+                a = [row + [0] for row in a] if n else [[2, 0]]
+            A = IntMatrix(a)
+            want = self._outcome(A, former_symmetrizers)
+            assert self._outcome(A, symmetrizers) == want, a
+            seen[want[0] if want[0] == "accepted" else want[1].split(" ")[0]] += 1
+        assert min(seen.values()) >= 10 and len(seen) == 6, seen
 
     def test_non_symmetrizable_rejected(self):
         with pytest.raises(InvalidCartanMatrix):

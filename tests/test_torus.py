@@ -19,6 +19,7 @@ from qsubgroups.torus import (
     annihilator,
     canonical_row_form,
     enumerate_subgroups,
+    evaluate_recipe,
     n_phi_from_sigma,
     omega_order,
     s_phi_matrix,
@@ -27,7 +28,12 @@ from qsubgroups.torus import (
     t_phi_I,
     validate_triple,
 )
-from qsubgroups.twist import c3_parameter_matrix, require_twist, zero_twist
+from qsubgroups.twist import (
+    c3_parameter_matrix,
+    enumerate_valid_twists,
+    require_twist,
+    zero_twist,
+)
 
 from oracles import (
     brute_annihilator,
@@ -256,13 +262,44 @@ class TestSPhiMatrix:
         assert s_phi_matrix(tw, 11, {2}, ()).to_lists() == [[2, 3, 2]]
 
     def test_returns_the_memos_own_matrix(self):
-        """S is checked once, in the memo of the required rows, and handed
+        """S is built once, in the memo of the required rows, and handed
         out as is: the same IntMatrix keys T_I and the kernel."""
         tw = worked_twist()
         s = s_phi_matrix(tw, 11, {2}, {1})
         assert s is s_phi_matrix(tw, 11, [2], (1,))
         assert s is torus._required_memo(tw, 11, frozenset({2}), frozenset({1}))[1]
         assert t_phi_I(tw, 11, {2}, {1}) is torus._span(11, s)
+
+
+    @staticmethod
+    def twists_with_negative_entries():
+        """Searched A2, B2 and G2 twists and C3 (1,2,0), each with a
+        negative entry in Y."""
+        tws = [next(tw for tw in enumerate_valid_twists(cartan_matrix(t, 2), bound)
+                    if min(map(min, tw.Y.data)) < 0)
+               for t, bound in (("A", 4), ("B", 3), ("G", 2))]
+        tws.append(worked_twist())
+        assert all(min(map(min, tw.Y.data)) < 0 for tw in tws)
+        return tws
+
+    @pytest.mark.parametrize("ell", [3, 5, 9, 15, 45, 1001])
+    def test_rows_match_the_formula_in_y(self, ell):
+        """S, read from the twist's exponent rows, is (delta_ik - 2 y_ki)
+        mod ell for i in I+, then (delta_jk + 2 y_kj) mod ell for j in I-,
+        each block ascending: recomputed here from Y's lists, for every
+        pair (I+, I-)."""
+        for tw in self.twists_with_negative_entries():
+            y, n = tw.Y.to_lists(), tw.rank
+            subsets = [[i + 1 for i in range(n) if mask >> i & 1] for mask in range(1 << n)]
+            for iplus, iminus in itertools.product(subsets, repeat=2):
+                want = ([[(int(k == i - 1) - 2 * y[k][i - 1]) % ell for k in range(n)]
+                         for i in iplus]
+                        + [[(int(k == j - 1) + 2 * y[k][j - 1]) % ell for k in range(n)]
+                           for j in iminus])
+                S = s_phi_matrix(tw, ell, iplus, iminus)
+                assert S.to_lists() == want, (tw.Y, iplus, iminus)
+                assert (S.nrows, S.ncols) == (len(want), n)
+                assert all(type(x) is int for row in S.data for x in row)
 
 
 class TestKernelAndAnnihilator:
@@ -551,19 +588,23 @@ class TestLevelGate:
     excludes (ell odd and >= 3), as exact and cocycle do, with ValueError
     rather than a ZeroDivisionError or an answer for a meaningless ell."""
 
-    @pytest.mark.parametrize("ell", [0, -3, 1, 2, 4])
-    def test_refused(self, ell):
+    @staticmethod
+    def entry_points(ell):
         from qsubgroups.datum import enumerate_triples, obstruction_check
 
         tw = zero_twist(cartan_matrix("A", 2))
-        calls = (
+        return (
             lambda: s_phi_matrix(tw, ell, (1,), ()),
             lambda: t_hat_I_complement(tw, ell, (1,), ()),
             lambda: Triple.make(tw, ell, (1,), ()),
             lambda: enumerate_triples(tw, ell),
+            lambda: enumerate_triples(tw, ell, max_results=0),
             lambda: obstruction_check(tw, ell, (1,), (), [SigmaGenerator.kbar(1)]),
         )
-        for call in calls:
+
+    @pytest.mark.parametrize("ell", [0, -3, 1, 2, 4])
+    def test_refused(self, ell):
+        for call in self.entry_points(ell):
             with pytest.raises(ValueError, match="must be odd and >= 3"):
                 call()
 
@@ -576,6 +617,14 @@ class TestLevelGate:
 
         with pytest.raises(ValueError, match="must be odd and >= 3"):
             enumerate_triples(zero_twist(cartan_matrix("A", 2)), ell, max_results=0)
+
+    @pytest.mark.parametrize("ell", [5.0, "5", True], ids=repr)
+    def test_non_int_level_refused(self, ell):
+        """A float, str or bool level is refused with TypeError by every
+        entry point, as CyclotomicNumber refuses it, max_results=0 included."""
+        for call in self.entry_points(ell):
+            with pytest.raises(TypeError, match="cyclotomic level must be int"):
+                call()
 
     def test_max_results_zero_at_a_valid_level_is_empty(self):
         from qsubgroups.datum import enumerate_triples
@@ -685,6 +734,13 @@ class TestStrictIntegers:
             Triple.make(tw, 11, (), [bad], sigma_gens=[(5, 8, 10)])
         with pytest.raises(TypeError, match="sigma generator entries must be int"):
             Triple.make(tw, 11, [2], (), sigma_gens=[(5, bad, 10)])
+
+    def test_evaluate_recipe_checks_a_directly_built_vector(self):
+        """A SigmaGenerator built directly skips fixed's check, so its rows
+        are not the library's own: evaluate_recipe builds Sigma checked."""
+        tw = zero_twist(cartan_matrix("A", 2))
+        with pytest.raises(TypeError, match="matrix entries must be int"):
+            evaluate_recipe(tw, 5, [SigmaGenerator("vector", vector=(0.5, 0))])
 
     @pytest.mark.parametrize("bad", NON_INTS, ids=repr)
     def test_contains(self, bad):

@@ -328,6 +328,21 @@ class TestAgainstFractionReference:
                 assert one_2y.det() % 2 == 1
 
 
+class TestSearchYieldsIntMatrices:
+    """The search wraps Y and X without a second check; they are exactly
+    what the checking constructor would build."""
+
+    @pytest.mark.parametrize("lie_type,n,bound", [("B", 2, 3), ("C", 3, 2)])
+    def test_y_and_x_equal_checked_rebuilds(self, lie_type, n, bound):
+        twists = list(enumerate_valid_twists(cartan_matrix(lie_type, n), bound))
+        assert len(twists) >= 3 and any(min(map(min, tw.Y.data)) < 0 for tw in twists)
+        for tw in twists:
+            for m in (tw.Y, tw.X):
+                assert m == IntMatrix(m.data) and (m.nrows, m.ncols) == (n, n)
+                assert all(type(row) is tuple for row in m.data)
+                assert all(type(x) is int for row in m.data for x in row)
+
+
 class TestSearchScale:
     """Counts measured with the former candidate-by-candidate search, which
     took about 30 s for each of A5 and D5.  D4 at bound 2 has points with
