@@ -12,12 +12,9 @@ process.  A method the class defines itself is kept.  Assignment and
 deletion raise AttributeError, so a __post_init__ that normalises a
 field writes it with object.__setattr__.
 
-Only __init__ is compiled, once per class, in the shape dataclasses
-generates: it is the method records are built through thousands of
-times.  __eq__ and __hash__ read the fields with one operator.attrgetter
-call and __repr__ loops over them, so a class costs one small compile
-at import.  Importing this module loads no more than operator; importing
-dataclasses loads inspect, ast and dis.
+Only __init__, which builds every record, is compiled, once per class,
+in the shape dataclasses generates.  Importing this module loads no more
+than operator; importing dataclasses loads inspect, ast and dis.
 """
 
 from __future__ import annotations

@@ -10,39 +10,27 @@ arithmetic:
   deformation exponent   = ((phi(m1), m2) - (phi(l1), l2)) / 2
                          = chi(l1, l2) - chi(m1, m2)
 
-On the finite torus the dual twist J is the 2-cocycle on (Z/ell)^n
-with exponent +(phi(l_z1), l_z2)/2, where l_z = sum z_i alpha_i.  In
-matrix terms that exponent is z1^T (Y^T D A) z2, an integer matrix, so
-the cocycle is bilinear and all its identities are checked exactly.
-
-The group-algebra realization of J (twist_J_group_algebra) materializes
-its cyclotomic coefficients in closed form, from the cosets of the kernel
-K of z -> B^T z, and stores only the g of the annihilator K^perp: off it
-every coset sum vanishes, for any ell, so a zero twist is one entry.
-
-The product in that group algebra is an exact Kronecker substitution
-(Schoenhage 1982; Harvey, J. Symb. Comp. 2009) that stays independent of
-the transform, so J * J^-1 = 1 remains a real check.  Each factor's
-support is grouped by its h-part; the fiber over h, a polynomial in
-g_1..g_n and eps with nonnegative integer counts, is packed into one
-Python int with every axis padded to 2 ell - 1 slots, so that products
-of fibers do not overlap; each distinct count vector is packed once and
-then shifted into place.  Each unit of one factor's count mass meets at
-most one count of the other in any cell of the product, so every
-coefficient, folded or not, is at most min(t1 m2, m1 t2), with t the sum
-and m the largest of a factor's counts; the limbs are exactly as many
-bits as that bound needs.  The bucket over h sums the fiber products
-over h1 + h2 == h (mod ell), either one product per pair of fibers, or
-with the h-axes taken as polynomial variables (Toom 1963; Cook 1966):
-each factor is evaluated at the points 0, +-1, ..., +-(ell - 1) of every
-h-axis, the values are multiplied pointwise, (2 ell - 1)^n products, and
-interpolated exactly by the integer inverse Vandermonde matrix, folding
-y^(k + ell) onto y^k.  _evaluates takes whichever way needs fewer
-big-integer products, so a single fiber (the zero twists) keeps the
-pairwise loop.  To unpack, each g-axis is folded mod ell on the whole
-bucket, by a mask of the slots 0..ell-1 of every 2 ell - 1; each cell is
-then cut from the bucket's bytes, and each distinct cell is split into
-limbs and folded mod eps^ell = 1 once.
+On the finite torus the dual twist J is the bilinear 2-cocycle of
+twist_J; its group-algebra realization (twist_J_group_algebra) keeps only
+its nonzero coefficients.  Their product is an exact Kronecker
+substitution (Schoenhage 1982; Harvey, J. Symb. Comp. 2009), independent
+of the transform, so J * J^-1 = 1 remains a real check.  Both axes use
+coordinates: S is spanned by v - b_k over both supports, b_k a point of
+factor k's, and v - b_k has the quotients c_i of its reduction against
+S's Hermite rows r_i with pivot a_i < ell, mod d_i = ell / a_i.  They
+are exact when every row splits, d_i r_i == 0 (mod ell), as for prime
+ell; if not, or if a support fills the torus, S is the whole torus, with
+d_i = ell and the identity rows.  A fiber over h, a polynomial in eps and
+the g-coordinates, is one int, eps padded to 2 ell - 1 slots and g-axis
+i to 2 d_i - 1, with limbs as wide as min(t1 m2, m1 t2), t the sum and m
+the largest of a factor's counts: a unit of one factor's mass meets at
+most one count of the other in a cell of the product.  The fibers meet
+pairwise in buckets over h1 + h2, or, when _evaluates counts fewer
+big-integer products, at 0, +-1, ..., +-(d_i - 1) on each h-axis (Toom
+1963; Cook 1966): prod(2 d_i - 1) products, interpolated by the integer
+inverse Vandermonde matrix, folding y^(k + d_i) onto y^k.  To unpack, a
+mask per g-axis folds it mod d_i; each cell, shifted out (past 2^13 bits
+cut from the bytes), goes to b_1 + b_2 + sum c_i r_i, folded mod eps^ell.
 """
 
 from __future__ import annotations
@@ -62,6 +50,7 @@ from .exact import (
     _poly_divmod,
     _poly_mul,
     _rational_tuple,
+    _reduce,
     _validate_level,
     reduce_power_basis,
 )
@@ -82,7 +71,7 @@ __all__ = [
 ]
 
 DEFAULT_TABLE_CAP = 10_000
-WEIGHTS_MEMO_SIZE = 32  # h-axis evaluation and interpolation weights, one per level
+WEIGHTS_MEMO_SIZE = 32  # h-axis evaluation and interpolation weights, one per axis order
 
 
 class TableCapExceeded(RuntimeError):
@@ -112,13 +101,6 @@ class Bidegree:
                 raise ValueError("bidegree weights must be in OMEGA coordinates")
             if not part.is_integral():
                 raise ValueError("bidegree weights must lie in the weight lattice")
-
-    @classmethod
-    def make(cls, lam_coords, mu_coords) -> "Bidegree":
-        return cls(
-            LatticeElement.make(Basis.OMEGA, lam_coords),
-            LatticeElement.make(Basis.OMEGA, mu_coords),
-        )
 
 
 def chi_exponent(tw: TwistMap, lam1: LatticeElement, lam2: LatticeElement) -> Fraction:
@@ -171,13 +153,13 @@ class GroupTwoCocycle:
             yield " ".join(map(residues.__getitem__, _sweep(u, ell)))
 
 
-def _sweep(w, ell: int) -> list[int]:
-    """[w.g for g in itertools.product(range(ell), repeat=len(w))], one
-    list comprehension per coordinate.  The entries of w are read mod
-    ell; the values are left unreduced, in 0 .. len(w) (ell - 1)."""
+def _sweep(w, ell: int, dims=None) -> list[int]:
+    """[w.g for g in itertools.product(*map(range, dims))], dims ell each
+    by default, one list comprehension per coordinate.  The entries of w
+    are read mod ell; the values are left unreduced, in 0 .. len(w) (ell - 1)."""
     values = [0]
-    for c in w:
-        steps = [c * a % ell for a in range(ell)]
+    for c, d in zip(w, dims or [ell] * len(w)):
+        steps = [c * a % ell for a in range(d)]
         values = [v + s for v in values for s in steps]
     return values
 
@@ -201,11 +183,8 @@ class TorusPairElement:
     Internally every coefficient is an integer vector of length ell in
     the power basis 1, eps, ..., eps^(ell-1) together with one global
     rational scale; reduction modulo the cyclotomic polynomial happens
-    only when a coefficient is compared or requested.  The counts must be
-    nonnegative, which the packed convolution relies on: convolve checks
-    them and raises ValueError on a negative count.  Construction checks
-    the rest: an int or Fraction scale, count vectors of length ell, n int
-    coordinates in g and h, those of g (a packed slot) in 0..ell-1.
+    only when a coefficient is compared or requested.  convolve refuses a
+    negative count; construction checks the rest (see its message).
     """
 
     __slots__ = ("ell", "n", "scale", "vectors")
@@ -213,22 +192,16 @@ class TorusPairElement:
     def __init__(self, ell: int, n: int, scale: Fraction, vectors: dict, *, _built=False):
         if not _built:  # the library's own products and twists are valid as built
             _rational_tuple((scale,), "scale")
-            coords = _int_tuple(itertools.chain.from_iterable(g for g, _ in vectors), "g")
-            _int_tuple(itertools.chain.from_iterable(h for _, h in vectors), "h")
+            coords = _int_tuple((x for key in vectors for part in key for x in part), "g and h")
             if set(map(len, itertools.chain.from_iterable(vectors))) - {n} or \
                     set(map(len, vectors.values())) - {ell} or \
                     coords and not 0 <= min(coords) <= max(coords) < ell:
-                raise ValueError(f"need g in (0..{ell - 1})^{n}, h of length {n} "
-                                 f"and {ell} counts in every entry")
+                raise ValueError(f"need g in (0..{ell - 1})^{n}, h too, and {ell} counts "
+                                 "in every entry")
         self.ell = ell
         self.n = n
         self.scale = scale
         self.vectors = vectors  # (g, h) -> tuple of ell nonnegative ints
-
-    @classmethod
-    def identity(cls, ell: int, n: int) -> "TorusPairElement":
-        zero = (0,) * n
-        return cls(ell, n, Fraction(1), {(zero, zero): (1,) + (0,) * (ell - 1)})
 
     def coefficient(self, g, h) -> CyclotomicNumber:
         g, h = _int_tuple(g, "group elements"), _int_tuple(h, "group elements")
@@ -255,14 +228,14 @@ class TorusPairElement:
         return (sum(sum(vec) * k for vec, k in counts.items()),
                 max(itertools.chain.from_iterable(counts), default=0))
 
-    def _packed_fibers(self, width: int) -> dict:
+    def _packed_fibers(self, width: int, shifts=None) -> dict:
         """h -> the fiber {g: vec} over h packed into one integer: limbs of
-        width bits, the n g-axes (g_1 most significant) and the eps axis
-        each padded to 2 ell - 1 slots (see the module docstring)."""
+        width bits, g's cell at bit shifts[g], or at its place on the whole
+        torus if shifts lacks g (see the module docstring)."""
         slots = 2 * self.ell - 1
         weights = [slots ** (self.n - i) * width for i in range(self.n)]  # per unit of g_i
-        limbs, shifts, fibers = {}, {}, {}  # each distinct vector and g is worked out once
-        for (g, h), vec in self.vectors.items():
+        limbs, shifts, fibers = {}, shifts or {}, {}
+        for (g, h), vec in self.vectors.items():  # each distinct vector is packed once
             if (x := limbs.get(vec)) is None:
                 x = limbs[vec] = functools.reduce(lambda y, c: y << width | c, vec[::-1], 0)
             if (s := shifts.get(g)) is None:
@@ -270,32 +243,32 @@ class TorusPairElement:
             fibers[h] = fibers.get(h, 0) | x << s
         return fibers
 
-    def _unpacked(self, buckets: dict, width: int) -> dict:
+    def _unpacked(self, buckets: dict, width: int, axes=None) -> dict:
         """(g, h) -> vec for every nonzero cell of the buckets, h ascending,
-        then g, each axis folded mod ell (see the module docstring)."""
-        ell, n, slots = self.ell, self.n, 2 * self.ell - 1
-        cell, size = slots * width, ell * slots**n * width  # size: a bucket with g_1 folded
-        folds = []  # (shift, mask of slots 0..ell-1 in every period) of each g-axis
-        for step in (slots**i * width for i in range(n, 0, -1)):
-            lo, span = (1 << ell * step) - 1, slots * step
+        then g, on the g-axes of axes, by default the whole torus's."""
+        axes = axes or _Axes(self.ell, self.n)
+        ell, dims, cell = self.ell, axes.dims, (2 * self.ell - 1) * width
+        strides = axes.steps(cell, True)
+        size = dims[0] * strides[0] if dims else 0
+        folds = []  # (shift, mask of slots 0..d-1 in every period) of each g-axis
+        for d, step in zip(dims, strides):
+            lo, span = (1 << d * step) - 1, (2 * d - 1) * step
             while span < size:  # doubling: no (2^(P R) - 1) // (2^P - 1), a quadratic division
                 lo, span = lo | lo << span, 2 * span
-            folds.append((ell * step, lo))
-        slot = [0]  # the g-slot of each g, lexicographically
-        for _ in range(n):
-            slot = [s * slots + a for s in slot for a in range(ell)]
-        cuts = [(g, s * cell >> 3, (s * cell + cell + 7) >> 3, s * cell & 7)  # bytes, 1st bit
-                for g, s in zip(itertools.product(range(ell), repeat=n), slot)]
+            folds.append((d * step, lo))
+        cuts = sorted((g, s, s >> 3, (s + cell + 7) >> 3, s & 7)
+                      for g, s in zip(axes.points(), _sweep(strides, size, dims)))  # all < size
         vectors, seen, mask, limb = {}, {0: ()}, (1 << cell) - 1, (1 << width) - 1
         for h, x in sorted(buckets.items()):
             for shift, lo in folds:
                 low = x & lo
                 x = low + ((x ^ low) >> shift)
-            data = x.to_bytes((x.bit_length() + 7) // 8, "little")
-            for g, first, last, bit in cuts:
-                vec = seen.get(key := int.from_bytes(data[first:last], "little") >> bit & mask)
+            data = x.bit_length() >> 13 and x.to_bytes((x.bit_length() + 7) // 8, "little")
+            for g, s, i, j, bit in cuts:  # the cell at bit s: bytes i to j - 1, from bit
+                key = (int.from_bytes(data[i:j], "little") >> bit if data else x >> s) & mask
+                vec = seen.get(key)
                 if vec is None:
-                    limbs = [key >> k * width & limb for k in range(slots)]
+                    limbs = [key >> k * width & limb for k in range(2 * ell - 1)]
                     vec = seen[key] = tuple(map(operator.add, limbs, limbs[ell:] + [0]))
                 if vec:
                     vectors[g, h] = vec
@@ -305,21 +278,27 @@ class TorusPairElement:
         """Group-algebra product (convolution over the pair group)."""
         if (self.ell, self.n) != (other.ell, other.n):
             raise ValueError("mismatched group algebras")
-        ell, n = self.ell, self.n
+        ell, n, pair = self.ell, self.n, (self, other)
         # every limb, folded or not, is at most min(t1 m2, m1 t2) (see the
         # module docstring), and the limbs hold each factor's own counts too
         (t1, m1), (t2, m2) = self._mass(), other._mass()
+        if not (self.vectors and other.vectors):
+            return TorusPairElement(ell, n, self.scale * other.scale, {}, _built=True)
         width = max(min(t1 * m2, m1 * t2), m1, m2, 1).bit_length()
-        fibers1, fibers2 = self._packed_fibers(width), other._packed_fibers(width)
-        if _evaluates(len(fibers1), len(fibers2), ell, n):
-            buckets = _evaluated_product(fibers1, fibers2, ell, n)
+        whole = max(map(len, (self.vectors, other.vectors))) == ell ** (2 * n)  # both axes full
+        g_axes = _Axes(ell, n, gs := None if whole else [{g for g, _ in x.vectors} for x in pair])
+        fibers = [x._packed_fibers(width, g_axes.bases and g_axes.offsets(
+            gs[k], k, g_axes.steps((2 * ell - 1) * width, True))) for k, x in enumerate(pair)]
+        h_axes = g_axes if whole else _Axes(ell, n, fibers)
+        if _evaluates(len(fibers[0]), len(fibers[1]), h_axes.dims):
+            buckets = _evaluated_product(fibers, h_axes)
         else:
             buckets = {}
-            for h1, p1 in fibers1.items():
-                for h2, p2 in fibers2.items():
-                    h = tuple((a + b) % ell for a, b in zip(h1, h2))
+            for h1, p1 in fibers[0].items():
+                for h2, p2 in fibers[1].items():
+                    h = tuple([(a + b) % ell for a, b in zip(h1, h2)])
                     buckets[h] = buckets.get(h, 0) + p1 * p2
-        vectors = self._unpacked(buckets, width)
+        vectors = self._unpacked(buckets, width, g_axes)
         return TorusPairElement(ell, n, self.scale * other.scale, vectors, _built=True)
 
     def _is_unit(self, table: dict, zero) -> bool:
@@ -354,52 +333,89 @@ class TorusPairElement:
         return self._is_unit(self._collapsed(side), (0,) * self.n)
 
 
-def _evaluates(f1: int, f2: int, ell: int, n: int) -> bool:
+class _Axes:
+    """Coordinates on the subgroup S spanned by v - b_k over the supports
+    k = 0, 1 of a product's factors (see the module docstring): the
+    Hermite rows of S of order d_i; without supports, the whole torus."""
+
+    def __init__(self, ell: int, n: int, supports=None):
+        self.ell, self.n, self.bases, self.axes = ell, n, None, [(i, ell) for i in range(n)]
+        if supports and max(map(len, supports)) < ell**n:
+            bases = [next(iter(s)) for s in supports]
+            vs = tuple({tuple([(a - b) % ell for a, b in zip(v, base)])
+                        for s, base in zip(supports, bases) for v in s if v != base})
+            rows = vs and TorusSubgroup.from_generators(ell, n, IntMatrix._of(vs, n)).lattice.data
+            if not any(ell // row[i] * x % ell for i, row in enumerate(rows) for x in row):
+                self.bases, self.lattice = bases, rows
+                self.axes = [(i, ell // row[i]) for i, row in enumerate(rows) if row[i] < ell]
+        self.dims = [d for _, d in self.axes]
+
+    def offsets(self, support, k: int, steps) -> dict:
+        """v -> sum c_i steps[i], c_i the reduction quotients of v - b_k mod d_i."""
+        ell, base = self.ell, self.bases and self.bases[k]
+        if base is None or not self.axes:  # the whole torus (v in range), or no axis at all
+            return {v: sum(map(operator.mul, v, steps)) for v in support}
+        return {v: sum([q[i] % d * s for (i, d), s in zip(self.axes, steps)]) for v in support
+                for q in [_reduce([(a - b) % ell for a, b in zip(v, base)], self.lattice, 0)]}
+
+    def steps(self, unit: int, padded: bool) -> list:
+        """Axis steps in a row-major array of unit cells, d_i (padded: 2 d_i - 1) on axis i."""
+        return [unit * prod(2 * d - 1 if padded else d for d in self.dims[i + 1:])
+                for i in range(len(self.dims))]
+
+    def points(self) -> list:
+        """b_0 + b_1 + sum c_i r_i mod ell for every c in product(range(d_i))."""
+        if self.bases is None:
+            return list(itertools.product(range(self.ell), repeat=self.n))
+        columns = [[(b0 + b1 + v) % self.ell for v in _sweep(col, self.ell, self.dims)]
+                   for b0, b1, *col in zip(*self.bases, *(self.lattice[i] for i, _ in self.axes))]
+        return list(zip(*columns))  # n > 0 here: at n = 0 one point fills the torus
+
+
+def _evaluates(f1: int, f2: int, dims) -> bool:
     """Whether the evaluated product needs fewer big-integer products than
-    the pairwise loop on f1 x f2 fibers: one per point, (2 ell - 1)^n."""
-    return f1 * f2 > (2 * ell - 1) ** n
+    the pairwise loop on f1 x f2 fibers: one per point, prod(2 d_i - 1)."""
+    return f1 * f2 > prod(2 * d - 1 for d in dims)
 
 
 @functools.lru_cache(maxsize=WEIGHTS_MEMO_SIZE)
-def _h_axis_weights(ell: int) -> tuple:
-    """(E, W, d) on one h-axis: E evaluates a polynomial of degree < ell at
-    the points x_i = 0, 1, -1, ..., ell - 1, 1 - ell; W / d interpolates one
-    of degree < 2 ell - 1 from those values, folding y^(k + ell) onto y^k.
-    Column i of the inverse Vandermonde matrix is the Lagrange polynomial
-    prod_(j != i) (y - x_j) / (x_i - x_j), and d the lcm of their denominators."""
-    points = [0] + [s * x for x in range(1, ell) for s in (1, -1)]
+def _h_axis_weights(d: int) -> tuple:
+    """(E, W, D) on an h-axis of order d: E evaluates a polynomial of degree
+    < d at x_i = 0, 1, -1, ..., d - 1, 1 - d; W / D interpolates one of degree
+    < 2 d - 1 from those values, folding y^(k + d) onto y^k, by the Lagrange
+    polynomials prod_(j != i) (y - x_j) / (x_i - x_j), D their denominators' lcm."""
+    points = [0] + [s * x for x in range(1, d) for s in (1, -1)]
     master = functools.reduce(_poly_mul, ([-x, 1] for x in points))
     basis = [_poly_divmod(master, [-x, 1])[0] for x in points]
     scale = [prod(x - y for y in points if y != x) for x in points]
-    d = lcm(*scale)
-    folded = [[sum(q[k::ell]) * (d // w) for q, w in zip(basis, scale)] for k in range(ell)]
-    return [[x**k for k in range(ell)] for x in points], folded, d
+    den = lcm(*scale)
+    folded = [[sum(q[k::d]) * (den // w) for q, w in zip(basis, scale)] for k in range(d)]
+    return [[x**k for k in range(d)] for x in points], folded, den
 
 
-def _along_axes(cells: list, weights, n: int) -> list:
-    """The matrix weights applied along each axis of the row-major n-axis
-    array cells; each pass moves the axis it transforms last."""
-    size = len(weights[0])
-    for _ in range(n):
-        rest = len(cells) // size
-        cells = [sum(map(operator.mul, row, cells[q::rest]))
-                 for q in range(rest) for row in weights]
+def _along_axes(cells: list, weights) -> list:
+    """The matrices weights[i] applied along axis i of the row-major array
+    cells; each pass moves the axis it transforms last."""
+    for weight in weights:
+        rest = len(cells) // len(weight[0])
+        cells = [sum(map(operator.mul, row, column))
+                 for column in (cells[q::rest] for q in range(rest)) for row in weight]
     return cells
 
 
-def _evaluated_product(fibers1: dict, fibers2: dict, ell: int, n: int) -> dict:
+def _evaluated_product(fibers: list, axes: _Axes) -> dict:
     """h -> the sum of p1 p2 over the fibers h1 + h2 == h (mod ell), for
-    every h in lexicographic order (see the module docstring)."""
-    evaluate, interpolate, d = _h_axis_weights(ell)
-    hs = list(itertools.product(range(ell), repeat=n))
+    every h of the product's coset of S (see the module docstring)."""
+    weights, steps = [_h_axis_weights(d) for d in axes.dims], axes.steps(1, False)
     values = []
-    for fibers in (fibers1, fibers2):
-        cells = dict.fromkeys(hs, 0)
-        for h, p in fibers.items():
-            cells[tuple(x % ell for x in h)] += p
-        values.append(_along_axes(list(cells.values()), evaluate, n))
-    cells = _along_axes(list(map(operator.mul, *values)), interpolate, n)
-    return {h: c // d**n for h, c in zip(hs, cells)}
+    for k, factor in enumerate(fibers):
+        cells = [0] * prod(axes.dims)
+        for h, i in axes.offsets(factor, k, steps).items():
+            cells[i] += factor[h]
+        values.append(_along_axes(cells, [w[0] for w in weights]))
+    cells = _along_axes(list(map(operator.mul, *values)), [w[1] for w in weights])
+    d = prod(w[2] for w in weights)
+    return {h: c // d for h, c in zip(axes.points(), cells)}
 
 
 @record

@@ -28,8 +28,8 @@ analyze_datum derives all a datum determines (report, dim H, dim A, the
 predicates and their obstruction) once, memoised on (tw, ell, d), and
 reads subgroup orders wherever an order decides; validate_datum, dim_A,
 predicates and obstruction_check read its record.  dim_H checks bare
-indices for _dim_h, which analyze_datum calls directly; enumerate_triples
-calls dim_H once per pair, on the kernel.
+indices and N against the character kernel for _dim_h, which
+analyze_datum and enumerate_triples call on an N known to lie in it.
 """
 
 from __future__ import annotations
@@ -382,15 +382,16 @@ def factor_out(value: int, base: int) -> tuple[int, int]:
 def dim_H(tw: TwistMap, ell: int, iplus, iminus, N: TorusSubgroup) -> DimH:
     """|Sigma| * ell^(#roots supported in I+ and I-), with |Sigma| =
     ell^n / |N|.  N must lie in the character kernel of (I+, I-)."""
-    return _dim_h(tw, ell, index_set(iplus), index_set(iminus), N)
+    S = _required_memo(tw, ell, iplus := index_set(iplus), iminus := index_set(iminus))[1]
+    h = _dim_h(tw, ell, iplus, iminus, N)  # the check above refuses a bad level or index
+    if not N.killed_by(S.data):
+        raise ValueError("N is not inside the character kernel for (I+, I-)")
+    return h
 
 
 def _dim_h(tw: TwistMap, ell: int, iplus: frozenset, iminus: frozenset, N) -> DimH:
-    S = _required_memo(tw, ell, iplus, iminus)[1]  # refuses an index out of range
     if (N.ell, N.n) != (ell, tw.rank):
         raise ValueError("N lives in a different torus")
-    if not N.killed_by(S.data):
-        raise ValueError("N is not inside the character kernel for (I+, I-)")
     sigma_order, rem = divmod(ell**tw.rank, N.order)
     assert rem == 0
     roots = (sum(r.support <= ids for r in positive_roots(tw.cd)) for ids in (iplus, iminus))
@@ -534,7 +535,7 @@ def enumerate_triples(
     order; for each pair, N runs over every subgroup of the character
     kernel in canonical order.  max_results truncates the list;
     fixed_pair restricts to one (I+, I-), recorded as sorted distinct
-    indices.  t_hat_I_complement and dim_H run once per pair, the latter
+    indices.  t_hat_I_complement and _dim_h run once per pair, the latter
     on the kernel; each record then only sets |Sigma| = ell^n / |N|.
     """
     if max_results is not None:  # cap is checked where enumerate_subgroups reads it
@@ -552,7 +553,7 @@ def enumerate_triples(
         if max_results is not None and len(results) >= max_results:
             break
         kernel = t_hat_I_complement(tw, ell, iplus, iminus)
-        h = dim_H(tw, ell, iplus, iminus, kernel)
+        h = _dim_h(tw, ell, frozenset(iplus), frozenset(iminus), kernel)
         roots = h.roots_plus, h.roots_minus, h.simple_plus, h.simple_minus
         results += (TripleRecord(iplus, iminus, sub, DimH(ell, n, full // sub.order, *roots))
                     for sub in enumerate_subgroups(kernel, cap=cap))

@@ -18,9 +18,6 @@ All values are immutable after construction and all functions are pure,
 so everything here can be shared freely between workers.  Input is
 checked once, at the boundary: IntMatrix(rows) types every entry, and
 matrices derived from checked ones come from the trusting IntMatrix._of.
-Two bounded memos: cyclotomic_polynomial on ell, and _factored, the one
-Hermite form behind every kernel and solve, on the checked IntMatrix M
-and m.
 """
 
 from __future__ import annotations
@@ -429,13 +426,14 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 def _reduce(v: list, rows, first: int) -> list:
     """Reduces v in place against Hermite rows with pivots in columns first,
-    first + 1, ..., each entry of v at a pivot into [0, pivot)."""
+    first + 1, ..., each entry at a pivot into [0, pivot); returns the quotients."""
+    quotients = []
     for j, row in enumerate(rows, first):
-        q = v[j] // row[j]
+        quotients.append(q := v[j] // row[j])
         if q:
             for k in range(j, len(v)):
                 v[k] -= q * row[k]
-    return v
+    return quotients
 
 
 def hermite_normal_form(M: IntMatrix, ell: int) -> IntMatrix:
@@ -528,7 +526,7 @@ def solve_linear_mod(A: IntMatrix, b, mod: int) -> tuple[int, ...] | None:
     b = _int_tuple(b, "right-hand side entries")
     if len(b) != p:
         raise ValueError("right-hand side length mismatch")
-    v = _reduce(list(b) + [0] * A.ncols, _factored(A, mod)[0], 0)
+    _reduce(v := list(b) + [0] * A.ncols, _factored(A, mod)[0], 0)
     if any(v[:p]):
         return None
     return tuple(-x % mod for x in v[p:])

@@ -12,9 +12,7 @@ for type C of rank 3 one gets
     [[2, -1, 0], [-1, 2, -1], [0, -2, 2]]        with d = (2, 2, 1),
 the labelling used by every worked fixture downstream.  Symmetrizers are
 always recomputed from the matrix, never assumed from the label, and
-arbitrary user-supplied Cartan matrices are accepted.  positive_roots
-and _adjugate_cartan are cached per CartanDatum; roots_supported filters
-positive_roots on each call.
+arbitrary user-supplied Cartan matrices are accepted.
 """
 
 from __future__ import annotations

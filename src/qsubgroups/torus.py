@@ -37,13 +37,6 @@ Triple or datum checked I+- when it was built.
 analyze_triple derives everything a triple determines (T_I, N, |Sigma|,
 |N|, |Omega|, the order identity) in one pass, memoised on the triple;
 n_phi_from_sigma, sigma_order_identity and omega_order read it.
-
-The library's 9 caches, keyed on immutable values; errors are never
-cached.  Bounded: here _span (ell, S), _required_memo (tw, ell, I+, I-)
-and analyze_triple (tw, ell, triple); datum.analyze_datum (tw, ell, d);
-exact._factored (M, m) and exact.cyclotomic_polynomial (ell);
-cocycle._h_axis_weights (ell).  Per CartanDatum: lie.positive_roots and
-lie._adjugate_cartan.
 """
 
 from __future__ import annotations
@@ -168,7 +161,8 @@ class TorusSubgroup:
         v = list(_int_tuple(vec, "vector entries"))
         if len(v) != self.n:
             raise ValueError("vector length mismatch")
-        return not any(_reduce(v, self.lattice.data, 0))
+        _reduce(v, self.lattice.data, 0)
+        return not any(v)
 
     def killed_by(self, rows) -> bool:
         """Whether every row pairs to zero mod ell with every element,
@@ -463,7 +457,8 @@ def _sublattices(amb, ell: int, i: int, lower: list):
     for d in (d for d in range(a, ell, a) if ell % d == 0):
         v = [d // a * x for x in amb[i]]
         for row in _cosets(amb, lower, ell // d, [ell // a * x for x in amb[i]], v, 0):
-            yield from _sublattices(amb, ell, i - 1, [tuple(_reduce(row, lower, i + 1))] + lower)
+            _reduce(row, lower, i + 1)
+            yield from _sublattices(amb, ell, i - 1, [tuple(row)] + lower)
     yield from _sublattices(amb, ell, i - 1, [(0,) * i + (ell,) + (0,) * len(lower)] + lower)
 
 

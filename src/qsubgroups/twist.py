@@ -11,20 +11,15 @@ the OMEGA coordinates of tau_i), validity means
     bilinearity makes (phi(l), m) / 2 integral on the whole weight
     lattice,
   * A + 2 X is invertible over the rationals, so 1 +/- phi are
-    isomorphisms.  This one needs no check: A + 2 X = A (1 + 2 Y), and
-    1 + 2 Y == 1 (mod 2) makes det(1 + 2 Y) odd, so for integral Y
-    det(A + 2 X) = det A det(1 + 2 Y) is never 0.
+    isomorphisms, which holds for every integral Y (see build_twist).
 
 With delta = det A and adj A = delta A^(-1), the other conditions are
 integer congruences: (phi(omega_i), omega_j) / 2 =
 d_j (Y adj A)_ji / delta, and Y = adj A X / delta is integral iff
 adj A X == 0 (mod delta).  So the valid parameters form a lattice, and
 enumerate_valid_twists walks its points in the box instead of testing
-every candidate.
-
-Validation reports every violated condition with a witnessing index pair
-instead of stopping at the first failure; parameter families are meant
-to be explored interactively.
+every candidate.  Validation reports every violated condition with a
+witnessing index pair, not just the first.
 """
 
 from __future__ import annotations

@@ -334,10 +334,12 @@ def former_sublattices(amb, ell: int, i: int, lower: list):
         for extra in itertools.product(*reps):
             coef = (d // a,) + extra  # of A_i, A_{i+1}, ..., A_{n-1}
             v = [sum(c * r[k] for c, r in zip(coef, amb[i:])) for k in range(n)]
-            row = _reduce(v, lower, i + 1)
+            row = v
+            _reduce(row, lower, i + 1)  # in place; it returns the quotients
             w = [ell // d * x for x in row]
             w[i] = 0  # (ell/d) row - ell e_i
-            if not any(_reduce(w, lower, i + 1)):
+            _reduce(w, lower, i + 1)
+            if not any(w):
                 yield from former_sublattices(amb, ell, i - 1, [tuple(row)] + lower)
 
 

@@ -4,7 +4,7 @@ import itertools
 import operator
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -12,6 +12,7 @@ from qsubgroups.cocycle import (
     Bidegree,
     TableCapExceeded,
     TorusPairElement,
+    _Axes,
     _evaluates,
     _h_axis_weights,
     check_level,
@@ -28,6 +29,7 @@ from qsubgroups.exact import (
     reduce_power_basis,
 )
 from qsubgroups.lie import Basis, CartanDatum, LatticeElement, cartan_matrix
+from qsubgroups.torus import TorusSubgroup
 from qsubgroups.twist import (
     c3_parameter_matrix,
     enumerate_valid_twists,
@@ -347,6 +349,16 @@ class TestGroupAlgebraTwist:
         assert ga.element.counit_is_one("left")
         assert ga.element.counit_is_one("right")
 
+    def test_inverse_and_counits_dense_c3_at_five(self):
+        # 625 entries over 25 of the 125 h-fibers, each with the same 25 g:
+        # both products multiply in plane coordinates on both axes
+        ga = twist_J_group_algebra(worked_twist(), 5, cap=5**6)
+        assert len(ga.element.vectors) == 625 and not ga.element.is_identity()
+        assert ga.element.convolve(ga.inverse).is_identity()
+        assert ga.inverse.convolve(ga.element).is_identity()
+        assert ga.element.counit_is_one("left")
+        assert ga.element.counit_is_one("right")
+
     @pytest.mark.parametrize("bad", [0.0, 0.5, True, False, Fraction(0), "0"])
     def test_coefficient_refuses_non_int_coordinates(self, bad):
         element = twist_J_group_algebra(b2_twist(), 3).element
@@ -620,23 +632,33 @@ class TestConvolutionAgainstPairwiseLoop:
             list(map(operator.add, inverse[k], inverse[k + ell])) for k in range(ell)]
 
     def test_path_rule(self, monkeypatch):
-        # evaluated when the fiber pairs outnumber the (2 ell - 1)^n points:
-        # the dense twist at ell = 5 (625 against 81) and at ell = 3 (81
-        # against 25); the C3 twist at ell = 3 (81 against 125) and the
-        # one-fiber zero twists keep the pairwise loop
-        assert _evaluates(25, 25, 5, 2) and _evaluates(9, 9, 3, 2)
-        assert not _evaluates(9, 9, 3, 3)
-        assert not any(_evaluates(1, 1, ell, n) for ell in (3, 5, 9, 15) for n in (1, 2, 3))
+        # evaluated when the fiber pairs outnumber the prod(2 d_i - 1)
+        # points of the h-axes, d_i their orders in the h-coordinates: the
+        # B2 twist fills the torus, so its axes are the torus's (625 pairs
+        # against 81 at ell = 5, 81 against 25 at 3); the C3 twist's fibers
+        # fill a plane, two axes of order ell (81 pairs against 25 points at
+        # 3, 625 against 81 at 5); the one-point zero twists stay pairwise
+        # on no axis at all
+        assert _evaluates(25, 25, [5, 5]) and _evaluates(9, 9, [3, 3])
+        assert not _evaluates(9, 9, [3, 3, 3])
+        assert not any(_evaluates(1, 1, dims) for dims in ([], [3], [9, 3], [15] * 3))
         from qsubgroups.cocycle import _evaluated_product as real
 
-        evaluated = []
+        decided, evaluated = [], []
+        monkeypatch.setattr("qsubgroups.cocycle._evaluates",
+                            lambda f1, f2, dims: decided.append((f1, f2, list(dims)))
+                            or _evaluates(f1, f2, dims))
         monkeypatch.setattr("qsubgroups.cocycle._evaluated_product",
-                            lambda *args: evaluated.append(args[2:]) or real(*args))
+                            lambda fibers, axes: evaluated.append(list(axes.dims))
+                            or real(fibers, axes))
         for tw, ell in ((b2_twist(), 5), (b2_twist(), 3), (worked_twist(), 3),
-                        (zero_twist(cartan_matrix("A", 2)), 9)):
-            ga = twist_J_group_algebra(tw, ell)
+                        (worked_twist(), 5), (zero_twist(cartan_matrix("A", 2)), 9),
+                        (zero_twist(cartan_matrix("A", 3)), 5)):
+            ga = twist_J_group_algebra(tw, ell, cap=5**6)
             assert ga.element.convolve(ga.inverse).is_identity()
-        assert evaluated == [(5, 2), (3, 2)]
+        assert evaluated == [[5, 5], [3, 3], [3, 3], [5, 5]]
+        assert decided == [(25, 25, [5, 5]), (9, 9, [3, 3]), (9, 9, [3, 3]),
+                           (25, 25, [5, 5]), (1, 1, []), (1, 1, [])]
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_negative_counts_are_refused(self, side):
@@ -646,6 +668,95 @@ class TestConvolutionAgainstPairwiseLoop:
         a, b = (bad, good) if side == "left" else (good, bad)
         with pytest.raises(ValueError, match="nonnegative"):
             a.convolve(b)
+
+
+def random_subgroup(rng, ell, n, rank, largest):
+    """The span of rank random vectors, each of order dividing some
+    divisor m <= largest of ell."""
+    divisors = [m for m in range(2, largest + 1) if ell % m == 0]
+    return TorusSubgroup.from_generators(ell, n, [
+        [ell // m * rng.randrange(ell) % ell for _ in range(n)]
+        for m in (rng.choice(divisors) for _ in range(rank))])
+
+
+def coset_element(rng, ell, n, g_sub, h_sub, count, top):
+    """A TorusPairElement on count random points of (g0 + g_sub) x
+    (h0 + h_sub), g0 and h0 random; a third of the vectors are all-zero."""
+    g0, h0 = ([rng.randrange(ell) for _ in range(n)] for _ in "gh")
+    gs, hs = g_sub.elements(), h_sub.elements()
+    points = {(tuple((a + b) % ell for a, b in zip(g0, rng.choice(gs))),
+               tuple((a + b) % ell for a, b in zip(h0, rng.choice(hs))))
+              for _ in range(count)}
+    return TorusPairElement(ell, n, Fraction(rng.randrange(1, 9), rng.randrange(1, 9)), {
+        key: tuple(rng.randrange(top) for _ in range(ell)) if rng.randrange(3) else (0,) * ell
+        for key in sorted(points)})
+
+
+# n <= 3, but not 45^3: rows that do not split fall back to the whole
+# torus, which pads every fiber to 89^3 g-slots there
+COSET_CASES = [(ell, n) for ell in (3, 5, 7, 9, 15, 45) for n in (1, 2, 3) if ell**n < 45**3]
+
+
+class TestSubgroupCoordinatesAgainstPairwiseLoop:
+    """convolve in the coordinates of the subgroups spanned by the
+    supports, against the frozen pairwise loop: elements on cosets of
+    random subgroups, both factor orders, the same vectors in the same
+    order (h ascending, then g) and the same scale."""
+
+    @staticmethod
+    def assert_both_orders(a, b):
+        for x, y in ((a, b), (b, a)):
+            TestConvolutionAgainstPairwiseLoop.assert_matches(x, y)
+
+    @pytest.mark.parametrize("ell, n", COSET_CASES)
+    def test_cosets_of_random_subgroups(self, ell, n):
+        rng = random.Random(100 * ell + n)
+        largest, top = (9, 1 << 8) if ell in (15, 45) else (ell, 1 << 40)
+        for _ in range(3):
+            g_sub, h_sub = (random_subgroup(rng, ell, n, rng.randrange(1, 3), largest)
+                            for _ in "gh")
+            count = min(12, g_sub.order * h_sub.order)
+            a, b = (coset_element(rng, ell, n, g_sub, h_sub, count, t) for t in (3, top))
+            self.assert_both_orders(a, b)
+            self.assert_both_orders(a, a)
+            axes = _Axes(ell, n, [{g for g, _ in x.vectors} for x in (a, b)])
+            points = axes.points()
+            assert len(points) == prod(axes.dims) == len(set(points))
+            if axes.bases is not None:  # the rows split: S lies in the span of g_sub
+                assert prod(axes.dims) <= g_sub.order
+
+    def test_rows_that_do_not_split(self):
+        # at ell = 9 the span of (3, 1) is cyclic of order 9, with the
+        # Hermite rows (3, 1) and (0, 3), both of order 3: 3 (3, 1) is not
+        # 0, so the coordinates fall back to the whole torus
+        rng = random.Random(9)
+        sub = TorusSubgroup.from_generators(9, 2, [(3, 1)])
+        assert sub.order == 9 and sub.lattice.data == ((3, 1), (0, 3))
+        for _ in range(3):
+            a, b = (coset_element(rng, 9, 2, sub, sub, 9, top) for top in (4, 1 << 20))
+            axes = _Axes(9, 2, [{g for g, _ in x.vectors} for x in (a, b)])
+            assert axes.bases is None and axes.dims == [9, 9]
+            self.assert_both_orders(a, b)
+        # at ell = 15 the span of (5, 0) and (0, 3) splits, d = (3, 5)
+        sub = TorusSubgroup.from_generators(15, 2, [(5, 0), (0, 3)])
+        a, b = (coset_element(rng, 15, 2, sub, sub, 15, top) for top in (4, 1 << 20))
+        axes = _Axes(15, 2, [sub.elements(), sub.elements()])
+        assert axes.dims == [3, 5] and sorted(axes.points()) == sub.elements()
+        self.assert_both_orders(a, b)
+
+    @pytest.mark.parametrize("ell, n", [(3, 2), (9, 1), (15, 2), (45, 1)])
+    def test_empty_and_one_point_factors(self, ell, n):
+        rng = random.Random(ell + n)
+        sub = random_subgroup(rng, ell, n, 2, 9)
+        many = coset_element(rng, ell, n, sub, sub, 12, 1 << 30)
+        empty = TorusPairElement(ell, n, Fraction(2, 3), {})
+        ones = [coset_element(rng, ell, n, sub, sub, 1, top) for top in (2, 1 << 30)]
+        zero = TorusPairElement(ell, n, Fraction(1), {((0,) * n, (0,) * n): (0,) * ell})
+        for one in ones + [zero]:
+            self.assert_both_orders(one, many)
+            self.assert_both_orders(one, one)
+            self.assert_both_orders(one, empty)
+        self.assert_both_orders(empty, many)
 
 
 def renamed(element, perm):
@@ -659,11 +770,12 @@ class TestRelabellingTheSimpleRoots:
     """Renaming the simple roots renames the torus coordinates, so the
     renamed twist's J and J^-1 and both products J * J^-1 and J^-1 * J
     hold the renamed count vectors, unreduced, at the same scale; on the
-    evaluated path (B2 at 3 and 5) and on the pairwise one (C3 at 3, the
-    one-fiber A2 zero twist at 9)."""
+    evaluated path over the whole torus (B2 at 3 and 5) and over a plane
+    (C3 at 3 and 5), and on the pairwise one (the one-fiber A2 zero twist
+    at 9)."""
 
     @pytest.mark.parametrize("twist, ell", [
-        ("b2", 3), ("b2", 5), ("worked", 3), ("a2-zero", 9)])
+        ("b2", 3), ("b2", 5), ("worked", 3), ("worked", 5), ("a2-zero", 9)])
     def test_products_are_renamed(self, twist, ell):
         tw = {"b2": b2_twist, "worked": worked_twist,
               "a2-zero": lambda: zero_twist(cartan_matrix("A", 2))}[twist]()
@@ -672,10 +784,10 @@ class TestRelabellingTheSimpleRoots:
             return [ga.element, ga.inverse, ga.element.convolve(ga.inverse),
                     ga.inverse.convolve(ga.element)]
 
-        original = elements(twist_J_group_algebra(tw, ell))
+        original = elements(twist_J_group_algebra(tw, ell, cap=5**6))
         assert original[2].is_identity() and original[3].is_identity()
         for perm, _ in relabellings(tw.rank):
-            got = elements(twist_J_group_algebra(relabelled_twist(tw, perm), ell))
+            got = elements(twist_J_group_algebra(relabelled_twist(tw, perm), ell, cap=5**6))
             assert [(x.scale, x.vectors) for x in got] == \
                 [(x.scale, renamed(x, perm)) for x in original], perm
 

@@ -283,6 +283,24 @@ class TestDimensions:
         with pytest.raises(ValueError):
             dim_H(tw, 11, {2}, (), n_from_gens(11, 3, [(1, 0, 0)]))
 
+    def test_kernel_check_is_in_the_public_dim_h(self):
+        # dim_H tests a caller's N against the required rows: a proper
+        # subgroup of the character kernel passes, and adding one vector
+        # outside it is refused; _dim_h, behind it, trusts its caller
+        import qsubgroups.datum as datum_module
+        from qsubgroups.torus import t_hat_I_complement
+
+        tw = worked_twist()
+        kernel = t_hat_I_complement(tw, 11, {2}, ())
+        proper = n_from_gens(11, 3, [(3, 1, 1)])
+        assert proper.is_subgroup_of(kernel) and proper.order < kernel.order
+        assert dim_H(tw, 11, {2}, (), proper) == datum_module._dim_h(
+            tw, 11, frozenset({2}), frozenset(), proper)
+        assert dim_H(tw, 11, [2], [], kernel).sigma_order == 11**3 // kernel.order
+        outside = proper.join(n_from_gens(11, 3, [(1, 0, 0)]))
+        with pytest.raises(ValueError, match="not inside the character kernel"):
+            dim_H(tw, 11, {2}, (), outside)
+
     def test_n_from_another_torus_rejected(self):
         # both would pass a row-by-row kernel test that ignores the shape:
         # the trivial subgroup has no generators, and (3, 1, 1, 0) truncated
@@ -641,12 +659,13 @@ class TestEnumerateTriples:
 
     def test_one_kernel_and_one_dim_h_per_pair(self, monkeypatch):
         """With every memo cleared, enumerate_triples reaches the character
-        kernel and dim H through t_hat_I_complement and dim_H, once per
-        (I+, I-) pair, as every other caller does."""
+        kernel through t_hat_I_complement and dim H through _dim_h, once
+        per (I+, I-) pair: the kernel lies in itself, so the public dim_H's
+        kernel check is not run."""
         import qsubgroups.datum as datum_module
 
         clear_library_memos()
-        calls = {"t_hat_I_complement": [], "dim_H": []}
+        calls = {"t_hat_I_complement": [], "_dim_h": [], "dim_H": []}
         for name, log in calls.items():
             def counting(tw, ell, iplus, iminus, *rest, original=getattr(datum_module, name),
                          log=log):
@@ -656,7 +675,8 @@ class TestEnumerateTriples:
         enumerate_triples(zero_twist(cartan_matrix("A", 2)), 3)
         subsets = [(), (1,), (2,), (1, 2)]
         pairs = [(p, m) for p in subsets for m in subsets]
-        assert calls == {"t_hat_I_complement": pairs, "dim_H": pairs}
+        assert calls == {"t_hat_I_complement": pairs, "dim_H": [],
+                         "_dim_h": [(frozenset(p), frozenset(m)) for p, m in pairs]}
 
     @pytest.mark.parametrize("shape", ["A2", "A3", "C3"])
     def test_counts_multiply_across_coprime_levels(self, shape):

@@ -286,6 +286,21 @@ def test_per_pair_path_builds_no_checked_matrix():
     assert not _checked_matrix_calls(funcs)
 
 
+def test_group_algebra_product_builds_no_checked_matrix():
+    """The factors of a group-algebra product were checked when they were
+    built, so TorusPairElement.convolve, its packing and unpacking, the
+    support coordinates of _Axes (whose span rows are wrapped unchecked)
+    and the evaluated product build no checked IntMatrix."""
+    wanted = {"TorusPairElement.convolve", "TorusPairElement._mass",
+              "TorusPairElement._packed_fibers", "TorusPairElement._unpacked",
+              "_Axes.__init__", "_Axes.offsets", "_Axes.steps", "_Axes.points", "_sweep",
+              "_evaluates", "_h_axis_weights", "_along_axes", "_evaluated_product"}
+    funcs = [func for name, func in _defs(_tree(SRC / "qsubgroups" / "cocycle.py"))
+             if name in wanted]
+    assert len(funcs) == len(wanted)
+    assert not _checked_matrix_calls(funcs)
+
+
 # Build, don't patch: a record is complete when its constructor returns,
 # and a recursive walk is a module-level function, which leaves no cycle
 # for the cyclic collector (a nested function that calls itself holds

@@ -208,6 +208,21 @@ def test_torus_pair_element(element, data):
         TorusPairElement(ell, n, scale, {**rest, (g, h): longer})
 
 
+def test_h_outside_the_torus_is_refused():
+    """h is checked like g: read mod ell, two keys could name one cell, and
+    the packed product, whose limbs assume distinct cells, overflowed: the
+    aliased element times {((0,), (0,)): (3, 0, 0)} came back as (2, 1, 0)
+    at (0, 0), where the frozen pairwise loop gives (18, 0, 0)."""
+    aliased = {((0,), (0,)): (3, 0, 0), ((0,), (3,)): (3, 0, 0)}
+    with pytest.raises(ValueError, match=r"need g in \(0\.\.2\)\^1, h too"):
+        TorusPairElement(3, 1, Fraction(1), aliased)
+    for h in ((-1,), (3,), (7,)):
+        with pytest.raises(ValueError, match="h too"):
+            TorusPairElement(3, 1, Fraction(1), {((0,), h): (1, 0, 0)})
+    one = TorusPairElement(3, 1, Fraction(1), {((0,), (0,)): (3, 0, 0)})
+    assert one.convolve(one).vectors == {((0,), (0,)): (9, 0, 0)}
+
+
 def test_elements_the_library_builds_pass_the_check():
     """convolve and twist_J_group_algebra skip the check (_built=True);
     what they build must pass it."""
