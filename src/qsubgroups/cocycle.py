@@ -207,6 +207,7 @@ class TorusPairElement:
         g, h = _int_tuple(g, "group elements"), _int_tuple(h, "group elements")
         if len(g) != self.n or len(h) != self.n:
             raise ValueError("vector length mismatch")
+        type(self)(self.ell, self.n, 1, {(g, h): (0,) * self.ell})  # refuses g, h off the torus
         vec = self.vectors.get((g, h))
         if vec is None:
             return CyclotomicNumber.zero(self.ell)

@@ -84,7 +84,7 @@ def _poly_divmod(num, den):
 
 def euler_phi(n: int) -> int:
     """Euler's totient."""
-    if n < 1:
+    if _int_tuple((n,), "totient argument")[0] < 1:
         raise ValueError("totient needs n >= 1")
     result, p = n, 2
     while p * p <= n:  # n keeps the prime factors not yet seen
@@ -96,14 +96,14 @@ def euler_phi(n: int) -> int:
     return result - result // n if n > 1 else result
 
 
-@functools.lru_cache(maxsize=FIELD_MEMO_SIZE)
+@functools.lru_cache(maxsize=FIELD_MEMO_SIZE, typed=True)
 def cyclotomic_polynomial(ell: int) -> tuple[int, ...]:
     """Coefficients (ascending) of the ell-th cyclotomic polynomial.
 
     Computed by dividing q^ell - 1 by the cyclotomic polynomials of the
     proper divisors of ell.  The result is monic of degree phi(ell).
     """
-    if ell < 1:
+    if _int_tuple((ell,), "cyclotomic level")[0] < 1:
         raise ValueError("cyclotomic level must be >= 1")
     num = (-1,) + (0,) * (ell - 1) + (1,)  # q^ell - 1
     den = (1,)
@@ -252,7 +252,7 @@ class CyclotomicNumber:
 def root_of_unity_power(ell: int, k: int) -> CyclotomicNumber:
     """eps^(k mod ell) as a canonical element of Q(eps)."""
     _validate_level(ell)
-    k = k % ell
+    k = _int_tuple((k,), "exponent")[0] % ell
     return CyclotomicNumber.from_polynomial(ell, [0] * k + [1])
 
 
@@ -331,10 +331,12 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
+        _int_tuple((n,), "matrix size")
         return cls._of(tuple((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "IntMatrix":
+        _int_tuple((nrows, ncols), "matrix shape")
         return cls._of(((0,) * ncols,) * nrows, ncols)
 
     def __getitem__(self, key):

@@ -155,7 +155,7 @@ def cartan_matrix(lie_type: str, n: int) -> CartanDatum:
     if lie_type not in _BUILTIN_RANK_RANGE:
         raise InvalidCartanMatrix(f"unknown type {lie_type!r}")
     lo, hi = _BUILTIN_RANK_RANGE[lie_type]
-    if n < lo or (hi is not None and n > hi):
+    if _int_tuple((n,), "rank")[0] < lo or (hi is not None and n > hi):
         raise InvalidCartanMatrix(f"invalid rank {n} for type {lie_type}")
 
     a = [[2 * int(i == j) for j in range(n)] for i in range(n)]
@@ -206,7 +206,7 @@ class LatticeElement:
 
     @classmethod
     def zero(cls, basis: Basis, rank: int) -> "LatticeElement":
-        return cls(basis, tuple(Fraction(0) for _ in range(rank)))
+        return cls(basis, (Fraction(0),) * _int_tuple((rank,), "rank")[0])
 
     @property
     def rank(self) -> int:

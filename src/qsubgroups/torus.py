@@ -57,7 +57,7 @@ from .exact import (
     root_of_unity_power,
 )
 from .lie import index_set
-from .twist import TwistMap, kbar_exponent, ktilde_exponent
+from .twist import TwistMap, _exponent_row
 
 __all__ = [
     "TorusSubgroup",
@@ -203,6 +203,10 @@ class Character:
     ell: int
     z: tuple[int, ...]
 
+    def __post_init__(self):
+        _validate_level(self.ell)  # value() needs an odd level >= 3
+        object.__setattr__(self, "z", _int_tuple(self.z, "character exponents"))
+
     def pairing(self, g) -> int:
         g = _int_tuple(g, "group elements")
         if len(g) != len(self.z):
@@ -231,16 +235,7 @@ class SigmaGenerator:
     vector: tuple[int, ...] | None = None
 
     def evaluate(self, tw: TwistMap, ell: int) -> tuple[int, ...]:
-        if self.kind == "kbar":
-            raw = kbar_exponent(tw, self.index)
-        elif self.kind == "ktilde":
-            raw = ktilde_exponent(tw, self.index)
-        elif self.kind == "tau":
-            raw = tw.tau_exponent(self.index)
-        elif self.kind == "vector":
-            raw = self.vector
-        else:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
+        raw = self.vector if self.kind == "vector" else _exponent_row(tw, self.kind, self.index)
         return tuple(x % ell for x in raw)
 
     @classmethod
@@ -328,8 +323,7 @@ def _required_memo(tw: TwistMap, ell: int, iplus: frozenset, iminus: frozenset):
     if bad:
         raise ValueError(f"simple indices out of range: {sorted(bad)}")
     labels = [("kbar", i) for i in sorted(iplus)] + [("ktilde", j) for j in sorted(iminus)]
-    rows = {"kbar": tw._exponents[1], "ktilde": tw._exponents[2]}
-    S = tuple(tuple(x % ell for x in rows[kind][i - 1]) for kind, i in labels)
+    S = tuple(tuple(x % ell for x in tw._exponents[kind][i - 1]) for kind, i in labels)
     return tuple(labels), IntMatrix._of(S, tw.rank)
 
 

@@ -19,7 +19,9 @@ d_j (Y adj A)_ji / delta, and Y = adj A X / delta is integral iff
 adj A X == 0 (mod delta).  So the valid parameters form a lattice, and
 enumerate_valid_twists walks its points in the box instead of testing
 every candidate.  Validation reports every violated condition with a
-witnessing index pair, not just the first.
+witnessing index pair, not just the first.  The exponents of tau_i and
+(1 -+ phi)(alpha_i) are one table per twist, which the exponent queries
+and the torus layer read by kind: "tau", "kbar", "ktilde".
 """
 
 from __future__ import annotations
@@ -84,19 +86,17 @@ class TwistMap:
 
     def tau_exponent(self, i: int) -> tuple[int, ...]:
         """ALPHA coordinates of tau_i = phi(alpha_i)/2 (column i of Y)."""
-        _index_check(self, i)
-        return self._exponents[0][i - 1]
+        return _exponent_row(self, "tau", i)
 
     @functools.cached_property
-    def _exponents(self):
-        """(columns of Y, e_i - 2 Y[:, i], e_i + 2 Y[:, i]) for i = 1..n,
-        computed once per twist and read by every exponent query."""
+    def _exponents(self) -> dict[str, tuple[tuple[int, ...], ...]]:
+        """The exponent rows by kind, row i - 1 for alpha_i: "tau" column i of
+        Y, "kbar" e_i - 2 Y[:, i], "ktilde" e_i + 2 Y[:, i]; built once."""
         cols = tuple(zip(*self.Y.data))
-        kbar = tuple(tuple(int(r == i) - 2 * c for r, c in enumerate(col))
-                     for i, col in enumerate(cols))
-        ktilde = tuple(tuple(int(r == i) + 2 * c for r, c in enumerate(col))
-                       for i, col in enumerate(cols))
-        return cols, kbar, ktilde
+        signed = {kind: tuple(tuple(int(r == i) + s * c for r, c in enumerate(col))
+                              for i, col in enumerate(cols))
+                  for kind, s in (("kbar", -2), ("ktilde", 2))}
+        return {"tau": cols, **signed}
 
     @functools.cached_property
     def _pairing(self) -> tuple[tuple[int, ...], ...]:
@@ -237,7 +237,7 @@ class RationalOperator:
 
 def r_operator(tw: TwistMap, sign: int = 1, inverse: bool = False) -> RationalOperator:
     """(1 + sign * phi)^(+/-1) as an exact matrix in the ALPHA basis."""
-    if sign not in (1, -1):
+    if _int_tuple((sign,), "sign")[0] not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     n = tw.rank
     rows = [
@@ -250,23 +250,26 @@ def r_operator(tw: TwistMap, sign: int = 1, inverse: bool = False) -> RationalOp
     return RationalOperator(tuple(tuple(r) for r in rows))
 
 
-def _index_check(tw: TwistMap, i: int) -> None:
+def _exponent_row(tw: TwistMap, kind: str, i: int) -> tuple[int, ...]:
+    """Row i of the twist's exponent rows of one kind: "tau", "kbar" or "ktilde"."""
+    rows = tw._exponents.get(kind)
+    if rows is None:
+        raise ValueError(f"unknown generator kind {kind!r}")
     if type(i) is not int:  # one C-level test per query; _int_tuple words the refusal
         _int_tuple((i,), "simple indices")
     if not 1 <= i <= tw.rank:
         raise IndexError(f"simple index {i} out of range 1..{tw.rank}")
+    return rows[i - 1]
 
 
 def kbar_exponent(tw: TwistMap, i: int) -> tuple[int, ...]:
     """Integer ALPHA exponents of (1 - phi)(alpha_i): e_i - 2 Y[:, i]."""
-    _index_check(tw, i)
-    return tw._exponents[1][i - 1]
+    return _exponent_row(tw, "kbar", i)
 
 
 def ktilde_exponent(tw: TwistMap, j: int) -> tuple[int, ...]:
     """Integer ALPHA exponents of (1 + phi)(alpha_j): e_j + 2 Y[:, j]."""
-    _index_check(tw, j)
-    return tw._exponents[2][j - 1]
+    return _exponent_row(tw, "ktilde", j)
 
 
 def c3_parameter_matrix(a, b, c):

@@ -301,6 +301,33 @@ def test_group_algebra_product_builds_no_checked_matrix():
     assert not _checked_matrix_calls(funcs)
 
 
+def _positional_exponent_reads(tree):
+    """Line numbers of the subscripts of an attribute named _exponents by
+    an int constant, such as tw._exponents[1] or tw._exponents[-1]."""
+    def int_constant(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "_exponents" and int_constant(node.slice)]
+
+
+def test_exponent_rule_is_not_vacuous():
+    tree = ast.parse("tw._exponents[1]\ntw._exponents['kbar'][0]\nrows[1]\n"
+                     "self._exponents[-1][i - 1]\n")
+    assert _positional_exponent_reads(tree) == [1, 4]
+
+
+def test_exponent_rows_are_read_by_kind():
+    """A twist's exponent rows are one table keyed by kind ("tau", "kbar",
+    "ktilde"), so no module reads a row by a position that another module
+    would have to agree on."""
+    assert not [f"{path.name}:{line}" for path in SOURCES
+                for line in _positional_exponent_reads(_tree(path))]
+
+
 # Build, don't patch: a record is complete when its constructor returns,
 # and a recursive walk is a module-level function, which leaves no cycle
 # for the cyclic collector (a nested function that calls itself holds

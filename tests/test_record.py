@@ -38,6 +38,7 @@ VALID = {
                  LatticeElement.make(Basis.OMEGA, (0, -2))),
     "FiniteAbelianGroup": ([3, 9],),
     "CyclotomicNumber": (5, (1, 0, -2, 3)),
+    "Character": (5, (1, 2)),
     "TorusSubgroup": (3, 2, IntMatrix([[1, 2], [0, 3]])),
     "Triple": (frozenset({1}), frozenset({1, 2}), TorusSubgroup.full(3, 2), None),
     "TwistedSubgroupDatum": (frozenset({2}), frozenset(), TorusSubgroup.trivial(3, 2),

@@ -17,7 +17,11 @@ a directly built Triple or TwistedSubgroupDatum, dim_H), the matrix and
 rank of a directly built TorusEmbedding, the images of a DualHom and the
 guard arguments max_results, cap, bound and limit take only an int as
 well, as do the modulus of point_exponents and the level and rank of a
-directly built TorusSubgroup; a guard may still be None.
+directly built TorusSubgroup; a guard may still be None.  So do, over
+NON_INTS, euler_phi, cyclotomic_polynomial (also while its memo holds
+the entry on 1), root_of_unity_power's exponent, IntMatrix.identity
+and zeros, cartan_matrix's rank, LatticeElement.zero's rank, r_operator's
+sign and a Character's level and exponents, which it checks when built.
 derandomize=True and a fixed max_examples keep the test deterministic.
 """
 
@@ -38,7 +42,14 @@ from qsubgroups.datum import (
     enumerate_triples,
     validate_datum,
 )
-from qsubgroups.exact import CyclotomicNumber, IntMatrix, euler_phi, solve_linear_mod
+from qsubgroups.exact import (
+    CyclotomicNumber,
+    IntMatrix,
+    cyclotomic_polynomial,
+    euler_phi,
+    root_of_unity_power,
+    solve_linear_mod,
+)
 from qsubgroups.lie import Basis, LatticeElement, Root, cartan_matrix, roots_supported
 from qsubgroups.torus import (
     Character,
@@ -57,9 +68,11 @@ from qsubgroups.twist import (
     enumerate_valid_twists,
     kbar_exponent,
     ktilde_exponent,
+    r_operator,
     require_twist,
 )
 
+NON_INTS = [True, 0.5, 2.0, Fraction(1, 2), Fraction(2), "1"]
 FUZZ = settings(derandomize=True, max_examples=200, deadline=None)
 
 BAD = st.one_of(
@@ -297,6 +310,59 @@ def test_probes():
     refused(lambda: list(enumerate_valid_twists(CARTAN[0], True)))  # walked bound 1
     refused(lambda: list(twist_J(a2, 3).table_lines(cap=81.0)))  # ran
     refused(lambda: TorusSubgroup.full(3, 2).elements(cap=9.5))  # ran
+
+
+# each answered for the coerced value: euler_phi(True) gave True,
+# cyclotomic_polynomial(True) (-1, 1), identity(True) [[1]], r_operator's
+# sign True the +1 operator, Character(5, (1, 0.5)) paired (1, 1) to 1.5
+ONE_INT_CALLS = {
+    "euler_phi": euler_phi,
+    "cyclotomic_polynomial": cyclotomic_polynomial,
+    "root_of_unity_power": lambda k: root_of_unity_power(5, k),
+    "IntMatrix.identity": IntMatrix.identity,
+    "IntMatrix.zeros rows": lambda m: IntMatrix.zeros(m, 2),
+    "IntMatrix.zeros cols": lambda m: IntMatrix.zeros(2, m),
+    "cartan_matrix": lambda n: cartan_matrix("A", n),
+    "LatticeElement.zero": lambda n: LatticeElement.zero(Basis.ALPHA, n),
+    "r_operator": lambda sign: r_operator(TWISTS[2], sign=sign),
+    "Character level": lambda ell: Character(ell, (1, 1)).pairing((1, 1)),
+    "Character exponents": lambda z: Character(5, (1, z)).pairing((1, 1)),
+}
+
+
+@pytest.mark.parametrize("bad", NON_INTS, ids=repr)
+@pytest.mark.parametrize("call", ONE_INT_CALLS.values(), ids=ONE_INT_CALLS.keys())
+def test_one_int_arguments(call, bad):
+    refused(lambda: call(bad))
+
+
+def test_one_int_arguments_still_answer():
+    assert euler_phi(1) == 1
+    assert cyclotomic_polynomial(1) == (-1, 1)  # the memo now holds 1's entry
+    with pytest.raises(TypeError, match="got bool True"):  # not read from 1's entry
+        cyclotomic_polynomial(True)
+    assert root_of_unity_power(5, 1) == CyclotomicNumber(5, (0, 1, 0, 0))
+    assert IntMatrix.identity(1) == IntMatrix([[1]])
+    assert IntMatrix.zeros(1, 2) == IntMatrix([[0, 0]])
+    assert cartan_matrix("A", 1).rank == LatticeElement.zero(Basis.ALPHA, 1).rank == 1
+    assert r_operator(TWISTS[2], sign=-1).matrix[0][0] == 3  # 1 - 2 y_11
+    assert Character(5, (1, 2)).pairing((1, 1)) == 3
+    listed = Character(5, [1, 2])  # its exponents are kept as a tuple, so it hashes
+    assert listed == Character(5, (1, 2)) and hash(listed) == hash(Character(5, (1, 2)))
+
+
+def test_coefficient_outside_the_torus_is_refused():
+    """coefficient refuses a g or h outside 0..ell-1 as construction does:
+    on the B2 criterion-7 J at ell = 3, (0, 0), (0, 0) holds 1/9, and
+    (3, 0), (0, 0) and (0, 0), (-3, 0), which name that cell too, used to
+    answer 0."""
+    J = twist_J_group_algebra(TWISTS[2], 3).element
+    assert J.coefficient((0, 0), (0, 0)) == CyclotomicNumber(3, (Fraction(1, 9), 0))
+    for g, h in (((3, 0), (0, 0)), ((0, 0), (-3, 0)), ((0, 0), (0, 7))):
+        with pytest.raises(ValueError, match=r"need g in \(0\.\.2\)\^2, h too"):
+            J.coefficient(g, h)
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        J.coefficient((0,), (0, 0))
 
 
 @FUZZ

@@ -301,6 +301,23 @@ class TestSPhiMatrix:
                 assert (S.nrows, S.ncols) == (len(want), n)
                 assert all(type(x) is int for row in S.data for x in row)
 
+    @pytest.mark.parametrize("ell", [3, 5, 9, 15])
+    def test_tau_rows_match_the_columns_of_y(self, ell):
+        """A tau generator, read from the twist's exponent rows by kind,
+        is column i of Y mod ell, recomputed here from Y's lists."""
+        for tw in self.twists_with_negative_entries():
+            y = tw.Y.to_lists()
+            for i in range(1, tw.rank + 1):
+                want = tuple(row[i - 1] % ell for row in y)
+                assert SigmaGenerator.tau(i).evaluate(tw, ell) == want, (tw.Y, i)
+
+    def test_unknown_kind_is_refused(self):
+        tw = worked_twist()
+        with pytest.raises(ValueError, match="unknown generator kind 'bogus'"):
+            SigmaGenerator("bogus", 1).evaluate(tw, 5)
+        with pytest.raises(ValueError, match="unknown generator kind 'bogus'"):
+            SigmaGenerator("bogus", True).evaluate(tw, 5)  # the kind is read first
+
 
 class TestKernelAndAnnihilator:
     def test_worked_kernels(self):
@@ -677,6 +694,16 @@ class TestCharacter:
             chi = Character(11, z)
             assert chi.pairing((2, 3, 2)) == 0
             assert chi.pairing((5, 8, 10)) == 0
+
+    @pytest.mark.parametrize("ell", [0, -3, 1, 4])
+    def test_level_is_checked_when_built(self, ell):
+        """The level of value() is checked when a character is built:
+        Character(0, (1,)) used to fail its pairing with ZeroDivisionError,
+        and Character(-3, (1, 2)) paired mod -3."""
+        from qsubgroups.torus import Character
+
+        with pytest.raises(ValueError, match="cyclotomic level must be odd and >= 3"):
+            Character(ell, (1, 2))
 
 
 class TestGuards:
