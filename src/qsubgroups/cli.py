@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from ._record import record
@@ -59,7 +60,7 @@ from .torus import (
     t_hat_I_complement,
     validate_triple,
 )
-from .twist import apply_phi, build_twist, c3_parameter_matrix
+from .twist import TwistMap, apply_phi, build_twist, c3_parameter_matrix
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -74,6 +75,19 @@ class ParseFailure(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ParseFailure(message)
+
+    def _get_formatter(self):
+        # shutil.get_terminal_size's columns: argparse imports shutil (zlib, bz2, lzma) for them
+        try:
+            columns = int(os.environ.get("COLUMNS", ""))
+        except ValueError:
+            columns = 0
+        if columns <= 0:
+            try:
+                columns = os.get_terminal_size(sys.__stdout__.fileno()).columns or 80
+            except (AttributeError, ValueError, OSError):  # no terminal
+                columns = 80
+        return self.formatter_class(prog=self.prog, width=columns - 2)
 
 
 def _emit(record: dict) -> None:
@@ -209,6 +223,9 @@ def _load_spec(args) -> ProblemSpec:
     if cartan_rows is not None:
         cd = _parsed("bad Cartan matrix: ",
                      lambda: CartanDatum.from_matrix(IntMatrix(cartan_rows)))
+        if pick("rank") is not None and (rank := read("rank")) != cd.rank:
+            raise ParseFailure(f"--rank {rank} disagrees with the "
+                               f"{cd.rank}x{cd.rank} --cartan matrix")
     else:
         if pick("type") is None or pick("rank") is None:
             raise ParseFailure("need --type and --rank (or an explicit Cartan matrix)")
@@ -234,9 +251,8 @@ def _load_spec(args) -> ProblemSpec:
         if len(set(ids)) < len(ids):
             raise ParseFailure(f"{flag} repeats a simple index: {ids}")
     sigma = _strict_object("sigma", doc.get("sigma"))
-    raw_gens = _strict_rows("sigma generators", sigma.get("generators", []))
-    raw_gens += [_parse_int_list(g) for g in (getattr(args, "sigma_gen", None) or [])]
-    sigma_gens = [tuple(g) for g in raw_gens]
+    sigma_gens = _strict_rows("sigma generators", sigma.get("generators", []))
+    sigma_gens += [_parse_int_list(g) for g in (getattr(args, "sigma_gen", None) or [])]
     sigma_symbols: list[SigmaGenerator] = []
     raw_syms = sigma.get("symbols", [])
     if not isinstance(raw_syms, list):
@@ -274,7 +290,7 @@ def _load_spec(args) -> ProblemSpec:
     }
     # echoed in the same shape a spec file uses, so reports re-parse
     sigma_echo = {
-        "generators": [list(g) for g in sigma_gens],
+        "generators": sigma_gens,
         "symbols": [[s.kind, s.index if s.index is not None else list(s.vector)]
                     for s in sigma_symbols],
     }
@@ -286,7 +302,7 @@ def _load_spec(args) -> ProblemSpec:
         Y=ymat,
         iplus=tuple(iplus),
         iminus=tuple(iminus),
-        sigma_gens=tuple(sigma_gens),
+        sigma_gens=tuple(map(tuple, sigma_gens)),
         sigma_symbols=tuple(sigma_symbols),
         datum=doc.get("datum"),
         inputs=inputs,
@@ -312,12 +328,14 @@ def _phi_record(spec: ProblemSpec, result) -> dict:
     }
 
 
-def _require_twist(spec: ProblemSpec):
+def _load_twist(args) -> tuple[ProblemSpec, TwistMap]:
+    """The problem and its twist; an invalid twist prints its report and exits 1."""
+    spec = _load_spec(args)
     result = build_twist(spec.cd, spec.Y)
     if result.twist is None:
         _emit(_phi_record(spec, result))
         raise SystemExit(EXIT_INVALID)
-    return result.twist
+    return spec, result.twist
 
 
 def _build_triple(tw, spec: ProblemSpec) -> Triple:
@@ -344,8 +362,7 @@ def cmd_validate_phi(args) -> int:
 
 
 def cmd_kernel(args) -> int:
-    spec = _load_spec(args)
-    tw = _require_twist(spec)
+    spec, tw = _load_twist(args)
     s = s_phi_matrix(tw, spec.ell, spec.iplus, spec.iminus)
     kernel = t_hat_I_complement(tw, spec.ell, spec.iplus, spec.iminus)
     triple = _build_triple(tw, spec) if spec.sigma_gens or spec.sigma_symbols else None
@@ -436,8 +453,7 @@ def _parse_datum(tw, spec: ProblemSpec) -> TwistedSubgroupDatum:
 
 
 def cmd_datum(args) -> int:
-    spec = _load_spec(args)
-    tw = _require_twist(spec)
+    spec, tw = _load_twist(args)
     d = _parse_datum(tw, spec)
     report = validate_datum(tw, spec.ell, d)
     record = {
@@ -488,8 +504,7 @@ def cmd_datum(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.max_results is not None and args.max_results < 0:
         raise ParseFailure(f"--max-results must be >= 0, got {args.max_results}")
-    spec = _load_spec(args)
-    tw = _require_twist(spec)
+    spec, tw = _load_twist(args)
     fixed = (spec.iplus, spec.iminus) if spec.iplus or spec.iminus else None
     try:
         records = enumerate_triples(
@@ -517,8 +532,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_twist_table(args) -> int:
-    spec = _load_spec(args)
-    tw = _require_twist(spec)
+    spec, tw = _load_twist(args)
     cocycle = twist_J(tw, spec.ell)
     try:
         lines = list(cocycle.table_lines(cap=args.cap))
@@ -638,21 +652,18 @@ def _paper_fixtures(a: int, b: int, c: int, ell: int):
 
 
 def cmd_paper_examples(args) -> int:
-    ell = args.ell if args.ell is not None else 11
-    family = (
-        _parse_int_list(args.family_c3) if args.family_c3 is not None else [1, 2, 0]
-    )
+    family = _parse_int_list(args.family_c3)
     if len(family) != 3:
         raise ParseFailure("--family-c3 needs exactly a,b,c")
-    if ell != 11:
+    if args.ell != 11:
         _emit(
             {
                 "command": "paper-examples",
-                "error": f"fixtures are pinned to level 11, got {ell}",
+                "error": f"fixtures are pinned to level 11, got {args.ell}",
             }
         )
         return EXIT_GUARD
-    checks = _paper_fixtures(*family, ell)
+    checks = _paper_fixtures(*family, args.ell)
     for name, expected, actual, ok in checks:
         _emit(
             {
@@ -683,18 +694,10 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
         # argparse already reads --rank and --ell as int
         p.add_argument(*flags, dest=key, type=int if reader is _strict_int else None,
                        help=text)
-    p.add_argument(
-        "--sigma-gen",
-        action="append",
-        dest="sigma_gen",
-        help="a Sigma generator as comma-separated exponents (repeatable)",
-    )
-    p.add_argument(
-        "--sigma-sym",
-        action="append",
-        dest="sigma_sym",
-        help="a symbolic Sigma generator kind:index, kind in kbar/ktilde/tau",
-    )
+    for flag, text in (
+            ("--sigma-gen", "a Sigma generator as comma-separated exponents (repeatable)"),
+            ("--sigma-sym", "a symbolic Sigma generator kind:index, kind in kbar/ktilde/tau")):
+        p.add_argument(flag, action="append", help=text)
 
 
 _PROBLEM_COMMANDS = (
@@ -723,8 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("paper-examples", help="run the golden fixtures")
-    p.add_argument("--ell", type=int, default=None)
-    p.add_argument("--family-c3", dest="family_c3", default=None)
+    p.add_argument("--ell", type=int, default=11)
+    p.add_argument("--family-c3", default="1,2,0")
     p.set_defaults(func=cmd_paper_examples)
 
     return parser
@@ -742,8 +745,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"guard: {exc}\n")
         return EXIT_GUARD
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_PARSE
+        return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     except (ValueError, InvalidCartanMatrix) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID

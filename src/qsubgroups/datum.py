@@ -478,13 +478,10 @@ def datum_leq(
     if tau is None:
         return LeqResult("false", ("no tau with gamma . tau = gamma'",))
     # delta' on N must be the pullback of delta along tau
-    gamma_group = d.embedding.group
-    gamma_p_group = dp.embedding.group
     for g in d.N.generators:
         lhs = dp.delta.evaluate(dp.N, g)
-        rhs = _pullback_character(
-            d.delta.evaluate(d.N, g), gamma_group, tau, gamma_p_group
-        )
+        rhs = _pullback_character(d.delta.evaluate(d.N, g), d.embedding.group, tau,
+                                  dp.embedding.group)
         if lhs != rhs:
             reasons.append(
                 f"delta mismatch on generator {g}: {lhs} != {rhs}"

@@ -1,13 +1,19 @@
 """Tests for the command-line front end: reports, determinism, exit codes."""
 
+import argparse
+import hashlib
 import json
 from pathlib import Path
+
+import pytest
 
 from qsubgroups.cli import (
     EXIT_GUARD,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_PARSE,
+    _Parser,
+    build_parser,
     main,
 )
 
@@ -604,6 +610,21 @@ class TestHardening:
                 f"parse error: --{key} must be an integer, got {value!r}\n"
             )
 
+    def test_rank_must_match_explicit_cartan(self, capsys, tmp_path):
+        """A rank that disagrees with an explicit Cartan matrix is a parse
+        failure naming both sizes, inline and in a spec file; a matching
+        rank reads as if it were absent."""
+        a2 = ["validate-phi", "--ell", "5", "--cartan", "[[2,-1],[-1,2]]"]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"rank": 3, "ell": 5, "cartan": [[2, -1], [-1, 2]]}))
+        for argv in ([*a2, "--rank", "3"], ["validate-phi", "--spec", str(path)]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (EXIT_PARSE, ""), argv
+            assert captured.err == \
+                "parse error: --rank 3 disagrees with the 2x2 --cartan matrix\n"
+        assert run_cli(capsys, *a2, "--rank", "2") == run_cli(capsys, *a2)
+
     def test_sigma_symbol_index_out_of_range(self, capsys):
         """kbar:9 at rank 2 is a one-line parse error, not an IndexError."""
         for sym in ("kbar:9", "ktilde:0", "tau:3"):
@@ -670,3 +691,50 @@ class TestHardening:
                 f"parse error: bad parameter matrix: matrix entries must be int, "
                 f"got {shown}\n"
             )
+
+
+def _all_parsers():
+    """The top parser and each subcommand's, in registration order."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [parser, *sub.choices.values()]
+
+
+# sha256 prefixes of format_help() for the top parser, validate-phi, kernel,
+# datum, enumerate, twist-table and paper-examples, as argparse formats them
+# through shutil at a fixed COLUMNS (80 is also what a pipe gets)
+HELP_DIGESTS = {
+    "50": ["a5c835f8df2d6453", "fa99f077fd4e51b9", "f61d6a576b7b4d9b", "4342f649b48229aa",
+           "1cbdfc50692fb087", "e5282ae8888f97f2", "48135fcd52125606"],
+    "80": ["a4566cfd81712be2", "bb84268c987e5d0e", "0daee12e6fe11a78", "9f320d49d9393b65",
+           "f471e653a5bae66f", "b3ea98da423ee150", "396878267f8dab14"],
+    "200": ["bcb82b4919b18c84", "f42f137d4a6a2ba7", "886c3bf9da78cc76", "54c2d54dc60bbeb5",
+            "f6306b576478804a", "aa966bf9eed04926", "396878267f8dab14"],
+}
+
+
+class TestHelpWidth:
+    """The parser takes its help width by shutil.get_terminal_size's rule
+    without importing shutil; the help it prints does not change."""
+
+    @pytest.mark.parametrize("columns", [None, "50", "200", "abc", "0"])
+    def test_width_and_help_match_argparse(self, monkeypatch, columns):
+        import shutil
+
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        parsers = _all_parsers()
+        width = shutil.get_terminal_size().columns - 2
+        assert [p._get_formatter()._width for p in parsers] == [width] * len(parsers)
+        ours = [p.format_help() for p in parsers]
+        monkeypatch.delattr(_Parser, "_get_formatter")  # argparse's own, through shutil
+        assert [p.format_help() for p in parsers] == ours
+
+    @pytest.mark.parametrize("columns", sorted(HELP_DIGESTS))
+    def test_help_text_is_pinned(self, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        digests = [hashlib.sha256(p.format_help().encode()).hexdigest()[:16]
+                   for p in _all_parsers()]
+        assert digests == HELP_DIGESTS[columns]

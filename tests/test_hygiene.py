@@ -78,6 +78,24 @@ def test_cli_import_loads_no_introspection_modules():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["kernel", "--help"],
+    ["kernel", "--type", "A", "--rank", "2", "--ell", "x"],
+    ["validate-phi", "--type", "A", "--rank", "2", "--ell", "5"],
+], ids=["help", "subcommand-help", "parse-failure", "validate-phi"])
+def test_cli_child_loads_no_archive_modules(argv):
+    """argparse reads the help width through shutil, which imports zlib,
+    bz2 and lzma; the CLI's parser reads it from os, so a CLI child, with
+    or without --help and whether or not its arguments parse, loads none."""
+    code = ("import sys; from qsubgroups.cli import main; main(sys.argv[1:]); "
+            "print(sorted(set(sys.modules) & {'shutil', 'zlib', 'bz2', 'lzma'}))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
 def _int_constants(tree):
     """Module-level NAME = <int literal> assignments."""
     out = {}
