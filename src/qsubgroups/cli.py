@@ -223,9 +223,13 @@ def _load_spec(args) -> ProblemSpec:
     if cartan_rows is not None:
         cd = _parsed("bad Cartan matrix: ",
                      lambda: CartanDatum.from_matrix(IntMatrix(cartan_rows)))
-        if pick("rank") is not None and (rank := read("rank")) != cd.rank:
-            raise ParseFailure(f"--rank {rank} disagrees with the "
-                               f"{cd.rank}x{cd.rank} --cartan matrix")
+        matrix = f"the {cd.rank}x{cd.rank} --cartan matrix"
+        if (rank := read("rank", cd.rank)) != cd.rank:
+            raise ParseFailure(f"--rank {rank} disagrees with {matrix}")
+        lie_type = read("type", "X")  # X, the label from_matrix gives, fits any matrix
+        why = f"--type {lie_type} disagrees with {matrix}"
+        if lie_type != "X" and _parsed(why + ": ", cartan_matrix, lie_type, cd.rank).A != cd.A:
+            raise ParseFailure(why)
     else:
         if pick("type") is None or pick("rank") is None:
             raise ParseFailure("need --type and --rank (or an explicit Cartan matrix)")

@@ -544,7 +544,7 @@ def enumerate_triples(
     else:
         subsets = [tuple(i + 1 for i in range(n) if mask >> i & 1)
                    for mask in range(1 << n)]
-        pairs = [(p, m) for p in subsets for m in subsets]
+        pairs = itertools.product(subsets, repeat=2)  # lazy: 4^n pairs
     results, full = [], ell**n
     for iplus, iminus in pairs:
         if max_results is not None and len(results) >= max_results:

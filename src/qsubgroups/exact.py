@@ -415,17 +415,6 @@ class IntMatrix:
 # ---------------------------------------------------------------------------
 # the Hermite normal form mod ell
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b == g == gcd(a, b), for a, b >= 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
-
-
 def _reduce(v: list, rows, first: int) -> list:
     """Reduces v in place against Hermite rows with pivots in columns first,
     first + 1, ..., each entry at a pivot into [0, pivot); returns the quotients."""
@@ -444,45 +433,54 @@ def hermite_normal_form(M: IntMatrix, ell: int) -> IntMatrix:
     The unique basis of that full-rank lattice that is upper triangular
     with positive pivots, each dividing ell, and every entry above a pivot
     reduced into [0, pivot).  Computed with every entry reduced mod ell
-    (Domich, Kannan & Trotter 1987): column j starts from the implicit row
-    ell e_j, and each row with a nonzero entry there takes one unimodular
-    extended-gcd step against the pivot row, which leaves the gcd g in the
-    pivot and a partner row cleared in column j.  The partner stays for
-    the later columns: when g properly divides ell it carries (ell / g)
-    times the row, which keeps composite ell exact.  A row whose entry
-    the pivot already divides is cleared by subtracting a multiple of the
-    pivot row, which leaves the pivot row as it is.
+    (Domich, Kannan & Trotter 1987): column j starts from the implicit
+    pivot row ell e_j, stored as zero, and each row whose entry b there the
+    pivot a does not divide takes one unimodular extended-gcd step against
+    it, which leaves g = gcd(a, b) in the pivot and a partner row cleared
+    in column j; the Bezout coefficient t of b is an inverse mod a / g.
+    The first step meets ell e_j, so it is scalar: the pivot becomes t row
+    and the partner (ell / g) row, which is zero when g = 1 and otherwise
+    keeps composite ell exact.  A row whose entry a divides loses a
+    multiple of the pivot row.  Both rows are zero left of column j, so
+    only columns j onward change.  Back-reduction skips the rows that
+    stayed ell e_k, which change only entry k: each other row is taken
+    mod ell once instead.
     """
     _int_tuple((ell,), "modulus")
     if ell < 1:
         raise ValueError("modulus must be >= 1")
     n = M.ncols
-    rows = [[x % ell for x in row] for row in M.data]
+    rows = [row for r in M.data if any(row := [x % ell for x in r])]
     basis = []
     for j in range(n):
-        a = ell  # the pivot; the pivot row stores it reduced mod ell
-        pivot = [0] * n
-        rest = []
+        a, pivot, rest = ell, [0] * n, []  # a is the pivot, stored in the row mod ell
         for row in rows:
-            b = row[j]
-            if b % a:  # [[s, t], [b/g, -a/g]] has determinant -1 and clears row[j]
-                g, s, t = _xgcd(a, b)
-                u, v = b // g, a // g
-                pivot, row = (
-                    [(s * x + t * y) % ell for x, y in zip(pivot, row)],
-                    [(u * x - v * y) % ell for x, y in zip(pivot, row)],
-                )
+            if (b := row[j]) and b % a:  # [[s, t], [b/g, -a/g]], s a + t b = g, has det -1
+                g = gcd(a, b)
+                t, v = pow(b // g, -1, a // g), a // g
+                if a == ell:  # the pivot row is ell e_j, stored as zero
+                    pivot = row if t == 1 else [t * y % ell for y in row]
+                    row = [v * y % ell for y in row] if g > 1 else ()  # zero when g = 1
+                else:
+                    s, u = (g - t * b) // a, b // g
+                    p, r = pivot[j:], row[j:]
+                    pivot[j:] = [(s * x + t * y) % ell for x, y in zip(p, r)]
+                    row[j:] = [(u * x - v * y) % ell for x, y in zip(p, r)]
                 a = g
             elif b:  # a divides b: row - (b/a) pivot clears row[j]
                 q = b // a
-                row = [(y - q * x) % ell for x, y in zip(pivot, row)]
-            if any(row):
+                row[j:] = [(y - q * x) % ell for x, y in zip(pivot[j:], row[j:])]
+            if not b or any(row):  # a row with a zero entry passes on as it is
                 rest.append(row)
         pivot[j] = a
         basis.append(pivot)
         rows = rest
-    for i in range(n - 2, -1, -1):
-        _reduce(basis[i], basis[i + 1:], i + 1)
+    live = [(k, row) for k, row in enumerate(basis) if row[k] != ell]
+    for i, (_, v) in enumerate(live):  # its entries off the ell e_k columns end in [0, ell)
+        for k, row in live[i + 1:]:
+            if q := v[k] // row[k]:
+                v[k:] = [x - q * y for x, y in zip(v[k:], row[k:])]
+        v[:] = [x % ell for x in v]
     return IntMatrix._of(tuple(map(tuple, basis)), n)
 
 

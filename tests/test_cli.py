@@ -625,6 +625,30 @@ class TestHardening:
                 "parse error: --rank 3 disagrees with the 2x2 --cartan matrix\n"
         assert run_cli(capsys, *a2, "--rank", "2") == run_cli(capsys, *a2)
 
+    def test_type_must_match_explicit_cartan(self, capsys, tmp_path):
+        """A type whose Cartan matrix is not the explicit one is a one-line
+        parse failure, inline and in a spec file, whether the type is
+        unknown, has no matrix of that size, or has another matrix; X and
+        the matching type read as if the type were absent."""
+        a2 = ["validate-phi", "--ell", "5", "--cartan", "[[2,-1],[-1,2]]"]
+        path = tmp_path / "spec.json"
+        expected = {
+            "Q": "--type Q disagrees with the 2x2 --cartan matrix: unknown type 'Q'",
+            "E": "--type E disagrees with the 2x2 --cartan matrix: "
+                 "invalid rank 2 for type E",
+            "C": "--type C disagrees with the 2x2 --cartan matrix",
+        }
+        for lie_type, message in expected.items():
+            path.write_text(json.dumps({"type": lie_type, "ell": 5,
+                                        "cartan": [[2, -1], [-1, 2]]}))
+            for argv in ([*a2, "--type", lie_type], ["validate-phi", "--spec", str(path)]):
+                code = main(argv)
+                captured = capsys.readouterr()
+                assert (code, captured.out) == (EXIT_PARSE, ""), argv
+                assert captured.err == f"parse error: {message}\n", argv
+        for lie_type in ("X", "A", "a"):
+            assert run_cli(capsys, *a2, "--type", lie_type) == run_cli(capsys, *a2)
+
     def test_sigma_symbol_index_out_of_range(self, capsys):
         """kbar:9 at rank 2 is a one-line parse error, not an IndexError."""
         for sym in ("kbar:9", "ktilde:0", "tau:3"):

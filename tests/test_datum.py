@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from qsubgroups.datum import (
 from qsubgroups.exact import IntMatrix
 from qsubgroups.lie import CartanDatum, cartan_matrix
 from qsubgroups.torus import (
+    EnumerationGuard,
     SigmaGenerator,
     TorusSubgroup,
     Triple,
@@ -648,6 +650,21 @@ class TestEnumerateTriples:
         assert len(records) == 2  # subgroups of a cyclic group of order 11
         assert [rec.N.order for rec in records] == [1, 11]
         assert enumerate_triples(tw, 11, max_results=0) == []
+
+    def test_pair_loop_is_lazy(self):
+        """The pairs (I+, I-) are produced one at a time: a guard trip in the
+        first pair of A10 at ell = 3 allocates a few hundred KiB, not the
+        4^10 pairs first.  The first pair's kernel is the whole torus, so
+        max_results=1 does not stop its walk."""
+        tw = zero_twist(cartan_matrix("A", 10))
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationGuard, match="exceeds cap 10"):
+                enumerate_triples(tw, 3, max_results=1, cap=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
 
     def test_fixed_pair_records_sorted_distinct_indices(self):
         tw = worked_twist()

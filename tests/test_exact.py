@@ -14,6 +14,7 @@ from qsubgroups.exact import (
     cyclotomic_polynomial,
     euler_phi,
     hermite_normal_form,
+    kernel_lattice,
     kernel_mod,
     reduce_power_basis,
     root_of_unity_power,
@@ -26,7 +27,9 @@ from oracles import (
     former_cyclotomic_inverse,
     former_cyclotomic_product,
     former_hermite_normal_form,
+    former_kernel_lattice,
     former_reduce_power_basis,
+    former_solve_linear_mod,
     span_elements,
 )
 
@@ -262,6 +265,45 @@ class TestTrustedConstructors:
                 rows = [[rng.randrange(-3 * ell, 3 * ell) for _ in range(c)] for _ in range(r)]
                 got = hermite_normal_form(IntMatrix(rows, ncols=c), ell)
                 assert got.data == former_hermite_normal_form(rows, c, ell), (rows, ell)
+
+    def test_wide_sparse_inputs_match_former_algorithms(self):
+        """Wide matrices, about 70 % zeros, so many pivots stay ell, with
+        zero rows and zero columns, at prime, prime-power and composite
+        levels; then rank-8 kernel systems of up to 16 rows at ell = 45 and
+        1001, the shapes the point queries feed.  The Hermite form, the
+        kernel lattice and the solver each equal their frozen former
+        versions, and the kernel lattice is also read off the former form
+        of [M^T | I] directly."""
+        rng = random.Random(131)
+
+        def sparse(r, c, ell):
+            rows = [[rng.randrange(-2 * ell, 2 * ell) if rng.random() < 0.3 else 0
+                     for _ in range(c)] for _ in range(r)]
+            if r and c and rng.random() < 0.5:  # one zero row and one zero column
+                rows[rng.randrange(r)] = [0] * c
+                k = rng.randrange(c)
+                for row in rows:
+                    row[k] = 0
+            return rows
+
+        levels = (1, 2, 3, 4, 8, 9, 12, 15, 16, 27, 45, 63, 105, 210, 1001, 2310)
+        shapes = [(rng.randrange(11), rng.randrange(21), ell) for ell in levels for _ in range(25)]
+        shapes += [(rng.randrange(9, 17), 8, ell) for ell in (45, 1001) for _ in range(50)]
+        for p, k, ell in shapes:
+            rows = sparse(p, k, ell)
+            m = IntMatrix(rows, ncols=k)
+            assert hermite_normal_form(m, ell).data == \
+                former_hermite_normal_form(rows, k, ell), (rows, ell)
+            kernel = kernel_lattice(m, ell)
+            assert kernel == former_kernel_lattice(m, ell), (rows, ell)
+            system = [list(col) + [int(i == y) for i in range(k)]
+                      for y, col in enumerate(m.transpose().data)]
+            assert kernel.data == tuple(
+                row[p:] for row in former_hermite_normal_form(system, p + k, ell)[p:])
+            y = [rng.randrange(ell) for _ in range(k)]
+            for b in (m.apply(y), [rng.randrange(ell) for _ in range(p)]):
+                assert solve_linear_mod(m, b, ell) == former_solve_linear_mod(m, b, ell), \
+                    (rows, b, ell)
 
     @pytest.mark.parametrize("bad", [True, 0.5, 9.0, Fraction(9), "9"], ids=repr)
     def test_trusting_paths_check_their_parameters(self, bad):
