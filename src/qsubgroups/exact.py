@@ -158,7 +158,7 @@ class CyclotomicNumber:
 
     @classmethod
     def zero(cls, level: int) -> "CyclotomicNumber":
-        return cls(level, [0] * euler_phi(level))
+        return cls(level, (Fraction(0),) * euler_phi(level))  # one shared zero
 
     @classmethod
     def one(cls, level: int) -> "CyclotomicNumber":
@@ -278,13 +278,13 @@ def _int_tuple(values, what: str) -> tuple[int, ...]:
 
 
 def _rational_tuple(values, what: str) -> tuple[Fraction, ...]:
-    """values as a tuple of Fractions, every item an int or a Fraction:
+    """values as a tuple of Fractions, an int made one and a Fraction kept:
     bool, float and str raise TypeError instead of being coerced."""
     values = tuple(values)
     for x in values:
         if type(x) is not int and not isinstance(x, Fraction):
             raise TypeError(f"{what} must be int or Fraction, got {type(x).__name__} {x!r}")
-    return tuple(map(Fraction, values))
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
 
 
 class IntMatrix:

@@ -147,22 +147,29 @@ _BUILTIN_RANK_RANGE = {
     "F": (4, 4),
     "G": (2, 2),
 }
+CARTAN_MEMO_SIZE = 64  # (type, rank) keys of _builtin_datum; a run meets a handful
 
 
 def cartan_matrix(lie_type: str, n: int) -> CartanDatum:
-    """Built-in Cartan datum for the finite series A-G."""
+    """Built-in Cartan datum for the finite series A-G, one per (type, rank):
+    the arguments are checked before the memo, so it never caches an error."""
+    if not isinstance(lie_type, str):
+        raise TypeError(f"Lie type must be str, got {type(lie_type).__name__} {lie_type!r}")
     lie_type = lie_type.upper()
     if lie_type not in _BUILTIN_RANK_RANGE:
         raise InvalidCartanMatrix(f"unknown type {lie_type!r}")
     lo, hi = _BUILTIN_RANK_RANGE[lie_type]
     if _int_tuple((n,), "rank")[0] < lo or (hi is not None and n > hi):
         raise InvalidCartanMatrix(f"invalid rank {n} for type {lie_type}")
+    return _builtin_datum(lie_type, n)
 
+
+@functools.lru_cache(maxsize=CARTAN_MEMO_SIZE)
+def _builtin_datum(lie_type: str, n: int) -> CartanDatum:
     a = [[2 * int(i == j) for j in range(n)] for i in range(n)]
 
-    def chain_edge(i, j, back=-1, forth=-1):
-        a[i][j] = forth
-        a[j][i] = back
+    def chain_edge(i, j):
+        a[i][j] = a[j][i] = -1
 
     if lie_type in ("A", "B", "C"):
         for i in range(n - 1):

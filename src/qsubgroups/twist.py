@@ -158,45 +158,41 @@ def build_twist(cd: CartanDatum, Y) -> TwistBuildResult:
     rows = Y.data if isinstance(Y, IntMatrix) else tuple(tuple(r) for r in Y)
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ValueError(f"parameter matrix must be {n}x{n}")
-    for i, j in itertools.product(range(n), range(n)):
-        if isinstance(rows[i][j], int):
-            continue
-        value = Fraction(rows[i][j])
-        if value.denominator != 1:
-            violated("integral_parameters", i, j,
-                     f"y[{i + 1}][{j + 1}] = {value} is not an integer")
-    if violations:
-        return TwistBuildResult(None, tuple(violations))
+    if not isinstance(Y, IntMatrix):  # bool, float and str raise TypeError
+        for i, j in itertools.product(range(n), range(n)):
+            if type(rows[i][j]) is not int:
+                (value,) = _rational_tuple((rows[i][j],), "parameter matrix entries")
+                if value.denominator != 1:
+                    violated("integral_parameters", i, j,
+                             f"y[{i + 1}][{j + 1}] = {value} is not an integer")
+        if violations:
+            return TwistBuildResult(None, tuple(violations))
+        rows = tuple(tuple(x if type(x) is int else x.numerator for x in r) for r in rows)
 
-    # integral Fractions become ints; IntMatrix refuses bool and float
-    ymat = Y if isinstance(Y, IntMatrix) else IntMatrix(
-        [[x.numerator if type(x) is Fraction else x for x in r] for r in rows]
-    )
-    xmat = cd.A @ ymat
-
-    for i in range(n):
+    # X = A Y and Y adj A over row tuples, read without IntMatrix indexing
+    d, cols = cd.d, tuple(zip(*rows))
+    xrows = tuple(tuple(sum(map(operator.mul, r, c)) for c in cols) for r in cd.A.data)
+    for i, (di, xi) in enumerate(zip(d, xrows)):
         for j in range(i, n):
-            lhs = cd.d[i] * xmat[i, j]
-            rhs = -cd.d[j] * xmat[j, i]
+            lhs, rhs = di * xi[j], -d[j] * xrows[j][i]
             if lhs != rhs:
                 violated("dx_antisymmetric", i, j,
                          f"d_{i + 1} x[{i + 1}][{j + 1}] = {lhs} "
                          f"!= -d_{j + 1} x[{j + 1}][{i + 1}] = {rhs}")
 
     # (phi(omega_i), omega_j)/2 = d_j (Y adj A)_ji / delta; check every pair
-    delta, adj = _adjugate_cartan(cd)
-    yadj = ymat @ adj
-    for i in range(n):
-        for j in range(n):
-            if cd.d[j] * yadj[j, i] % delta:
-                value = Fraction(cd.d[j] * yadj[j, i], delta)
+    delta, adj = _adjugate_cartan(cd)  # delta = 1 (E8, F4, G2): every pair is integral
+    for i, col in enumerate(zip(*adj.data) if delta > 1 else ()):
+        for j, (dj, row) in enumerate(zip(d, rows)):
+            if (value := dj * sum(map(operator.mul, row, col))) % delta:
                 violated("half_integrality", i, j,
-                         f"(phi(omega_{i + 1}), omega_{j + 1})/2 = {value} "
+                         f"(phi(omega_{i + 1}), omega_{j + 1})/2 = {Fraction(value, delta)} "
                          "is not an integer")
 
     if violations:
         return TwistBuildResult(None, tuple(violations))
-    return TwistBuildResult(TwistMap(cd, ymat, xmat), ())
+    ymat = Y if isinstance(Y, IntMatrix) else IntMatrix._of(rows, n)
+    return TwistBuildResult(TwistMap(cd, ymat, IntMatrix._of(xrows, n)), ())
 
 
 def require_twist(cd: CartanDatum, Y) -> TwistMap:
@@ -239,15 +235,10 @@ def r_operator(tw: TwistMap, sign: int = 1, inverse: bool = False) -> RationalOp
     """(1 + sign * phi)^(+/-1) as an exact matrix in the ALPHA basis."""
     if _int_tuple((sign,), "sign")[0] not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    n = tw.rank
-    rows = [
-        [Fraction(int(i == j)) + 2 * sign * Fraction(tw.Y[i, j]) for j in range(n)]
-        for i in range(n)
-    ]
-    if inverse:
-        # nonsingular for every valid twist since A + 2X = A (1 + 2Y)
-        rows = [list(r) for r in invert_rational_matrix(rows)]
-    return RationalOperator(tuple(tuple(r) for r in rows))
+    rows = tuple(tuple(Fraction(int(i == j) + 2 * sign * y) for j, y in enumerate(row))
+                 for i, row in enumerate(tw.Y.data))
+    # nonsingular for every valid twist since A + 2X = A (1 + 2Y)
+    return RationalOperator(invert_rational_matrix(rows) if inverse else rows)
 
 
 def _exponent_row(tw: TwistMap, kind: str, i: int) -> tuple[int, ...]:

@@ -674,26 +674,27 @@ def _former_with_identity(A):
 
 def former_kernel_lattice(M, ell):
     """The library's former kernel_lattice: a fresh Hermite form of
-    [M^T | I_n] mod ell on every call, its bottom rows' right block."""
-    from qsubgroups.exact import IntMatrix, hermite_normal_form
+    [M^T | I_n] mod ell on every call, its bottom rows' right block.  The
+    form is former_hermite_normal_form's, so a wrong library form cannot
+    give the same wrong kernel on both sides."""
+    from qsubgroups.exact import IntMatrix
 
-    p = M.nrows
-    h = hermite_normal_form(_former_with_identity(M), ell)
-    return IntMatrix([row[p:] for row in h.data[p:]], ncols=M.ncols)
+    p, system = M.nrows, _former_with_identity(M)
+    h = former_hermite_normal_form(system.data, system.ncols, ell)
+    return IntMatrix([row[p:] for row in h[p:]], ncols=M.ncols)
 
 
 def former_solve_linear_mod(A, b, mod):
     """The library's former solve_linear_mod: (b, 0) reduced against the
-    top rows of a fresh Hermite form of [A^T | I_k] mod m."""
-    from qsubgroups.exact import hermite_normal_form
-
+    top rows of a fresh Hermite form of [A^T | I_k] mod m, computed by
+    former_hermite_normal_form rather than the library."""
     p, k = A.nrows, A.ncols
     b = tuple(int(x) for x in b)
     if len(b) != p:
         raise ValueError("right-hand side length mismatch")
-    h = hermite_normal_form(_former_with_identity(A), mod)
+    h = former_hermite_normal_form(_former_with_identity(A).data, p + k, mod)
     v = list(b) + [0] * k
-    for i, row in enumerate(h.data[:p]):
+    for i, row in enumerate(h[:p]):
         q, r = divmod(v[i], row[i])
         if r:
             return None

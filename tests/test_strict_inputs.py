@@ -8,7 +8,9 @@ a memoised function would alias different inputs silently.
 Covers solve_linear_mod's right-hand side, roots_supported's indices,
 Root.from_coords, IntMatrix.apply and through it
 TorusEmbedding.point_exponents, Character.pairing, c3_parameter_matrix,
-LatticeElement.make and scaled and CyclotomicNumber's coefficients,
+build_twist's parameter entries (a Fraction is still checked and
+reported, a bool, float or str raises), cartan_matrix's type (a str, not
+bytes or None), LatticeElement.make and scaled and CyclotomicNumber's coefficients,
 factories and scalars (which also take a Fraction), CyclotomicNumber's
 level and TorusPairElement's scale and g and h coordinates, whose g range
 and count vector length are checked too.  Simple indices (the exponent
@@ -50,7 +52,15 @@ from qsubgroups.exact import (
     root_of_unity_power,
     solve_linear_mod,
 )
-from qsubgroups.lie import Basis, LatticeElement, Root, cartan_matrix, roots_supported
+from qsubgroups import lie
+from qsubgroups.lie import (
+    Basis,
+    InvalidCartanMatrix,
+    LatticeElement,
+    Root,
+    cartan_matrix,
+    roots_supported,
+)
 from qsubgroups.torus import (
     Character,
     SigmaGenerator,
@@ -64,6 +74,7 @@ from qsubgroups.torus import (
     validate_triple,
 )
 from qsubgroups.twist import (
+    build_twist,
     c3_parameter_matrix,
     enumerate_valid_twists,
     kbar_exponent,
@@ -71,6 +82,8 @@ from qsubgroups.twist import (
     r_operator,
     require_twist,
 )
+
+from oracles import clear_library_memos
 
 NON_INTS = [True, 0.5, 2.0, Fraction(1, 2), Fraction(2), "1"]
 FUZZ = settings(derandomize=True, max_examples=200, deadline=None)
@@ -141,6 +154,37 @@ def test_c3_parameter_matrix(data):
     with pytest.raises(TypeError, match="int or Fraction"):
         result = c3_parameter_matrix(*bad)
         pytest.fail(f"returned {result!r}")
+
+
+@FUZZ
+@given(st.data())
+def test_build_twist_entries(data):
+    """A bool, float or str entry of a parameter matrix raises TypeError
+    before any check: 0.5 was read as 1/2 and reported as a violation of
+    integral_parameters, "1/2" too, while 2.0 raised only once the matrix
+    was built.  Exact Fractions are still checked and reported."""
+    cd = data.draw(st.sampled_from(CARTAN))
+    rows = [[0] * cd.rank for _ in range(cd.rank)]
+    assert build_twist(cd, rows).ok
+    i, j = data.draw(st.integers(0, cd.rank - 1)), data.draw(st.integers(0, cd.rank - 1))
+    rows[i][j] = Fraction(1, 2)
+    assert [v.condition for v in build_twist(cd, rows).violations] == ["integral_parameters"]
+    rows[data.draw(st.integers(0, cd.rank - 1))][j] = data.draw(st.one_of(
+        st.booleans(), st.floats(allow_nan=False, width=32), st.text(max_size=3)))
+    refused(lambda: build_twist(cd, rows), "parameter matrix entries must be int or Fraction")
+
+
+@pytest.mark.parametrize("entry", [0.5, 2.0, "1/2", "2", True, False], ids=repr)
+def test_build_twist_named_entries(entry):
+    refused(lambda: build_twist(CARTAN[0], [[entry, 0], [0, 0]]), "int or Fraction")
+    refused(lambda: build_twist(CARTAN[0], [[Fraction(1, 2), 0], [0, entry]]),
+            "int or Fraction")  # raises even where a Fraction violated integrality
+
+
+@pytest.mark.parametrize("lie_type", [3, None, b"A", ["A"]], ids=repr)
+def test_cartan_matrix_type_must_be_str(lie_type):
+    """A non-str Lie type raised AttributeError (no attribute 'upper')."""
+    refused(lambda: cartan_matrix(lie_type, 2), "Lie type must be str")
 
 
 @FUZZ
@@ -349,6 +393,33 @@ def test_one_int_arguments_still_answer():
     assert Character(5, (1, 2)).pairing((1, 1)) == 3
     listed = Character(5, [1, 2])  # its exponents are kept as a tuple, so it hashes
     assert listed == Character(5, (1, 2)) and hash(listed) == hash(Character(5, (1, 2)))
+
+
+def test_cartan_memo_checks_every_call():
+    """cartan_matrix hands out one datum per (type, rank), upper-cased, and
+    checks its arguments on every call, before the memo: a rank equal to a
+    held key (True == 1, 2.0 == 2), a str rank, an out-of-range rank and an
+    unknown type raise after a hit, and no error is held."""
+    assert cartan_matrix("a", 3) is cartan_matrix("A", 3)
+    for rank in (1, 2, 3):
+        assert cartan_matrix("A", rank).rank == rank  # the memo now holds these keys
+    held = lie._builtin_datum.cache_info().currsize
+    for bad in (True, 2.0, "3"):
+        refused(lambda: cartan_matrix("A", bad))
+    for lie_type, rank in (("E", 9), ("G", 3), ("D", 3), ("B", 1), ("A", 0), ("H", 2)):
+        with pytest.raises(InvalidCartanMatrix):
+            cartan_matrix(lie_type, rank)
+    assert lie._builtin_datum.cache_info().currsize == held
+    assert lie._builtin_datum.cache_info().maxsize == lie.CARTAN_MEMO_SIZE
+
+
+def test_clearing_memos_empties_the_cartan_memo():
+    first = cartan_matrix("B", 3)
+    assert lie._builtin_datum.cache_info().currsize > 0
+    clear_library_memos()
+    assert lie._builtin_datum.cache_info().currsize == 0
+    again = cartan_matrix("B", 3)
+    assert again == first and again is not first
 
 
 def test_coefficient_outside_the_torus_is_refused():

@@ -280,6 +280,42 @@ def build_corpus(seed=2024, draws=100):
     return corpus
 
 
+def wide_corpus(seed=32, draws=12):
+    """(cd, Y) inputs for build_twist at the ranks build_corpus never
+    reaches (C4, F4, A5, D5, E6, E7, E8, A8, D8).  Y = K (D A) for a sparse
+    antisymmetric K is valid; it comes as ints and as an IntMatrix, with
+    one entry raised by 1 (D X no longer antisymmetric), and as Fractions
+    with one entry raised by 1/2 (not integral).  Y = A^(-1) X for a
+    random X with D X antisymmetric is passed as Fractions: not integral,
+    or integral and failing half-integrality where det A > 1."""
+    rng = random.Random(seed)
+    corpus = []
+    for lie_type, n in [("C", 4), ("F", 4), ("A", 5), ("D", 5), ("E", 6), ("E", 7),
+                        ("E", 8), ("A", 8), ("D", 8)]:
+        cd = cartan_matrix(lie_type, n)
+        ainv = frac_inverse(cd.A.data)
+        da = [[d * a for a in row] for d, row in zip(cd.d, cd.A.data)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for _ in range(draws):
+            k = [[0] * n for _ in range(n)]
+            for i, j in pairs:
+                if rng.random() < 0.3:
+                    k[i][j] = rng.randint(-2, 2)
+                    k[j][i] = -k[i][j]
+            ints = [[int(v) for v in row] for row in frac_matmul(k, da)]
+            bumped = [row[:] for row in ints]
+            bumped[rng.randrange(n)][rng.randrange(n)] += 1
+            halves = [list(map(Fraction, row)) for row in ints]
+            halves[rng.randrange(n)][rng.randrange(n)] += Fraction(1, 2)
+            corpus += [(cd, ints), (cd, IntMatrix(ints)), (cd, bumped), (cd, halves)]
+            x = [[Fraction(0)] * n for _ in range(n)]
+            for i, j in pairs:
+                v = rng.randint(-2, 2) * rng.choice((1, 2))
+                x[i][j], x[j][i] = Fraction(v), Fraction(-cd.d[i] * v, cd.d[j])
+            corpus.append((cd, frac_matmul(ainv, x)))
+    return corpus
+
+
 class TestAgainstFractionReference:
     """The integer congruence checks give what the former Fraction code
     gave (tests/oracles.py keeps it frozen)."""
@@ -314,6 +350,27 @@ class TestAgainstFractionReference:
             seen |= {v[0] for v in violations} or {"valid"}
         assert seen == {"valid", "integral_parameters", "dx_antisymmetric",
                         "half_integrality"}
+
+    def test_build_twist_reports_match_at_higher_rank(self):
+        """The row-tuple products give the frozen Fraction code's twist and
+        violations, in order, on every query shape of rank 4 to 8; E8 and
+        F4 (det A = 1) can fail no half-integrality."""
+        seen = set()
+        for cd, y in wide_corpus():
+            result = build_twist(cd, y)
+            expected, violations = fraction_build_twist(cd, y)
+            assert [(v.condition, v.indices, v.detail) for v in result.violations] \
+                == violations, (cd.lie_type, cd.rank, y)
+            if expected is None:
+                assert result.twist is None
+            else:
+                assert (result.twist.Y.to_lists(), result.twist.X.to_lists()) == expected
+            seen |= {(cd, v[0]) for v in violations} or {(cd, "valid")}
+        for cd in {cd for cd, _ in seen}:
+            conditions = {c for key, c in seen if key == cd}
+            assert {"valid", "integral_parameters", "dx_antisymmetric"} <= conditions
+            assert ("half_integrality" in conditions) == (cd.A.det() > 1), cd.lie_type
+        assert len({cd for cd, _ in seen}) == 9
 
     def test_a_plus_2x_never_singular_for_integral_y(self):
         # det(A + 2X) = det A det(1 + 2Y) and det(1 + 2Y) is odd, so the
