@@ -315,21 +315,10 @@ def _load_spec(args) -> ProblemSpec:
 
 def _phi_record(spec: ProblemSpec, result) -> dict:
     """The validate-phi report of a twist build."""
-    return {
-        "command": "validate-phi",
-        "inputs": spec.inputs,
-        "results": {
-            "valid": result.ok,
-            "violations": [
-                {
-                    "condition": v.condition,
-                    "indices": list(v.indices) if v.indices else None,
-                    "detail": v.detail,
-                }
-                for v in result.violations
-            ],
-        },
-    }
+    return {"command": "validate-phi", "inputs": spec.inputs, "results": {
+        "valid": result.ok, "violations": [
+            {"condition": v.condition, "indices": list(v.indices) if v.indices else None,
+             "detail": v.detail} for v in result.violations]}}
 
 
 def _load_twist(args) -> tuple[ProblemSpec, TwistMap]:
@@ -389,31 +378,18 @@ def cmd_kernel(args) -> int:
     if triple is not None:
         report = validate_triple(tw, spec.ell, triple)
         if not report.ok:
-            _emit(
-                {
-                    "command": "kernel",
-                    "results": {
-                        "triple_valid": False,
-                        "missing": [list(m) for m in report.missing],
-                    },
-                }
-            )
+            _emit({"command": "kernel", "results": {
+                "triple_valid": False, "missing": [list(m) for m in report.missing]}})
             return EXIT_INVALID
         analysis = analyze_triple(tw, spec.ell, triple)
-        _emit(
-            {
-                "command": "kernel",
-                "results": {
-                    "triple_valid": True,
-                    "sigma_order": analysis.sigma_order,
-                    "omega_order": analysis.omega_order,
-                    "n_generators": [list(g) for g in analysis.N.generators],
-                    "n_order": analysis.n_order,
-                    "order_identity": analysis.order_identity,
-                },
-                "citations": ["|Sigma| * |N| = ell^n", "|Omega| = |Sigma| / |T_I|"],
-            }
-        )
+        _emit({"command": "kernel", "results": {
+            "triple_valid": True,
+            "sigma_order": analysis.sigma_order,
+            "omega_order": analysis.omega_order,
+            "n_generators": [list(g) for g in analysis.N.generators],
+            "n_order": analysis.n_order,
+            "order_identity": analysis.order_identity,
+        }, "citations": ["|Sigma| * |N| = ell^n", "|Omega| = |Sigma| / |T_I|"]})
     return EXIT_OK
 
 
@@ -446,14 +422,8 @@ def _parse_datum(tw, spec: ProblemSpec) -> TwistedSubgroupDatum:
     delta = None  # TwistedSubgroupDatum.make then sets the trivial delta
     if delta_rows is not None:
         delta = DualHom.make(nsub, embedding.group, _strict_rows("datum delta", delta_rows))
-    return TwistedSubgroupDatum.make(
-        spec.iplus,
-        spec.iminus,
-        nsub,
-        embedding=embedding,
-        delta=delta,
-        sigma_recipe=recipe,
-    )
+    return TwistedSubgroupDatum.make(spec.iplus, spec.iminus, nsub, embedding=embedding,
+                                     delta=delta, sigma_recipe=recipe)
 
 
 def cmd_datum(args) -> int:
@@ -518,19 +488,14 @@ def cmd_enumerate(args) -> int:
         _emit({"command": "enumerate", "error": str(exc)})
         return EXIT_GUARD
     for rec in records:
-        _emit(
-            {
-                "command": "enumerate",
-                "triple": {
-                    "iplus": list(rec.iplus),
-                    "iminus": list(rec.iminus),
-                    "n_generators": [list(g) for g in rec.N.generators],
-                    "n_order": rec.N.order,
-                    "sigma_order": rec.dims.sigma_order,
-                    "dim_h": _factored(rec.dims.value, spec.ell),
-                },
-            }
-        )
+        _emit({"command": "enumerate", "triple": {
+            "iplus": list(rec.iplus),
+            "iminus": list(rec.iminus),
+            "n_generators": [list(g) for g in rec.N.generators],
+            "n_order": rec.N.order,
+            "sigma_order": rec.dims.sigma_order,
+            "dim_h": _factored(rec.dims.value, spec.ell),
+        }})
     _emit({"command": "enumerate", "total": len(records)})
     return EXIT_OK
 
@@ -543,14 +508,9 @@ def cmd_twist_table(args) -> int:
     except TableCapExceeded as exc:
         _emit({"command": "twist-table", "error": str(exc)})
         return EXIT_GUARD
-    _emit(
-        {
-            "command": "twist-table",
-            "inputs": spec.inputs,
-            "results": {"rows": len(lines), "entries_mod": spec.ell},
-            "citations": ["exponent rule (phi(l_z1), l_z2)/2 mod ell"],
-        }
-    )
+    _emit({"command": "twist-table", "inputs": spec.inputs,
+           "results": {"rows": len(lines), "entries_mod": spec.ell},
+           "citations": ["exponent rule (phi(l_z1), l_z2)/2 mod ell"]})
     for line in lines:
         sys.stdout.write(line + "\n")
     return EXIT_OK

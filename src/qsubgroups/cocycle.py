@@ -14,7 +14,11 @@ On the finite torus the dual twist J is the bilinear 2-cocycle of
 twist_J; its group-algebra realization (twist_J_group_algebra) keeps only
 its nonzero coefficients.  Their product is an exact Kronecker
 substitution (Schoenhage 1982; Harvey, J. Symb. Comp. 2009), independent
-of the transform, so J * J^-1 = 1 remains a real check.  Both axes use
+of the transform, so J * J^-1 = 1 remains a real check.  When every
+h-fiber of both factors holds one point (|S_1| |S_2| is the product of
+their fiber counts), each pair of points is one product of packed count
+vectors, summed per (h1 + h2, g1 + g2) and folded mod eps^ell as below.
+Otherwise both axes use
 coordinates: S is spanned by v - b_k over both supports, b_k a point of
 factor k's, and v - b_k has the quotients c_i of its reduction against
 S's Hermite rows r_i with pivot a_i < ell, mod d_i = ell / a_i.  They
@@ -72,6 +76,11 @@ __all__ = [
 
 DEFAULT_TABLE_CAP = 10_000
 WEIGHTS_MEMO_SIZE = 32  # h-axis evaluation and interpolation weights, one per axis order
+
+
+def _check_torus(ell: int, n: int, coords: tuple, shaped: bool = True) -> None:
+    if not shaped or coords and not 0 <= min(coords) <= max(coords) < ell:
+        raise ValueError(f"need g in (0..{ell - 1})^{n}, h too, and {ell} counts in every entry")
 
 
 class TableCapExceeded(RuntimeError):
@@ -193,11 +202,8 @@ class TorusPairElement:
         if not _built:  # the library's own products and twists are valid as built
             _rational_tuple((scale,), "scale")
             coords = _int_tuple((x for key in vectors for part in key for x in part), "g and h")
-            if set(map(len, itertools.chain.from_iterable(vectors))) - {n} or \
-                    set(map(len, vectors.values())) - {ell} or \
-                    coords and not 0 <= min(coords) <= max(coords) < ell:
-                raise ValueError(f"need g in (0..{ell - 1})^{n}, h too, and {ell} counts "
-                                 "in every entry")
+            _check_torus(ell, n, coords, set(map(len, itertools.chain.from_iterable(vectors)))
+                         <= {n} and set(map(len, vectors.values())) <= {ell})
         self.ell = ell
         self.n = n
         self.scale = scale
@@ -207,7 +213,7 @@ class TorusPairElement:
         g, h = _int_tuple(g, "group elements"), _int_tuple(h, "group elements")
         if len(g) != self.n or len(h) != self.n:
             raise ValueError("vector length mismatch")
-        type(self)(self.ell, self.n, 1, {(g, h): (0,) * self.ell})  # refuses g, h off the torus
+        _check_torus(self.ell, self.n, g + h)
         vec = self.vectors.get((g, h))
         if vec is None:
             return CyclotomicNumber.zero(self.ell)
@@ -236,12 +242,10 @@ class TorusPairElement:
         slots = 2 * self.ell - 1
         weights = [slots ** (self.n - i) * width for i in range(self.n)]  # per unit of g_i
         limbs, shifts, fibers = {}, shifts or {}, {}
-        for (g, h), vec in self.vectors.items():  # each distinct vector is packed once
-            if (x := limbs.get(vec)) is None:
-                x = limbs[vec] = functools.reduce(lambda y, c: y << width | c, vec[::-1], 0)
+        for (g, h), vec in self.vectors.items():
             if (s := shifts.get(g)) is None:
                 s = shifts[g] = sum(map(operator.mul, g, weights))
-            fibers[h] = fibers.get(h, 0) | x << s
+            fibers[h] = fibers.get(h, 0) | _packed(vec, width, limbs) << s
         return fibers
 
     def _unpacked(self, buckets: dict, width: int, axes=None) -> dict:
@@ -259,7 +263,7 @@ class TorusPairElement:
             folds.append((d * step, lo))
         cuts = sorted((g, s, s >> 3, (s + cell + 7) >> 3, s & 7)
                       for g, s in zip(axes.points(), _sweep(strides, size, dims)))  # all < size
-        vectors, seen, mask, limb = {}, {0: ()}, (1 << cell) - 1, (1 << width) - 1
+        vectors, seen, mask = {}, {}, (1 << cell) - 1
         for h, x in sorted(buckets.items()):
             for shift, lo in folds:
                 low = x & lo
@@ -267,11 +271,7 @@ class TorusPairElement:
             data = x.bit_length() >> 13 and x.to_bytes((x.bit_length() + 7) // 8, "little")
             for g, s, i, j, bit in cuts:  # the cell at bit s: bytes i to j - 1, from bit
                 key = (int.from_bytes(data[i:j], "little") >> bit if data else x >> s) & mask
-                vec = seen.get(key)
-                if vec is None:
-                    limbs = [key >> k * width & limb for k in range(2 * ell - 1)]
-                    vec = seen[key] = tuple(map(operator.add, limbs, limbs[ell:] + [0]))
-                if vec:
+                if vec := _folded(key, ell, width, seen):
                     vectors[g, h] = vec
         return vectors
 
@@ -279,13 +279,19 @@ class TorusPairElement:
         """Group-algebra product (convolution over the pair group)."""
         if (self.ell, self.n) != (other.ell, other.n):
             raise ValueError("mismatched group algebras")
-        ell, n, pair = self.ell, self.n, (self, other)
+        ell, n, pair, scale = self.ell, self.n, (self, other), self.scale * other.scale
         # every limb, folded or not, is at most min(t1 m2, m1 t2) (see the
         # module docstring), and the limbs hold each factor's own counts too
         (t1, m1), (t2, m2) = self._mass(), other._mass()
-        if not (self.vectors and other.vectors):
-            return TorusPairElement(ell, n, self.scale * other.scale, {}, _built=True)
         width = max(min(t1 * m2, m1 * t2), m1, m2, 1).bit_length()
+        if len(self.vectors) * len(other.vectors) == prod(len({h for _, h in x.vectors})
+                                                           for x in pair):  # one point per fiber
+            memo, seen = {}, {}  # so multiply point by point, keyed by h + g
+            cells = _pairwise(*[{h + g: _packed(vec, width, memo)
+                                 for (g, h), vec in x.vectors.items()} for x in pair], ell)
+            vectors = {(k[n:], k[:n]): vec for k, x in sorted(cells.items())
+                       if (vec := _folded(x, ell, width, seen))}
+            return TorusPairElement(ell, n, scale, vectors, _built=True)
         whole = max(map(len, (self.vectors, other.vectors))) == ell ** (2 * n)  # both axes full
         g_axes = _Axes(ell, n, gs := None if whole else [{g for g, _ in x.vectors} for x in pair])
         fibers = [x._packed_fibers(width, g_axes.bases and g_axes.offsets(
@@ -294,13 +300,9 @@ class TorusPairElement:
         if _evaluates(len(fibers[0]), len(fibers[1]), h_axes.dims):
             buckets = _evaluated_product(fibers, h_axes)
         else:
-            buckets = {}
-            for h1, p1 in fibers[0].items():
-                for h2, p2 in fibers[1].items():
-                    h = tuple([(a + b) % ell for a, b in zip(h1, h2)])
-                    buckets[h] = buckets.get(h, 0) + p1 * p2
+            buckets = _pairwise(*fibers, ell)
         vectors = self._unpacked(buckets, width, g_axes)
-        return TorusPairElement(ell, n, self.scale * other.scale, vectors, _built=True)
+        return TorusPairElement(ell, n, scale, vectors, _built=True)
 
     def _is_unit(self, table: dict, zero) -> bool:
         """Whether scale * table holds 1 at zero and 0 at every other key,
@@ -332,6 +334,31 @@ class TorusPairElement:
 
     def counit_is_one(self, side: str) -> bool:
         return self._is_unit(self._collapsed(side), (0,) * self.n)
+
+
+def _packed(vec, width: int, memo: dict) -> int:
+    """vec's counts in limbs of width bits, eps^k at bit k width; once per vec in memo."""
+    if (x := memo.get(vec)) is None:
+        x = memo[vec] = functools.reduce(lambda y, c: y << width | c, vec[::-1], 0)
+    return x
+
+
+def _folded(x: int, ell: int, width: int, seen: dict) -> tuple:
+    """x's 2 ell - 1 limbs, eps^(k + ell) folded onto eps^k, () for 0; once per x in seen."""
+    if (vec := seen.get(x)) is None:
+        limbs = [x >> k * width & (1 << width) - 1 for k in range(2 * ell - 1)]
+        vec = seen[x] = x and tuple(map(operator.add, limbs, limbs[ell:] + [0])) or ()
+    return vec
+
+
+def _pairwise(left: dict, right: dict, ell: int) -> dict:
+    """k -> the sum of x y over k1 + k2 == k (mod ell), one update per pair of keys."""
+    out = {}
+    for k1, x in left.items():
+        for k2, y in right.items():
+            k = tuple([(a + b) % ell for a, b in zip(k1, k2)])
+            out[k] = out.get(k, 0) + x * y
+    return out
 
 
 class _Axes:

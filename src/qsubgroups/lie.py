@@ -50,6 +50,18 @@ class InvalidCartanMatrix(ValueError):
     pass
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)  # shared by every simple root
+
+
+def _simple_index(i, rank: int) -> int:
+    """i, once checked to be an int in 1..rank: a bool too raises TypeError."""
+    if type(i) is not int:  # one C-level test per call; _int_tuple words the refusal
+        _int_tuple((i,), "simple indices")
+    if not 1 <= i <= rank:
+        raise IndexError(f"simple index {i} out of range 1..{rank}")
+    return i
+
+
 def symmetrizers(A: IntMatrix) -> tuple[int, ...]:
     """Minimal positive integers d with d_i a_ij = d_j a_ji, per component.
 
@@ -130,9 +142,8 @@ class CartanDatum:
 
     def simple_root(self, i: int) -> "LatticeElement":
         """alpha_i, 1-based index, in ALPHA coordinates."""
-        coords = [Fraction(0)] * self.rank
-        coords[i - 1] = Fraction(1)
-        return LatticeElement(Basis.ALPHA, tuple(coords))
+        i, n = _simple_index(i, self.rank), self.rank
+        return LatticeElement(Basis.ALPHA, (_ZERO,) * (i - 1) + (_ONE,) + (_ZERO,) * (n - i))
 
     def fundamental_weight(self, i: int) -> "LatticeElement":
         return LatticeElement(Basis.OMEGA, self.simple_root(i).coords)
@@ -249,8 +260,12 @@ def _adjugate_cartan(cd: CartanDatum) -> tuple[int, IntMatrix]:
 
 
 def _matvec(rows, coords) -> tuple[Fraction, ...]:
-    """Exact product of an int or rational matrix and a vector, over a common denominator."""
+    """Exact product of an int or rational matrix and a vector, over a common
+    denominator, or in ints when every denominator is 1."""
     den = lcm(*(c.denominator for row in (coords, *rows) for c in row))
+    if den == 1:
+        xs = [x.numerator for x in coords]
+        return tuple([Fraction(sum(map(operator.mul, row, xs))) for row in rows])
     xs = [x.numerator * (den // x.denominator) for x in coords]
     return tuple(Fraction(sum(a.numerator * (den // a.denominator) * x
                               for a, x in zip(row, xs)), den * den) for row in rows)
@@ -276,9 +291,11 @@ def omega_to_alpha(lam: LatticeElement, cd: CartanDatum) -> LatticeElement:
 
 def bilinear_form(lam: LatticeElement, mu: LatticeElement, cd: CartanDatum) -> Fraction:
     """The symmetric form with (omega_i, alpha_j) = d_i delta_ij."""
-    left = alpha_to_omega(lam, cd)  # each conversion checks the rank
-    right = omega_to_alpha(mu, cd)
-    return _matvec([left.coords], tuple(map(operator.mul, cd.d, right.coords)))[0]
+    left = alpha_to_omega(lam, cd).coords  # each conversion checks the rank
+    right = omega_to_alpha(mu, cd).coords
+    if all(c.denominator == 1 for c in left + right):  # in ints: no Fraction products
+        return Fraction(sum(a.numerator * d * b.numerator for a, d, b in zip(left, cd.d, right)))
+    return _matvec([left], tuple(map(operator.mul, cd.d, right)))[0]
 
 
 def _rank_check(lam: LatticeElement, cd: CartanDatum) -> None:

@@ -46,6 +46,7 @@ from .lie import (
     LatticeElement,
     _adjugate_cartan,
     _matvec,
+    _simple_index,
     alpha_to_omega,
     bilinear_form,
     omega_to_alpha,
@@ -103,16 +104,13 @@ class TwistMap:
         """The integer matrix Y^T D A, entry (s, t) = (phi(alpha_s),
         alpha_t) / 2, built once per twist (it does not depend on a level)
         and checked entry by entry against the exact bilinear form."""
-        n, d, A = self.rank, self.cd.d, self.cd.A
-        rows = tuple(
-            tuple(sum(self.Y[j, s] * d[j] * A[j, t] for j in range(n)) for t in range(n))
-            for s in range(n)
-        )
-        for s in range(n):  # phi(alpha_s) goes to OMEGA once per row, not once per entry
-            phi_s = alpha_to_omega(apply_phi(self, self.cd.simple_root(s + 1)), self.cd)
-            for t in range(n):
-                half = bilinear_form(phi_s, self.cd.simple_root(t + 1), self.cd) / 2
-                assert half == rows[s][t]
+        da = list(zip(*[[dj * x for x in row] for dj, row in zip(self.cd.d, self.cd.A.data)]))
+        rows = tuple(tuple([sum(map(operator.mul, y, c)) for c in da]) for y in zip(*self.Y.data))
+        simple = [self.cd.simple_root(s + 1) for s in range(self.rank)]  # built once per check
+        for alpha_s, row in zip(simple, rows):  # phi(alpha_s) goes to OMEGA once per row
+            phi_s = alpha_to_omega(apply_phi(self, alpha_s), self.cd)
+            for alpha_t, entry in zip(simple, row):
+                assert bilinear_form(phi_s, alpha_t, self.cd) / 2 == entry
         return rows
 
 
@@ -214,7 +212,8 @@ def apply_phi(tw: TwistMap, lam: LatticeElement) -> LatticeElement:
     if lam.rank != tw.rank:
         raise ValueError("rank mismatch")
     alpha = omega_to_alpha(lam, tw.cd)
-    out = LatticeElement(Basis.ALPHA, _matvec(tw.Y.scaled(2).data, alpha.coords))
+    two_y = [[2 * y for y in row] for row in tw.Y.data]  # phi in ALPHA coordinates
+    out = LatticeElement(Basis.ALPHA, _matvec(two_y, alpha.coords))
     if lam.basis == Basis.ALPHA:
         return out
     return alpha_to_omega(out, tw.cd)
@@ -246,11 +245,7 @@ def _exponent_row(tw: TwistMap, kind: str, i: int) -> tuple[int, ...]:
     rows = tw._exponents.get(kind)
     if rows is None:
         raise ValueError(f"unknown generator kind {kind!r}")
-    if type(i) is not int:  # one C-level test per query; _int_tuple words the refusal
-        _int_tuple((i,), "simple indices")
-    if not 1 <= i <= tw.rank:
-        raise IndexError(f"simple index {i} out of range 1..{tw.rank}")
-    return rows[i - 1]
+    return rows[_simple_index(i, tw.rank) - 1]
 
 
 def kbar_exponent(tw: TwistMap, i: int) -> tuple[int, ...]:

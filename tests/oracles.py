@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from math import lcm
 
 
 # ---------------------------------------------------------------------------
@@ -1022,3 +1023,41 @@ def clear_library_memos():
                 value.cache_clear()
                 cleared.append(f"{info.name}.{name}")
     return cleared
+
+
+# ---------------------------------------------------------------------------
+# lattice conversions in Fractions
+
+def fraction_matvec(rows, coords):
+    """The library's former lie._matvec, frozen: every entry over one
+    common denominator, whatever the denominators, as a Fraction."""
+    den = lcm(*(c.denominator for row in (coords, *rows) for c in row))
+    xs = [x.numerator * (den // x.denominator) for x in coords]
+    return tuple(Fraction(sum(a.numerator * (den // a.denominator) * x
+                              for a, x in zip(row, xs)), den * den) for row in rows)
+
+
+def fraction_alpha_to_omega(coords, cd):
+    """OMEGA coordinates of the ALPHA vector coords: A alpha."""
+    return fraction_matvec(cd.A.data, coords)
+
+
+def fraction_omega_to_alpha(coords, cd):
+    """ALPHA coordinates of the OMEGA vector coords: A^(-1) omega, the
+    inverse by Gauss-Jordan elimination."""
+    return fraction_matvec(frac_inverse(cd.A.to_lists()), coords)
+
+
+def fraction_bilinear_form(lam, mu, cd):
+    """The library's former lie.bilinear_form, frozen: (lam, mu) as
+    sum_i (lam)_omega,i d_i (mu)_alpha,i, through fraction_matvec."""
+    left = lam.coords if lam.basis.value == "omega" else fraction_alpha_to_omega(lam.coords, cd)
+    right = mu.coords if mu.basis.value == "alpha" else fraction_omega_to_alpha(mu.coords, cd)
+    return fraction_matvec([left], tuple(d * x for d, x in zip(cd.d, right)))[0]
+
+
+def fraction_apply_phi(tw, lam):
+    """phi(lam) as the coordinates of lam's basis: 2Y in ALPHA coordinates."""
+    alpha = lam.coords if lam.basis.value == "alpha" else fraction_omega_to_alpha(lam.coords, tw.cd)
+    image = fraction_matvec([[2 * y for y in row] for row in tw.Y.data], alpha)
+    return image if lam.basis.value == "alpha" else fraction_alpha_to_omega(image, tw.cd)

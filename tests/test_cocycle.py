@@ -637,8 +637,8 @@ class TestConvolutionAgainstPairwiseLoop:
         # B2 twist fills the torus, so its axes are the torus's (625 pairs
         # against 81 at ell = 5, 81 against 25 at 3); the C3 twist's fibers
         # fill a plane, two axes of order ell (81 pairs against 25 points at
-        # 3, 625 against 81 at 5); the one-point zero twists stay pairwise
-        # on no axis at all
+        # 3, 625 against 81 at 5); the one-point zero twists, one point per
+        # fiber on both sides, take the point path and decide nothing
         assert _evaluates(25, 25, [5, 5]) and _evaluates(9, 9, [3, 3])
         assert not _evaluates(9, 9, [3, 3, 3])
         assert not any(_evaluates(1, 1, dims) for dims in ([], [3], [9, 3], [15] * 3))
@@ -651,6 +651,7 @@ class TestConvolutionAgainstPairwiseLoop:
         monkeypatch.setattr("qsubgroups.cocycle._evaluated_product",
                             lambda fibers, axes: evaluated.append(list(axes.dims))
                             or real(fibers, axes))
+        packed = packed_sizes(monkeypatch)
         for tw, ell in ((b2_twist(), 5), (b2_twist(), 3), (worked_twist(), 3),
                         (worked_twist(), 5), (zero_twist(cartan_matrix("A", 2)), 9),
                         (zero_twist(cartan_matrix("A", 3)), 5)):
@@ -658,7 +659,9 @@ class TestConvolutionAgainstPairwiseLoop:
             assert ga.element.convolve(ga.inverse).is_identity()
         assert evaluated == [[5, 5], [3, 3], [3, 3], [5, 5]]
         assert decided == [(25, 25, [5, 5]), (9, 9, [3, 3]), (9, 9, [3, 3]),
-                           (25, 25, [5, 5]), (1, 1, []), (1, 1, [])]
+                           (25, 25, [5, 5])]
+        # the one-point zero twists are multiplied point by point: no fibers packed
+        assert packed == [625, 625, 81, 81, 81, 81, 625, 625]
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_negative_counts_are_refused(self, side):
@@ -668,6 +671,101 @@ class TestConvolutionAgainstPairwiseLoop:
         a, b = (bad, good) if side == "left" else (good, bad)
         with pytest.raises(ValueError, match="nonnegative"):
             a.convolve(b)
+
+
+def packed_sizes(monkeypatch) -> list:
+    """The support sizes of the factors convolve packs into fibers, as it
+    packs them; the point path packs none."""
+    sizes, real = [], TorusPairElement._packed_fibers
+    monkeypatch.setattr(TorusPairElement, "_packed_fibers",
+                        lambda self, *args: sizes.append(len(self.vectors)) or real(self, *args))
+    return sizes
+
+
+def one_point_fibers(rng, ell, n, count, top, zeros=0):
+    """A TorusPairElement on count points over count distinct h-fibers, g
+    random; the vectors of zeros of them are all-zero, the rest below top."""
+    hs = set()
+    while len(hs) < count:
+        hs.add(tuple(rng.randrange(ell) for _ in range(n)))
+    vectors = {(tuple(rng.randrange(ell) for _ in range(n)), h):
+               tuple(rng.randrange(top) for _ in range(ell)) for h in hs}
+    for key in rng.sample(sorted(vectors), zeros):
+        vectors[key] = (0,) * ell
+    return TorusPairElement(ell, n, Fraction(rng.randrange(1, 9), rng.randrange(1, 9)), vectors)
+
+
+class TestPointPath:
+    """Factors with at most one point in every fiber, on both sides, are
+    multiplied point by point; against the frozen pairwise loop, the same
+    vectors in the same order (h ascending, then g) and the same scale.
+    Any other partner keeps the packed fibers."""
+
+    @pytest.mark.parametrize("ell, n", [(ell, n) for ell in (9, 15, 45) for n in (1, 2, 3)])
+    def test_against_pairwise_loop(self, ell, n, monkeypatch):
+        rng = random.Random(31 * ell + n)
+        count = min(12, ell**n)
+        a, b, c = (one_point_fibers(rng, ell, n, count, top, zeros)
+                   for top, zeros in ((4, 0), (1 << 71, 3), (1 << 71, 0)))
+        empty = TorusPairElement(ell, n, Fraction(5, 7), {})
+        packed = packed_sizes(monkeypatch)
+        for x, y in ((a, b), (b, a), (b, c), (c, c), (a, a), (a, empty), (empty, c)):
+            TestConvolutionAgainstPairwiseLoop.assert_matches(x, y)
+        assert packed == []
+
+    @pytest.mark.parametrize("ell, n", [(9, 1), (9, 2), (15, 1), (15, 2), (45, 1), (45, 2)])
+    def test_other_partners_stay_packed(self, ell, n, monkeypatch):
+        # a fiber of several points on one side, or the whole torus, packs
+        # both factors into fibers
+        rng = random.Random(7 * ell + n)
+        points = one_point_fibers(rng, ell, n, min(12, ell**n), 1 << 71, 2)
+        h = tuple(rng.randrange(ell) for _ in range(n))
+        one_fiber = TorusPairElement(ell, n, Fraction(1, 3), {
+            (g, h): tuple(rng.randrange(4) for _ in range(ell))
+            for g in {tuple(rng.randrange(ell) for _ in range(n)) for _ in range(5)}})
+        partners = [one_fiber]
+        if ell**n <= 9:
+            partners.append(random_pair_element(rng, ell, n, 0, 3, dense=True))
+        for partner in partners:
+            packed = packed_sizes(monkeypatch)
+            for x, y in ((points, partner), (partner, points)):
+                TestConvolutionAgainstPairwiseLoop.assert_matches(x, y)
+            assert packed == [len(x.vectors) for pair in ((points, partner), (partner, points))
+                              for x in pair]
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_negative_counts_and_empty_factors(self, side):
+        rng = random.Random(5)
+        good = one_point_fibers(rng, 9, 2, 4, 8)
+        bad = one_point_fibers(rng, 9, 2, 4, 8)
+        bad.vectors[next(iter(bad.vectors))] = (3, -1) + (0,) * 7
+        empty = TorusPairElement(9, 2, Fraction(2, 3), {})
+        for partner in (good, empty):
+            with pytest.raises(ValueError, match="nonnegative"):
+                bad.convolve(partner) if side == "left" else partner.convolve(bad)
+        got = good.convolve(empty) if side == "left" else empty.convolve(good)
+        assert (got.vectors, got.scale) == ({}, good.scale * Fraction(2, 3))
+
+    def test_scattered_and_two_fiber_cases(self, monkeypatch):
+        # ROADMAP item 7's 12 points over 12 fibers at ell = 15, n = 3, and
+        # the ell = 45, n = 3 square of two points in two fibers, whose
+        # rows do not split (item 11), take the point path; two points in
+        # one fiber stay packed on the whole torus
+        rng = random.Random(12)
+        packed = packed_sizes(monkeypatch)
+        for top in (4, 1 << 71):
+            a = one_point_fibers(rng, 15, 3, 12, top)
+            TestConvolutionAgainstPairwiseLoop.assert_matches(a, a)
+        one = (1,) + (0,) * 44
+        two_fibers = TorusPairElement(45, 3, Fraction(1), {
+            ((0, 0, 0), (0, 0, 0)): one, ((3, 1, 0), (3, 1, 0)): one[::-1]})
+        TestConvolutionAgainstPairwiseLoop.assert_matches(two_fibers, two_fibers)
+        assert packed == []
+        one_fiber = TorusPairElement(9, 2, Fraction(1), {
+            ((0, 0), (0, 0)): one[:9], ((3, 1), (0, 0)): one[:9][::-1]})
+        assert _Axes(9, 2, [{(0, 0), (3, 1)}] * 2).bases is None  # the whole torus
+        TestConvolutionAgainstPairwiseLoop.assert_matches(one_fiber, one_fiber)
+        assert packed == [2, 2]
 
 
 def random_subgroup(rng, ell, n, rank, largest):

@@ -1,10 +1,13 @@
 """Tests for the root-system and lattice engine."""
 
 import collections
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsubgroups.exact import IntMatrix
 from qsubgroups.lie import (
@@ -21,11 +24,16 @@ from qsubgroups.lie import (
     roots_supported,
     symmetrizers,
 )
+from qsubgroups.twist import apply_phi, enumerate_valid_twists, zero_twist
 
 from oracles import (
     former_require_finite_type,
     former_symmetrizers,
     frac_inverse,
+    fraction_alpha_to_omega,
+    fraction_apply_phi,
+    fraction_bilinear_form,
+    fraction_omega_to_alpha,
     minimal_symmetrizer,
     positive_roots_by_closure,
 )
@@ -290,6 +298,51 @@ class TestBasisConversion:
             want = tuple(sum((a * x for a, x in zip(row, coords)), Fraction(0)) for row in rows)
             assert got == want
             assert all(type(x) is Fraction for x in got)
+
+
+# every built-in type up to rank 8
+BUILTIN_TO_RANK_8 = [(t, r) for t, lo, hi in (("A", 1, 8), ("B", 2, 8), ("C", 2, 8), ("D", 4, 8),
+                                              ("E", 6, 8), ("F", 4, 4), ("G", 2, 2))
+                     for r in range(lo, hi + 1)]
+
+
+@functools.cache
+def twists_of(lie_type, rank):
+    """The zero twist and up to three nonzero twists of entries in -1..1."""
+    cd = cartan_matrix(lie_type, rank)
+    return [zero_twist(cd)] + [tw for tw in enumerate_valid_twists(cd, 1, limit=4)
+                               if not tw.is_zero()]
+
+
+class TestConversionsAgainstFractionReference:
+    """bilinear_form, alpha_to_omega, omega_to_alpha and apply_phi against
+    the frozen all-Fraction reference in oracles: the same values, and
+    every one a Fraction, whether or not the coordinates are integral."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_same_fractions(self, data):
+        lie_type, rank = data.draw(st.sampled_from(BUILTIN_TO_RANK_8))
+        cd = cartan_matrix(lie_type, rank)
+        coord = st.integers(-9, 9) if data.draw(st.booleans()) else \
+            st.fractions(min_value=-9, max_value=9, max_denominator=12)
+        lam, mu = (LatticeElement.make(data.draw(st.sampled_from(list(Basis))),
+                                       data.draw(st.lists(coord, min_size=rank, max_size=rank)))
+                   for _ in "lm")
+        tw = data.draw(st.sampled_from(twists_of(lie_type, rank)))
+
+        def assert_same(got, want):
+            assert got == want and all(type(x) is Fraction for x in got)
+
+        alpha = LatticeElement(Basis.ALPHA, lam.coords)
+        omega = LatticeElement(Basis.OMEGA, lam.coords)
+        assert_same(alpha_to_omega(alpha, cd).coords, fraction_alpha_to_omega(lam.coords, cd))
+        assert_same(omega_to_alpha(omega, cd).coords, fraction_omega_to_alpha(lam.coords, cd))
+        assert_same((bilinear_form(lam, mu, cd),), (fraction_bilinear_form(lam, mu, cd),))
+        for x in (alpha, omega):
+            image = apply_phi(tw, x)
+            assert image.basis == x.basis
+            assert_same(image.coords, fraction_apply_phi(tw, x))
 
 
 class TestPositiveRoots:

@@ -10,7 +10,8 @@ Root.from_coords, IntMatrix.apply and through it
 TorusEmbedding.point_exponents, Character.pairing, c3_parameter_matrix,
 build_twist's parameter entries (a Fraction is still checked and
 reported, a bool, float or str raises), cartan_matrix's type (a str, not
-bytes or None), LatticeElement.make and scaled and CyclotomicNumber's coefficients,
+bytes or None), the index of simple_root and fundamental_weight (an
+IndexError out of 1..rank), LatticeElement.make and scaled and CyclotomicNumber's coefficients,
 factories and scalars (which also take a Fraction), CyclotomicNumber's
 level and TorusPairElement's scale and g and h coordinates, whose g range
 and count vector length are checked too.  Simple indices (the exponent
@@ -420,6 +421,24 @@ def test_clearing_memos_empties_the_cartan_memo():
     assert lie._builtin_datum.cache_info().currsize == 0
     again = cartan_matrix("B", 3)
     assert again == first and again is not first
+
+
+@pytest.mark.parametrize("method", ["simple_root", "fundamental_weight"])
+def test_simple_root_and_fundamental_weight_indices(method):
+    """An index is an int in 1..rank: at rank 2, simple_root(0) gave
+    alpha_2 and fundamental_weight(-1) omega_1 (the list index wrapped),
+    simple_root(True) alpha_1, and simple_root(3) raised "list assignment
+    index out of range"."""
+    a2 = cartan_matrix("A", 2)
+    call = getattr(a2, method)
+    for bad in NON_INTS:
+        refused(lambda: call(bad), match="simple indices must be int")
+    for i in (0, -1, 3):
+        with pytest.raises(IndexError, match=fr"^simple index {i} out of range 1\.\.2$"):
+            call(i)
+    basis = Basis.ALPHA if method == "simple_root" else Basis.OMEGA
+    assert [call(i) for i in (1, 2)] == [LatticeElement.make(basis, [1, 0]),
+                                         LatticeElement.make(basis, [0, 1])]
 
 
 def test_coefficient_outside_the_torus_is_refused():

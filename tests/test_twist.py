@@ -213,6 +213,27 @@ class TestStructuralInvariants:
                 assert scaled.denominator == 1
 
 
+    @pytest.mark.parametrize("shape", [("A", 2), ("C", 3), ("E", 8)])
+    def test_pairing_check_runs(self, shape, monkeypatch):
+        # the integer matrix Y^T D A is checked against the exact form on
+        # every entry: a form off by one fails the check, on a twist and on
+        # a zero twist, and only where the check is made (not cached)
+        from qsubgroups import twist
+
+        cd = cartan_matrix(*shape)
+        real, n = twist.bilinear_form, cd.rank
+        for tw in (worked_twist() if shape == ("C", 3) else zero_twist(cd), zero_twist(cd)):
+            tw.__dict__.pop("_pairing", None)
+            assert tw._pairing == tuple(
+                tuple(sum(tw.Y[j, s] * cd.d[j] * cd.A[j, t] for j in range(n)) for t in range(n))
+                for s in range(n))
+            tw.__dict__.pop("_pairing", None)
+            monkeypatch.setattr(twist, "bilinear_form", lambda *args: real(*args) + 1)
+            with pytest.raises(AssertionError):
+                tw._pairing
+            monkeypatch.setattr(twist, "bilinear_form", real)
+
+
 class TestModifiedGrouplikeExponents:
     def test_zero_twist(self):
         tw = zero_twist(cartan_matrix("A", 3))
