@@ -286,7 +286,7 @@ class TorusPairElement:
         width = max(min(t1 * m2, m1 * t2), m1, m2, 1).bit_length()
         if len(self.vectors) * len(other.vectors) == prod(len({h for _, h in x.vectors})
                                                            for x in pair):  # one point per fiber
-            memo, seen = {}, {}  # so multiply point by point, keyed by h + g
+            memo, seen = {}, {}  # point by point, an empty factor too; keyed by h + g
             cells = _pairwise(*[{h + g: _packed(vec, width, memo)
                                  for (g, h), vec in x.vectors.items()} for x in pair], ell)
             vectors = {(k[n:], k[:n]): vec for k, x in sorted(cells.items())
