@@ -48,6 +48,7 @@ from .datum import (
 from .exact import IntMatrix
 from .lie import CartanDatum, InvalidCartanMatrix, bilinear_form, cartan_matrix
 from .torus import (
+    DEFAULT_ENUM_CAP,
     EnumerationGuard,
     SigmaGenerator,
     TorusSubgroup,
@@ -479,10 +480,14 @@ def cmd_enumerate(args) -> int:
     if args.max_results is not None and args.max_results < 0:
         raise ParseFailure(f"--max-results must be >= 0, got {args.max_results}")
     spec, tw = _load_twist(args)
+    try:  # the library reads no environment: the cap comes in here
+        cap = int(os.environ.get("QSUBGROUPS_ENUM_CAP", DEFAULT_ENUM_CAP))
+    except ValueError as exc:
+        raise ValueError("QSUBGROUPS_ENUM_CAP must be an integer") from exc
     fixed = (spec.iplus, spec.iminus) if spec.iplus or spec.iminus else None
     try:
         records = enumerate_triples(
-            tw, spec.ell, max_results=args.max_results, fixed_pair=fixed
+            tw, spec.ell, max_results=args.max_results, fixed_pair=fixed, cap=cap
         )
     except EnumerationGuard as exc:
         _emit({"command": "enumerate", "error": str(exc)})
@@ -501,6 +506,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_twist_table(args) -> int:
+    if args.cap is not None and args.cap < 0:
+        raise ParseFailure(f"--cap must be >= 0, got {args.cap}")
     spec, tw = _load_twist(args)
     cocycle = twist_J(tw, spec.ell)
     try:
@@ -705,9 +712,6 @@ def main(argv=None) -> int:
     except ParseFailure as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_PARSE
-    except (EnumerationGuard, TableCapExceeded) as exc:
-        sys.stderr.write(f"guard: {exc}\n")
-        return EXIT_GUARD
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     except (ValueError, InvalidCartanMatrix) as exc:

@@ -18,9 +18,9 @@ of the transform, so J * J^-1 = 1 remains a real check.  When every
 h-fiber of both factors holds one point (|S_1| |S_2| is the product of
 their fiber counts), each pair of points is one product of packed count
 vectors, summed per (h1 + h2, g1 + g2) and folded mod eps^ell as below.
-Otherwise both axes use
-coordinates: S is spanned by v - b_k over both supports, b_k a point of
-factor k's, and v - b_k has the quotients c_i of its reduction against
+Otherwise both axes use the coordinates of _Axes, the one owner of a
+product's frames: S is spanned by v - b_k over both supports, b_k a point
+of factor k's, and v - b_k has the quotients c_i of its reduction against
 S's Hermite rows r_i with pivot a_i < ell, mod d_i = ell / a_i.  They
 are exact when every row splits, d_i r_i == 0 (mod ell), as for prime
 ell; if not, or if a support fills the torus, S is the whole torus, with
@@ -235,23 +235,18 @@ class TorusPairElement:
         return (sum(sum(vec) * k for vec, k in counts.items()),
                 max(itertools.chain.from_iterable(counts), default=0))
 
-    def _packed_fibers(self, width: int, shifts=None) -> dict:
+    def _packed_fibers(self, width: int, shifts: dict) -> dict:
         """h -> the fiber {g: vec} over h packed into one integer: limbs of
-        width bits, g's cell at bit shifts[g], or at its place on the whole
-        torus if shifts lacks g (see the module docstring)."""
-        slots = 2 * self.ell - 1
-        weights = [slots ** (self.n - i) * width for i in range(self.n)]  # per unit of g_i
-        limbs, shifts, fibers = {}, shifts or {}, {}
+        width bits, g's cell at bit shifts[g], its place in an _Axes frame
+        (see _Axes.offsets and the module docstring)."""
+        limbs, fibers = {}, {}
         for (g, h), vec in self.vectors.items():
-            if (s := shifts.get(g)) is None:
-                s = shifts[g] = sum(map(operator.mul, g, weights))
-            fibers[h] = fibers.get(h, 0) | _packed(vec, width, limbs) << s
+            fibers[h] = fibers.get(h, 0) | _packed(vec, width, limbs) << shifts[g]
         return fibers
 
-    def _unpacked(self, buckets: dict, width: int, axes=None) -> dict:
+    def _unpacked(self, buckets: dict, width: int, axes: "_Axes") -> dict:
         """(g, h) -> vec for every nonzero cell of the buckets, h ascending,
-        then g, on the g-axes of axes, by default the whole torus's."""
-        axes = axes or _Axes(self.ell, self.n)
+        then g, on the g-axes of the frame axes that packed them."""
         ell, dims, cell = self.ell, axes.dims, (2 * self.ell - 1) * width
         strides = axes.steps(cell, True)
         size = dims[0] * strides[0] if dims else 0
@@ -292,11 +287,10 @@ class TorusPairElement:
             vectors = {(k[n:], k[:n]): vec for k, x in sorted(cells.items())
                        if (vec := _folded(x, ell, width, seen))}
             return TorusPairElement(ell, n, scale, vectors, _built=True)
-        whole = max(map(len, (self.vectors, other.vectors))) == ell ** (2 * n)  # both axes full
-        g_axes = _Axes(ell, n, gs := None if whole else [{g for g, _ in x.vectors} for x in pair])
-        fibers = [x._packed_fibers(width, g_axes.bases and g_axes.offsets(
-            gs[k], k, g_axes.steps((2 * ell - 1) * width, True))) for k, x in enumerate(pair)]
-        h_axes = g_axes if whole else _Axes(ell, n, fibers)
+        g_axes = _Axes(ell, n, gs := [{g for g, _ in x.vectors} for x in pair])
+        fibers = [x._packed_fibers(width, g_axes.offsets(gs[k], k, g_axes.steps(
+            (2 * ell - 1) * width, True))) for k, x in enumerate(pair)]
+        h_axes = _Axes(ell, n, fibers)
         if _evaluates(len(fibers[0]), len(fibers[1]), h_axes.dims):
             buckets = _evaluated_product(fibers, h_axes)
         else:
@@ -362,9 +356,9 @@ def _pairwise(left: dict, right: dict, ell: int) -> dict:
 
 
 class _Axes:
-    """Coordinates on the subgroup S spanned by v - b_k over the supports
-    k = 0, 1 of a product's factors (see the module docstring): the
-    Hermite rows of S of order d_i; without supports, the whole torus."""
+    """The one owner of a product's frames: coordinates on the subgroup S
+    spanned by v - b_k over the supports k = 0, 1 of its factors, its
+    Hermite rows of order d_i, or else the whole torus (module docstring)."""
 
     def __init__(self, ell: int, n: int, supports=None):
         self.ell, self.n, self.bases, self.axes = ell, n, None, [(i, ell) for i in range(n)]

@@ -42,7 +42,6 @@ n_phi_from_sigma, sigma_order_identity and omega_order read it.
 from __future__ import annotations
 
 import functools
-import os
 from itertools import product
 from math import gcd, prod
 
@@ -80,7 +79,6 @@ __all__ = [
     "EnumerationGuard",
 ]
 
-ENUM_CAP_ENV = "QSUBGROUPS_ENUM_CAP"
 DEFAULT_ENUM_CAP = 200_000
 SUBGROUP_MEMO_SIZE = 4096  # entries of each memo here
 
@@ -90,15 +88,7 @@ class EnumerationGuard(RuntimeError):
 
 
 def _enum_cap(cap: int | None) -> int:
-    if cap is not None:
-        return _int_tuple((cap,), "cap")[0]
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENUM_CAP_ENV} must be an integer") from exc
+    return DEFAULT_ENUM_CAP if cap is None else _int_tuple((cap,), "cap")[0]
 
 
 @record

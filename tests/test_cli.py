@@ -311,10 +311,38 @@ class TestEnumerate:
         assert (code, captured.out) == (EXIT_PARSE, "")
         assert captured.err == "parse error: --max-results must be >= 0, got -1\n"
 
+    def test_negative_table_cap(self, capsys, tmp_path):
+        """twist-table refuses a negative --cap as enumerate refuses a
+        negative --max-results, before the spec is read; --cap 0 is the
+        table guard."""
+        for spec in ([], ["--spec", str(tmp_path / "missing.json")]):
+            code = main(["twist-table", "--type", "A", "--rank", "2", "--ell", "3",
+                         "--cap", "-1", *spec])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (EXIT_PARSE, ""), spec
+            assert captured.err == "parse error: --cap must be >= 0, got -1\n"
+        code, out = run_cli(capsys, "twist-table", "--type", "A", "--rank", "2", "--ell", "3",
+                            "--cap", "0")
+        assert code == EXIT_GUARD
+        assert json_lines(out) == [{"command": "twist-table",
+                                    "error": "table would have 81 entries, cap is 0"}]
+
     def test_guard_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("QSUBGROUPS_ENUM_CAP", "3")
         code, out = run_cli(capsys, "enumerate", *C3_FLAGS)
         assert code == EXIT_GUARD
+
+    @pytest.mark.parametrize("extra", [[], ["--max-results", "0"], ["--iplus", "9"]],
+                             ids=["walk", "no-walk", "bad-index"])
+    def test_unparseable_cap_variable(self, capsys, monkeypatch, extra):
+        """enumerate reads QSUBGROUPS_ENUM_CAP once the twist is built and
+        before the walk, so a run that would walk nothing (--max-results 0)
+        or refuse its indices reports the variable too."""
+        monkeypatch.setenv("QSUBGROUPS_ENUM_CAP", "many")
+        code = main(["enumerate", "--type", "A", "--rank", "2", "--ell", "3", *extra])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_INVALID, "")
+        assert captured.err == "invalid input: QSUBGROUPS_ENUM_CAP must be an integer\n"
 
 
 class TestTwistTable:
@@ -358,6 +386,18 @@ class TestPaperExamples:
         assert code == EXIT_INVALID
         records = json_lines(out)
         assert records[-1]["failed"] > 0
+
+    def test_invalid_twist_stops_after_five_checks(self, capsys):
+        """1,1,0 is no twist: the four Cartan checks pass, twist_valid fails
+        and no check that needs the twist runs."""
+        code, out = run_cli(capsys, "paper-examples", "--family-c3", "1,1,0")
+        assert code == EXIT_INVALID
+        records = json_lines(out)
+        assert [(r["fixture"], r["pass"]) for r in records[:-1]] == [
+            ("cartan_matrix_c3", True), ("symmetrizers_c3", True),
+            ("weight_root_pairing", True), ("root_root_pairing", True),
+            ("twist_valid", False)]
+        assert records[-1] == {"command": "paper-examples", "total": 5, "failed": 1}
 
     def test_level_pin(self, capsys):
         code, out = run_cli(capsys, "paper-examples", "--ell", "9")
@@ -579,6 +619,28 @@ class TestHardening:
         ]
         for argv in cases:
             assert run_cli(capsys, *argv)[0] == EXIT_PARSE, argv
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("validate-phi", None, "cannot read spec file: [Errno 2] No such file or directory"),
+        ("validate-phi", [1, 2], "spec file must hold a JSON object"),
+        ("kernel", {"sigma": {"symbols": "kbar:1"}},
+         "sigma symbols must be a list, got 'kbar:1'"),
+        ("kernel", {"sigma": {"symbols": [["kbar", 1], ["rho", 1]]}},
+         "unknown sigma symbol kind 'rho'"),
+        ("datum", {"datum": {"n_generators": 5}},
+         "datum n_generators must be a list of integer lists, got 5"),
+    ], ids=["missing", "not-an-object", "symbols-not-a-list", "unknown-kind",
+            "n-generators-not-a-list"])
+    def test_malformed_spec_files_are_parse_failures(self, capsys, tmp_path, command, doc,
+                                                     message):
+        path = tmp_path / "spec.json"
+        if doc is not None:  # None: no file at all
+            base = {"type": "A", "rank": 2, "ell": 5}
+            path.write_text(json.dumps(base | doc if isinstance(doc, dict) else doc))
+        code = main([command, "--spec", str(path)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_PARSE, "")
+        assert captured.err.startswith(f"parse error: {message}")
 
     def test_json_payload_reader(self, capsys):
         """--family-c3 wins over a malformed --y, whose JSON is never read,

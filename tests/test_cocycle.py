@@ -930,6 +930,7 @@ class TestPackingAgainstFormerLoops:
         hs = list({tuple(rng.randrange(ell) for _ in range(n)) for _ in range(3)})
         share = min(1, 40 / ell**n)
         origin = ((0,) * n, (0,) * n)
+        whole = _Axes(ell, n)  # the whole torus's frame, the one the former loops used
         for width in (w for w in PACKING_WIDTHS if slots ** (n + 1) * w <= 1 << 21):
             top = 1 << width
             one_fiber, many = (repeating_element(rng, ell, n, top, fibers, share)
@@ -937,8 +938,10 @@ class TestPackingAgainstFormerLoops:
             scattered = random_pair_element(rng, ell, n, 12, top)
             zeros = repeating_element(rng, ell, n, 1, hs, share)  # every count 0
             empty = TorusPairElement(ell, n, Fraction(1), {})
+            steps = whole.steps(slots * width, True)
             for el in (one_fiber, many, scattered, zeros, empty):
-                assert el._packed_fibers(width) == former_packed_fibers(el, width)
+                shifts = whole.offsets({g for g, _ in el.vectors}, 0, steps)
+                assert el._packed_fibers(width, shifts) == former_packed_fibers(el, width)
                 flat = [c for vec in el.vectors.values() for c in vec]
                 assert el._mass() == (sum(flat), max(flat, default=0))
             # unit * (counts 0 and 1) needs one-bit limbs
@@ -953,7 +956,7 @@ class TestPackingAgainstFormerLoops:
                 w = max(width, min(t1 * m2, m1 * t2).bit_length(), m1.bit_length(),
                         m2.bit_length())
                 buckets, cells = former_product(a, b, w)
-                assert list(a._unpacked(buckets, w).items()) == cells
+                assert list(a._unpacked(buckets, w, whole).items()) == cells
 
 
 def all_ones_element(ell, n, hs):

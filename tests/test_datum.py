@@ -22,6 +22,7 @@ from qsubgroups.datum import (
     dim_A,
     dim_H,
     enumerate_triples,
+    factor_out,
     obstruction_check,
     predicates,
     validate_datum,
@@ -217,6 +218,21 @@ class TestValidateDatum:
         report = validate_datum(tw, 11, d)
         assert any(v.condition == "delta_well_defined" for v in report.violations)
 
+    @pytest.mark.parametrize("condition", ["gamma_shape", "delta_missing", "delta_target"])
+    def test_embedding_and_delta_shapes_reported(self, condition):
+        """An embedding of another torus rank, a missing delta and a delta
+        into another group are each the one violation of a built datum."""
+        nsub, z2 = TorusSubgroup.trivial(11, 3), FiniteAbelianGroup((2,))
+        embedding = TorusEmbedding.make(z2, [[1], [0], [0]], 3)
+        embedding, delta = {
+            "gamma_shape": (TorusEmbedding.make(z2, [[1], [0]], 2), DualHom.trivial(nsub, z2)),
+            "delta_missing": (embedding, None),
+            "delta_target": (embedding, DualHom.trivial(nsub, FiniteAbelianGroup((3,)))),
+        }[condition]
+        d = TwistedSubgroupDatum(frozenset(), frozenset(), nsub, embedding, delta)
+        report = validate_datum(worked_twist(), 11, d)
+        assert [v.condition for v in report.violations] == [condition]
+
 
     def test_record_readers_do_not_check_indices_again(self, monkeypatch):
         """A Triple and a datum checked I+- when they were built, so cold
@@ -342,7 +358,11 @@ class TestDimensions:
             embedding=OpaqueGroup(order=None),
             delta=None,
         )
-        assert dim_A(tw, 11, d) is INFINITE
+        assert dim_A(tw, 11, d) is INFINITE and repr(INFINITE) == "INFINITE"
+
+    def test_factor_out(self):
+        assert factor_out(0, 11) == (0, 0)
+        assert factor_out(2 * 11**3, 11) == (2, 3) and factor_out(7, 11) == (7, 0)
 
 
 def make_simple_datum(tw, ell, iplus, iminus, n_gens, factors=(),

@@ -136,6 +136,13 @@ class TestRootOfUnity:
         assert eps**-2 == root_of_unity_power(11, -6)
         assert (eps / eps) == CyclotomicNumber.one(11)
 
+    def test_difference_negation_and_scalar_division(self):
+        eps, one = root_of_unity_power(11, 3), CyclotomicNumber.one(11)
+        assert eps - eps == -eps + eps == CyclotomicNumber.zero(11)
+        assert (eps - one) + one == eps and -(-eps) == eps
+        assert -one == CyclotomicNumber.from_rational(11, -1)
+        assert (eps + eps) / 2 == eps and eps / Fraction(1, 3) == eps * 3
+
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda r: st.integers(1, 4).flatmap(
@@ -186,6 +193,7 @@ class TestIntMatrix:
         m = IntMatrix([[1, -2], (3, 4)])
         assert m.data == ((1, -2), (3, 4)) and (m.nrows, m.ncols) == (2, 2)
         assert IntMatrix([], ncols=3).ncols == 3
+        assert IntMatrix([[1]]) != [[1]] and IntMatrix([[1]]) != ((1,),)  # rows are no matrix
 
 
 class TestHermiteNormalForm:

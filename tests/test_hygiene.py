@@ -1,5 +1,6 @@
 """Source rules of the library: a stdlib-only runtime, no floats, a light
-import and one way into a subgroup.
+import, no reads of the environment outside the CLI and one way into a
+subgroup.
 
 Every module under src/qsubgroups is parsed, not imported, so a rule
 breach is reported with its file and line even if the module would fail
@@ -346,6 +347,34 @@ def test_exponent_rows_are_read_by_kind():
     would have to agree on."""
     assert not [f"{path.name}:{line}" for path in SOURCES
                 for line in _positional_exponent_reads(_tree(path))]
+
+
+ENVIRONMENT_READS = ("environ", "environb", "getenv", "getenvb")
+
+
+def _reads_environment(node) -> bool:
+    """os.environ, os.getenv and their bytes forms, read as attributes of
+    os or imported from it."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(a.name in ENVIRONMENT_READS for a in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READS
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def test_environment_rule_is_not_vacuous():
+    tree = ast.parse("import os\nos.environ.get('A')\nos.getenv('B')\n"
+                     "from os import environ\nos.path.join('c')\nenviron = {}\n"
+                     "self.environ\nfrom os import getenvb as g\n")
+    assert sorted(node.lineno for node in ast.walk(tree) if _reads_environment(node)) == \
+        [2, 3, 4, 8]
+
+
+def test_only_the_cli_reads_the_environment():
+    """A library result depends on its arguments alone: the enumeration
+    cap comes in as cap=, and only the CLI reads QSUBGROUPS_ENUM_CAP (and
+    COLUMNS, for its help width)."""
+    assert _where(_reads_environment) == {"cli.py:_Parser._get_formatter",
+                                          "cli.py:cmd_enumerate"}
 
 
 # Build, don't patch: a record is complete when its constructor returns,

@@ -345,6 +345,17 @@ class TestConversionsAgainstFractionReference:
             assert_same(image.coords, fraction_apply_phi(tw, x))
 
 
+class TestLatticeArithmetic:
+    def test_difference_negation_and_scaling(self):
+        rng = random.Random(17)
+        for basis in (Basis.ALPHA, Basis.OMEGA):
+            a, b = (random_element(rng, basis, 3) for _ in range(2))
+            assert a - b == a + (-b) and (a - b) + b == a
+            assert a - a == -a + a == LatticeElement.zero(basis, 3)
+            assert a.scaled(Fraction(-3, 2)).coords == tuple(Fraction(-3, 2) * x for x in a.coords)
+            assert a.scaled(2) == a + a and a.scaled(-1) == -a
+
+
 class TestPositiveRoots:
     def test_a2_set(self):
         roots = {r.coords for r in positive_roots(cartan_matrix("A", 2))}

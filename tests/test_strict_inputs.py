@@ -26,6 +26,9 @@ the entry on 1), root_of_unity_power's exponent, IntMatrix.identity
 and zeros, cartan_matrix's rank, LatticeElement.zero's rank, r_operator's
 sign and a Character's level and exponents, which it checks when built.
 derandomize=True and a fixed max_examples keep the test deterministic.
+Values of the right type but the wrong shape, level, torus or side raise
+too (MISMATCHES): TypeError for a partner that is no number or matrix,
+ValueError otherwise.
 """
 
 from fractions import Fraction
@@ -41,6 +44,7 @@ from qsubgroups.datum import (
     TorusEmbedding,
     TwistedSubgroupDatum,
     analyze_datum,
+    datum_leq,
     dim_H,
     enumerate_triples,
     validate_datum,
@@ -394,6 +398,70 @@ def test_one_int_arguments_still_answer():
     assert Character(5, (1, 2)).pairing((1, 1)) == 3
     listed = Character(5, [1, 2])  # its exponents are kept as a tuple, so it hashes
     assert listed == Character(5, (1, 2)) and hash(listed) == hash(Character(5, (1, 2)))
+
+
+def _unit(ell, n):
+    return TorusPairElement(ell, n, Fraction(1), {((0,) * n, (0,) * n): (1,) + (0,) * (ell - 1)})
+
+
+def _trivial_datum(ell):
+    return TwistedSubgroupDatum.make((), (), TorusSubgroup.trivial(ell, 2))
+
+
+# name: (call, exception, message) of each value of the right type but the
+# wrong shape, level, torus or side
+MISMATCHES = {
+    "euler_phi 0": (lambda: euler_phi(0), ValueError, "n >= 1"),
+    "cyclotomic coefficient count": (lambda: CyclotomicNumber(5, [1, 0]), ValueError,
+                                     "need 4 coefficients for level 5"),
+    "cyclotomic plus int": (lambda: CyclotomicNumber.one(5) + 1, TypeError,
+                            "expected a CyclotomicNumber"),
+    "cyclotomic minus int": (lambda: CyclotomicNumber.one(5) - 1, TypeError,
+                             "expected a CyclotomicNumber"),
+    "cyclotomic levels": (lambda: CyclotomicNumber.one(5) - CyclotomicNumber.one(7),
+                          ValueError, "mixed cyclotomic levels"),
+    "lattice bases": (lambda: LatticeElement.make(Basis.ALPHA, [1])
+                      - LatticeElement.make(Basis.OMEGA, [1]), ValueError,
+                      "cannot subtract elements in different bases"),
+    "matrix plus list": (lambda: IntMatrix([[1]]) + [[1]], TypeError, "expected an IntMatrix"),
+    "matrix minus list": (lambda: IntMatrix([[1]]) - [[1]], TypeError, "expected an IntMatrix"),
+    "matrix plus shape": (lambda: IntMatrix([[1]]) + IntMatrix([[1, 2]]), ValueError,
+                          "matrix shape mismatch"),
+    "matrix minus shape": (lambda: IntMatrix([[1]]) - IntMatrix([[1], [2]]), ValueError,
+                           "matrix shape mismatch"),
+    "matrix product shape": (lambda: IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]]), ValueError,
+                             "shape mismatch in product"),
+    "matrix apply length": (lambda: IntMatrix([[1, 2]]).apply([1]), ValueError,
+                            "vector length mismatch"),
+    "solve right-hand side": (lambda: solve_linear_mod(IntMatrix([[1, 2]]), [1, 2], 5),
+                              ValueError, "right-hand side length mismatch"),
+    "join across tori": (lambda: TorusSubgroup.full(3, 2).join(TorusSubgroup.full(5, 2)),
+                         ValueError, "different tori"),
+    "subgroup across tori": (lambda: TorusSubgroup.full(3, 1).is_subgroup_of(
+        TorusSubgroup.full(3, 2)), ValueError, "different tori"),
+    "contains length": (lambda: TorusSubgroup.full(3, 2).contains((1,)), ValueError,
+                        "vector length mismatch"),
+    "pairing length": (lambda: Character(5, (1, 2)).pairing((1,)), ValueError,
+                       "length mismatch"),
+    "r_operator sign": (lambda: r_operator(TWISTS[0], sign=2), ValueError,
+                        "sign must be"),
+    "convolve across algebras": (lambda: _unit(3, 1).convolve(_unit(5, 1)), ValueError,
+                                 "mismatched group algebras"),
+    "counit side": (lambda: _unit(3, 1).counit_side("up"), ValueError,
+                    "side must be 'left' or 'right'"),
+    "point_exponents modulus": (lambda: TorusEmbedding.make(
+        FiniteAbelianGroup((5,)), [[1], [0]], 2).point_exponents((2,), 7), ValueError,
+        "modulus must be a multiple"),
+    "datum_leq levels": (lambda: datum_leq(TWISTS[0], 5, _trivial_datum(5), _trivial_datum(7)),
+                         ValueError, "different levels or ranks"),
+}
+
+
+@pytest.mark.parametrize("call, error, match", MISMATCHES.values(), ids=MISMATCHES.keys())
+def test_mismatched_arguments(call, error, match):
+    with pytest.raises(error, match=match):
+        result = call()
+        pytest.fail(f"returned {result!r}")
 
 
 def test_cartan_memo_checks_every_call():

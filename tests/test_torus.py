@@ -579,6 +579,15 @@ class TestEnumerateSubgroups:
         with pytest.raises(EnumerationGuard, match="exceeds cap 7"):
             enumerate_subgroups(full, cap=7)
 
+    def test_cap_is_not_read_from_the_environment(self, monkeypatch):
+        """Only the CLI reads QSUBGROUPS_ENUM_CAP: a library call without
+        cap= walks under the default cap whatever the variable holds."""
+        monkeypatch.setenv("QSUBGROUPS_ENUM_CAP", "3")
+        full = TorusSubgroup.full(3, 2)
+        assert len(enumerate_subgroups(full)) == 6 and len(full.elements()) == 9
+        monkeypatch.setenv("QSUBGROUPS_ENUM_CAP", "x")
+        assert len(enumerate_subgroups(full)) == 6
+
     def test_guard_stop_leaves_no_cyclic_garbage(self):
         """A walk stopped by the guard frees its suspended generators
         and the records it built by reference counting."""
